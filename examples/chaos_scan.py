@@ -5,8 +5,8 @@ Two acts:
 
 1. **Raw PIB under chaos.**  The five regional segments flake (the
    archive also times out), execution runs through
-   ``execute_resilient`` — retries with jittered backoff, per-arc
-   circuit breakers — and the learner is killed and restored from an
+   ``execute(..., policy=...)`` — retries with jittered backoff,
+   per-arc circuit breakers — and the learner is killed and restored from an
    atomic checkpoint at the halfway point.  PIB still converges to the
    provably optimal ratio order, because only *settled* outcomes reach
    its Δ̃ statistics, and the crash loses nothing.
@@ -30,7 +30,7 @@ from repro.datalog.parser import parse_query
 from repro.learning import PIB
 from repro.persistence import load_pib, save_pib
 from repro.resilience import FaultPlan, FaultSpec, FlakyDatabase
-from repro.strategies.execution import execute_resilient
+from repro.strategies.execution import execute
 from repro.system import SelfOptimizingQueryProcessor
 from repro.workloads import (
     FlakySegmentAccessDistribution,
@@ -66,8 +66,8 @@ def chaotic_scan_ordering() -> None:
     def drive(learner: PIB, budget: int) -> float:
         spent = 0.0
         for _ in range(budget):
-            run = execute_resilient(learner.strategy, stream.sample(rng),
-                                    policy)
+            run = execute(learner.strategy, stream.sample(rng),
+                          policy=policy)
             spent += run.cost
             learner.record(run.settled_result())
         return spent

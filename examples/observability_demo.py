@@ -11,8 +11,8 @@ shows the three things the observability layer promises:
    their backoff charges, breaker state transitions, and the learner's
    climb decisions with the Equation 6 evidence that fired them.
 2. **Reconciled accounting.**  The trace's billed and settled cost
-   totals match the ``ResilientExecutionResult`` views the caller saw,
-   exactly — observability never invents or loses a cost unit.
+   totals match the ``ExecutionResult`` views (billed and settled) the
+   caller saw, exactly — observability never invents or loses a cost unit.
 3. **Zero feedback.**  Re-running the same seeded workload without the
    tracer produces the same climbs and the same final strategy: the
    monitor watches everything and influences nothing.
@@ -27,7 +27,7 @@ import tempfile
 from repro import ResiliencePolicy, RetryPolicy
 from repro.learning import PIB
 from repro.observability import NULL_RECORDER, Tracer, summarize_trace
-from repro.strategies.execution import execute_resilient
+from repro.strategies.execution import execute
 from repro.workloads import (
     FlakySegmentAccessDistribution,
     FlakySegmentedTable,
@@ -64,8 +64,8 @@ def traced_run(recorder, contexts=3000):
     rng = random.Random(17)
     billed = settled = 0.0
     for _ in range(contexts):
-        run = execute_resilient(pib.strategy, stream.sample(rng), policy,
-                                recorder=recorder)
+        run = execute(pib.strategy, stream.sample(rng), recorder=recorder,
+                      policy=policy)
         billed += run.cost
         settled += run.settled_cost
         pib.record(run.settled_result())

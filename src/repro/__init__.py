@@ -93,7 +93,6 @@ from .serving import (
     StreamReport,
     open_session,
 )
-from .strategies import ExecutionOutcome
 from . import storage
 from .storage import (
     COMPLETE,
@@ -160,7 +159,6 @@ __all__ = [
     "SystemAnswer",
     "AdmissionConfig",
     "CacheConfig",
-    "ExecutionOutcome",
     "ExperienceConfig",
     "ExperienceRecord",
     "ExperienceStore",

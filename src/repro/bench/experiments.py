@@ -40,7 +40,6 @@ from ..workloads import figure2
 from ..persistence import pib_from_dict, pib_to_dict
 from ..resilience import ResiliencePolicy, RetryPolicy
 from ..resilience.faults import FaultPlan, FaultSpec, FlakyDatabase
-from ..strategies.execution import execute_resilient
 from ..workloads.distributed import (
     FlakySegmentAccessDistribution,
     FlakySegmentedTable,
@@ -796,8 +795,8 @@ def experiment_distributed_faulty(
     def drive(learner: PIB, budget: int) -> None:
         nonlocal billed, settled
         for _ in range(budget):
-            run = execute_resilient(learner.strategy, flaky.sample(rng),
-                                    policy, recorder=recorder)
+            run = execute(learner.strategy, flaky.sample(rng),
+                          recorder=recorder, policy=policy)
             billed += run.cost
             settled += run.settled_cost
             learner.record(run.settled_result())

@@ -79,11 +79,12 @@ class Context:
     def attempt(self, arc: Arc) -> Tuple[bool, float]:
         """One attempt at ``arc``: ``(traversable, cost multiplier)``.
 
-        The hook :func:`~repro.strategies.execution.execute_resilient`
-        drives: a plain context always answers cleanly at unit charge,
-        while :class:`~repro.resilience.faults.FlakyContext` overrides
-        this to raise :class:`~repro.errors.RetrievalFaultError`
-        transiently or to attach a latency (cost) spike.
+        The hook :func:`~repro.strategies.execution.execute` drives
+        under a resilience policy: a plain context always answers
+        cleanly at unit charge, while
+        :class:`~repro.resilience.faults.FlakyContext` overrides this
+        to raise :class:`~repro.errors.RetrievalFaultError` transiently
+        or to attach a latency (cost) spike.
         """
         return self.traversable(arc), 1.0
 

@@ -33,8 +33,9 @@ learners degrade *gracefully instead of wrongly*:
   stale, so the Equation 7 sample budget can be re-drawn.
 
 Resilience interplay: detectors must only ever see **settled**
-outcomes (the fault-free-equivalent view of
-:class:`~repro.strategies.execution.ResilientExecutionResult`).  A
+outcomes (the fault-free-equivalent
+:meth:`~repro.strategies.execution.ExecutionResult.settled_result`
+view of a policy run).  A
 breaker-open storm changes what a *billed* run looks like but not the
 settled observations, so infrastructure trouble cannot masquerade as
 distribution drift.
@@ -412,9 +413,8 @@ class DriftAwarePIB(PIB):
     ``drift`` configures the detectors (a default
     :class:`DriftConfig` when omitted); all other parameters are
     PIB's.  Feed :meth:`record` **settled** results only — under the
-    resilience layer that is
-    ``ResilientExecutionResult.settled_result()`` — so breaker-open
-    storms and retry noise never register as drift.
+    resilience layer that is ``ExecutionResult.settled_result()`` — so
+    breaker-open storms and retry noise never register as drift.
     """
 
     def __init__(

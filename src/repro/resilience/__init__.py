@@ -15,8 +15,8 @@ corrupting what PIB learns:
   circuit breakers;
 * :mod:`~repro.resilience.deadline` — per-query cost deadlines;
 * :mod:`~repro.resilience.policy` — the :class:`ResiliencePolicy`
-  bundle that :func:`~repro.strategies.execution.execute_resilient`
-  runs under.
+  bundle that :func:`~repro.strategies.execution.execute` runs under
+  when passed ``policy=``.
 
 The learning-theoretic contract (see DESIGN.md, "Resilience & fault
 model"): every retry and backoff is charged into the caller-facing

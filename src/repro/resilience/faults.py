@@ -202,11 +202,10 @@ class FlakyContext(Context):
     Wraps an inner :class:`Context`; the blocked/unblocked *truth* is
     the inner context's, but each attempt first consults the plan,
     which may raise :class:`RetrievalFaultError` or attach a cost
-    spike.  Plain :func:`~repro.strategies.execution.execute` therefore
-    crashes on the first injected fault — demonstrating why
-    :func:`~repro.strategies.execution.execute_resilient` exists —
-    while the resilient executor retries through to the settled
-    outcome.
+    spike.  :func:`~repro.strategies.execution.execute` without a
+    policy therefore crashes on the first injected fault —
+    demonstrating why the ``policy=`` path exists — while a policy run
+    retries through to the settled outcome.
     """
 
     __slots__ = ("_inner", "plan")

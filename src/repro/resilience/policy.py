@@ -10,7 +10,7 @@ plus the seeded RNG that makes every jittered backoff reproducible.
 The policy is the *stateful* half of the resilience layer: breakers
 and incident counters persist across queries, which is why the
 self-optimizing processor holds one policy for its lifetime and passes
-it to every :func:`~repro.strategies.execution.execute_resilient`
+it as ``policy=`` to every :func:`~repro.strategies.execution.execute`
 call.
 """
 
@@ -28,7 +28,7 @@ __all__ = ["ResiliencePolicy"]
 
 
 class ResiliencePolicy:
-    """Everything :func:`execute_resilient` needs, in one object.
+    """Everything a policy run of :func:`execute` needs, in one object.
 
     Parameters
     ----------

@@ -20,9 +20,9 @@ three small dataclasses:
   request deadlines.  ``None``/absent means admission control is off
   and the server accepts everything (the pre-admission behaviour).
 
-The old processor keywords keep working through a shim that builds a
-:class:`SessionConfig` and emits a :class:`DeprecationWarning`; see
-:class:`~repro.system.SelfOptimizingQueryProcessor`.
+The old processor keywords have been removed: passing one is a
+:class:`TypeError`, and ``config=SessionConfig(...)`` is the only
+spelling.
 """
 
 from __future__ import annotations
@@ -101,22 +101,9 @@ class ExperienceConfig:
 class SessionConfig:
     """Everything a query session's processor needs to know.
 
-    The fields mirror (and subsume) the legacy keyword arguments of
-    :class:`~repro.system.SelfOptimizingQueryProcessor`:
-
-    =========================  =====================================
-    legacy keyword             config field
-    =========================  =====================================
-    ``delta``                  :attr:`delta`
-    ``test_every``             :attr:`test_every`
-    ``max_depth``              :attr:`max_depth`
-    ``transformations_factory``:attr:`transformations_factory`
-    ``resilience``             :attr:`resilience`
-    ``checkpoint_dir``         :attr:`checkpoint_dir`
-    ``checkpoint_every``       :attr:`checkpoint_every`
-    ``drift``                  :attr:`drift`
-    ``experience``             :attr:`experience`
-    =========================  =====================================
+    The fields subsume the removed keyword arguments of
+    :class:`~repro.system.SelfOptimizingQueryProcessor` of the same
+    names (``delta``, ``test_every``, ..., ``experience``).
     """
 
     #: Per-form mistake budget (Theorem 1's ``δ``).

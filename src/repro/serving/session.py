@@ -1,8 +1,8 @@
 """`QuerySession`: the unified public entry point.
 
 One object, one lifecycle, instead of the former sprawl of
-``SelfOptimizingQueryProcessor`` kwargs, ``execute`` vs
-``execute_resilient`` call sites, and CLI-only replay plumbing::
+``SelfOptimizingQueryProcessor`` kwargs, separate plain and resilient
+executor call sites, and CLI-only replay plumbing::
 
     import repro
 

@@ -7,7 +7,13 @@ itself builds on :class:`~repro.datalog.database.Database` shards.
 """
 
 from .config import STORE_BACKENDS, StoreConfig
-from .interface import COMPLETE, Completeness, FactStore, next_store_id
+from .interface import (
+    COMPLETE,
+    Completeness,
+    FactStore,
+    ProbeWindow,
+    next_store_id,
+)
 
 __all__ = [
     "COMPLETE",
@@ -26,7 +32,6 @@ _LAZY = {
     "SQLiteFactStore": ("repro.storage.sqlite", "SQLiteFactStore"),
     "FederatedStore": ("repro.storage.federation", "FederatedStore"),
     "ShardSpec": ("repro.storage.federation", "ShardSpec"),
-    "ProbeWindow": ("repro.storage.federation", "ProbeWindow"),
 }
 
 

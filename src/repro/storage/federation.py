@@ -23,10 +23,11 @@ simulated remote shards, each with
 probe *degrades to a partial answer*: retrieval yields nothing for
 that relation, and the shard's name is recorded in the current *probe
 window*.  The query processor brackets each query with
-``begin_probe_window()`` / ``end_probe_window()`` (discovered by
-``getattr``, so plain in-memory stores cost nothing) and threads the
-resulting :class:`~repro.storage.interface.Completeness` verdict — and
-the billed remote latency — into the answer.  Partial answers are
+``begin_probe_window()`` / ``end_probe_window()`` (part of every
+:class:`~repro.storage.interface.FactStore`; this backend overrides the
+always-complete defaults) and threads the resulting
+:class:`~repro.storage.interface.Completeness` verdict — and the billed
+remote latency — into the answer.  Partial answers are
 always a *subset* of the complete answer set: shards can hide facts,
 never invent them.
 
@@ -67,7 +68,7 @@ from ..datalog.terms import Atom, Substitution
 from ..errors import DatalogError
 from ..resilience.circuit import CircuitBreaker
 from ..resilience.faults import FaultPlan, FaultSpec
-from .interface import COMPLETE, Completeness, FactStore, next_store_id
+from .interface import Completeness, FactStore, ProbeWindow, next_store_id
 
 __all__ = ["ShardSpec", "Shard", "ProbeWindow", "FederatedStore"]
 
@@ -116,16 +117,6 @@ class Shard:
             cooldown=cooldown,
             name=f"shard:{spec.name}",
         )
-
-
-@dataclass(frozen=True)
-class ProbeWindow:
-    """What one query's probes saw: the collected completeness verdict,
-    the billed remote latency, and how many probes ran."""
-
-    completeness: Completeness = COMPLETE
-    billed_cost: float = 0.0
-    probes: int = 0
 
 
 class FederatedStore(FactStore):

@@ -25,12 +25,12 @@ A removed-then-re-added fact enumerates at the *end*, in all backends.
 **Partial answers.**  A backend whose physical sources can be
 unavailable (today: the federated store) reports *what it could not
 see* through a typed :class:`Completeness` verdict instead of raising:
-retrieval yields whatever the live sources hold, and the probe-window
-protocol (``begin_probe_window`` / ``end_probe_window``, optional —
-discovered by ``getattr``) lets the query processor collect the
-missing-source set and billed remote latency for one query.  Backends
-that are always complete simply never grow the protocol, and callers
-treat them as trivially :data:`COMPLETE`.
+retrieval yields whatever the live sources hold, and the probe window
+(``begin_probe_window`` / ``end_probe_window``, part of
+:class:`FactStore`) lets the query processor collect the missing-source
+set and billed remote latency for one query.  Backends that are always
+complete keep the defaults: an empty, trivially :data:`COMPLETE` window
+that bills nothing.
 """
 
 from __future__ import annotations
@@ -51,7 +51,13 @@ from typing import (
 if TYPE_CHECKING:
     from ..datalog.terms import Atom, Substitution
 
-__all__ = ["Completeness", "COMPLETE", "FactStore", "next_store_id"]
+__all__ = [
+    "Completeness",
+    "COMPLETE",
+    "FactStore",
+    "ProbeWindow",
+    "next_store_id",
+]
 
 #: Process-wide store identities, shared by *all* backends, so cache
 #: keys from two different stores can never collide even at equal
@@ -90,6 +96,8 @@ class Completeness:
     @classmethod
     def missing(cls, shards: Iterable[str]) -> "Completeness":
         """A partial verdict over the given dark shard names."""
+        if not shards:  # the common complete case skips the sort
+            return COMPLETE
         names = tuple(sorted(set(shards)))
         if not names:
             return COMPLETE
@@ -103,6 +111,21 @@ class Completeness:
 
 #: The shared trivially-complete verdict (every in-memory answer).
 COMPLETE = Completeness()
+
+
+@dataclass(frozen=True)
+class ProbeWindow:
+    """What one query's probes saw: the collected completeness verdict,
+    the billed remote latency, and how many probes ran."""
+
+    completeness: Completeness = COMPLETE
+    billed_cost: float = 0.0
+    probes: int = 0
+
+
+#: The window of a store that never goes partial (shared: it is frozen,
+#: and the processor closes one window per query).
+_EMPTY_WINDOW = ProbeWindow()
 
 
 class FactStore(ABC):
@@ -155,6 +178,20 @@ class FactStore(ABC):
         for _ in self.retrieve(pattern):
             return True
         return False
+
+    # -- probe windows -------------------------------------------------
+
+    def begin_probe_window(self) -> None:
+        """Start collecting one query's completeness verdict and billed
+        latency (a no-op for an always-complete store)."""
+
+    def probe_window_missing(self) -> frozenset:
+        """The sources seen dark so far in the current window (peek)."""
+        return frozenset()
+
+    def end_probe_window(self) -> ProbeWindow:
+        """Close the current window and return what it collected."""
+        return _EMPTY_WINDOW
 
     # -- catalog -------------------------------------------------------
 

@@ -8,15 +8,7 @@ truth, and the adaptive query processor ``QP^A`` of Section 4.1.
 """
 
 from .strategy import Strategy
-from .execution import (
-    ExecutionOutcome,
-    ExecutionResult,
-    ResilientExecutionResult,
-    cost_of,
-    execute,
-    execute_resilient,
-    pessimistic_cost,
-)
+from .execution import ExecutionResult, cost_of, execute, pessimistic_cost
 from .expected_cost import (
     attempt_probabilities,
     expected_cost_exact,
@@ -43,12 +35,9 @@ from .engines import ENGINE_NAMES, BottomUpProofAdapter, make_engine
 
 __all__ = [
     "Strategy",
-    "ExecutionOutcome",
     "ExecutionResult",
-    "ResilientExecutionResult",
     "cost_of",
     "execute",
-    "execute_resilient",
     "pessimistic_cost",
     "attempt_probabilities",
     "expected_cost_exact",

@@ -23,15 +23,7 @@ arcs the run did not attempt).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Set,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from ..errors import RetrievalFaultError
 from ..graphs.contexts import Context, PartialContext
@@ -44,47 +36,11 @@ if TYPE_CHECKING:
     from ..resilience.policy import ResiliencePolicy
 
 __all__ = [
-    "ExecutionOutcome",
     "ExecutionResult",
-    "ResilientExecutionResult",
     "execute",
-    "execute_resilient",
     "cost_of",
     "pessimistic_cost",
 ]
-
-
-@runtime_checkable
-class ExecutionOutcome(Protocol):
-    """What every strategy-execution result exposes, resilient or not.
-
-    :class:`ExecutionResult` and :class:`ResilientExecutionResult`
-    both satisfy this protocol, so callers that only need the shared
-    surface — the billed ``cost``, whether the run ``succeeded``, the
-    revealed ``partial_context()``, and the learner-facing
-    ``settled_result()`` — can take an ``ExecutionOutcome`` and stop
-    branching on the concrete result type.  ``degraded`` is ``False``
-    on a plain execution and reports resilience deviations (deadline
-    expiry, unsettled or shed arcs) on a resilient one.
-    """
-
-    strategy: Strategy
-    context: Context
-    cost: float
-    succeeded: bool
-    success_arc: Optional[Arc]
-    attempted: List[Arc]
-    observations: Dict[str, bool]
-    #: Whether the run's retrievals saw the whole fact base, or a
-    #: federated backend degraded to a partial view (missing shards).
-    completeness: Completeness
-
-    @property
-    def degraded(self) -> bool: ...
-
-    def settled_result(self) -> "ExecutionResult": ...
-
-    def partial_context(self) -> PartialContext: ...
 
 
 @dataclass
@@ -95,142 +51,9 @@ class ExecutionResult:
     each attempted blockable arc's revealed status.  ``success_arc`` is
     the retrieval that answered the query, or ``None`` when the whole
     graph was searched without success (the "no" answer).
-    """
 
-    strategy: Strategy
-    context: Context
-    cost: float
-    succeeded: bool
-    success_arc: Optional[Arc]
-    attempted: List[Arc] = field(default_factory=list)
-    observations: Dict[str, bool] = field(default_factory=dict)
-    #: Attached post-hoc by the query processor when the backing store
-    #: reports a probe window; in-memory runs are trivially complete.
-    completeness: Completeness = COMPLETE
-
-    @property
-    def degraded(self) -> bool:
-        """A plain execution never deviates from the fault-free path."""
-        return False
-
-    def settled_result(self) -> "ExecutionResult":
-        """Itself: an unmonitored run *is* the settled view
-        (:class:`ExecutionOutcome`'s learner-facing accessor)."""
-        return self
-
-    def partial_context(self) -> PartialContext:
-        """The :class:`PartialContext` of what this run revealed."""
-        return PartialContext(self.strategy.graph, self.observations)
-
-
-def execute(
-    strategy: Strategy,
-    context: Context,
-    required_successes: int = 1,
-    recorder: Recorder = NULL_RECORDER,
-) -> ExecutionResult:
-    """Run ``strategy`` against ``context`` and account its cost.
-
-    ``required_successes`` implements Section 5.2's first-``k`` variant
-    ("one set of variants seek the first k answers to a query"): the
-    search stops at the ``k``-th success node instead of the first.
-    ``success_arc`` reports the stopping retrieval; with ``k > 1`` the
-    run counts as succeeded only if all ``k`` successes were found.
-
-    ``recorder`` observes the run (span + per-attempt events) without
-    influencing it; with the default null recorder the common
-    first-success case takes a branch-free fast path with no recorder
-    or success-counting overhead in the arc loop.
-    """
-    if required_successes < 1:
-        raise ValueError("required_successes must be at least 1")
-    if required_successes == 1 and not recorder.enabled:
-        return _execute_fast(strategy, context)
-    graph = strategy.graph
-    reached: Set[str] = {graph.root.name}
-    cost = 0.0
-    successes = 0
-    attempted: List[Arc] = []
-    observations: Dict[str, bool] = {}
-    span = recorder.begin_query(strategy) if recorder.enabled else 0
-
-    for arc in strategy:
-        if arc.source.name not in reached:
-            continue  # tail never reached: the arc is silently skipped
-        attempted.append(arc)
-        traversable = context.traversable(arc)
-        charge = arc.cost if traversable else arc.blocked_cost
-        cost += charge
-        if recorder.enabled:
-            recorder.arc_attempt(
-                span, arc.name, "ok" if traversable else "blocked", charge
-            )
-        if arc.blockable:
-            observations[arc.name] = traversable
-        if not traversable:
-            continue
-        reached.add(arc.target.name)
-        if arc.target.is_success:
-            successes += 1
-            if successes >= required_successes:
-                if recorder.enabled:
-                    recorder.end_query(span, cost=cost, succeeded=True)
-                return ExecutionResult(
-                    strategy, context, cost, True, arc, attempted, observations
-                )
-    if recorder.enabled:
-        recorder.end_query(span, cost=cost, succeeded=False)
-    return ExecutionResult(
-        strategy, context, cost, False, None, attempted, observations
-    )
-
-
-def _execute_fast(strategy: Strategy, context: Context) -> ExecutionResult:
-    """:func:`execute` specialized to the dominant call shape.
-
-    Identical semantics to ``execute(strategy, context)`` with
-    ``required_successes=1`` and the null recorder — same cost, same
-    attempt order, same observations — minus the recorder seam and the
-    success counter.  PIB's inner training loop executes millions of
-    (strategy, context) pairs through here, so the per-arc constant
-    matters; the dispatch in :func:`execute` keeps every recorded or
-    first-``k`` call on the fully instrumented path.
-    """
-    reached: Set[str] = {strategy.graph.root.name}
-    cost = 0.0
-    attempted: List[Arc] = []
-    observations: Dict[str, bool] = {}
-    traversable_of = context.traversable
-    append = attempted.append
-    add_reached = reached.add
-    for arc in strategy:
-        if arc.source.name not in reached:
-            continue
-        append(arc)
-        if traversable_of(arc):
-            cost += arc.cost
-            if arc.blockable:
-                observations[arc.name] = True
-            target = arc.target
-            add_reached(target.name)
-            if target.is_success:
-                return ExecutionResult(
-                    strategy, context, cost, True, arc, attempted, observations
-                )
-        else:
-            cost += arc.blocked_cost
-            if arc.blockable:
-                observations[arc.name] = False
-    return ExecutionResult(
-        strategy, context, cost, False, None, attempted, observations
-    )
-
-
-@dataclass
-class ResilientExecutionResult:
-    """One strategy run through the resilience layer.
-
-    Two views of the same run:
+    A run under a :class:`~repro.resilience.policy.ResiliencePolicy`
+    also carries the resilience fields, and has two views:
 
     * ``cost`` is the caller-facing bill — every attempt, every retry,
       every jittered backoff, every latency spike.  This is the
@@ -247,6 +70,8 @@ class ResilientExecutionResult:
     open) appear in ``unsettled`` / ``skipped_open`` and are *absent*
     from ``observations`` — PIB then treats them exactly like arcs the
     run never attempted, which is sound (pessimistic completion).
+    ``settled_cost`` is ``None`` exactly when no policy ran: the bill
+    is then already the settled view.
     """
 
     strategy: Strategy
@@ -256,17 +81,20 @@ class ResilientExecutionResult:
     success_arc: Optional[Arc]
     attempted: List[Arc] = field(default_factory=list)
     observations: Dict[str, bool] = field(default_factory=dict)
-    settled_cost: float = 0.0
+    #: Attached post-hoc by the query processor from the backing
+    #: store's probe window; in-memory runs are trivially complete.
+    completeness: Completeness = COMPLETE
+    settled_cost: Optional[float] = None
     retries: Dict[str, int] = field(default_factory=dict)
     backoff_cost: float = 0.0
     deadline_expired: bool = False
     skipped_open: List[str] = field(default_factory=list)
     unsettled: List[str] = field(default_factory=list)
-    completeness: Completeness = COMPLETE
 
     @property
     def degraded(self) -> bool:
-        """Whether the run deviated from a clean fault-free execution."""
+        """Whether the run deviated from a clean fault-free execution
+        (always ``False`` without a policy)."""
         return bool(
             self.deadline_expired or self.skipped_open or self.unsettled
         )
@@ -275,8 +103,11 @@ class ResilientExecutionResult:
     def total_retries(self) -> int:
         return sum(self.retries.values())
 
-    def settled_result(self) -> ExecutionResult:
-        """The fault-free-equivalent :class:`ExecutionResult` for PIB."""
+    def settled_result(self) -> "ExecutionResult":
+        """The fault-free-equivalent view PIB learns from: the run
+        itself without a policy, else a copy billed at ``settled_cost``."""
+        if self.settled_cost is None:
+            return self
         return ExecutionResult(
             self.strategy,
             self.context,
@@ -289,19 +120,32 @@ class ResilientExecutionResult:
         )
 
     def partial_context(self) -> PartialContext:
+        """The :class:`PartialContext` of what this run revealed."""
         return PartialContext(self.strategy.graph, self.observations)
 
 
-def execute_resilient(
+def execute(
     strategy: Strategy,
     context: Context,
-    policy: "ResiliencePolicy",
     required_successes: int = 1,
     recorder: Recorder = NULL_RECORDER,
-) -> ResilientExecutionResult:
-    """Run ``strategy`` against a possibly-faulty ``context``.
+    policy: Optional["ResiliencePolicy"] = None,
+) -> ExecutionResult:
+    """Run ``strategy`` against ``context`` and account its cost.
 
-    Semantics relative to :func:`execute`:
+    ``required_successes`` implements Section 5.2's first-``k`` variant
+    ("one set of variants seek the first k answers to a query"): the
+    search stops at the ``k``-th success node instead of the first.
+    ``success_arc`` reports the stopping retrieval; with ``k > 1`` the
+    run counts as succeeded only if all ``k`` successes were found.
+
+    ``recorder`` observes the run (span + per-attempt events) without
+    influencing it.
+
+    Without a ``policy`` each arc settles in one
+    ``context.traversable(arc)`` call, and a
+    :class:`~repro.errors.RetrievalFaultError` raised by a faulty
+    context propagates to the caller.  With one:
 
     * Each attempt goes through ``context.attempt(arc)``; a raised
       :class:`~repro.errors.RetrievalFaultError` charges the wasted
@@ -322,129 +166,111 @@ def execute_resilient(
       run stops early with ``deadline_expired=True`` and whatever
       answer it has (a degraded "no" if none) — it never raises.
 
-    On a fault-free context this degenerates to :func:`execute`
-    exactly: same cost, same observations, same outcome.
+    On a fault-free context a policy run bills exactly what the plain
+    run bills: same cost, same observations, same outcome.
     """
     if required_successes < 1:
         raise ValueError("required_successes must be at least 1")
-    graph = strategy.graph
-    reached: Set[str] = {graph.root.name}
-    retry = policy.retry
-    deadline = policy.deadline
-
+    tracing = recorder.enabled
+    span = recorder.begin_query(strategy, resilient=policy is not None) \
+        if tracing else 0
+    reached: Set[str] = {strategy.graph.root.name}
     cost = 0.0
-    settled_cost = 0.0
-    backoff_total = 0.0
     successes = 0
-    succeeded = False
     success_arc: Optional[Arc] = None
-    deadline_expired = False
     attempted: List[Arc] = []
     observations: Dict[str, bool] = {}
-    retries: Dict[str, int] = {}
-    skipped_open: List[str] = []
-    unsettled: List[str] = []
-    span = recorder.begin_query(strategy, resilient=True) \
-        if recorder.enabled else 0
-
-    def finish() -> ResilientExecutionResult:
-        if recorder.enabled:
-            recorder.end_query(
-                span,
-                cost=cost,
-                succeeded=succeeded,
-                settled_cost=settled_cost,
-                retries=sum(retries.values()),
-                backoff_cost=backoff_total,
-                degraded=bool(deadline_expired or skipped_open or unsettled),
-            )
-        return ResilientExecutionResult(
-            strategy,
-            context,
-            cost,
-            succeeded,
-            success_arc,
-            attempted,
-            observations,
-            settled_cost=settled_cost,
-            retries=retries,
-            backoff_cost=backoff_total,
-            deadline_expired=deadline_expired,
-            skipped_open=skipped_open,
-            unsettled=unsettled,
-        )
+    if policy is not None:
+        retry = policy.retry
+        deadline = policy.deadline
+        settled_cost = 0.0
+        backoff_total = 0.0
+        deadline_expired = False
+        retries: Dict[str, int] = {}
+        skipped_open: List[str] = []
+        unsettled: List[str] = []
 
     for arc in strategy:
         if arc.source.name not in reached:
-            continue
-        breaker = policy.breaker_for(arc.name) if arc.blockable else None
-        if breaker is not None and not breaker.allow():
-            skipped_open.append(arc.name)
-            if recorder.enabled:
-                recorder.breaker_shed(span, arc.name)
-            continue
+            continue  # tail never reached: the arc is silently skipped
+        if policy is None:
+            settled = context.traversable(arc)
+            charge = arc.cost if settled else arc.blocked_cost
+            cost += charge
+            if tracing:
+                recorder.arc_attempt(
+                    span, arc.name, "ok" if settled else "blocked", charge
+                )
+        else:
+            breaker = policy.breaker_for(arc.name) if arc.blockable else None
+            if breaker is not None and not breaker.allow():
+                skipped_open.append(arc.name)
+                if tracing:
+                    recorder.breaker_shed(span, arc.name)
+                continue
 
-        worst_attempt = max(arc.cost, arc.blocked_cost)
-        settled: Optional[bool] = None
-        for attempt in range(1, retry.max_attempts + 1):
-            if deadline is not None and deadline.would_exceed(
-                cost, worst_attempt
-            ):
-                deadline_expired = True
-                policy.deadline_expiries += 1
-                if breaker is not None:
-                    # A half-open probe this run may still be pending;
-                    # abandoning it un-settled must not wedge the
-                    # breaker in its single-probe gate.
-                    breaker.release_probe()
-                if recorder.enabled:
-                    recorder.deadline_expired(span, cost)
-                return finish()
-            try:
-                traversable, multiplier = context.attempt(arc)
-            except RetrievalFaultError as fault:
-                policy.total_faults += 1
-                charge = worst_attempt * fault.cost_multiplier
-                cost += charge
-                if recorder.enabled:
-                    recorder.arc_attempt(span, arc.name, "fault", charge,
-                                         attempt)
-                if breaker is None or retry.exhausted(attempt):
+            worst_attempt = max(arc.cost, arc.blocked_cost)
+            settled = None
+            for attempt in range(1, retry.max_attempts + 1):
+                if deadline is not None and deadline.would_exceed(
+                    cost, worst_attempt
+                ):
+                    deadline_expired = True
+                    policy.deadline_expiries += 1
+                    if breaker is not None:
+                        # A half-open probe this run may still be
+                        # pending; abandoning it un-settled must not
+                        # wedge the breaker in its single-probe gate.
+                        breaker.release_probe()
+                    if tracing:
+                        recorder.deadline_expired(span, cost)
                     break
-                retries[arc.name] = retries.get(arc.name, 0) + 1
-                policy.total_retries += 1
-                wait = retry.backoff_cost(attempt, policy.rng)
-                cost += wait
-                backoff_total += wait
-                if recorder.enabled:
-                    recorder.arc_retry(span, arc.name, attempt, wait)
-            else:
-                settled = traversable
-                base = arc.cost if traversable else arc.blocked_cost
-                cost += base * multiplier
-                settled_cost += base
-                if recorder.enabled:
-                    recorder.arc_attempt(
-                        span, arc.name,
-                        "ok" if traversable else "blocked",
-                        base * multiplier, attempt,
-                    )
+                try:
+                    traversable, multiplier = context.attempt(arc)
+                except RetrievalFaultError as fault:
+                    policy.total_faults += 1
+                    charge = worst_attempt * fault.cost_multiplier
+                    cost += charge
+                    if tracing:
+                        recorder.arc_attempt(span, arc.name, "fault",
+                                             charge, attempt)
+                    if breaker is None or retry.exhausted(attempt):
+                        break
+                    retries[arc.name] = retries.get(arc.name, 0) + 1
+                    policy.total_retries += 1
+                    wait = retry.backoff_cost(attempt, policy.rng)
+                    cost += wait
+                    backoff_total += wait
+                    if tracing:
+                        recorder.arc_retry(span, arc.name, attempt, wait)
+                else:
+                    settled = traversable
+                    base = arc.cost if traversable else arc.blocked_cost
+                    cost += base * multiplier
+                    settled_cost += base
+                    if tracing:
+                        recorder.arc_attempt(
+                            span, arc.name,
+                            "ok" if traversable else "blocked",
+                            base * multiplier, attempt,
+                        )
+                    break
+            if deadline_expired:
                 break
-
-        if settled is None:
-            # Retry budget exhausted without a settled outcome: the arc
-            # contributes nothing the learner may see, and its subtree
-            # is unreachable this run.
-            unsettled.append(arc.name)
-            policy.unsettled_arcs += 1
-            if recorder.enabled:
-                recorder.arc_unsettled(span, arc.name, attempt)
+            if settled is None:
+                # Retry budget exhausted without a settled outcome: the
+                # arc contributes nothing the learner may see, and its
+                # subtree is unreachable this run.
+                unsettled.append(arc.name)
+                policy.unsettled_arcs += 1
+                if tracing:
+                    recorder.arc_unsettled(span, arc.name, attempt)
+                if breaker is not None:
+                    breaker.record_fault()
+                continue
             if breaker is not None:
-                breaker.record_fault()
-            continue
+                breaker.record_success()
 
-        if breaker is not None:
-            breaker.record_success()
         attempted.append(arc)
         if arc.blockable:
             observations[arc.name] = settled
@@ -454,10 +280,42 @@ def execute_resilient(
         if arc.target.is_success:
             successes += 1
             if successes >= required_successes:
-                succeeded = True
                 success_arc = arc
-                return finish()
-    return finish()
+                break
+
+    succeeded = success_arc is not None
+    if policy is None:
+        if tracing:
+            recorder.end_query(span, cost=cost, succeeded=succeeded)
+        return ExecutionResult(
+            strategy, context, cost, succeeded, success_arc, attempted,
+            observations,
+        )
+    if tracing:
+        recorder.end_query(
+            span,
+            cost=cost,
+            succeeded=succeeded,
+            settled_cost=settled_cost,
+            retries=sum(retries.values()),
+            backoff_cost=backoff_total,
+            degraded=bool(deadline_expired or skipped_open or unsettled),
+        )
+    return ExecutionResult(
+        strategy,
+        context,
+        cost,
+        succeeded,
+        success_arc,
+        attempted,
+        observations,
+        settled_cost=settled_cost,
+        retries=retries,
+        backoff_cost=backoff_total,
+        deadline_expired=deadline_expired,
+        skipped_open=skipped_open,
+        unsettled=unsettled,
+    )
 
 
 def cost_of(strategy: Strategy, context: Context) -> float:

@@ -24,9 +24,8 @@ does not apply to them, matching the paper's scope.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from .datalog.database import Database
 from .experience.fingerprint import FormProfile, form_profile
@@ -58,15 +57,11 @@ from .persistence import load_pib, save_pib
 from .serving.config import SessionConfig
 from .storage.interface import COMPLETE, Completeness
 from .strategies.engines import make_engine
-from .strategies.execution import execute, execute_resilient
+from .strategies.execution import execute
 from .strategies.strategy import Strategy
 from .strategies.transformations import all_sibling_swaps
 
 __all__ = ["SystemAnswer", "FormState", "SelfOptimizingQueryProcessor"]
-
-#: Sentinel distinguishing "keyword not passed" from any real value,
-#: so the deprecation shim only fires on explicit legacy usage.
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -126,11 +121,9 @@ class SelfOptimizingQueryProcessor:
     """A query processor that gets faster on the forms it is asked.
 
     Configuration arrives as ``config=`` (a
-    :class:`~repro.serving.config.SessionConfig`); the individual
-    keywords below are a deprecated spelling of the same fields and
-    emit :class:`DeprecationWarning` (mixing them with ``config=`` is a
-    :class:`TypeError`).  ``recorder`` stays a first-class keyword: it
-    is an observer wired across objects, not a session setting.
+    :class:`~repro.serving.config.SessionConfig`, whose fields are
+    described below).  ``recorder`` is a keyword of its own: it is an
+    observer wired across objects, not a session setting.
 
     Field meanings mirror :class:`repro.learning.pib.PIB`; ``delta`` is
     the *per-form* mistake budget (each form's learner runs its own
@@ -138,8 +131,8 @@ class SelfOptimizingQueryProcessor:
     recursive rule bases and the SLD fallback's recursion depth.
 
     ``resilience`` (a :class:`~repro.resilience.policy.ResiliencePolicy`)
-    routes learned-path executions through
-    :func:`~repro.strategies.execution.execute_resilient`: transient
+    is handed to every learned-path
+    :func:`~repro.strategies.execution.execute`: transient
     retrieval faults are retried (and billed), persistently down arcs
     are shed by circuit breakers, and a query that raises or blows its
     deadline degrades gracefully to the SLD fallback — returning a
@@ -179,51 +172,11 @@ class SelfOptimizingQueryProcessor:
     def __init__(
         self,
         rule_base: RuleBase,
-        delta: Any = _UNSET,
-        transformations_factory: Any = _UNSET,
-        test_every: Any = _UNSET,
-        max_depth: Any = _UNSET,
-        resilience: Any = _UNSET,
-        checkpoint_dir: Any = _UNSET,
-        checkpoint_every: Any = _UNSET,
-        recorder: Optional[Recorder] = None,
-        drift: Any = _UNSET,
-        experience: Any = _UNSET,
         *,
         config: Optional[SessionConfig] = None,
+        recorder: Optional[Recorder] = None,
     ):
-        legacy = {
-            name: value
-            for name, value in (
-                ("delta", delta),
-                ("transformations_factory", transformations_factory),
-                ("test_every", test_every),
-                ("max_depth", max_depth),
-                ("resilience", resilience),
-                ("checkpoint_dir", checkpoint_dir),
-                ("checkpoint_every", checkpoint_every),
-                ("drift", drift),
-                ("experience", experience),
-            )
-            if value is not _UNSET
-        }
-        if legacy:
-            if config is not None:
-                raise TypeError(
-                    "pass configuration either as config=SessionConfig(...) "
-                    "or as legacy keywords, not both "
-                    f"(got both config= and {sorted(legacy)})"
-                )
-            warnings.warn(
-                "passing "
-                + ", ".join(f"{name}=" for name in sorted(legacy))
-                + " directly to SelfOptimizingQueryProcessor is deprecated; "
-                "use config=SessionConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = SessionConfig(**legacy)
-        elif config is None:
+        if config is None:
             config = SessionConfig()
         self.config = config
         self.rule_base = rule_base
@@ -413,8 +366,12 @@ class SelfOptimizingQueryProcessor:
         self.experience_writes += written
         return written
 
-    def _note_incident(self, state: FormState, description: str) -> None:
-        state.incidents.append(description)
+    def _note_incident(
+        self, state: Optional[FormState], description: str
+    ) -> None:
+        """Log an incident on the form (if compiled) and the recorder."""
+        if state is not None:
+            state.incidents.append(description)
         if self.recorder.enabled:
             self.recorder.incident(description)
 
@@ -483,125 +440,73 @@ class SelfOptimizingQueryProcessor:
     def query(self, query: Atom, database: Database) -> SystemAnswer:
         """Answer one query, learning from the execution as a side effect.
 
-        When ``database`` speaks the probe-window protocol (the
-        federated backend), the whole query is bracketed in one window:
-        the collected :class:`~repro.storage.interface.Completeness`
-        verdict and the billed remote latency are threaded onto the
-        returned answer, and a partial run contributes **no** sample to
-        the learner — Δ̃ must only accumulate over the stationary,
-        fully-observed context distribution.
+        The whole query is bracketed in one probe window of
+        ``database``: a backend that can go partial (the federated
+        store) threads its collected
+        :class:`~repro.storage.interface.Completeness` verdict and the
+        billed remote latency onto the returned answer, and a partial
+        run contributes **no** sample to the learner — Δ̃ must only
+        accumulate over the stationary, fully-observed context
+        distribution.  Local stores' windows are always complete and
+        bill nothing.
         """
-        begin = getattr(database, "begin_probe_window", None)
-        if begin is None:
-            return self._query_inner(query, database)
-        begin()
+        database.begin_probe_window()
         try:
             answer = self._query_inner(query, database)
         finally:
             window = database.end_probe_window()
+        if window.completeness.complete and not window.billed_cost:
+            return answer
         return replace(
             answer,
             completeness=window.completeness,
             cost=answer.cost + window.billed_cost,
         )
 
-    def _complete_so_far(self, database: Database) -> Completeness:
-        """Peek at the current probe window (COMPLETE for plain stores)."""
-        peek = getattr(database, "probe_window_missing", None)
-        if peek is None:
-            return COMPLETE
-        return Completeness.missing(peek())
-
     def _query_inner(self, query: Atom, database: Database) -> SystemAnswer:
-        form = QueryForm.of(query)
-        state = self._state_for(form)
-        if state is None:
-            answer, incident = self._prove_fallback(query, database)
-            if answer is None:
-                return SystemAnswer(
-                    proved=False,
-                    substitution=Substitution(),
-                    cost=0.0,
-                    learned=False,
-                    degraded=True,
-                    incident=incident,
-                )
-            return SystemAnswer(
-                proved=answer.proved,
-                substitution=answer.substitution,
-                cost=answer.trace.cost,
-                learned=False,
-                degraded=incident is not None,
-                incident=incident,
-            )
+        """The learned path, or the fallback for uncompilable forms.
 
-        state.queries += 1
-        if self.resilience is not None:
-            return self._query_resilient(state, query, database)
-        climbs_before = state.learner.climbs
-        context = self._make_context(state.graph, query, database)
-        # `learner.process` is execute-then-record; running the two
-        # halves here lets a partial run (dark shards) skip the record:
-        # a censored cost is not a sample of c(Θ, I).
-        result = execute(
-            state.learner.strategy, context, recorder=state.learner.recorder
-        )
-        result.completeness = self._complete_so_far(database)
-        if result.completeness.complete:
-            state.learner.record(result)
-        else:
-            self._note_incident(
-                state,
-                f"partial execution: {result.completeness.describe()}",
-            )
-        climbed = state.learner.climbs > climbs_before
-        substitution = Substitution()
-        if result.succeeded and result.success_arc is not None:
-            substitution = self._binding_for(
-                state.graph, result.success_arc, query, database
-            )
-        self._maybe_checkpoint(state, climbed)
-        return SystemAnswer(
-            proved=result.succeeded,
-            substitution=substitution,
-            cost=result.cost,
-            learned=True,
-            climbed=climbed,
-        )
-
-    def _query_resilient(
-        self, state: FormState, query: Atom, database: Database
-    ) -> SystemAnswer:
-        """The learned path under a :class:`ResiliencePolicy`.
-
-        The strategy runs through :func:`execute_resilient`; every
-        retry and backoff is billed to this query's ``cost``.  The
-        learner is shown only the *settled* execution view.  When the
+        The strategy runs through :func:`execute` under the configured
+        resilience policy (if any); every retry and backoff is billed
+        to this query's ``cost``.  The learner is shown only the
+        *settled*, complete execution view.  Under a policy, when the
         learned path cannot deliver — the deadline expired, a fault
         escaped the retry layer, or faults masked a would-be answer —
-        the processor degrades to the SLD fallback and reports the
-        incident instead of raising.
+        the processor degrades to the fallback engine and reports the
+        incident instead of raising.  Without a policy, storage faults
+        propagate unchanged.
         """
+        state = self._state_for(QueryForm.of(query))
+        if state is None:
+            return self._fallback_answer(query, database)
+
+        state.queries += 1
         climbs_before = state.learner.climbs
         context = self._make_context(state.graph, query, database)
         try:
-            result = execute_resilient(
-                state.learner.strategy, context, self.resilience,
-                recorder=self.recorder,
+            result = execute(
+                state.learner.strategy, context,
+                recorder=self.recorder, policy=self.resilience,
             )
         except ResilienceError as fault:
-            self._note_incident(state, f"learned path raised: {fault}")
-            return self._degraded_answer(state, query, database, 0.0)
+            if self.resilience is None:
+                raise
+            return self._fallback_answer(
+                query, database, state, f"learned path raised: {fault}"
+            )
 
         if result.deadline_expired:
             # Censored run: do not feed it to PIB (a truncated cost is
             # not a sample of c(Θ, I)); answer via the fallback.
-            self._note_incident(
-                state, f"deadline expired after cost {result.cost:g}"
+            return self._fallback_answer(
+                query, database, state,
+                f"deadline expired after cost {result.cost:g}",
+                spent=result.cost,
             )
-            return self._degraded_answer(state, query, database, result.cost)
 
-        result.completeness = self._complete_so_far(database)
+        result.completeness = Completeness.missing(
+            database.probe_window_missing()
+        )
         if result.completeness.complete:
             # Settled *and* complete: the only outcomes PIB trains on.
             state.learner.record(result.settled_result())
@@ -616,13 +521,12 @@ class SelfOptimizingQueryProcessor:
         if not result.succeeded and result.degraded:
             # Faults (unsettled or shed arcs) may have hidden the
             # answer; a "no" is only trustworthy from a clean run.
-            self._note_incident(
-                state,
+            return self._fallback_answer(
+                query, database, state,
                 "degraded no-answer: unsettled="
                 f"{result.unsettled} shed={result.skipped_open}",
-            )
-            return self._degraded_answer(
-                state, query, database, result.cost, climbed=climbed
+                spent=result.cost,
+                climbed=climbed,
             )
 
         substitution = Substitution()
@@ -632,6 +536,8 @@ class SelfOptimizingQueryProcessor:
                     state.graph, result.success_arc, query, database
                 )
             except ResilienceError:
+                if self.resilience is None:
+                    raise
                 # Binding recovery re-probes the database, which may
                 # itself fault; the proof already settled, so answer
                 # "yes" without bindings rather than fail the query.
@@ -664,19 +570,32 @@ class SelfOptimizingQueryProcessor:
                 self.resilience.total_faults += 1
         return None, f"fallback faulted {attempts}x: {last_fault}"
 
-    def _degraded_answer(
+    def _fallback_answer(
         self,
-        state: FormState,
         query: Atom,
         database: Database,
-        spent: float,
+        state: Optional[FormState] = None,
+        incident: Optional[str] = None,
+        spent: float = 0.0,
         climbed: bool = False,
     ) -> SystemAnswer:
-        """Fall back to SLD, absorbing further faults; never raises."""
-        incident = state.incidents[-1] if state.incidents else None
+        """Answer ``query`` with the fallback engine; every degraded
+        answer comes through here.
+
+        ``incident`` says why the learned path of ``state``'s form gave
+        up after billing ``spent``; it is recorded and the answer is
+        degraded.  Without one the form is uncompilable and the
+        fallback is its normal path.  A fallback whose every attempt
+        faulted is recorded as an incident too, and answers a degraded
+        "no".
+        """
+        if incident is not None:
+            self._note_incident(state, incident)
         answer, fallback_incident = self._prove_fallback(query, database)
         if answer is None:
             self._note_incident(state, fallback_incident)
+            if incident is not None:
+                fallback_incident = f"{incident}; {fallback_incident}"
             return SystemAnswer(
                 proved=False,
                 substitution=Substitution(),
@@ -684,7 +603,7 @@ class SelfOptimizingQueryProcessor:
                 learned=False,
                 climbed=climbed,
                 degraded=True,
-                incident=f"{incident}; {fallback_incident}",
+                incident=fallback_incident,
             )
         return SystemAnswer(
             proved=answer.proved,
@@ -692,7 +611,7 @@ class SelfOptimizingQueryProcessor:
             cost=spent + answer.trace.cost,
             learned=False,
             climbed=climbed,
-            degraded=True,
+            degraded=incident is not None,
             incident=incident,
         )
 

@@ -58,7 +58,7 @@ from ..resilience.faults import FlakyContext
 from ..resilience.policy import ResiliencePolicy
 from ..resilience.retry import RetryPolicy
 from ..serving.config import ExperienceConfig
-from ..strategies.execution import execute_resilient
+from ..strategies.execution import execute
 from ..strategies.strategy import Strategy
 from .experience import (
     check_experience_determinism,
@@ -315,8 +315,8 @@ def _chaos_outcomes(spec: WorldSpec, monitor: InvariantMonitor):
                   else world.distribution)
         contexts.extend([source.sample(rng)] * burst)
     for number, inner in enumerate(contexts):
-        result = execute_resilient(
-            strategy, FlakyContext(inner, world.fault_plan), policy
+        result = execute(
+            strategy, FlakyContext(inner, world.fault_plan), policy=policy
         )
         truth = inner.statuses()
         for name, settled in result.observations.items():

@@ -48,6 +48,5 @@ class TestApiSurface:
         for name in (
             "open_session", "QuerySession", "QueryServer", "SessionConfig",
             "CacheConfig", "ServingConfig", "StreamReport",
-            "ExecutionOutcome",
         ):
             assert name in repro.__all__

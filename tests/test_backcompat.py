@@ -1,9 +1,9 @@
-"""Backwards compatibility of the deprecated processor keywords.
+"""Backwards compatibility of the processor's configuration surface.
 
-The configuration home is ``config=SessionConfig(...)``; the old loose
-keywords must (a) keep configuring exactly the same processor, (b)
-emit a ``DeprecationWarning`` naming the offending keywords, and (c)
-refuse to mix with ``config=``.
+The configuration home is ``config=SessionConfig(...)``.  The loose
+processor keywords it replaced were removed after their deprecation
+period: each one is now a :class:`TypeError`, and the supported
+spellings construct without any warning.
 """
 
 import warnings
@@ -13,73 +13,50 @@ import pytest
 from repro import SelfOptimizingQueryProcessor, SessionConfig
 from repro.datalog.parser import parse_query
 from repro.learning.drift import DriftConfig
-from repro.resilience import ResiliencePolicy, RetryPolicy
+from repro.resilience import ResiliencePolicy
+from repro.serving.config import ExperienceConfig
+from repro.strategies.transformations import all_sibling_swaps
 from repro.workloads import db1, university_rule_base
+
+#: The removed keywords, each with a value of the type it once took.
+FORMER_KEYWORDS = {
+    "delta": 0.1,
+    "transformations_factory": all_sibling_swaps,
+    "test_every": 2,
+    "max_depth": 32,
+    "resilience": ResiliencePolicy(),
+    "checkpoint_dir": "checkpoints",
+    "checkpoint_every": 7,
+    "drift": DriftConfig(),
+    "experience": ExperienceConfig.default_enabled(),
+}
 
 
 class TestDeprecatedKeywords:
+    @pytest.mark.parametrize("keyword", sorted(FORMER_KEYWORDS))
+    def test_former_keyword_raises(self, keyword):
+        legacy = {keyword: FORMER_KEYWORDS[keyword]}
+        with pytest.raises(TypeError, match=keyword):
+            SelfOptimizingQueryProcessor(university_rule_base(), **legacy)
+
     def test_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="delta=.*deprecated"):
-            SelfOptimizingQueryProcessor(
-                university_rule_base(), delta=0.1
-            )
-
-    def test_warning_names_every_passed_keyword(self):
-        with pytest.warns(DeprecationWarning) as caught:
-            SelfOptimizingQueryProcessor(
-                university_rule_base(), delta=0.1, test_every=2,
-            )
-        message = str(caught[0].message)
-        assert "delta=" in message and "test_every=" in message
-
-    def test_legacy_kwargs_configure_identically(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = SelfOptimizingQueryProcessor(
-                university_rule_base(),
-                delta=0.2,
-                test_every=3,
-                max_depth=32,
-                checkpoint_every=7,
-            )
-        modern = SelfOptimizingQueryProcessor(
-            university_rule_base(),
-            config=SessionConfig(
-                delta=0.2, test_every=3, max_depth=32, checkpoint_every=7
-            ),
-        )
-        for attr in (
-            "delta", "test_every", "max_depth", "checkpoint_every",
-            "checkpoint_dir", "resilience", "drift",
-        ):
-            assert getattr(legacy, attr) == getattr(modern, attr)
-        assert legacy.config == modern.config
-
-    def test_legacy_policy_objects_carried_through(self):
-        policy = ResiliencePolicy(retry=RetryPolicy(max_attempts=2))
-        drift = DriftConfig(delta=0.05)
-        with pytest.warns(DeprecationWarning):
-            processor = SelfOptimizingQueryProcessor(
-                university_rule_base(), resilience=policy, drift=drift
-            )
-        assert processor.resilience is policy
-        assert processor.drift is drift
-        assert processor.config.resilience is policy
-
-    def test_legacy_path_still_answers_queries(self):
-        with pytest.warns(DeprecationWarning):
-            processor = SelfOptimizingQueryProcessor(
-                university_rule_base(), delta=0.05
-            )
-        answer = processor.query(parse_query("instructor(manolis)"), db1())
-        assert answer.proved and answer.learned
+        # The deprecation warning ended in removal: the keyword is now
+        # a hard error, not a warning that can be filtered away.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TypeError, match="delta"):
+                SelfOptimizingQueryProcessor(
+                    university_rule_base(), delta=0.1
+                )
 
     def test_mixing_config_and_legacy_raises(self):
-        with pytest.raises(TypeError, match="not both"):
-            SelfOptimizingQueryProcessor(
-                university_rule_base(),
-                delta=0.1,
-                config=SessionConfig(),
-            )
+        for keyword, value in FORMER_KEYWORDS.items():
+            with pytest.raises(TypeError, match=keyword):
+                SelfOptimizingQueryProcessor(
+                    university_rule_base(),
+                    config=SessionConfig(),
+                    **{keyword: value},
+                )
 
     def test_config_only_emits_no_warning(self):
         with warnings.catch_warnings():
@@ -150,8 +127,6 @@ class TestExperienceAlongsideCheckpoints:
     versioned header and migration stub."""
 
     def _config(self, tmp_path):
-        from repro.serving.config import ExperienceConfig
-
         return SessionConfig(
             checkpoint_dir=str(tmp_path / "ckpt"),
             checkpoint_every=1,
@@ -192,8 +167,6 @@ class TestExperienceAlongsideCheckpoints:
 
         # Same store, no checkpoint dir: the rebuilt form is fresh, so
         # the prior applies.
-        from repro.serving.config import ExperienceConfig
-
         second = SelfOptimizingQueryProcessor(
             university_rule_base(),
             config=SessionConfig(

@@ -1,13 +1,16 @@
-"""Behavioural tests for :func:`execute_resilient`: cost accounting
-under retries, settled-outcome reporting, circuit shedding, and
-deadline degradation."""
+"""Behavioural tests for :func:`execute` under a resilience policy:
+cost accounting under retries, settled-outcome reporting, circuit
+shedding, and deadline degradation."""
 
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.graphs.contexts import Context
 from repro.graphs.inference_graph import GraphBuilder
+from repro.graphs.random_graphs import random_tree_graph
 from repro.learning.pib import PIB
 from repro.resilience import (
     CircuitState,
@@ -17,7 +20,7 @@ from repro.resilience import (
     ResiliencePolicy,
     RetryPolicy,
 )
-from repro.strategies.execution import execute, execute_resilient
+from repro.strategies.execution import execute
 from repro.strategies.strategy import Strategy
 
 
@@ -37,25 +40,49 @@ def make(graph, statuses, plan=None):
 
 
 class TestFaultFreeEquivalence:
-    def test_degenerates_to_execute(self):
-        graph = scan_graph()
-        strategy = Strategy.depth_first(graph)
-        for statuses in (
-            {"a": True, "b": False, "c": False},
-            {"a": False, "b": True, "c": False},
-            {"a": False, "b": False, "c": False},
-        ):
-            context = Context(graph, statuses)
-            plain = execute(strategy, context)
-            resilient = execute_resilient(
-                strategy, context, ResiliencePolicy()
-            )
-            assert resilient.cost == plain.cost
-            assert resilient.settled_cost == plain.cost
-            assert resilient.succeeded == plain.succeeded
-            assert resilient.observations == plain.observations
-            assert not resilient.degraded
-            assert resilient.total_retries == 0
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        required_successes=st.sampled_from([1, 2]),
+        data=st.data(),
+    )
+    def test_degenerates_to_execute(self, seed, required_successes, data):
+        """On a fault-free context a policy run is the plain run: same
+        bill, same settled view, same attempts, same observations."""
+        rng = random.Random(seed)
+        n_internal = rng.randint(1, 4)
+        graph = random_tree_graph(
+            rng,
+            n_internal=n_internal,
+            n_retrievals=rng.randint(n_internal, n_internal + 3),
+            blockable_reduction_rate=0.4,
+            asymmetric_blocked_costs=True,
+        )
+        child_order = {}
+        for node in graph.nodes():
+            names = [arc.name for arc in graph.children(node)]
+            rng.shuffle(names)
+            child_order[node.name] = names
+        strategy = Strategy.depth_first(graph, child_order)
+        context = Context(graph, {
+            arc.name: data.draw(st.booleans(), label=arc.name)
+            for arc in graph.experiments()
+        })
+        plain = execute(strategy, context, required_successes)
+        resilient = execute(
+            strategy, context, required_successes, policy=ResiliencePolicy()
+        )
+        assert resilient.cost == plain.cost
+        assert resilient.settled_cost == plain.cost
+        assert resilient.settled_result().cost == plain.cost
+        assert resilient.attempted == plain.attempted
+        assert resilient.observations == plain.observations
+        assert resilient.succeeded == plain.succeeded
+        assert resilient.success_arc is plain.success_arc
+        assert not resilient.degraded
+        assert resilient.total_retries == 0
+        assert plain.settled_cost is None
+        assert plain.settled_result() is plain
 
 
 class TestRetryCharging:
@@ -73,8 +100,8 @@ class TestRetryCharging:
         policy = ResiliencePolicy(
             retry=RetryPolicy(max_attempts=5, base_backoff=0.5)
         )
-        result = execute_resilient(
-            strategy, make(graph, statuses, plan), policy
+        result = execute(
+            strategy, make(graph, statuses, plan), policy=policy
         )
         assert result.succeeded
         assert result.cost >= fault_free
@@ -93,8 +120,8 @@ class TestRetryCharging:
                               max_backoff=0.0)
         )
         statuses = {"a": True, "b": False, "c": False}
-        result = execute_resilient(
-            strategy, make(graph, statuses, plan), policy
+        result = execute(
+            strategy, make(graph, statuses, plan), policy=policy
         )
         # one wasted attempt (worst-case charge 2.0) + the settled hit
         arc = graph.arc("a")
@@ -110,8 +137,8 @@ class TestRetryCharging:
                               max_backoff=0.0)
         )
         statuses = {"a": True, "b": True, "c": False}
-        result = execute_resilient(
-            strategy, make(graph, statuses, plan), policy
+        result = execute(
+            strategy, make(graph, statuses, plan), policy=policy
         )
         # 'a' times out on both attempts (rate 1.0) and stays unsettled;
         # each wasted attempt is charged at worst-case x multiplier.
@@ -127,8 +154,8 @@ class TestRetryCharging:
             per_arc={"a": FaultSpec(latency_rate=1.0, latency_factor=4.0)},
         )
         statuses = {"a": True, "b": False, "c": False}
-        result = execute_resilient(
-            strategy, make(graph, statuses, plan), ResiliencePolicy()
+        result = execute(
+            strategy, make(graph, statuses, plan), policy=ResiliencePolicy()
         )
         assert result.succeeded
         assert result.cost == pytest.approx(4.0 * graph.arc("a").cost)
@@ -144,8 +171,8 @@ class TestSettledReporting:
         plan = FaultPlan(seed=0, per_arc={"a": FaultSpec(fail_first=99)})
         policy = ResiliencePolicy(retry=RetryPolicy(max_attempts=3))
         statuses = {"a": True, "b": True, "c": False}
-        result = execute_resilient(
-            strategy, make(graph, statuses, plan), policy
+        result = execute(
+            strategy, make(graph, statuses, plan), policy=policy
         )
         assert result.unsettled == ["a"]
         assert "a" not in result.observations
@@ -162,8 +189,8 @@ class TestSettledReporting:
         rng = random.Random(4)
         for _ in range(30):
             statuses = {name: rng.random() < 0.4 for name in "abc"}
-            result = execute_resilient(
-                pib.strategy, make(graph, statuses, plan), policy
+            result = execute(
+                pib.strategy, make(graph, statuses, plan), policy=policy
             )
             pib.record(result.settled_result())
         assert pib.contexts_processed == 30
@@ -187,8 +214,8 @@ class TestCircuitShedding:
 
         # Queries 1-2: 'a' exhausts retries twice -> breaker opens.
         for _ in range(2):
-            result = execute_resilient(
-                strategy, make(graph, statuses, plan), policy
+            result = execute(
+                strategy, make(graph, statuses, plan), policy=policy
             )
             assert "a" in result.unsettled
         breaker = policy.breaker_for("a")
@@ -196,8 +223,8 @@ class TestCircuitShedding:
 
         # Queries 3-4: 'a' shed outright, no attempts charged to it.
         for _ in range(2):
-            result = execute_resilient(
-                strategy, make(graph, statuses, plan), policy
+            result = execute(
+                strategy, make(graph, statuses, plan), policy=policy
             )
             assert result.skipped_open == ["a"]
             assert "a" not in result.observations
@@ -205,8 +232,8 @@ class TestCircuitShedding:
 
         # Queries 1-2 consumed all 4 deterministic faults, so the
         # half-open probe settles and the breaker closes again.
-        result = execute_resilient(
-            strategy, make(graph, statuses, plan), policy
+        result = execute(
+            strategy, make(graph, statuses, plan), policy=policy
         )
         assert breaker.state is CircuitState.CLOSED
         assert result.observations.get("a") is True
@@ -220,9 +247,9 @@ class TestCircuitShedding:
         )
         plan = FaultPlan(seed=0, per_arc={"a": FaultSpec(fail_first=99)})
         statuses = {"a": False, "b": True, "c": False}
-        execute_resilient(strategy, make(graph, statuses, plan), policy)
-        result = execute_resilient(
-            strategy, make(graph, statuses, plan), policy
+        execute(strategy, make(graph, statuses, plan), policy=policy)
+        result = execute(
+            strategy, make(graph, statuses, plan), policy=policy
         )
         assert result.skipped_open == ["a"]
         assert result.succeeded  # still found b
@@ -234,8 +261,8 @@ class TestDeadline:
         strategy = Strategy.depth_first(graph)
         statuses = {"a": False, "b": False, "c": True}
         policy = ResiliencePolicy(deadline=4.0)
-        result = execute_resilient(
-            strategy, Context(graph, statuses), policy
+        result = execute(
+            strategy, Context(graph, statuses), policy=policy
         )
         assert result.deadline_expired
         assert result.degraded
@@ -249,9 +276,9 @@ class TestDeadline:
         strategy = Strategy.depth_first(graph)
         statuses = {"a": False, "b": False, "c": True}
         plain = execute(strategy, Context(graph, statuses))
-        result = execute_resilient(
+        result = execute(
             strategy, Context(graph, statuses),
-            ResiliencePolicy(deadline=1000.0),
+            policy=ResiliencePolicy(deadline=1000.0),
         )
         assert not result.deadline_expired
         assert result.cost == plain.cost
@@ -267,8 +294,8 @@ class TestDeadline:
             retry=RetryPolicy(max_attempts=5, base_backoff=1.0),
             deadline=7.0,
         )
-        result = execute_resilient(
-            strategy, make(graph, statuses, plan), policy
+        result = execute(
+            strategy, make(graph, statuses, plan), policy=policy
         )
         assert result.deadline_expired
         assert policy.deadline_expiries == 1
@@ -281,8 +308,8 @@ class TestPolicyCounters:
         policy = ResiliencePolicy(retry=RetryPolicy(max_attempts=3))
         plan = FaultPlan(seed=0, per_arc={"b": FaultSpec(fail_first=4)})
         statuses = {"a": False, "b": True, "c": False}
-        execute_resilient(strategy, make(graph, statuses, plan), policy)
-        execute_resilient(strategy, make(graph, statuses, plan), policy)
+        execute(strategy, make(graph, statuses, plan), policy=policy)
+        execute(strategy, make(graph, statuses, plan), policy=policy)
         snap = policy.snapshot()
         assert snap["faults"] == 4
         assert snap["retries"] == 3  # 2 on first run, 1 on second

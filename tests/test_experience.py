@@ -12,6 +12,7 @@ whole feature stands on: warm-starting changes Θ₀ and *nothing* else.
 import dataclasses
 import json
 import random
+import warnings
 
 import pytest
 
@@ -354,16 +355,23 @@ class TestExperienceConfig:
 
 
 class TestLegacyKeyword:
+    """``experience=`` on the processor was deprecated in favour of
+    ``SessionConfig.experience`` and then removed."""
+
     def test_experience_kwarg_warns(self):
+        # The deprecation warning ended in removal: the keyword is now
+        # a hard error, not a warning that can be filtered away.
         rules = parse_program(RULES)
-        with pytest.warns(DeprecationWarning, match="experience="):
-            repro.SelfOptimizingQueryProcessor(
-                rules, experience=ExperienceConfig.default_enabled()
-            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TypeError, match="experience"):
+                repro.SelfOptimizingQueryProcessor(
+                    rules, experience=ExperienceConfig.default_enabled()
+                )
 
     def test_mixing_with_config_raises(self):
         rules = parse_program(RULES)
-        with pytest.raises(TypeError, match="config"):
+        with pytest.raises(TypeError, match="experience"):
             repro.SelfOptimizingQueryProcessor(
                 rules,
                 config=SessionConfig(),

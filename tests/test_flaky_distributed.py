@@ -16,7 +16,7 @@ import random
 from repro.learning.pib import PIB
 from repro.persistence import load_pib, pib_to_dict, save_pib
 from repro.resilience import ResiliencePolicy, RetryPolicy
-from repro.strategies.execution import execute_resilient
+from repro.strategies.execution import execute
 from repro.workloads import (
     FlakySegmentAccessDistribution,
     FlakySegmentedTable,
@@ -59,7 +59,7 @@ def train(stream, graph, contexts, context_seed, policy=None):
             pib.process(stream.sample(rng))
     else:
         for _ in range(contexts):
-            run = execute_resilient(pib.strategy, stream.sample(rng), policy)
+            run = execute(pib.strategy, stream.sample(rng), policy=policy)
             billed += run.cost
             settled += run.settled_cost
             pib.record(run.settled_result())
@@ -119,7 +119,7 @@ class TestKillRestartMidRun:
                   initial_strategy=stream.strategy_for_order(SEGMENTS))
         rng = random.Random(7)
         for _ in range(1500):
-            run = execute_resilient(pib.strategy, stream.sample(rng), policy)
+            run = execute(pib.strategy, stream.sample(rng), policy=policy)
             pib.record(run.settled_result())
 
         path = str(tmp_path / "mid_run.json")
@@ -142,7 +142,7 @@ class TestKillRestartMidRun:
                 == json.dumps(pib_to_dict(pib), sort_keys=True))
 
     def test_billed_cost_dominates_fault_free(self):
-        """Acceptance: execute_resilient's total cost on a faulty run is
+        """Acceptance: a policy run's total cost on a faulty run is
         >= the fault-free cost of the same context sequence."""
         table = flaky_table()
         graph = segment_scan_graph(table)
@@ -155,10 +155,9 @@ class TestKillRestartMidRun:
 
         rng_a, rng_b = random.Random(21), random.Random(21)
         billed = fault_free = 0.0
-        from repro.strategies.execution import execute
         for _ in range(800):
-            billed += execute_resilient(
-                strategy, chaos.sample(rng_a), policy
+            billed += execute(
+                strategy, chaos.sample(rng_a), policy=policy
             ).cost
             fault_free += execute(strategy, clean.sample(rng_b)).cost
         assert billed >= fault_free

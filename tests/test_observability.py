@@ -242,6 +242,27 @@ class TestExecuteTracing:
             pytest.approx(sum(e["cost"] for e in ends))
         )
 
+    @pytest.mark.parametrize("required_successes", [1, 2])
+    def test_plain_run_spans_carry_no_resilience_fields(
+        self, required_successes
+    ):
+        graph = g_a()
+        tracer = Tracer()
+        dist = IndependentDistribution(graph, intended_probabilities())
+        rng = random.Random(3)
+        for _ in range(20):
+            execute(theta_1(graph), dist.sample(rng), required_successes,
+                    recorder=tracer)
+        begins = tracer.events_of("query_begin")
+        assert len(begins) == 20
+        assert all(begin["resilient"] is False for begin in begins)
+        attempts = tracer.events_of("attempt")
+        assert attempts and all(a["attempt"] == 1 for a in attempts)
+        settled_fields = {"settled_cost", "retries", "backoff_cost",
+                          "degraded"}
+        for end in tracer.events_of("query_end"):
+            assert not settled_fields & set(end)
+
 
 class TestPIBTracing:
     def run_learner(self, recorder, contexts=400):

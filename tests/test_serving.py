@@ -18,7 +18,6 @@ import pytest
 
 from repro import (
     CacheConfig,
-    ExecutionOutcome,
     SelfOptimizingQueryProcessor,
     ServingConfig,
     SessionConfig,
@@ -31,6 +30,7 @@ from repro.datalog.rules import QueryForm
 from repro.errors import ReproError
 from repro.serving.cache import AnswerCache, LRUTable, SubgoalMemo
 from repro.serving.cache import _MISS
+from repro.strategies import ExecutionResult
 from repro.workloads import db1, university_rule_base
 
 RULES = """
@@ -327,6 +327,9 @@ class TestQuerySession:
 
 
 class TestExecutionOutcome:
+    """Plain and policy runs share one result type; only a policy run
+    carries a settled view distinct from itself."""
+
     def test_plain_result_satisfies_protocol(self):
         from repro.strategies import execute
         from repro.graphs.contexts import LazyDatalogContext
@@ -341,12 +344,12 @@ class TestExecutionOutcome:
             graph, parse_query("instructor(manolis)"), db1()
         )
         result = execute(strategy, context)
-        assert isinstance(result, ExecutionOutcome)
+        assert isinstance(result, ExecutionResult)
         assert result.settled_result() is result
         assert not result.degraded
 
     def test_resilient_result_satisfies_protocol(self):
-        from repro.strategies import execute_resilient
+        from repro.strategies import execute
         from repro.graphs.builder import build_inference_graph
         from repro.graphs.contexts import LazyDatalogContext
         from repro.resilience import ResiliencePolicy, RetryPolicy
@@ -359,11 +362,11 @@ class TestExecutionOutcome:
         context = LazyDatalogContext(
             graph, parse_query("instructor(manolis)"), db1()
         )
-        result = execute_resilient(
+        result = execute(
             strategy, context,
-            ResiliencePolicy(retry=RetryPolicy(max_attempts=2)),
+            policy=ResiliencePolicy(retry=RetryPolicy(max_attempts=2)),
         )
-        assert isinstance(result, ExecutionOutcome)
+        assert isinstance(result, ExecutionResult)
         assert result.settled_result() is not result
 
 

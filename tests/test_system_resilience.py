@@ -7,7 +7,9 @@ import random
 import pytest
 
 from repro.datalog.database import Database
-from repro.datalog.parser import parse_query
+from repro.datalog.parser import parse_program, parse_query
+from repro.errors import RetrievalFaultError
+from repro.observability import Tracer
 from repro.resilience import (
     FaultPlan,
     FaultSpec,
@@ -201,8 +203,6 @@ class TestUncompilableFallbackHardening:
     def test_flaky_fallback_degrades_not_raises(self):
         """Forms that never compile take the SLD path; under a policy
         that path also retries through faults instead of raising."""
-        from repro.datalog.parser import parse_program
-
         rules = parse_program(
             "taught_by(X, Y) :- course(X), teaches(Y, X)."
         )
@@ -225,3 +225,62 @@ class TestUncompilableFallbackHardening:
             )
             assert answer.proved or answer.degraded
             assert not answer.learned
+
+    def test_failed_fallback_reaches_the_tracer(self):
+        """An uncompilable form whose every fallback attempt faults
+        records its incident on the recorder, once."""
+        rules = parse_program(TC_RULES)
+        plan = FaultPlan(seed=0, per_arc={"e": FaultSpec(fail_first=99)})
+        tracer = Tracer()
+        processor = SelfOptimizingQueryProcessor(
+            rules,
+            config=SessionConfig(
+                resilience=policy(retry=RetryPolicy(max_attempts=2))
+            ),
+            recorder=tracer,
+        )
+        answer = processor.query(
+            parse_query("tc(a, c)"),
+            FlakyDatabase(Database.from_program(TC_FACTS), plan),
+        )
+        assert answer.degraded and not answer.proved
+        assert answer.incident.startswith("fallback faulted 2x: ")
+        incidents = tracer.events_of("incident")
+        assert [event["description"] for event in incidents] == [
+            answer.incident
+        ]
+
+
+TC_RULES = """
+tc(X, Y) :- e(X, Y).
+tc(X, Y) :- e(X, Z), tc(Z, Y).
+"""
+TC_FACTS = "e(a, b). e(b, c)."
+
+
+class TestNoPolicyFaultsPropagate:
+    """Without a resilience policy nothing absorbs a storage fault: it
+    propagates out of ``query`` on the learned path and the fallback
+    alike, and no incident is recorded."""
+
+    @pytest.mark.parametrize("rules, facts, text, relation", [
+        (None, FACTS, "instructor(manolis)", "prof"),
+        (TC_RULES, TC_FACTS, "tc(a, c)", "e"),
+    ], ids=["learned", "fallback"])
+    def test_fault_propagates_without_incident(
+        self, rules, facts, text, relation
+    ):
+        rule_base = (university_rule_base() if rules is None
+                     else parse_program(rules))
+        plan = FaultPlan(seed=0, per_arc={relation: FaultSpec(fail_first=1)})
+        tracer = Tracer()
+        processor = SelfOptimizingQueryProcessor(rule_base, recorder=tracer)
+        with pytest.raises(RetrievalFaultError):
+            processor.query(
+                parse_query(text),
+                FlakyDatabase(Database.from_program(facts), plan),
+            )
+        assert tracer.events_of("incident") == []
+        assert not any(
+            "incidents" in entry for entry in processor.report().values()
+        )

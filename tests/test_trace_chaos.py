@@ -2,8 +2,8 @@
 layer.  A flaky workload is driven through the resilient executor with
 a tracer attached; the exported trace must contain attempt, retry,
 breaker-transition, and climb events, and its billed/settled totals
-must reconcile exactly with the :class:`ResilientExecutionResult`
-views the caller saw."""
+must reconcile exactly with the billed and settled
+:class:`ExecutionResult` views the caller saw."""
 
 import random
 
@@ -21,7 +21,7 @@ from repro.resilience import (
     ResiliencePolicy,
     RetryPolicy,
 )
-from repro.strategies.execution import execute_resilient
+from repro.strategies.execution import execute
 from repro.strategies.strategy import Strategy
 from repro.workloads.distributed import (
     FlakySegmentAccessDistribution,
@@ -65,8 +65,8 @@ class TestChaosTraceContents:
                         "c": rng.random() < 0.7}
             context = FlakyContext(Context(graph, statuses), plan)
             results.append(
-                execute_resilient(strategy, context, policy,
-                                  recorder=tracer)
+                execute(strategy, context, policy=policy,
+                        recorder=tracer)
             )
         return results
 
@@ -138,8 +138,8 @@ class TestChaosLearningTrace:
                   recorder=tracer)
         rng = random.Random(1)
         for _ in range(1200):
-            run = execute_resilient(pib.strategy, flaky.sample(rng),
-                                    policy, recorder=tracer)
+            run = execute(pib.strategy, flaky.sample(rng),
+                          policy=policy, recorder=tracer)
             pib.record(run.settled_result())
         assert pib.climbs >= 1
         climbs = tracer.events_of("climb")

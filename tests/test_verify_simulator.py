@@ -71,7 +71,6 @@ class TestChaosProfile:
         from repro.resilience.faults import FlakyContext
         from repro.resilience.policy import ResiliencePolicy
         from repro.resilience.retry import RetryPolicy
-        from repro.strategies.execution import execute_resilient
 
         retries = 0
         for spec in specs_for("chaos", 4):
@@ -83,11 +82,11 @@ class TestChaosProfile:
             rng = context_rng(spec)
             strategy = Strategy.depth_first(world.graph)
             for _ in range(spec.contexts):
-                result = execute_resilient(
+                result = execute(
                     strategy,
                     FlakyContext(world.distribution.sample(rng),
                                  world.fault_plan),
-                    policy,
+                    policy=policy,
                 )
                 retries += result.total_retries
         assert retries > 0
