@@ -14,9 +14,11 @@ promises:
 2. **Warm repeats are free.**  The second pass of the same batch is
    answered from the ground-answer cache at zero cost, without
    feeding the learner a single duplicate PIB sample.
-3. **Mutation invalidates implicitly.**  Adding one fact bumps the
-   database ``generation``; every cached entry stops matching and
-   the next pass recomputes against fresh data.
+3. **A write invalidates only what read it.**  Every cached answer is
+   keyed on the store's version of the query's read set.  Adding
+   ``dean(lena)`` moves the version of the one index bucket
+   ``senior(lena)`` probes, so only that query recomputes (and flips
+   to proved); every other answer stays cached.
 
 Run:  python examples/serving_batch.py
 """
@@ -73,11 +75,15 @@ def main() -> None:
               f"misses={tier['misses']} "
               f"(hit rate {tier['hit_rate']:.0%})")
 
-        print("\n=== 3. mutation invalidates ===")
-        database.add(parse_atom("dean(codd)"))
-        describe("after add", session.query_batch(batch()))
-        print(f"  database cache_key generation: "
-              f"{database.cache_key[1]}")
+        print("\n=== 3. a write invalidates only what read it ===")
+        before = dict(zip(batch(), answers))
+        database.add(parse_atom("dean(lena)"))
+        after = session.query_batch(batch())
+        describe("after add dean(lena)", after)
+        for query, answer in zip(batch(), after):
+            if not answer.cached:
+                print(f"  recomputed {query}: proved "
+                      f"{before[query].proved} -> {answer.proved}")
 
         print("\nper-form report:")
         for form, stats in session.processor.report().items():

@@ -23,6 +23,12 @@ relation), which the [Smi89] fact-distribution heuristic baseline
 (:mod:`repro.optimal.smith`) consumes, and caches the set of live
 relation signatures so the engine's per-retrieval "is this relation
 extensional?" check is O(1) instead of rebuilding a set per call.
+
+For the serving caches it keeps one *stamp* per read key (see
+:mod:`repro.storage.interface`): the generation of the last effective
+mutation under that relation or index bucket.  :meth:`Database.version`
+of a read set is the newest stamp in it, so a write changes the
+version of exactly the read sets that can observe it.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from collections import defaultdict
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..errors import DatalogError
-from ..storage.interface import FactStore, next_store_id
+from ..storage.interface import FactStore, ReadKey, bucket_keys, next_store_id
 from .terms import EMPTY_SUBSTITUTION, Atom, Constant, Substitution, Variable
 
 __all__ = ["Database"]
@@ -45,9 +51,11 @@ class Database(FactStore):
     indexes — which keeps retrieval enumeration deterministic.
 
     Every mutation that actually changes the stored fact set bumps
-    :attr:`generation` — the coherence token the serving layer's
-    caches key on: a cached subgoal status or ground answer is valid
-    exactly as long as the generation it was computed against.
+    :attr:`generation` and then stamps the relation and index buckets
+    it touched with the new generation.  Stamps only grow and are
+    never deleted — a bucket that empties keeps its stamp — so
+    :meth:`version` over a read set changes exactly when a fact under
+    it is added or removed.
     """
 
     def __init__(self, facts: Iterable[Atom] = ()):
@@ -61,6 +69,8 @@ class Database(FactStore):
         self._size = 0
         self._id = next_store_id()
         self._generation = 0
+        #: Read key -> generation of its last effective mutation.
+        self._stamps: Dict[ReadKey, int] = {}
         for fact in facts:
             self.add(fact)
 
@@ -78,6 +88,33 @@ class Database(FactStore):
         ``id(self)`` — ``id()`` values can be reused after garbage
         collection and alias two distinct databases."""
         return (self._id, self._generation)
+
+    def version(self, keys: Iterable[ReadKey]) -> int:
+        """The newest stamp among ``keys`` (0 for keys never mutated)."""
+        stamp_of = self._stamps.get
+        newest = 0
+        for key in keys:
+            stamp = stamp_of(key, 0)
+            if stamp > newest:
+                newest = stamp
+        return newest
+
+    def _stamp(self, signature: Tuple[str, int], keys: List[ReadKey]) -> None:
+        """Bump the generation and stamp one mutation's relation and
+        bucket keys with it.
+
+        Called only once the relation and *every* index bucket show the
+        mutation: a probe may enumerate through any bound position's
+        bucket, so a reader that sees the new stamp on one key must
+        already see the new facts through all of them.  A reader that
+        reads the old stamp and then sees new facts merely caches a
+        fresh answer under a version no later reader will look up.
+        """
+        self._generation = generation = self._generation + 1
+        stamps = self._stamps
+        stamps[signature] = generation
+        for key in keys:
+            stamps[key] = generation
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -114,12 +151,13 @@ class Database(FactStore):
         if fact in relation:
             return False
         relation[fact] = None
-        predicate, arity = signature
-        for position, arg in enumerate(fact.args):
-            self._arg_index[(predicate, arity, position, arg)][fact] = None
+        keys = bucket_keys(fact)
+        arg_index = self._arg_index
+        for key in keys:
+            arg_index[key][fact] = None
         self._signatures.add(signature)
         self._size += 1
-        self._generation += 1
+        self._stamp(signature, keys)
         return True
 
     def remove(self, fact: Atom) -> bool:
@@ -129,9 +167,8 @@ class Database(FactStore):
         if not relation or fact not in relation:
             return False
         del relation[fact]
-        predicate, arity = signature
-        for position, arg in enumerate(fact.args):
-            key = (predicate, arity, position, arg)
+        keys = bucket_keys(fact)
+        for key in keys:
             bucket = self._arg_index.get(key)
             if bucket is not None:
                 bucket.pop(fact, None)
@@ -140,7 +177,7 @@ class Database(FactStore):
         if not relation:
             self._signatures.discard(signature)
         self._size -= 1
-        self._generation += 1
+        self._stamp(signature, keys)
         return True
 
     def update(self, facts: Iterable[Atom]) -> int:

@@ -390,6 +390,21 @@ class RuleBase:
             )
         return dict(graph)
 
+    def dependency_cone(
+        self, signature: Tuple[str, int]
+    ) -> Set[Tuple[str, int]]:
+        """``signature`` and every relation it transitively depends on,
+        through positive and negated body literals alike."""
+        graph = self.dependency_graph()
+        cone = {signature}
+        frontier = [signature]
+        while frontier:
+            for child in graph.get(frontier.pop(), ()):
+                if child not in cone:
+                    cone.add(child)
+                    frontier.append(child)
+        return cone
+
     def is_recursive(self) -> bool:
         """Whether any predicate (transitively) depends on itself."""
         graph = self.dependency_graph()

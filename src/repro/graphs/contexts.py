@@ -14,17 +14,24 @@ the subset of unblocked arcs).  This module provides:
 * :class:`PartialContext` — what a monitored run actually *observed*
   (PIB sees only the arcs the current strategy attempted), plus the
   pessimistic completion used to compute the under-estimates
-  ``Δ̃`` of Section 3.
+  ``Δ̃`` of Section 3;
+* :class:`ReadPlan` / :func:`compile_read_plan` — the store read keys
+  behind a compiled form's retrieval arcs.  By Note 2 a concrete
+  context matters only through those arcs' statuses, so an answer
+  computed on the graph stays valid while no fact under the keys
+  changes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from ..errors import GraphError
 from ..datalog.database import Database
+from ..datalog.rules import QueryForm
 from ..datalog.terms import Atom
 from ..datalog.unify import unify
+from ..storage.interface import ReadKey, probe_key
 from .inference_graph import Arc, ArcKind, InferenceGraph
 
 __all__ = [
@@ -32,7 +39,9 @@ __all__ = [
     "PartialContext",
     "LazyDatalogContext",
     "MemoizedDatalogContext",
+    "ReadPlan",
     "context_from_datalog",
+    "compile_read_plan",
 ]
 
 
@@ -273,11 +282,13 @@ class MemoizedDatalogContext(LazyDatalogContext):
     """A :class:`LazyDatalogContext` that shares retrieval-probe
     results *across queries* through a memo table (QSQN-style tabling).
 
-    ``memo`` is any object with ``lookup(pattern, database)`` →
-    ``Optional[bool]`` and ``store(pattern, database, status)`` —
-    typically a :class:`repro.serving.cache.SubgoalMemo`, which keys
-    entries by the database's mutation generation so fact updates
-    invalidate implicitly.
+    ``memo`` is any object with ``lookup(pattern, database, version)``
+    → ``Optional[bool]`` and ``store(pattern, database, status,
+    version)`` — typically a :class:`repro.serving.cache.SubgoalMemo`.
+    ``version`` is the store's :meth:`~repro.storage.interface.FactStore.version`
+    of the probe's :func:`~repro.storage.interface.probe_key`, read
+    once *before* the probe, so a write to the probed bucket
+    invalidates the entry and a write anywhere else does not.
 
     Only *retrieval* arcs are memoized: their status is a pure
     function of (pattern, database state).  Blockable reduction arcs
@@ -303,12 +314,77 @@ class MemoizedDatalogContext(LazyDatalogContext):
         if arc.kind is not ArcKind.RETRIEVAL or arc.goal is None:
             return super()._resolve(arc)
         pattern = _instantiate(arc.goal, self.query, self._graph.root.goal)
-        remembered = self._memo.lookup(pattern, self.database)
+        database = self.database
+        version = database.version((probe_key(pattern),))
+        remembered = self._memo.lookup(pattern, database, version)
         if remembered is not None:
             return remembered
-        status = self.database.succeeds(pattern)
-        self._memo.store(pattern, self.database, status)
+        status = database.succeeds(pattern)
+        self._memo.store(pattern, database, status, version)
         return status
+
+
+class ReadPlan:
+    """The store read keys a query form's answers can depend on.
+
+    ``static`` keys are the same for every query of the form;
+    each ``(predicate, arity, position, index)`` template becomes the
+    bucket key holding the query's ``index``-th argument at
+    ``position``.  :meth:`keys` only fills query constants into
+    tuples — no unification per request.
+    """
+
+    __slots__ = ("_static", "_templates")
+
+    def __init__(
+        self,
+        static: Iterable[ReadKey],
+        templates: Iterable[Tuple[str, int, int, int]] = (),
+    ):
+        self._static = tuple(dict.fromkeys(static))
+        self._templates = tuple(dict.fromkeys(templates))
+
+    def keys(self, query: Atom) -> Tuple[ReadKey, ...]:
+        """The read set of one concrete query of the form."""
+        if not self._templates:
+            return self._static
+        args = query.args
+        return self._static + tuple([
+            (predicate, arity, position, args[index])
+            for predicate, arity, position, index in self._templates
+        ])
+
+
+def compile_read_plan(graph: InferenceGraph, form: QueryForm) -> ReadPlan:
+    """Precompile the read keys of ``form``'s graph.
+
+    One key per retrieval arc: the :func:`probe_key` its goal gets once
+    :func:`_instantiate` binds the form's bound positions (the root
+    prototype's ``B<i>`` variables) to query constants.  These are the
+    only probes :class:`LazyDatalogContext` and the processor's binding
+    recovery make, so the plan covers the learned path.
+    """
+    root_args = graph.root.goal.args
+    query_index = {
+        arg: index
+        for index, (arg, mode) in enumerate(zip(root_args, form.pattern))
+        if mode == "b"
+    }
+    static = []
+    templates = []
+    for arc in graph.retrieval_arcs():
+        predicate, arity = arc.goal.signature
+        for position, arg in enumerate(arc.goal.args):
+            if arg.is_ground:
+                static.append((predicate, arity, position, arg))
+                break
+            index = query_index.get(arg)
+            if index is not None:
+                templates.append((predicate, arity, position, index))
+                break
+        else:
+            static.append((predicate, arity))
+    return ReadPlan(static, templates)
 
 
 def context_from_datalog(

@@ -297,6 +297,9 @@ class FlakyDatabase(Database):
         # process: a memo hit is simply a probe that cannot fault.
         return self._inner.cache_key
 
+    def version(self, keys) -> int:
+        return self._inner.version(keys)
+
     # -- probing (faultable) -------------------------------------------
 
     def _inject(self, pattern) -> None:

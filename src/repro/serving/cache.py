@@ -6,22 +6,27 @@ re-proving.  The serving layer applies the same idea at two levels:
 
 * :class:`SubgoalMemo` — a memo table over *database probes*.  The
   executor's unit operation is "does any fact match this retrieval
-  pattern?"; the memo records the answer per (pattern, database
-  generation) so that concurrent and repeated queries skip the
+  pattern?"; the memo records the answer per (pattern, version of the
+  probed bucket) so that concurrent and repeated queries skip the
   physical probe.  The strategy's cost accounting is untouched — an
   attempted arc is billed its ``f(arc)`` either way — so learning
   statistics are identical with and without the memo.
-* :class:`AnswerCache` — whole-query results.  A repeated ground
-  query with an unchanged database is answered straight from cache
-  (billed zero: no retrieval work happens) and **bypasses the
-  learner**: a cache hit executes no strategy, so it contributes no
-  sample to PIB's Δ̃ accumulators.
+* :class:`AnswerCache` — whole-query results.  A repeated query whose
+  read set is unchanged is answered straight from cache (billed zero:
+  no retrieval work happens) and **bypasses the learner**: a cache hit
+  executes no strategy, so it contributes no sample to PIB's Δ̃
+  accumulators.
 
 Coherence is by construction, not by invalidation walks: every key
-embeds :attr:`repro.datalog.database.Database.cache_key` — the
-database's identity plus its mutation ``generation`` counter — so the
-moment a fact is added or removed, every previously cached entry for
-that database stops matching and ages out of the LRU bound.
+embeds the store's identity and a *version* —
+:meth:`~repro.storage.interface.FactStore.version` of the entry's read
+set (the query's read keys, or the probe's bucket), read once before
+the work.  A store's version only grows and changes as soon as a fact
+under the read set is added or removed, so an entry computed before a
+relevant write stops matching and ages out of the LRU bound, while
+entries that never read the written keys keep hitting.  A caller that
+passes no version gets the whole-store generation (the store's
+``cache_key``), so any write invalidates every such entry.
 
 Both tiers are thread-safe (one lock per table) and report
 hit/miss/eviction counters through :class:`CacheStats` and, when a
@@ -173,9 +178,11 @@ class SubgoalMemo:
     Implements the memo seam
     :class:`~repro.graphs.contexts.MemoizedDatalogContext` consumes:
     :meth:`lookup` returns the remembered status of a retrieval
-    pattern against a database *generation* (``None`` when unknown),
-    :meth:`store` records a settled probe.  Faulted probes are never
-    stored — only the storage layer's settled truth enters the table.
+    pattern at a store version (``None`` when unknown), :meth:`store`
+    records a settled probe.  The context passes the version of the
+    probe's bucket, read before probing; without one the entry is
+    keyed on the store's generation.  Faulted probes are never stored
+    — only the storage layer's settled truth enters the table.
     """
 
     def __init__(self, capacity: int, recorder: Recorder = NULL_RECORDER):
@@ -189,24 +196,45 @@ class SubgoalMemo:
         return len(self._table)
 
     @staticmethod
-    def _key(pattern: Atom, database: "Database") -> Tuple:
-        return (database.cache_key,) + _pattern_key(pattern)
+    def _key(
+        pattern: Atom, database: "Database", version: Optional[int]
+    ) -> Tuple:
+        identity, generation = database.cache_key
+        if version is None:
+            version = generation
+        return (identity, version) + _pattern_key(pattern)
 
-    def lookup(self, pattern: Atom, database: "Database") -> Optional[bool]:
-        value = self._table.get(self._key(pattern, database))
+    def lookup(
+        self,
+        pattern: Atom,
+        database: "Database",
+        version: Optional[int] = None,
+    ) -> Optional[bool]:
+        value = self._table.get(self._key(pattern, database, version))
         return None if value is _MISS else value
 
     def store(
-        self, pattern: Atom, database: "Database", status: bool
+        self,
+        pattern: Atom,
+        database: "Database",
+        status: bool,
+        version: Optional[int] = None,
     ) -> None:
-        self._table.put(self._key(pattern, database), bool(status))
+        self._table.put(self._key(pattern, database, version), bool(status))
 
     def snapshot(self) -> Dict[str, float]:
         return self._table.stats.snapshot()
 
 
 class AnswerCache:
-    """Whole-answer cache keyed by (query, database generation).
+    """Whole-answer cache keyed by (store, read-set version, query).
+
+    The query is keyed as the :class:`~repro.datalog.terms.Atom` itself,
+    never its text: ``n(1)`` and ``n("1")`` print alike but are
+    different queries.  ``version`` is the store's version of the
+    query's read set, read by the caller *before* computing the answer
+    and passed to both :meth:`lookup` and :meth:`store`; without one,
+    entries key on the store's generation.
 
     Only *clean* answers are stored: degraded answers (deadline
     expiries, fault escapes, shed arcs) reflect infrastructure state
@@ -219,7 +247,7 @@ class AnswerCache:
     def __init__(self, capacity: int, recorder: Recorder = NULL_RECORDER):
         self._table = LRUTable(capacity, "answer", recorder)
         #: Last clean answer per (database identity, query) — any
-        #: generation.  Only the admission layer's ``degrade-to-cached``
+        #: version.  Only the admission layer's ``degrade-to-cached``
         #: shed policy reads this, and only through
         #: :meth:`lookup_stale`; coherent lookups never see it.  Bounded
         #: by the same capacity as the main table.
@@ -235,21 +263,33 @@ class AnswerCache:
         return len(self._table)
 
     @staticmethod
-    def _key(query: Atom, database: "Database") -> Tuple:
-        return (database.cache_key, str(query))
+    def _key(
+        query: Atom, database: "Database", version: Optional[int]
+    ) -> Tuple:
+        identity, generation = database.cache_key
+        if version is None:
+            version = generation
+        return (identity, version, query)
 
     @staticmethod
     def _stale_key(query: Atom, database: "Database") -> Tuple:
-        return (database.cache_key[0], str(query))
+        return (database.cache_key[0], query)
 
     def lookup(
-        self, query: Atom, database: "Database"
+        self,
+        query: Atom,
+        database: "Database",
+        version: Optional[int] = None,
     ) -> Optional["SystemAnswer"]:
-        value = self._table.get(self._key(query, database))
+        value = self._table.get(self._key(query, database, version))
         return None if value is _MISS else value
 
     def store(
-        self, query: Atom, database: "Database", answer: "SystemAnswer"
+        self,
+        query: Atom,
+        database: "Database",
+        answer: "SystemAnswer",
+        version: Optional[int] = None,
     ) -> bool:
         """Cache a clean answer; returns whether it was cacheable.
 
@@ -265,7 +305,7 @@ class AnswerCache:
         normalized = replace(answer, cost=0.0, climbed=False, cached=True)
         complete = answer.completeness.complete
         if complete:
-            self._table.put(self._key(query, database), normalized)
+            self._table.put(self._key(query, database, version), normalized)
         with self._stale_lock:
             key = self._stale_key(query, database)
             existing = self._stale.get(key)
@@ -283,7 +323,7 @@ class AnswerCache:
         self, query: Atom, database: "Database"
     ) -> Optional["SystemAnswer"]:
         """The last clean answer for this query against this database
-        *object*, whatever its generation was — possibly stale.
+        *object*, whatever its version was — possibly stale.
 
         This is the ``degrade-to-cached`` shed policy's escape hatch:
         under overload, a stale answer explicitly marked degraded beats

@@ -9,7 +9,7 @@ three small dataclasses:
   answering* (the paper's ``δ``, the Equation 6 test cadence, the
   resilience policy, checkpoints, drift handling);
 * :class:`CacheConfig` — the serving layer's two-tier cache: the
-  ground-answer cache and the QSQN-style subgoal memo table, both LRU
+  answer cache and the QSQN-style subgoal memo table, both LRU
   bounded and both disabled by default (capacity 0), because caching
   changes which queries reach the learner;
 * :class:`ServingConfig` — the concurrency shape of a
@@ -213,16 +213,20 @@ class SessionConfig:
 class CacheConfig:
     """The serving layer's two-tier cache bounds (0 = tier disabled).
 
-    Both tiers key on :attr:`repro.datalog.database.Database.cache_key`
-    — the database's identity plus its mutation :attr:`generation` —
-    so any fact added or removed invalidates every cached entry for
-    that database *implicitly*: stale keys simply stop being looked up
-    and age out of the LRU.
+    Both tiers key on the store's identity plus its
+    :meth:`~repro.storage.interface.FactStore.version` of what the
+    entry read: a fact added or removed invalidates exactly the
+    entries whose read set covers it, *implicitly* — their keys simply
+    stop being looked up and age out of the LRU — while every other
+    entry keeps hitting.  Stores without per-key versions (SQLite,
+    federated) fall back to the whole-store generation.
     """
 
-    #: Ground-answer cache entries, keyed by (query, database generation).
+    #: Answer cache entries, keyed by (query, version of the query's
+    #: read set: its retrieval arcs' buckets, or its rule cone).
     answer_capacity: int = 0
-    #: Subgoal memo entries, keyed by (ground subgoal, database generation).
+    #: Subgoal memo entries, keyed by (probe pattern, version of the
+    #: probed bucket).
     subgoal_capacity: int = 0
 
     def __post_init__(self) -> None:
@@ -260,7 +264,7 @@ class AdmissionConfig:
       of the *most-queued* tenant instead (protecting in-quota tenants
       from a noisy neighbour); quota violations still reject;
     * ``degrade-to-cached`` — before rejecting, try to serve a stale
-      :class:`~repro.serving.cache.AnswerCache` entry (any generation)
+      :class:`~repro.serving.cache.AnswerCache` entry (any version)
       as a *degraded* answer — availability over freshness.
     """
 

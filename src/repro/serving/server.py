@@ -11,9 +11,9 @@ paper's serial semantics.
 
 Layered in front of execution sit the two cache tiers of
 :mod:`repro.serving.cache`: the answer cache short-circuits repeated
-ground queries entirely, and the subgoal memo (installed into the
-processor as its context seam) shares settled database-probe results
-across queries and threads.
+queries whose read set no write has touched, and the subgoal memo
+(installed into the processor as its context seam) shares settled
+database-probe results across queries and threads.
 
 Determinism contract (asserted by the ``serving_determinism`` tests):
 
@@ -36,6 +36,7 @@ from dataclasses import replace
 from ..datalog.database import Database
 from ..datalog.rules import QueryForm
 from ..datalog.terms import Atom, Substitution
+from ..graphs.contexts import ReadPlan
 from ..system import SelfOptimizingQueryProcessor, SystemAnswer
 from .admission import (
     REASON_DEADLINE,
@@ -104,7 +105,7 @@ class QueryServer:
         self.requests_rejected = 0
         self.requests_degraded = 0
         self._admin_lock = threading.Lock()
-        self._form_locks: Dict[QueryForm, threading.Lock] = {}
+        self._shards: Dict[QueryForm, Tuple[threading.Lock, ReadPlan]] = {}
         admission = self.serving.admission
         if admission is not None:
             self._quota: Optional[TenantQuota] = TenantQuota(
@@ -132,21 +133,26 @@ class QueryServer:
     # Locking
     # ------------------------------------------------------------------
 
-    def _lock_for(self, form: QueryForm) -> threading.Lock:
-        """The form's serialization lock (created on first use).
+    def _shard_for(
+        self, form: QueryForm
+    ) -> Tuple[threading.Lock, ReadPlan]:
+        """The form's serialization lock and read plan (created on
+        first use).
 
         Creation happens under the admin lock, which also guards the
         processor's lazy per-form compilation: two threads racing on a
-        brand-new form must not both build its graph and learner.
+        brand-new form must not both build its graph and learner.  The
+        read plan comes from the compiled form, so a form compiles
+        before its first answer-cache lookup.
         """
-        lock = self._form_locks.get(form)
-        if lock is None:
+        shard = self._shards.get(form)
+        if shard is None:
             with self._admin_lock:
-                lock = self._form_locks.get(form)
-                if lock is None:
-                    self.processor.ensure_compiled(form)
-                    lock = self._form_locks[form] = threading.Lock()
-        return lock
+                shard = self._shards.get(form)
+                if shard is None:
+                    plan = self.processor.read_plan(form)
+                    shard = self._shards[form] = (threading.Lock(), plan)
+        return shard
 
     # ------------------------------------------------------------------
     # Serving
@@ -155,21 +161,35 @@ class QueryServer:
     def submit(self, query: Atom, database: Database) -> SystemAnswer:
         """Answer one query: answer cache, then the learned processor.
 
+        The answer cache is keyed on the store's version of the query's
+        read set (:meth:`SelfOptimizingQueryProcessor.read_plan`), read
+        once before the lookup and reused to store the fresh answer:
+        a write that lands while the answer is computed leaves the
+        entry under the pre-write version, where no later lookup finds
+        it.
+
         Thread-safe: any number of threads may call this concurrently;
         queries of one form are serialized in arrival order.
         """
-        if self.answer_cache is not None:
-            cached = self.answer_cache.lookup(query, database)
+        return self._serve(query, QueryForm.of(query), database)
+
+    def _serve(
+        self, query: Atom, form: QueryForm, database: Database
+    ) -> SystemAnswer:
+        lock, plan = self._shard_for(form)
+        cache = self.answer_cache
+        if cache is not None:
+            version = database.version(plan.keys(query))
+            cached = cache.lookup(query, database, version)
             if cached is not None:
                 with self._admin_lock:
                     self.queries_served += 1
                     self.cached_answers += 1
                 return cached
-        form = QueryForm.of(query)
-        with self._lock_for(form):
+        with lock:
             answer = self.processor.query(query, database)
-        if self.answer_cache is not None:
-            self.answer_cache.store(query, database, answer)
+        if cache is not None:
+            cache.store(query, database, answer, version)
         with self._admin_lock:
             self.queries_served += 1
         return answer
@@ -374,7 +394,7 @@ class QueryServer:
                     slots[seq] = self._shed(request, REASON_DEADLINE,
                                             database)
                     continue
-                answer = self.submit(request.query, database)
+                answer = self._serve(request.query, form, database)
                 clock += answer.cost + 1.0
                 with self._admission_lock:
                     quota.leave(request.tenant)
@@ -459,7 +479,7 @@ class QueryServer:
             "batches": self.batches,
             "queries_served": self.queries_served,
             "cached_answers": self.cached_answers,
-            "forms": len(self._form_locks),
+            "forms": len(self._shards),
         }
         if self.answer_cache is not None:
             summary["answer_cache"] = self.answer_cache.snapshot()

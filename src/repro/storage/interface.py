@@ -31,6 +31,20 @@ retrieval yields whatever the live sources hold, and the probe window
 set and billed remote latency for one query.  Backends that are always
 complete keep the defaults: an empty, trivially :data:`COMPLETE` window
 that bills nothing.
+
+**Read keys and versions.**  What a probe can observe is named in one
+vocabulary, shared by every backend's :meth:`FactStore.version` and by
+the serving caches' read sets:
+
+* a *relation* key ``(predicate, arity)`` — every fact of the relation;
+* a *bucket* key ``(predicate, arity, position, constant)`` — the facts
+  of the relation holding ``constant`` at ``position``.
+
+A probe's key is :func:`probe_key` of its pattern.  ``version(keys)``
+is a number that differs from every earlier reading as soon as a fact
+under any of ``keys`` has been added or removed since; a cache entry
+keyed on the version of everything its computation probed stays valid
+exactly as long as that version does.
 """
 
 from __future__ import annotations
@@ -56,8 +70,42 @@ __all__ = [
     "COMPLETE",
     "FactStore",
     "ProbeWindow",
+    "ReadKey",
+    "bucket_keys",
     "next_store_id",
+    "probe_key",
 ]
+
+#: A relation key ``(predicate, arity)`` or a bucket key
+#: ``(predicate, arity, position, constant)`` (see the module notes).
+ReadKey = Tuple
+
+
+def bucket_keys(fact: "Atom") -> List[ReadKey]:
+    """The bucket keys holding ``fact``, one per argument position.  A
+    write of ``fact`` changes exactly these and its relation key
+    ``fact.signature``."""
+    predicate, arity = fact.signature
+    keys = []
+    for position, arg in enumerate(fact.args):
+        keys.append((predicate, arity, position, arg))
+    return keys
+
+
+def probe_key(pattern: "Atom") -> ReadKey:
+    """The read key covering every fact a probe of ``pattern`` can see.
+
+    A matching fact carries the pattern's constant at every bound
+    position, so the bucket at the *first* bound position holds all of
+    them.  A pattern with no constant — all variables, repeated or
+    not — reads its whole relation.
+    """
+    predicate, arity = pattern.signature
+    for position, arg in enumerate(pattern.args):
+        if arg.is_ground:
+            return (predicate, arity, position, arg)
+    return (predicate, arity)
+
 
 #: Process-wide store identities, shared by *all* backends, so cache
 #: keys from two different stores can never collide even at equal
@@ -134,7 +182,8 @@ class FactStore(ABC):
     Subclasses must preserve the module-level contract above —
     especially the enumeration-order guarantee — and bump
     :attr:`generation` on every *effective* mutation, since the
-    serving caches key on ``cache_key = (identity, generation)``.
+    serving caches key on ``cache_key = (identity, generation)`` or on
+    :meth:`version`.
     """
 
     # -- identity & coherence ------------------------------------------
@@ -148,6 +197,16 @@ class FactStore(ABC):
     @abstractmethod
     def cache_key(self) -> Tuple[int, int]:
         """``(identity, generation)`` — the token cache entries rely on."""
+
+    def version(self, keys: Iterable[ReadKey]) -> int:
+        """A version of the facts under ``keys`` (see the module notes).
+
+        The default is the whole-store :attr:`generation`: coherent for
+        any backend, but every mutation anywhere changes it.  A backend
+        that tracks per-key stamps returns the newest stamp among
+        ``keys`` instead, so writes elsewhere leave it unchanged.
+        """
+        return self.generation
 
     # -- mutation ------------------------------------------------------
 

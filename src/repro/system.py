@@ -19,6 +19,11 @@ binding produced by the winning retrieval.
 Queries whose form cannot be compiled to a (disjunctive, acyclic)
 inference graph fall back to the plain SLD engine; learning simply
 does not apply to them, matching the paper's scope.
+
+For the serving caches each form also gets a *read plan*
+(:meth:`SelfOptimizingQueryProcessor.read_plan`): the store keys its
+answers can depend on — one per retrieval arc of a compiled graph, or
+every relation in an uncompilable form's rule-dependency cone.
 """
 
 from __future__ import annotations
@@ -47,7 +52,9 @@ from .graphs.builder import build_inference_graph
 from .graphs.contexts import (
     LazyDatalogContext,
     MemoizedDatalogContext,
+    ReadPlan,
     _instantiate,
+    compile_read_plan,
 )
 from .graphs.inference_graph import InferenceGraph
 from .learning.drift import DriftAwarePIB
@@ -220,6 +227,8 @@ class SelfOptimizingQueryProcessor:
         self.subgoal_memo = None
         self._states: Dict[QueryForm, FormState] = {}
         self._uncompilable: Dict[QueryForm, str] = {}
+        #: Per form, compiled or not: the read keys behind its answers.
+        self._read_plans: Dict[QueryForm, ReadPlan] = {}
         #: The configured fallback engine (``config.engine``): answers
         #: every query whose form is not compiled/learnable.
         self.engine_name = config.engine
@@ -249,7 +258,10 @@ class SelfOptimizingQueryProcessor:
                 )
             except (GraphError, RecursionLimitError) as reason:
                 self._uncompilable[form] = str(reason)
+                cone = self.rule_base.dependency_cone(form.signature)
+                self._read_plans[form] = ReadPlan(sorted(cone))
                 return None
+            self._read_plans[form] = compile_read_plan(graph, form)
             state = FormState(
                 form=form,
                 graph=graph,
@@ -408,10 +420,27 @@ class SelfOptimizingQueryProcessor:
         """Compile the form's graph and learner now (idempotent).
 
         Returns whether the form is learnable; uncompilable forms keep
-        using the SLD fallback.  The serving layer calls this under its
-        admin lock so lazy compilation never races between workers.
+        using the SLD fallback.
         """
         return self._state_for(form) is not None
+
+    def read_plan(self, form: QueryForm) -> ReadPlan:
+        """The store read keys the form's answers can depend on;
+        ``read_plan(form).keys(query)`` is one query's read set.
+
+        A compiled form reads exactly its retrieval arcs' probe keys
+        (the learned path and its binding recovery probe nothing
+        else); an uncompilable form's fallback engine may read any
+        relation in the query predicate's dependency cone, negated
+        literals included.  Compiles the form on first use; the
+        serving layer calls this under its admin lock so lazy
+        compilation never races between workers.
+        """
+        plan = self._read_plans.get(form)
+        if plan is None:
+            self._state_for(form)
+            plan = self._read_plans[form]
+        return plan
 
     def _make_context(self, graph, query, database):
         """The execution context for one learned-path run: memoized

@@ -18,7 +18,9 @@ brute-force oracles in :mod:`repro.optimal`:
   Clopper–Pearson contract checkers for Theorem 1 (PIB) and
   Theorems 2/3 (PAO);
 * :mod:`repro.verify.simulator` — a virtual-clock, single-threaded
-  replay of serving-layer batches, byte-deterministic from the seed;
+  replay of serving-layer batches, byte-deterministic from the seed,
+  plus a mutation-storm replay holding cached answers to an uncached
+  processor and to each query's read set;
 * :mod:`repro.verify.invariants` — always-on runtime invariants
   (Δ̃ conservatism, Equation 6 schedule monotonicity, breaker state
   legality, cache generation coherence) assertable in any test;

@@ -19,7 +19,9 @@ pib        the Υ/brute-force cost oracle per world, then Theorem 1 as
 pao        Theorems 2/3 as a Clopper–Pearson contract against the
            brute-force optimum (plain and aiming worlds alternate)
 serving    the virtual-clock simulator: trace byte-determinism,
-           sequential parity, cache transparency, generation coherence
+           sequential parity, cache transparency, generation coherence,
+           and cache transparency under a mutation storm with two-sided
+           read-set checks (odd seeds are negation-mix worlds)
 chaos      fault-plan worlds through the resilient executor: settled
            observations match ground truth, billed ≥ settled cost,
            byte-deterministic reruns, breaker state legality; every
@@ -91,6 +93,7 @@ from .simulator import (
     check_byte_determinism,
     check_cache_effects,
     check_generation_coherence,
+    check_mutation_transparency,
     check_sequential_parity,
 )
 from .worldgen import (
@@ -202,14 +205,18 @@ def specs_for(
                 )
             )
         elif profile == "serving":
+            # Odd seeds are negation-mix worlds: compiled base-relation
+            # forms next to uncompilable forms over negation.
             specs.append(
                 WorldSpec(
                     seed=seed,
                     profile="serving",
+                    kb_shape="negation-mix" if seed % 2 else "layered",
                     workers=2 + seed % 3,
                     answer_cache=32,
                     subgoal_memo=128,
                     repeats=2,
+                    mutation_steps=6,
                 )
             )
         elif profile == "chaos":
@@ -452,6 +459,7 @@ def run_profile(
             ("serving-sequential-parity", check_sequential_parity),
             ("serving-cache-transparency", check_cache_effects),
             ("serving-generation-coherence", check_generation_coherence),
+            ("serving-mutation-transparency", check_mutation_transparency),
         ):
             verify.reports.append(
                 _run_deterministic(name, family, check, shrink_failures)
@@ -564,6 +572,7 @@ PROFILE_CHECKS: Dict[str, List[str]] = {
         "serving-sequential-parity",
         "serving-cache-transparency",
         "serving-generation-coherence",
+        "serving-mutation-transparency",
     ],
     "chaos": ["chaos-resilience"],
     "overload": [

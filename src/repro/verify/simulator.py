@@ -22,21 +22,29 @@ is preserved, a run with caches disabled must agree answer-for-answer
 with a plain sequential loop over the processor.  Both properties are
 checked by :func:`check_byte_determinism` / :func:`check_sequential_parity`;
 :func:`check_cache_effects` adds the cache tiers and asserts hits only
-ever change cost accounting, never answers, and
-:func:`check_generation_coherence` asserts mutation invalidates.
+ever change cost accounting, never answers,
+:func:`check_generation_coherence` asserts mutation invalidates, and
+:func:`check_mutation_transparency` replays a mutation storm between
+passes and holds every served answer, and the answer cache's read
+sets, to an uncached processor on the same store state.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..datalog.parser import parse_atom
 from ..datalog.rules import QueryForm
+from ..datalog.terms import Atom
 from ..serving.cache import AnswerCache
 from ..serving.config import CacheConfig, ServingConfig, SessionConfig
 from ..serving.server import QueryServer
+from ..storage.interface import bucket_keys
 from ..system import SelfOptimizingQueryProcessor, SystemAnswer
+from ..workloads.hostile import mutation_storm
 from .invariants import InvariantViolation, check_cache_generation_coherence
 from .worldgen import KBWorld, WorldSpec, build_kb_world
 
@@ -47,6 +55,7 @@ __all__ = [
     "check_sequential_parity",
     "check_cache_effects",
     "check_generation_coherence",
+    "check_mutation_transparency",
 ]
 
 
@@ -312,3 +321,92 @@ def check_generation_coherence(spec: WorldSpec) -> Optional[str]:
     except InvariantViolation as violation:
         return str(violation)
     return None
+
+
+def _disagreement(
+    served: SystemAnswer,
+    query: Atom,
+    reference: SelfOptimizingQueryProcessor,
+    database,
+) -> Optional[str]:
+    """How ``served`` contradicts an uncached processor on the current
+    store, or ``None``.
+
+    Provability must match exactly.  Bindings must match too, except
+    that a learned form may reach a different, equally valid first
+    binding under a strategy its learner has since left: such a binding
+    must instantiate the query to something the reference proves.
+    """
+    expected = reference.query(query, database)
+    if served.proved != expected.proved:
+        return (f"{query} served proved={served.proved}, uncached "
+                f"proved={expected.proved}")
+    if repr(served.substitution) == repr(expected.substitution):
+        return None
+    instance = query.substitute(served.substitution)
+    if served.learned and reference.query(instance, database).proved:
+        return None
+    return (f"{query} served binding {served.substitution}, uncached "
+            f"{expected.substitution}")
+
+
+def check_mutation_transparency(
+    spec: WorldSpec, tally: Optional[Counter] = None
+) -> Optional[str]:
+    """Caches stay transparent while the store mutates.
+
+    The batch is served twice to warm both tiers, then the spec's
+    mutation storm is applied one step at a time with the batch served
+    again after each step.  Every served answer must agree with an
+    uncached processor on the same store state, and the answer cache
+    must honour each query's read set in both directions: after a
+    write to a key in the read set the query's first lookup misses;
+    after a write elsewhere it may hit, and the hit must agree too.
+    ``tally``, when given, counts those first serves as
+    ``inside-miss``, ``outside-hit`` and ``outside-miss``.
+    """
+    if tally is None:
+        tally = Counter()
+    world = build_kb_world(spec)
+    cached_spec = spec.replace(answer_cache=spec.answer_cache or 64,
+                               subgoal_memo=spec.subgoal_memo or 256)
+    server = _build_server(cached_spec, world, caches=True)
+    processor, database = server.processor, world.database
+    config = SessionConfig(delta=spec.delta)
+
+    def serve(label: str, inside: Dict[Atom, bool]) -> Optional[str]:
+        reference = SelfOptimizingQueryProcessor(world.rules, config=config)
+        first = set()
+        for query in world.queries:
+            served = server.submit(query, database)
+            if inside and query not in first:
+                first.add(query)
+                side = "inside" if inside[query] else "outside"
+                if served.cached and side == "inside":
+                    return (f"{label}: {query} hit the answer cache after "
+                            f"a write inside its read set")
+                tally[f"{side}-{'hit' if served.cached else 'miss'}"] += 1
+            problem = _disagreement(served, query, reference, database)
+            if problem is not None:
+                return f"{label}: {problem}"
+        return None
+
+    for warm in ("cold pass", "warm pass"):
+        problem = serve(warm, {})
+        if problem is not None:
+            return problem
+    ops = mutation_storm(spec.seed, world.fact_text, spec.mutation_steps)
+    for number, (op, text) in enumerate(ops):
+        fact = parse_atom(text)
+        touched = {fact.signature, *bucket_keys(fact)}
+        inside = {
+            query: not touched.isdisjoint(
+                processor.read_plan(QueryForm.of(query)).keys(query))
+            for query in world.queries
+        }
+        getattr(database, op)(fact)
+        problem = serve(f"after storm step #{number} ({op} {text})", inside)
+        if problem is not None:
+            return problem
+    return None
+

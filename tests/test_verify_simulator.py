@@ -1,8 +1,13 @@
 """The virtual-clock simulator and the runtime invariant monitors."""
 
+from collections import Counter
+
 import pytest
 
+from repro.datalog.database import Database
+from repro.datalog.rules import QueryForm
 from repro.learning.pib import PIB
+from repro.system import SelfOptimizingQueryProcessor
 from repro.strategies.execution import execute
 from repro.strategies.strategy import Strategy
 from repro.verify.invariants import (
@@ -16,10 +21,16 @@ from repro.verify.simulator import (
     check_byte_determinism,
     check_cache_effects,
     check_generation_coherence,
+    check_mutation_transparency,
     check_sequential_parity,
     simulate,
 )
-from repro.verify.worldgen import WorldSpec, build_graph_world, context_rng
+from repro.verify.worldgen import (
+    WorldSpec,
+    build_graph_world,
+    build_kb_world,
+    context_rng,
+)
 
 
 class TestSimulator:
@@ -58,6 +69,43 @@ class TestSimulator:
         for line in lines:
             event = json.loads(line)
             assert {"t", "pass", "worker", "form", "query"} <= set(event)
+
+
+class TestMutationTransparency:
+    def test_storm_keeps_caches_transparent(self):
+        for spec in specs_for("serving", 4):
+            assert check_mutation_transparency(spec) is None, spec
+
+    def test_both_sides_of_the_read_set_are_exercised(self):
+        tally = Counter()
+        for spec in specs_for("serving", 4):
+            assert check_mutation_transparency(spec, tally) is None, spec
+        assert tally["inside-miss"] > 0
+        assert tally["outside-hit"] > 0
+
+    def test_family_asks_compiled_and_negated_forms(self):
+        def negates(rules, signature):
+            cone = rules.dependency_cone(signature)
+            return any(not literal.positive for rule in rules
+                       if rule.head.signature in cone
+                       for literal in rule.body)
+
+        for spec in specs_for("serving", 10):
+            world = build_kb_world(spec)
+            processor = SelfOptimizingQueryProcessor(world.rules)
+            compiled = {query: processor.ensure_compiled(QueryForm.of(query))
+                        for query in world.queries}
+            assert any(compiled.values()), spec
+            if spec.kb_shape == "negation-mix":
+                assert any(not learnable and negates(world.rules, query.signature)
+                           for query, learnable in compiled.items()), spec
+
+    def test_frozen_versions_are_caught(self, monkeypatch):
+        # A store whose versions never move serves pre-write answers.
+        monkeypatch.setattr(Database, "version", lambda self, keys: 0)
+        failures = [check_mutation_transparency(spec)
+                    for spec in specs_for("serving", 4)]
+        assert any(failure is not None for failure in failures)
 
 
 class TestChaosProfile:
