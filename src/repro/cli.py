@@ -241,7 +241,7 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
                         f"degraded {sum(o.degraded for o in outcomes)}")
                 partial = sum(
                     1 for o in outcomes
-                    if o.completeness is not None and o.completeness.partial
+                    if o.answer is not None and o.answer.completeness.partial
                 )
                 if partial:
                     line += f", partial {partial}"

@@ -100,9 +100,7 @@ def _build_experience(
     if not enabled and path is None:
         return None
     return ExperienceConfig(
-        path=path,
-        enabled=True,
-        neighbour_k=adapter.get(args, "--experience-neighbours"),
+        path=path, neighbour_k=adapter.get(args, "--experience-neighbours")
     )
 
 

@@ -343,28 +343,29 @@ def payload_checksum(payload: Dict[str, object]) -> str:
 
 
 def backup_path(path: str) -> str:
-    """Where :func:`save_pib` parks the previous good checkpoint."""
+    """Where :func:`write_checked_json` parks the previous good file."""
     return path + ".bak"
 
 
-def save_pib(pib: PIB, path: str) -> None:
-    """Atomically write a learner's state to ``path`` as JSON.
+def write_checked_json(path: str, payload: Dict[str, object]) -> None:
+    """Atomically write ``payload``, stamped with its checksum, to
+    ``path`` — the one write protocol of every state file (learner
+    checkpoints, the experience store).
 
     Crash-safety contract (exercised in ``tests/test_crash_recovery``):
-    the state is written to a temporary sibling, flushed and fsynced,
+    the payload is written to a temporary sibling, flushed and fsynced,
     and only then swapped in with :func:`os.replace`; the previously
-    good checkpoint is first swapped to ``path + ".bak"``.  A crash at
-    *any* step leaves either the old checkpoint, the backup, or both
-    intact — never a world with only a torn file: the checkpoint and
-    its backup are untouched until the temp write has fully synced, a
-    write that dies mid-stream (full disk, kill) removes its own torn
-    temp file, and the directory is fsynced after the renames so the
-    swap itself survives power loss.  Payloads carry a SHA-256
-    ``checksum`` so :func:`load_pib` detects torn or edited files and
-    falls back to the backup.
+    good file is first swapped to ``path + ".bak"``.  A crash at *any*
+    step leaves either the old file, the backup, or both intact —
+    never a world with only a torn file: the file and its backup are
+    untouched until the temp write has fully synced, a write that dies
+    mid-stream (full disk, kill) removes its own torn temp file, and
+    the directory is fsynced after the renames so the swap itself
+    survives power loss.  The SHA-256 ``checksum`` lets
+    :func:`read_checked_json` detect torn or edited files, so loaders
+    fall back to the backup.
     """
-    payload = pib_to_dict(pib)
-    payload["checksum"] = payload_checksum(payload)
+    payload = dict(payload, checksum=payload_checksum(payload))
     tmp_path = path + ".tmp"
     try:
         with open(tmp_path, "w", encoding="utf-8") as handle:
@@ -372,9 +373,9 @@ def save_pib(pib: PIB, path: str) -> None:
             handle.flush()
             os.fsync(handle.fileno())
     except BaseException:
-        # The write died mid-stream: the real checkpoint and its
-        # backup were never touched, so just clear the torn temp file
-        # (a later recovery scan must never mistake it for state).
+        # The write died mid-stream: the real file and its backup were
+        # never touched, so just clear the torn temp file (a later
+        # recovery scan must never mistake it for state).
         try:
             os.unlink(tmp_path)
         except OSError:
@@ -394,24 +395,32 @@ def save_pib(pib: PIB, path: str) -> None:
         os.close(dir_fd)
 
 
-def _load_payload(path: str) -> Dict[str, object]:
-    """One file's payload, checksum-verified; :class:`CheckpointError`
+def read_checked_json(path: str, what: str) -> Dict[str, object]:
+    """One file's payload, checksum-verified; a
+    :class:`~repro.errors.CheckpointError` naming ``what`` and ``path``
     on any missing/torn/corrupt condition."""
     try:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
     except FileNotFoundError as error:
-        raise CheckpointError("checkpoint file not found", path) from error
+        raise CheckpointError(f"{what} not found", path) from error
     except (json.JSONDecodeError, UnicodeDecodeError, OSError) as error:
         raise CheckpointError(
-            f"checkpoint is not readable JSON: {error}", path
+            f"{what} is not readable JSON: {error}", path
         ) from error
     if not isinstance(payload, dict):
-        raise CheckpointError("checkpoint is not a JSON object", path)
+        raise CheckpointError(f"{what} is not a JSON object", path)
     recorded = payload.get("checksum")
     if recorded is not None and recorded != payload_checksum(payload):
-        raise CheckpointError("checkpoint checksum mismatch", path)
+        raise CheckpointError(f"{what} checksum mismatch", path)
     return payload
+
+
+def save_pib(pib: PIB, path: str) -> None:
+    """Atomically write a learner's state to ``path`` as JSON, under
+    :func:`write_checked_json`'s crash-safety contract; :func:`load_pib`
+    verifies the checksum and falls back to the ``.bak`` backup."""
+    write_checked_json(path, pib_to_dict(pib))
 
 
 def load_pib(
@@ -431,13 +440,17 @@ def load_pib(
     regardless of what the checkpoint recorded.
     """
     try:
-        return pib_from_dict(graph, _load_payload(path), drift)
+        return pib_from_dict(
+            graph, read_checked_json(path, "checkpoint"), drift
+        )
     except CheckpointError as primary:
         fallback = backup_path(path)
         if not os.path.exists(fallback):
             raise
         try:
-            return pib_from_dict(graph, _load_payload(fallback), drift)
+            return pib_from_dict(
+                graph, read_checked_json(fallback, "checkpoint"), drift
+            )
         except CheckpointError as secondary:
             raise CheckpointError(
                 f"checkpoint and backup both unusable: {primary}; {secondary}",

@@ -84,7 +84,9 @@ class RequestOutcome:
       ``answer`` is the normal :class:`~repro.system.SystemAnswer`;
     * ``"degraded"`` — admission could not run it but salvaged a stale
       cache entry (``degrade-to-cached``); ``answer`` carries it,
-      flagged degraded, and ``reason`` says why it could not run;
+      flagged degraded and keeping its completeness verdict (shedding
+      never upgrades a partial answer to complete), and ``reason``
+      says why it could not run;
     * ``"rejected"`` — shed without an answer; ``reason`` is one of
       the :class:`LoadShedder` reason strings and ``answer`` is None.
 
@@ -110,15 +112,6 @@ class RequestOutcome:
     @property
     def degraded(self) -> bool:
         return self.status == "degraded"
-
-    @property
-    def completeness(self):
-        """The answer's :class:`~repro.storage.interface.Completeness`
-        verdict (``None`` for rejected requests, which carry no
-        answer).  A degrade-to-cached outcome built from a stale
-        *partial* entry keeps its partial verdict — shedding never
-        upgrades an answer to complete."""
-        return self.answer.completeness if self.answer is not None else None
 
 
 # ----------------------------------------------------------------------

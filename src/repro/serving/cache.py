@@ -236,12 +236,13 @@ class AnswerCache:
     and passed to both :meth:`lookup` and :meth:`store`; without one,
     entries key on the store's generation.
 
-    Only *clean* answers are stored: degraded answers (deadline
-    expiries, fault escapes, shed arcs) reflect infrastructure state
-    at one instant, not the database, so replaying them would be
-    wrong.  A stored answer is normalized to its served-from-cache
-    form once — zero billed cost, ``cached=True`` — so hits share one
-    immutable object.
+    Only :attr:`~repro.system.SystemAnswer.clean` answers enter the
+    coherent table: degraded answers (deadline expiries, fault
+    escapes, shed arcs) reflect infrastructure state at one instant,
+    not the database, so replaying them would be wrong, and a coherent
+    hit must reflect the whole fact base.  A stored answer is
+    normalized to its served-from-cache form once — zero billed cost,
+    ``cached=True`` — so hits share one immutable object.
     """
 
     def __init__(self, capacity: int, recorder: Recorder = NULL_RECORDER):
@@ -291,33 +292,34 @@ class AnswerCache:
         answer: "SystemAnswer",
         version: Optional[int] = None,
     ) -> bool:
-        """Cache a clean answer; returns whether it was cacheable.
+        """Cache an answer; returns whether it entered the coherent
+        table, i.e. whether it is clean.
 
         Degraded answers are never cached.  *Partial* answers (a
-        federated backend with dark shards) never enter the coherent
-        table — a coherent hit must reflect the whole fact base — but
-        they do refresh the stale table, where the preserved
-        ``completeness`` verdict guarantees a later degrade-to-cached
-        shed serves them flagged partial, never as complete.
+        federated backend with dark shards) are not clean, so they
+        never enter the coherent table, but they do refresh the stale
+        table, where the preserved ``completeness`` verdict guarantees
+        a later degrade-to-cached shed serves them flagged partial,
+        never as complete.
         """
         if answer.degraded:
             return False
         normalized = replace(answer, cost=0.0, climbed=False, cached=True)
-        complete = answer.completeness.complete
-        if complete:
+        clean = answer.clean
+        if clean:
             self._table.put(self._key(query, database, version), normalized)
         with self._stale_lock:
             key = self._stale_key(query, database)
             existing = self._stale.get(key)
-            # A partial answer never displaces a complete stale entry:
+            # A partial answer never displaces a clean stale entry:
             # under shedding, an older complete answer beats a fresher
             # partial one.
-            if complete or existing is None or existing.completeness.partial:
+            if clean or existing is None or not existing.clean:
                 self._stale[key] = normalized
                 self._stale.move_to_end(key)
                 while len(self._stale) > self._table.capacity:
                     self._stale.popitem(last=False)
-        return complete
+        return clean
 
     def lookup_stale(
         self, query: Atom, database: "Database"

@@ -54,12 +54,13 @@ SHED_POLICIES = ("reject-newest", "reject-over-quota", "degrade-to-cached")
 class ExperienceConfig:
     """Cross-session experience store + warm-start knobs.
 
-    Experience is *priors only*: with ``enabled=False`` (the default)
-    nothing in the session touches the store and every output is
-    byte-identical to a build without the experience subsystem; with
-    it enabled, a new form's learner starts at its nearest structural
-    neighbour's settled strategy instead of depth-first — the Theorem 1
-    per-run schedule still starts cold either way.
+    Experience is *priors only*: with ``SessionConfig.experience=None``
+    (the default) nothing in the session touches the store and every
+    output is byte-identical to a build without the experience
+    subsystem; with a config set, a new form's learner starts at its
+    nearest structural neighbour's settled strategy instead of
+    depth-first — the Theorem 1 per-run schedule still starts cold
+    either way.
 
     The ranking blend follows querytorque's knowledge engine:
     ``0.7 * pattern + 0.3 * similarity`` by default.
@@ -68,8 +69,6 @@ class ExperienceConfig:
     #: JSON store location (``None``: memory-only, dies with the
     #: session — still useful for repeated forms within one session).
     path: Optional[str] = None
-    #: Master switch; off means the store is never opened or written.
-    enabled: bool = False
     #: How many nearest neighbours to consider per form.
     neighbour_k: int = 3
     #: Minimum blended similarity for a record to be used at all.
@@ -88,13 +87,6 @@ class ExperienceConfig:
             raise ValueError("blend weights cannot be negative")
         if self.pattern_weight + self.similarity_weight <= 0:
             raise ValueError("blend weights cannot both be zero")
-
-    @classmethod
-    def default_enabled(
-        cls, path: Optional[str] = None
-    ) -> "ExperienceConfig":
-        """What the CLI's bare ``--experience`` flag turns on."""
-        return cls(path=path, enabled=True)
 
 
 @dataclass
@@ -188,9 +180,7 @@ class SessionConfig:
         experience_config = None
         if experience or experience_path is not None:
             experience_config = ExperienceConfig(
-                path=experience_path,
-                enabled=True,
-                neighbour_k=experience_neighbours,
+                path=experience_path, neighbour_k=experience_neighbours
             )
         return cls(
             delta=delta,

@@ -262,8 +262,7 @@ class QueryServer:
         if self._shedder.wants_degrade and self.answer_cache is not None:
             stale = self.answer_cache.lookup_stale(request.query, database)
             if stale is not None:
-                answer = replace(stale, degraded=True,
-                                 incident=f"admission: {reason}")
+                answer = replace(stale, incident=f"admission: {reason}")
                 with self._admission_lock:
                     self.requests_degraded += 1
                 if recorder.enabled:
@@ -427,7 +426,6 @@ class QueryServer:
             substitution=Substitution(),
             cost=0.0,
             learned=False,
-            degraded=True,
             incident=f"admission: {outcome.reason}",
         )
 

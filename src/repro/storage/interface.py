@@ -122,34 +122,33 @@ def next_store_id() -> int:
 class Completeness:
     """How much of the fact base a query's retrievals actually saw.
 
-    ``complete`` means every probed relation was served by a live
-    source: the answer (including a "no") reflects the whole stored
-    fact set.  A *partial* verdict carries the sorted names of the
-    shards that stayed dark past their retry/hedge budget — the
-    answer is a sound subset of the complete answer (facts are only
-    ever hidden, never invented), but a "no" is not trustworthy.
+    The verdict is the sorted names of the shards that stayed dark
+    past their retry/hedge budget.  With none it is ``complete``:
+    every probed relation was served by a live source, so the answer
+    (including a "no") reflects the whole stored fact set.  With any
+    it is *partial*: the answer is a sound subset of the complete
+    answer (facts are only ever hidden, never invented), but a "no"
+    is not trustworthy.
     """
 
-    complete: bool = True
     missing_shards: Tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if self.complete and self.missing_shards:
-            raise ValueError("a complete verdict cannot name missing shards")
+    @property
+    def complete(self) -> bool:
+        return not self.missing_shards
 
     @property
     def partial(self) -> bool:
-        return not self.complete
+        return bool(self.missing_shards)
 
     @classmethod
     def missing(cls, shards: Iterable[str]) -> "Completeness":
-        """A partial verdict over the given dark shard names."""
+        """The verdict over the given dark shard names: partial when
+        any are named, else the shared :data:`COMPLETE`."""
         if not shards:  # the common complete case skips the sort
             return COMPLETE
         names = tuple(sorted(set(shards)))
-        if not names:
-            return COMPLETE
-        return cls(complete=False, missing_shards=names)
+        return cls(names) if names else COMPLETE
 
     def describe(self) -> str:
         if self.complete:

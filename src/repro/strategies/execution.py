@@ -29,7 +29,6 @@ from ..errors import RetrievalFaultError
 from ..graphs.contexts import Context, PartialContext
 from ..graphs.inference_graph import Arc, ArcKind
 from ..observability.recorder import NULL_RECORDER, Recorder
-from ..storage.interface import COMPLETE, Completeness
 from .strategy import Strategy
 
 if TYPE_CHECKING:
@@ -81,9 +80,6 @@ class ExecutionResult:
     success_arc: Optional[Arc]
     attempted: List[Arc] = field(default_factory=list)
     observations: Dict[str, bool] = field(default_factory=dict)
-    #: Attached post-hoc by the query processor from the backing
-    #: store's probe window; in-memory runs are trivially complete.
-    completeness: Completeness = COMPLETE
     settled_cost: Optional[float] = None
     retries: Dict[str, int] = field(default_factory=dict)
     backoff_cost: float = 0.0
@@ -116,7 +112,6 @@ class ExecutionResult:
             self.success_arc,
             list(self.attempted),
             dict(self.observations),
-            completeness=self.completeness,
         )
 
     def partial_context(self) -> PartialContext:

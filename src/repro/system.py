@@ -29,7 +29,7 @@ every relation in an uncompilable form's rule-dependency cone.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from .datalog.database import Database
@@ -87,10 +87,9 @@ class SystemAnswer:
     cost: float
     learned: bool
     climbed: bool = False
-    #: True when the resilience layer had to deviate from the learned
-    #: path (deadline expiry, fault escape): the answer came from the
-    #: SLD fallback, and ``incident`` says why.
-    degraded: bool = False
+    #: Why this is not the learned path's own result (deadline expiry,
+    #: fault escape, a faulted fallback, an admission shed), or
+    #: ``None``.  Set exactly when the answer is :attr:`degraded`.
     incident: Optional[str] = None
     #: True when the serving layer answered from its ground-answer
     #: cache: no strategy ran, no cost was charged, no PIB sample.
@@ -101,6 +100,19 @@ class SystemAnswer:
     #: sound subset of the complete answer set, but a "no" is not
     #: trustworthy, and the learner saw no sample from this run.
     completeness: Completeness = COMPLETE
+
+    @property
+    def degraded(self) -> bool:
+        """Whether an ``incident`` kept this answer off the learned
+        path (its "no" is not a trusted refutation)."""
+        return self.incident is not None
+
+    @property
+    def clean(self) -> bool:
+        """Whether the answer can be trusted as it stands: no incident
+        and a complete view of the fact base.  The coherent answer
+        cache admits exactly the clean answers."""
+        return self.incident is None and self.completeness.complete
 
 
 @dataclass
@@ -116,7 +128,6 @@ class FormState:
     #: Whether the learner was restored from a checkpoint at creation.
     restored: bool = False
     checkpoints_written: int = 0
-    incidents: List[str] = field(default_factory=list)
     #: Structural profile of the form's graph (set only when the
     #: experience subsystem is enabled).
     profile: Optional[FormProfile] = None
@@ -200,7 +211,7 @@ class SelfOptimizingQueryProcessor:
         #: build without the subsystem).
         self.experience_store: Optional[ExperienceStore] = None
         self.experience_writes = 0
-        if self.experience is not None and self.experience.enabled:
+        if self.experience is not None:
             self.experience_store = ExperienceStore.open(
                 self.experience.path
             )
@@ -227,6 +238,8 @@ class SelfOptimizingQueryProcessor:
         self.subgoal_memo = None
         self._states: Dict[QueryForm, FormState] = {}
         self._uncompilable: Dict[QueryForm, str] = {}
+        #: Per form, compiled or not: every incident noted against it.
+        self._incidents: Dict[QueryForm, List[str]] = {}
         #: Per form, compiled or not: the read keys behind its answers.
         self._read_plans: Dict[QueryForm, ReadPlan] = {}
         #: The configured fallback engine (``config.engine``): answers
@@ -288,7 +301,7 @@ class SelfOptimizingQueryProcessor:
                 return
             except CheckpointError as reason:
                 self._note_incident(
-                    state, f"checkpoint recovery failed: {reason}"
+                    state.form, f"checkpoint recovery failed: {reason}"
                 )
         kwargs = dict(
             delta=self.delta,
@@ -378,12 +391,9 @@ class SelfOptimizingQueryProcessor:
         self.experience_writes += written
         return written
 
-    def _note_incident(
-        self, state: Optional[FormState], description: str
-    ) -> None:
-        """Log an incident on the form (if compiled) and the recorder."""
-        if state is not None:
-            state.incidents.append(description)
+    def _note_incident(self, form: QueryForm, description: str) -> None:
+        """Log an incident on the form's log and the recorder."""
+        self._incidents.setdefault(form, []).append(description)
         if self.recorder.enabled:
             self.recorder.incident(description)
 
@@ -505,9 +515,10 @@ class SelfOptimizingQueryProcessor:
         incident instead of raising.  Without a policy, storage faults
         propagate unchanged.
         """
-        state = self._state_for(QueryForm.of(query))
+        form = QueryForm.of(query)
+        state = self._state_for(form)
         if state is None:
-            return self._fallback_answer(query, database)
+            return self._fallback_answer(query, database, form)
 
         state.queries += 1
         climbs_before = state.learner.climbs
@@ -521,28 +532,25 @@ class SelfOptimizingQueryProcessor:
             if self.resilience is None:
                 raise
             return self._fallback_answer(
-                query, database, state, f"learned path raised: {fault}"
+                query, database, form, f"learned path raised: {fault}"
             )
 
         if result.deadline_expired:
             # Censored run: do not feed it to PIB (a truncated cost is
             # not a sample of c(Θ, I)); answer via the fallback.
             return self._fallback_answer(
-                query, database, state,
+                query, database, form,
                 f"deadline expired after cost {result.cost:g}",
                 spent=result.cost,
             )
 
-        result.completeness = Completeness.missing(
-            database.probe_window_missing()
-        )
-        if result.completeness.complete:
+        completeness = Completeness.missing(database.probe_window_missing())
+        if completeness.complete:
             # Settled *and* complete: the only outcomes PIB trains on.
             state.learner.record(result.settled_result())
         else:
             self._note_incident(
-                state,
-                f"partial execution: {result.completeness.describe()}",
+                form, f"partial execution: {completeness.describe()}"
             )
         climbed = state.learner.climbs > climbs_before
         self._maybe_checkpoint(state, climbed)
@@ -551,7 +559,7 @@ class SelfOptimizingQueryProcessor:
             # Faults (unsettled or shed arcs) may have hidden the
             # answer; a "no" is only trustworthy from a clean run.
             return self._fallback_answer(
-                query, database, state,
+                query, database, form,
                 "degraded no-answer: unsettled="
                 f"{result.unsettled} shed={result.skipped_open}",
                 spent=result.cost,
@@ -570,7 +578,7 @@ class SelfOptimizingQueryProcessor:
                 # Binding recovery re-probes the database, which may
                 # itself fault; the proof already settled, so answer
                 # "yes" without bindings rather than fail the query.
-                self._note_incident(state, "binding recovery faulted")
+                self._note_incident(form, "binding recovery faulted")
         return SystemAnswer(
             proved=result.succeeded,
             substitution=substitution,
@@ -603,26 +611,26 @@ class SelfOptimizingQueryProcessor:
         self,
         query: Atom,
         database: Database,
-        state: Optional[FormState] = None,
+        form: QueryForm,
         incident: Optional[str] = None,
         spent: float = 0.0,
         climbed: bool = False,
     ) -> SystemAnswer:
-        """Answer ``query`` with the fallback engine; every degraded
-        answer comes through here.
+        """Answer ``query`` (of ``form``) with the fallback engine;
+        every degraded answer comes through here.
 
-        ``incident`` says why the learned path of ``state``'s form gave
-        up after billing ``spent``; it is recorded and the answer is
+        ``incident`` says why the form's learned path gave up after
+        billing ``spent``; it is logged on the form and the answer is
         degraded.  Without one the form is uncompilable and the
         fallback is its normal path.  A fallback whose every attempt
-        faulted is recorded as an incident too, and answers a degraded
+        faulted is logged as an incident too, and answers a degraded
         "no".
         """
         if incident is not None:
-            self._note_incident(state, incident)
+            self._note_incident(form, incident)
         answer, fallback_incident = self._prove_fallback(query, database)
         if answer is None:
-            self._note_incident(state, fallback_incident)
+            self._note_incident(form, fallback_incident)
             if incident is not None:
                 fallback_incident = f"{incident}; {fallback_incident}"
             return SystemAnswer(
@@ -631,7 +639,6 @@ class SelfOptimizingQueryProcessor:
                 cost=spent,
                 learned=False,
                 climbed=climbed,
-                degraded=True,
                 incident=fallback_incident,
             )
         return SystemAnswer(
@@ -640,7 +647,6 @@ class SelfOptimizingQueryProcessor:
             cost=spent + answer.trace.cost,
             learned=False,
             climbed=climbed,
-            degraded=incident is not None,
             incident=incident,
         )
 
@@ -663,10 +669,12 @@ class SelfOptimizingQueryProcessor:
     def report(self) -> Dict[str, Dict[str, object]]:
         """Per-form learning status, keyed by the printed form.
 
-        Under a resilience policy each form also reports its incident
-        log (degradations, checkpoint-recovery failures) and its
-        checkpoint activity; the policy-wide health counters live under
-        the ``"resilience"`` key.
+        Every form with incidents — compiled or uncompilable — lists
+        them under ``"incidents"`` (degradations, partial executions,
+        faulted fallbacks, checkpoint-recovery failures); compiled
+        forms also report their checkpoint activity, and the
+        policy-wide health counters live under the ``"resilience"``
+        key.
         """
         summary: Dict[str, Dict[str, object]] = {}
         for form, state in self._states.items():
@@ -679,8 +687,8 @@ class SelfOptimizingQueryProcessor:
             }
             if isinstance(state.learner, DriftAwarePIB):
                 entry["drift"] = state.learner.drift_report()
-            if state.incidents:
-                entry["incidents"] = list(state.incidents)
+            if form in self._incidents:
+                entry["incidents"] = list(self._incidents[form])
             if state.checkpoint_path is not None:
                 entry["checkpoint"] = {
                     "path": state.checkpoint_path,
@@ -696,6 +704,8 @@ class SelfOptimizingQueryProcessor:
             summary[str(form)] = entry
         for form, reason in self._uncompilable.items():
             summary[str(form)] = {"fallback": reason}
+            if form in self._incidents:
+                summary[str(form)]["incidents"] = list(self._incidents[form])
         if self.resilience is not None:
             summary["resilience"] = self.resilience.snapshot()
         if self.experience_store is not None:

@@ -269,7 +269,7 @@ def check_cache_effects(spec: WorldSpec) -> Optional[str]:
 
     Runs the batch with the spec's cache tiers enabled and with both
     disabled; per query, provability and bindings must agree, a cached
-    answer must be billed zero, and no degraded answer may be served
+    answer must be billed zero, and only a clean answer may be served
     from cache.
     """
     cached_spec = (
@@ -299,8 +299,8 @@ def check_cache_effects(spec: WorldSpec) -> Optional[str]:
                 f"cached answer #{index} billed {cached_answer.cost} "
                 f"instead of zero"
             )
-        if cached_answer.cached and cached_answer.degraded:
-            return f"degraded answer #{index} was served from cache"
+        if cached_answer.cached and not cached_answer.clean:
+            return f"unclean answer #{index} was served from cache"
     return None
 
 

@@ -415,15 +415,15 @@ class TestDegradeToCachedPartialAnswers:
                              cache=CacheConfig(answer_capacity=8))
         warm = server.run_requests(burst(1), store)
         assert warm[0].served
-        assert warm[0].completeness is not None
-        assert warm[0].completeness.partial
+        assert warm[0].answer is not None
+        assert warm[0].answer.completeness.partial
         stormy = server.run_requests(burst(4), store)
         degraded = [o for o in stormy if o.degraded]
         assert degraded, "overflow should salvage the stale answer"
         for outcome in degraded:
             assert outcome.answer.degraded
-            assert outcome.completeness.partial
-            assert owner in outcome.completeness.missing_shards
+            assert outcome.answer.completeness.partial
+            assert owner in outcome.answer.completeness.missing_shards
 
     def test_partial_warm_never_feeds_coherent_cache(self):
         _, store = self.dark_grad_store()

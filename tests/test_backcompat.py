@@ -28,7 +28,7 @@ FORMER_KEYWORDS = {
     "checkpoint_dir": "checkpoints",
     "checkpoint_every": 7,
     "drift": DriftConfig(),
-    "experience": ExperienceConfig.default_enabled(),
+    "experience": ExperienceConfig(),
 }
 
 
@@ -130,8 +130,8 @@ class TestExperienceAlongsideCheckpoints:
         return SessionConfig(
             checkpoint_dir=str(tmp_path / "ckpt"),
             checkpoint_every=1,
-            experience=ExperienceConfig.default_enabled(
-                str(tmp_path / "exp.json")
+            experience=ExperienceConfig(
+                path=str(tmp_path / "exp.json")
             ),
         )
 
@@ -170,8 +170,8 @@ class TestExperienceAlongsideCheckpoints:
         second = SelfOptimizingQueryProcessor(
             university_rule_base(),
             config=SessionConfig(
-                experience=ExperienceConfig.default_enabled(
-                    str(tmp_path / "exp.json")
+                experience=ExperienceConfig(
+                    path=str(tmp_path / "exp.json")
                 )
             ),
         )

@@ -30,6 +30,7 @@ from repro.experience import (
 )
 from repro.graphs.inference_graph import GraphBuilder
 from repro.learning.pib import PIB
+from repro.persistence import read_checked_json
 from repro.serving.config import ExperienceConfig, SessionConfig
 from repro.workloads import g_a, intended_probabilities, theta_1
 from repro.workloads.distributions import IndependentDistribution
@@ -219,7 +220,7 @@ class TestPersistence:
         payload["records"] = []
         (tmp_path / "exp.json").write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="checksum"):
-            ExperienceStore._load_payload(path)
+            read_checked_json(path, "experience store")
 
     def test_missing_file_is_empty_store(self, tmp_path):
         store = ExperienceStore.open(str(tmp_path / "nope.json"))
@@ -334,13 +335,23 @@ class TestExperienceConfig:
             experience_neighbours=5,
         )
         assert config.experience == ExperienceConfig(
-            path="x.json", enabled=True, neighbour_k=5
+            path="x.json", neighbour_k=5
         )
 
     def test_from_options_path_implies_enabled(self):
         config = SessionConfig.from_options(experience_path="x.json")
-        assert config.experience is not None
-        assert config.experience.enabled
+        assert config.experience == ExperienceConfig(path="x.json")
+
+    def test_passed_config_opens_the_store(self, tmp_path):
+        # A config object is the switch: there is no separate flag
+        # that could leave a configured store silently closed.
+        path = str(tmp_path / "exp.json")
+        processor = repro.SelfOptimizingQueryProcessor(
+            parse_program(RULES),
+            config=SessionConfig(experience=ExperienceConfig(path=path)),
+        )
+        assert processor.experience_store is not None
+        assert processor.report()["experience"]["path"] == path
 
     def test_from_options_off_by_default(self):
         assert SessionConfig.from_options().experience is None
@@ -348,7 +359,7 @@ class TestExperienceConfig:
     def test_with_overrides(self):
         base = SessionConfig()
         changed = base.with_overrides(
-            experience=ExperienceConfig.default_enabled("x.json")
+            experience=ExperienceConfig(path="x.json")
         )
         assert changed.experience.path == "x.json"
         assert base.experience is None
@@ -366,7 +377,7 @@ class TestLegacyKeyword:
             warnings.simplefilter("error")
             with pytest.raises(TypeError, match="experience"):
                 repro.SelfOptimizingQueryProcessor(
-                    rules, experience=ExperienceConfig.default_enabled()
+                    rules, experience=ExperienceConfig()
                 )
 
     def test_mixing_with_config_raises(self):
@@ -375,7 +386,7 @@ class TestLegacyKeyword:
             repro.SelfOptimizingQueryProcessor(
                 rules,
                 config=SessionConfig(),
-                experience=ExperienceConfig.default_enabled(),
+                experience=ExperienceConfig(),
             )
 
 
@@ -390,8 +401,8 @@ class TestSessionLifecycle:
 
     def _config(self, tmp_path):
         return SessionConfig(
-            experience=ExperienceConfig.default_enabled(
-                str(tmp_path / "exp.json")
+            experience=ExperienceConfig(
+                path=str(tmp_path / "exp.json")
             )
         )
 

@@ -142,7 +142,7 @@ class TestAnswerCache:
 
         degraded = SystemAnswer(
             proved=False, substitution=Substitution(), cost=1.0,
-            learned=False, degraded=True, incident="deadline",
+            learned=False, incident="deadline",
         )
         cache = AnswerCache(8)
         assert not cache.store(

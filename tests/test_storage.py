@@ -177,10 +177,6 @@ class TestCompleteness:
     def test_missing_of_nothing_is_complete(self):
         assert Completeness.missing([]) is COMPLETE
 
-    def test_complete_cannot_name_missing_shards(self):
-        with pytest.raises(ValueError):
-            Completeness(complete=True, missing_shards=("s0",))
-
 
 def dark_store(signature, **kwargs):
     """A federated store whose shard owning ``signature`` always faults."""

@@ -250,6 +250,25 @@ class TestUncompilableFallbackHardening:
             answer.incident
         ]
 
+    def test_failed_fallback_is_listed_in_report(self):
+        """An uncompilable form has no learner, yet ``report()`` lists
+        its incidents under the form, beside why it never compiled."""
+        rules = parse_program(TC_RULES)
+        plan = FaultPlan(seed=0, per_arc={"e": FaultSpec(fail_first=99)})
+        processor = SelfOptimizingQueryProcessor(
+            rules,
+            config=SessionConfig(
+                resilience=policy(retry=RetryPolicy(max_attempts=2))
+            ),
+        )
+        answer = processor.query(
+            parse_query("tc(a, c)"),
+            FlakyDatabase(Database.from_program(TC_FACTS), plan),
+        )
+        entry = processor.report()["tc^(b,b)"]
+        assert "recursive" in entry["fallback"]
+        assert entry["incidents"] == [answer.incident]
+
 
 TC_RULES = """
 tc(X, Y) :- e(X, Y).
