@@ -1550,7 +1550,7 @@ def experiment_overload(
         chaos_server.run_requests(requests[:half], flaky)
     )
     for k in range(forms):  # the drift: every form's facts move
-        flaky.inner.add(parse_atom(f"common{k}(drifted)"))
+        flaky.add(parse_atom(f"common{k}(drifted)"))
     chaos_outcomes.extend(
         chaos_server.run_requests(requests[half:], flaky)
     )

@@ -18,11 +18,12 @@ values.  (The argument index originally used ``set`` buckets, which
 leaked hash ordering into answer enumeration; the serving layer's
 byte-identity guarantees forbid that.)
 
-The store also keeps simple relation statistics (fact counts per
-relation), which the [Smi89] fact-distribution heuristic baseline
-(:mod:`repro.optimal.smith`) consumes, and caches the set of live
-relation signatures so the engine's per-retrieval "is this relation
-extensional?" check is O(1) instead of rebuilding a set per call.
+The relation catalog — fact counts per relation, which the [Smi89]
+fact-distribution heuristic baseline (:mod:`repro.optimal.smith`)
+consumes, and the live signature set behind the engine's O(1)
+per-retrieval "is this relation extensional?" check — belongs to the
+:class:`~repro.storage.interface.FactStore` base, which every
+effective write reports to.
 
 For the serving caches it keeps one *stamp* per read key (see
 :mod:`repro.storage.interface`): the generation of the last effective
@@ -34,10 +35,10 @@ version of exactly the read sets that can observe it.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import DatalogError
-from ..storage.interface import FactStore, ReadKey, bucket_keys, next_store_id
+from ..storage.interface import FactStore, ReadKey, bucket_keys
 from .terms import EMPTY_SUBSTITUTION, Atom, Constant, Substitution, Variable
 
 __all__ = ["Database"]
@@ -50,44 +51,33 @@ class Database(FactStore):
     insertion order — including enumeration through the per-argument
     indexes — which keeps retrieval enumeration deterministic.
 
-    Every mutation that actually changes the stored fact set bumps
-    :attr:`generation` and then stamps the relation and index buckets
-    it touched with the new generation.  Stamps only grow and are
-    never deleted — a bucket that empties keeps its stamp — so
-    :meth:`version` over a read set changes exactly when a fact under
-    it is added or removed.
+    Every mutation that actually changes the stored fact set is
+    recorded with the base, which bumps :attr:`generation`, and then
+    stamps the relation and index buckets it touched with the new
+    generation.  Stamps only grow and are never deleted — a bucket that
+    empties keeps its stamp — so :meth:`version` over a read set
+    changes exactly when a fact under it is added or removed.
+
+    Stamps are written only once the relation and *every* index bucket
+    show the mutation: a probe may enumerate through any bound
+    position's bucket, so a reader that sees the new stamp on one key
+    must already see the new facts through all of them.  A reader that
+    reads the old stamp and then sees new facts merely caches a fresh
+    answer under a version no later reader will look up.
     """
 
     def __init__(self, facts: Iterable[Atom] = ()):
+        super().__init__()
         self._facts: Dict[Tuple[str, int], Dict[Atom, None]] = defaultdict(dict)
         # Insertion-ordered buckets (dict-as-ordered-set): enumeration
         # through an index bucket must match insertion order.
         self._arg_index: Dict[
             Tuple[str, int, int, Constant], Dict[Atom, None]
         ] = defaultdict(dict)
-        self._signatures: Set[Tuple[str, int]] = set()
-        self._size = 0
-        self._id = next_store_id()
-        self._generation = 0
         #: Read key -> generation of its last effective mutation.
         self._stamps: Dict[ReadKey, int] = {}
         for fact in facts:
             self.add(fact)
-
-    @property
-    def generation(self) -> int:
-        """Mutation counter: bumped by every effective add/remove."""
-        return self._generation
-
-    @property
-    def cache_key(self) -> Tuple[int, int]:
-        """A token identifying this database *state*: (identity,
-        generation).  Two equal tokens guarantee identical retrieval
-        behaviour, which is what cache entries are allowed to rely on.
-        The identity component is a process-wide monotonic counter, not
-        ``id(self)`` — ``id()`` values can be reused after garbage
-        collection and alias two distinct databases."""
-        return (self._id, self._generation)
 
     def version(self, keys: Iterable[ReadKey]) -> int:
         """The newest stamp among ``keys`` (0 for keys never mutated)."""
@@ -98,39 +88,6 @@ class Database(FactStore):
             if stamp > newest:
                 newest = stamp
         return newest
-
-    def _stamp(self, signature: Tuple[str, int], keys: List[ReadKey]) -> None:
-        """Bump the generation and stamp one mutation's relation and
-        bucket keys with it.
-
-        Called only once the relation and *every* index bucket show the
-        mutation: a probe may enumerate through any bound position's
-        bucket, so a reader that sees the new stamp on one key must
-        already see the new facts through all of them.  A reader that
-        reads the old stamp and then sees new facts merely caches a
-        fresh answer under a version no later reader will look up.
-        """
-        self._generation = generation = self._generation + 1
-        stamps = self._stamps
-        stamps[signature] = generation
-        for key in keys:
-            stamps[key] = generation
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_program(cls, text: str) -> "Database":
-        """Build a database from Datalog source containing only facts."""
-        from .parser import parse_program
-
-        database = cls()
-        for rule in parse_program(text):
-            if not rule.is_fact:
-                raise DatalogError(f"not a fact: {rule}")
-            database.add(rule.head)
-        return database
 
     def copy(self) -> "Database":
         """An independent copy of the database."""
@@ -155,9 +112,11 @@ class Database(FactStore):
         arg_index = self._arg_index
         for key in keys:
             arg_index[key][fact] = None
-        self._signatures.add(signature)
-        self._size += 1
-        self._stamp(signature, keys)
+        generation = self._record_write(fact, 1)
+        stamps = self._stamps
+        stamps[signature] = generation
+        for key in keys:
+            stamps[key] = generation
         return True
 
     def remove(self, fact: Atom) -> bool:
@@ -174,15 +133,12 @@ class Database(FactStore):
                 bucket.pop(fact, None)
                 if not bucket:
                     del self._arg_index[key]
-        if not relation:
-            self._signatures.discard(signature)
-        self._size -= 1
-        self._stamp(signature, keys)
+        generation = self._record_write(fact, -1)
+        stamps = self._stamps
+        stamps[signature] = generation
+        for key in keys:
+            stamps[key] = generation
         return True
-
-    def update(self, facts: Iterable[Atom]) -> int:
-        """Add many facts; returns how many were new."""
-        return sum(1 for fact in facts if self.add(fact))
 
     # ------------------------------------------------------------------
     # Retrieval
@@ -192,9 +148,6 @@ class Database(FactStore):
         relation = self._facts.get(fact.signature)
         return bool(relation) and fact in relation
 
-    def __len__(self) -> int:
-        return self._size
-
     def __iter__(self) -> Iterator[Atom]:
         for relation in self._facts.values():
             yield from relation
@@ -202,31 +155,6 @@ class Database(FactStore):
     def relation(self, predicate: str, arity: int) -> List[Atom]:
         """All facts of one relation, in insertion order."""
         return list(self._facts.get((predicate, arity), ()))
-
-    def count(self, predicate: str, arity: Optional[int] = None) -> int:
-        """Number of facts for a relation.
-
-        With ``arity=None`` the counts of all arities of ``predicate``
-        are summed; this is the statistic the [Smi89] heuristic uses
-        (e.g. "2,000 facts of the form ``prof^(b)``").
-        """
-        if arity is not None:
-            return len(self._facts.get((predicate, arity), ()))
-        return sum(
-            len(facts)
-            for (name, _arity), facts in self._facts.items()
-            if name == predicate
-        )
-
-    def signatures(self) -> Set[Tuple[str, int]]:
-        """All relation signatures with at least one fact.
-
-        Returns the live cached set (maintained incrementally by
-        ``add``/``remove``) — treat it as read-only.  The engine checks
-        it once per attempted retrieval, so rebuilding it per call was
-        a top profile frame.
-        """
-        return self._signatures
 
     def _candidates(self, pattern: Atom) -> Iterable[Atom]:
         """Facts that could match ``pattern``, using the tightest index.
@@ -303,12 +231,6 @@ class Database(FactStore):
                     break
             else:
                 yield fact
-
-    def succeeds(self, pattern: Atom) -> bool:
-        """Whether at least one fact matches ``pattern`` (satisficing)."""
-        for _ in self.retrieve(pattern):
-            return True
-        return False
 
     def __repr__(self) -> str:
         return f"Database({self._size} facts)"

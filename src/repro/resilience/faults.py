@@ -16,25 +16,26 @@ suite and the chaos benches is a deterministic function of a seed:
   so that attempting an arc may raise
   :class:`~repro.errors.RetrievalFaultError` (transiently — the
   underlying blocked/unblocked truth is unchanged);
-* :class:`FlakyDatabase` — wraps a Datalog
-  :class:`~repro.datalog.database.Database` so the self-optimizing
-  processor's lazy retrievals fault at the storage layer, keyed by
-  predicate name.
+* :class:`FlakyDatabase` — a Datalog
+  :class:`~repro.datalog.database.Database` whose probes first draw
+  from a plan keyed by predicate name, so the self-optimizing
+  processor's lazy retrievals fault at the storage layer.
 
 Faults are *transient* by construction: retrying the same attempt
 re-draws from the plan, and the settled outcome always reflects the
-wrapped context or database.  Nothing here ever changes an answer —
-only whether (and at what cost) the answer is reachable on a given
-attempt.
+wrapped context or the stored facts.  Nothing here ever changes an
+answer — only whether (and at what cost) the answer is reachable on a
+given attempt.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from ..datalog.database import Database
+from ..datalog.terms import Atom
 from ..errors import DistributionError, RetrievalFaultError
 from ..graphs.contexts import Context
 from ..graphs.inference_graph import Arc, ArcKind
@@ -259,18 +260,21 @@ class FlakyContext(Context):
 
 
 class FlakyDatabase(Database):
-    """A database whose retrievals transiently fault, keyed by predicate.
+    """A database whose probes transiently fault, keyed by predicate.
 
-    Wraps an inner :class:`Database` for use behind
-    :class:`~repro.graphs.contexts.LazyDatalogContext`: the
-    self-optimizing processor's own retrievals then fault at the
+    Meant for use behind :class:`~repro.graphs.contexts.LazyDatalogContext`:
+    the self-optimizing processor's own retrievals then fault at the
     storage layer, exactly where a deployed system would see them.
-    Only the probing entry points (:meth:`succeeds`,
-    :meth:`retrieve`) inject; mutation and iteration pass through.
+    ``facts`` load in enumeration order, so a freshly loaded
+    :class:`Database` passed in is copied with its generation.  Only
+    the probing entry points draw from ``plan`` first —
+    :meth:`retrieve`, :meth:`facts_matching`, and ``succeeds`` through
+    ``retrieve``; mutation, iteration, the catalog and read versions
+    are the database's own.
     """
 
-    def __init__(self, inner: Database, plan: FaultPlan):
-        self._inner = inner
+    def __init__(self, facts: Iterable[Atom], plan: FaultPlan):
+        super().__init__(facts)
         self.plan = plan
         #: Cost multipliers billed by non-faulting probes (latency
         #: spikes charge their factor, clean probes charge 1.0); the
@@ -282,25 +286,6 @@ class FlakyDatabase(Database):
         #: cost_multiplier)``.  ``None`` (default) keeps the hot path
         #: allocation-free.
         self.probe_log: Optional[list] = None
-
-    @property
-    def inner(self) -> Database:
-        return self._inner
-
-    @property
-    def generation(self) -> int:
-        return self._inner.generation
-
-    @property
-    def cache_key(self):
-        # Cache coherence tracks the settled store, not the fault
-        # process: a memo hit is simply a probe that cannot fault.
-        return self._inner.cache_key
-
-    def version(self, keys) -> int:
-        return self._inner.version(keys)
-
-    # -- probing (faultable) -------------------------------------------
 
     def _inject(self, pattern) -> None:
         """One injection draw, billed identically for every probing
@@ -328,49 +313,16 @@ class FlakyDatabase(Database):
             # counted in ``plan.injected_spikes`` but billed nowhere.
             self.billed_probe_cost += injection.cost_multiplier
 
-    def succeeds(self, pattern) -> bool:
-        self._inject(pattern)
-        return self._inner.succeeds(pattern)
-
     def retrieve(self, pattern) -> Iterator:
         self._inject(pattern)
-        return self._inner.retrieve(pattern)
+        return super().retrieve(pattern)
 
     def facts_matching(self, pattern) -> Iterator:
         self._inject(pattern)
-        return self._inner.facts_matching(pattern)
-
-    # -- passthrough ----------------------------------------------------
+        return super().facts_matching(pattern)
 
     def copy(self) -> "FlakyDatabase":
-        return FlakyDatabase(self._inner.copy(), self.plan)
-
-    def add(self, fact) -> bool:
-        return self._inner.add(fact)
-
-    def remove(self, fact) -> bool:
-        return self._inner.remove(fact)
-
-    def update(self, facts) -> int:
-        return self._inner.update(facts)
-
-    def __contains__(self, fact) -> bool:
-        return fact in self._inner
-
-    def __len__(self) -> int:
-        return len(self._inner)
-
-    def __iter__(self) -> Iterator:
-        return iter(self._inner)
-
-    def relation(self, predicate, arity):
-        return self._inner.relation(predicate, arity)
-
-    def count(self, predicate, arity=None) -> int:
-        return self._inner.count(predicate, arity)
-
-    def signatures(self):
-        return self._inner.signatures()
+        return FlakyDatabase(self, self.plan)
 
     def __repr__(self) -> str:
-        return f"Flaky({self._inner!r})"
+        return f"FlakyDatabase({len(self)} facts)"

@@ -52,7 +52,6 @@ __all__ = [
     "coerce_requests",
     "REASON_QUEUE_FULL",
     "REASON_OVER_QUOTA",
-    "REASON_OVER_CONCURRENCY",
     "REASON_DEADLINE",
     "REASON_DRAINING",
     "REASON_EVICTED",
@@ -60,6 +59,13 @@ __all__ = [
 
 #: Tenant attributed to plain (non-request) submissions.
 DEFAULT_TENANT = "default"
+
+#: A server's token-bucket burst size (max tokens a tenant accumulates).
+TENANT_BURST = 8
+#: Queue-depth fraction at which a server's health enters SHEDDING.
+SHED_THRESHOLD = 0.8
+#: Queue-depth fraction at which a server's health returns to HEALTHY.
+RECOVER_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -213,19 +219,16 @@ class TenantQuota:
     Every arrival (admitted or not) advances the global tick; each
     tenant's bucket refills ``rate`` tokens per tick up to ``burst``
     and admission spends one token.  ``rate == 0`` disables rate
-    limiting (every acquire succeeds).  A separate per-tenant
-    concurrency bound caps queued-but-unserved requests.
+    limiting (every acquire succeeds).
 
     Deterministic: state is a pure function of the arrival sequence.
     """
 
-    def __init__(self, rate: float, burst: int, concurrency: int = 0):
+    def __init__(self, rate: float, burst: int):
         self.rate = float(rate)
         self.burst = int(burst)
-        self.concurrency = int(concurrency)
         self._tokens: Dict[str, float] = {}
         self._last_tick: Dict[str, int] = {}
-        self._in_flight: Dict[str, int] = {}
         self._tick = 0
 
     def tick(self) -> int:
@@ -243,12 +246,8 @@ class TenantQuota:
         self._tokens[tenant] = tokens
         return tokens
 
-    def over_concurrency(self, tenant: str) -> bool:
-        return (self.concurrency > 0
-                and self._in_flight.get(tenant, 0) >= self.concurrency)
-
     def try_acquire(self, tenant: str) -> bool:
-        """Spend one token (rate limit only; concurrency is separate)."""
+        """Spend one token."""
         if self.rate <= 0:
             return True
         tokens = self._refill(tenant)
@@ -256,12 +255,6 @@ class TenantQuota:
             return False
         self._tokens[tenant] = tokens - 1.0
         return True
-
-    def enter(self, tenant: str) -> None:
-        self._in_flight[tenant] = self._in_flight.get(tenant, 0) + 1
-
-    def leave(self, tenant: str) -> None:
-        self._in_flight[tenant] = max(0, self._in_flight.get(tenant, 0) - 1)
 
     def snapshot(self) -> Dict[str, object]:
         return {
@@ -280,7 +273,6 @@ class TenantQuota:
 #: Reason strings carried by rejected/degraded outcomes.
 REASON_QUEUE_FULL = "queue-full"
 REASON_OVER_QUOTA = "over-quota"
-REASON_OVER_CONCURRENCY = "over-concurrency"
 REASON_DEADLINE = "deadline-expired-in-queue"
 REASON_DRAINING = "draining"
 REASON_EVICTED = "evicted-over-quota"

@@ -261,12 +261,9 @@ class AdmissionConfig:
     #: Bounded per-form queue capacity (the backpressure bound).
     queue_capacity: int = 64
     #: Token-bucket refill per arrival tick (tokens a tenant earns each
-    #: time *any* request arrives).  ``0`` disables rate limiting.
+    #: time *any* request arrives).  ``0`` disables rate limiting.  The
+    #: bucket holds at most :data:`~repro.serving.admission.TENANT_BURST`.
     tenant_rate: float = 0.0
-    #: Token-bucket burst size (max accumulated tokens).
-    tenant_burst: int = 8
-    #: Max queued-but-unserved requests per tenant (``0``: unlimited).
-    tenant_concurrency: int = 0
     #: What to do with the overflow (see class docstring).
     shed_policy: str = "reject-newest"
     #: Default per-request latency budget in cost units (wait + service
@@ -274,20 +271,12 @@ class AdmissionConfig:
     #: with the resilience layer's :class:`CostDeadline`, which bounds
     #: the *execution* alone.
     deadline: Optional[float] = None
-    #: Queue-depth fraction at which health enters SHEDDING.
-    shed_threshold: float = 0.8
-    #: Queue-depth fraction at which health returns to HEALTHY.
-    recover_threshold: float = 0.5
 
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be at least 1")
         if self.tenant_rate < 0:
             raise ValueError("tenant_rate cannot be negative")
-        if self.tenant_burst < 1:
-            raise ValueError("tenant_burst must be at least 1")
-        if self.tenant_concurrency < 0:
-            raise ValueError("tenant_concurrency cannot be negative")
         if self.shed_policy not in SHED_POLICIES:
             raise ValueError(
                 f"unknown shed_policy {self.shed_policy!r}; expected one "
@@ -295,10 +284,6 @@ class AdmissionConfig:
             )
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError("deadline must be positive")
-        if not 0.0 < self.recover_threshold <= self.shed_threshold <= 1.0:
-            raise ValueError(
-                "need 0 < recover_threshold <= shed_threshold <= 1"
-            )
 
 
 @dataclass(frozen=True)

@@ -42,9 +42,11 @@ from .admission import (
     REASON_DEADLINE,
     REASON_DRAINING,
     REASON_EVICTED,
-    REASON_OVER_CONCURRENCY,
     REASON_OVER_QUOTA,
     REASON_QUEUE_FULL,
+    RECOVER_THRESHOLD,
+    SHED_THRESHOLD,
+    TENANT_BURST,
     AdmissionQueue,
     HealthTracker,
     LoadShedder,
@@ -109,18 +111,16 @@ class QueryServer:
         admission = self.serving.admission
         if admission is not None:
             self._quota: Optional[TenantQuota] = TenantQuota(
-                admission.tenant_rate,
-                admission.tenant_burst,
-                admission.tenant_concurrency,
+                admission.tenant_rate, TENANT_BURST
             )
             self._shedder: Optional[LoadShedder] = LoadShedder(
                 admission.shed_policy
             )
             self._health: Optional[HealthTracker] = HealthTracker(
-                admission.shed_threshold, admission.recover_threshold
+                SHED_THRESHOLD, RECOVER_THRESHOLD
             )
             self._queues: Dict[QueryForm, AdmissionQueue] = {}
-            #: Guards shedder/quota/counter mutations reachable from
+            #: Guards shedder and counter mutations reachable from
             #: dispatch worker threads.
             self._admission_lock = threading.Lock()
         else:
@@ -336,10 +336,6 @@ class QueryServer:
             if health.state is ServerHealth.DRAINING:
                 slots[index] = self._shed(request, REASON_DRAINING, database)
                 continue
-            if quota.over_concurrency(tenant):
-                slots[index] = self._shed(request, REASON_OVER_CONCURRENCY,
-                                          database)
-                continue
             if not quota.try_acquire(tenant):
                 slots[index] = self._shed(request, REASON_OVER_QUOTA,
                                           database)
@@ -353,25 +349,22 @@ class QueryServer:
             proactive = (health.state is ServerHealth.SHEDDING
                          and not queue.full
                          and len(queue)
-                         >= admission.shed_threshold * queue.capacity
+                         >= SHED_THRESHOLD * queue.capacity
                          and queue.tenant_depths().get(tenant, 0) > 0)
             if proactive or queue.full:
                 victim = (None if proactive
                           else shedder.overflow_victim(queue, request))
                 if victim is not None:
                     victim_seq, victim_request = victim
-                    quota.leave(victim_request.tenant)
                     slots[victim_seq] = self._shed(
                         victim_request, REASON_EVICTED, database
                     )
                     queue.push(request, index, admission.deadline)
-                    quota.enter(tenant)
                 else:
                     slots[index] = self._shed(request, REASON_QUEUE_FULL,
                                               database)
             else:
                 queue.push(request, index, admission.deadline)
-                quota.enter(tenant)
             if recorder.enabled:
                 recorder.queue_depth(str(form), len(queue))
             self._update_health()
@@ -388,15 +381,11 @@ class QueryServer:
                             if request.deadline is not None
                             else admission.deadline)
                 if deadline is not None and clock >= deadline:
-                    with self._admission_lock:
-                        quota.leave(request.tenant)
                     slots[seq] = self._shed(request, REASON_DEADLINE,
                                             database)
                     continue
                 answer = self._serve(request.query, form, database)
                 clock += answer.cost + 1.0
-                with self._admission_lock:
-                    quota.leave(request.tenant)
                 slots[seq] = RequestOutcome(
                     request, "served", answer=answer, latency=clock
                 )

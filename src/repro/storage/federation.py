@@ -68,7 +68,7 @@ from ..datalog.terms import Atom, Substitution
 from ..errors import DatalogError
 from ..resilience.circuit import CircuitBreaker
 from ..resilience.faults import FaultPlan, FaultSpec
-from .interface import Completeness, FactStore, ProbeWindow, next_store_id
+from .interface import Completeness, FactStore, ProbeWindow
 
 __all__ = ["ShardSpec", "Shard", "ProbeWindow", "FederatedStore"]
 
@@ -194,13 +194,8 @@ class FederatedStore(FactStore):
                 )
             },
         )
-        # -- catalog (administrative, never faults) --------------------
-        self._relation_order: List[Tuple[str, int]] = []
-        self._signatures: Set[Tuple[str, int]] = set()
-        self._counts: Dict[Tuple[str, int], int] = {}
-        self._size = 0
-        self._id = next_store_id()
-        self._generation = 0
+        # The catalog is administrative: it never faults.
+        super().__init__()
         # -- telemetry -------------------------------------------------
         self.billed_cost = 0.0
         self.probes = 0
@@ -209,18 +204,6 @@ class FederatedStore(FactStore):
         self._window = threading.local()
         for fact in facts:
             self.add(fact)
-
-    # ------------------------------------------------------------------
-    # Identity & coherence
-    # ------------------------------------------------------------------
-
-    @property
-    def generation(self) -> int:
-        return self._generation
-
-    @property
-    def cache_key(self) -> Tuple[int, int]:
-        return (self._id, self._generation)
 
     # ------------------------------------------------------------------
     # Routing
@@ -340,34 +323,21 @@ class FederatedStore(FactStore):
             raise TypeError("facts must be Atoms")
         if not fact.is_ground:
             raise DatalogError(f"facts must be ground, got {fact}")
-        signature = fact.signature
-        shard = self.shard_for(signature)
+        shard = self.shard_for(fact.signature)
         if not shard.primary.add(fact):
             return False
         if shard.replica is not None:
             shard.replica.add(fact)
-        if signature not in self._counts:
-            self._relation_order.append(signature)
-            self._counts[signature] = 0
-        self._signatures.add(signature)
-        self._counts[signature] += 1
-        self._size += 1
-        self._generation += 1
+        self._record_write(fact, 1)
         return True
 
     def remove(self, fact: Atom) -> bool:
-        signature = fact.signature
-        shard = self.shard_for(signature)
+        shard = self.shard_for(fact.signature)
         if not shard.primary.remove(fact):
             return False
         if shard.replica is not None:
             shard.replica.remove(fact)
-        count = self._counts[signature] - 1
-        self._counts[signature] = count
-        if count == 0:
-            self._signatures.discard(signature)
-        self._size -= 1
-        self._generation += 1
+        self._record_write(fact, -1)
         return True
 
     # ------------------------------------------------------------------
@@ -379,44 +349,14 @@ class FederatedStore(FactStore):
             return False
         return fact in self.shard_for(fact.signature).primary
 
-    def __len__(self) -> int:
-        return self._size
-
-    def __iter__(self) -> Iterator[Atom]:
-        for signature in self._relation_order:
-            yield from self.shard_for(signature).primary.relation(*signature)
-
     def relation(self, predicate: str, arity: int) -> List[Atom]:
         return self.shard_for((predicate, arity)).primary.relation(
             predicate, arity
         )
 
-    def count(self, predicate: str, arity: Optional[int] = None) -> int:
-        if arity is not None:
-            return self._counts.get((predicate, arity), 0)
-        return sum(
-            count
-            for (name, _arity), count in self._counts.items()
-            if name == predicate
-        )
-
-    def signatures(self) -> Set[Tuple[str, int]]:
-        return self._signatures
-
     # ------------------------------------------------------------------
     # Whole-store operations
     # ------------------------------------------------------------------
-
-    @classmethod
-    def from_program(cls, text: str, **kwargs) -> "FederatedStore":
-        from ..datalog.parser import parse_program
-
-        store = cls(**kwargs)
-        for rule in parse_program(text):
-            if not rule.is_fact:
-                raise DatalogError(f"not a fact: {rule}")
-            store.add(rule.head)
-        return store
 
     def copy(self) -> "FederatedStore":
         """An equivalent store: same topology, same seed, *fresh* fault

@@ -32,6 +32,16 @@ set and billed remote latency for one query.  Backends that are always
 complete keep the defaults: an empty, trivially :data:`COMPLETE` window
 that bills nothing.
 
+**What the base owns.**  :class:`FactStore` keeps everything the
+backends share: the store identity and :attr:`~FactStore.generation`,
+the relation catalog (``signatures``, ``count``, ``__len__`` and the
+relations' first-insertion order) and :meth:`~FactStore.from_program`.
+A backend implements its physical storage — ``add``/``remove``, the
+probes, ``relation``, ``__contains__``, ``copy`` — and reports every
+*effective* insert or delete through one base call,
+:meth:`~FactStore._record_write`, so one method sees every write of
+every backend.
+
 **Read keys and versions.**  What a probe can observe is named in one
 vocabulary, shared by every backend's :meth:`FactStore.version` and by
 the serving caches' read sets:
@@ -54,6 +64,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    Dict,
     Iterable,
     Iterator,
     List,
@@ -61,6 +72,8 @@ from typing import (
     Set,
     Tuple,
 )
+
+from ..errors import DatalogError
 
 if TYPE_CHECKING:
     from ..datalog.terms import Atom, Substitution
@@ -178,24 +191,39 @@ _EMPTY_WINDOW = ProbeWindow()
 class FactStore(ABC):
     """Abstract base for ground-fact storage backends.
 
-    Subclasses must preserve the module-level contract above —
-    especially the enumeration-order guarantee — and bump
-    :attr:`generation` on every *effective* mutation, since the
-    serving caches key on ``cache_key = (identity, generation)`` or on
-    :meth:`version`.
+    A subclass calls ``super().__init__()`` before loading facts, keeps
+    the module-level contract — especially the enumeration-order
+    guarantee — and calls :meth:`_record_write` once per *effective*
+    mutation, since the serving caches key on ``cache_key = (identity,
+    generation)`` or on :meth:`version`.
     """
+
+    def __init__(self) -> None:
+        self._id = next_store_id()
+        self._generation = 0
+        #: Facts per relation, in relation first-insertion order.  An
+        #: emptied relation keeps its entry, and so its ``__iter__`` slot.
+        self._counts: Dict[Tuple[str, int], int] = {}
+        #: The relations holding at least one fact.
+        self._signatures: Set[Tuple[str, int]] = set()
+        self._size = 0
 
     # -- identity & coherence ------------------------------------------
 
     @property
-    @abstractmethod
     def generation(self) -> int:
         """Mutation counter: bumped by every effective add/remove."""
+        return self._generation
 
     @property
-    @abstractmethod
     def cache_key(self) -> Tuple[int, int]:
-        """``(identity, generation)`` — the token cache entries rely on."""
+        """A token identifying this store *state*: ``(identity,
+        generation)``.  Two equal tokens guarantee identical retrieval
+        behaviour, which is what cache entries are allowed to rely on.
+        The identity is a process-wide counter shared by every backend,
+        not ``id(self)``, which can be reused after garbage collection
+        and alias two distinct stores."""
+        return (self._id, self._generation)
 
     def version(self, keys: Iterable[ReadKey]) -> int:
         """A version of the facts under ``keys`` (see the module notes).
@@ -220,6 +248,26 @@ class FactStore(ABC):
     def update(self, facts: Iterable["Atom"]) -> int:
         """Add many facts; returns how many were new."""
         return sum(1 for fact in facts if self.add(fact))
+
+    def _record_write(self, fact: "Atom", delta: int) -> int:
+        """Record one effective physical insert (``delta=1``) or delete
+        (``delta=-1``) of ``fact``: update the catalog, bump the
+        generation and return the new one.
+
+        Every backend calls this exactly once per write that changed
+        its stored fact set, after the write is visible to every probe.
+        """
+        signature = fact.signature
+        counts = self._counts
+        count = counts.get(signature, 0) + delta
+        counts[signature] = count
+        if count:
+            self._signatures.add(signature)
+        else:
+            self._signatures.discard(signature)
+        self._size += delta
+        self._generation = generation = self._generation + 1
+        return generation
 
     # -- retrieval -----------------------------------------------------
 
@@ -253,19 +301,57 @@ class FactStore(ABC):
 
     # -- catalog -------------------------------------------------------
 
-    @abstractmethod
     def signatures(self) -> Set[Tuple[str, int]]:
-        """All relation signatures with at least one fact."""
+        """All relation signatures with at least one fact.
+
+        Returns the live set (maintained by :meth:`_record_write`) —
+        treat it as read-only.  The engine checks it once per attempted
+        retrieval, so rebuilding it per call was a top profile frame.
+        """
+        return self._signatures
 
     @abstractmethod
     def relation(self, predicate: str, arity: int) -> List["Atom"]:
         """All facts of one relation, in insertion order."""
 
-    @abstractmethod
     def count(self, predicate: str, arity: Optional[int] = None) -> int:
-        """Fact count for a relation (all arities when ``arity=None``)."""
+        """Number of facts for a relation.
+
+        With ``arity=None`` the counts of all arities of ``predicate``
+        are summed; this is the statistic the [Smi89] heuristic uses
+        (e.g. "2,000 facts of the form ``prof^(b)``").
+        """
+        if arity is not None:
+            return self._counts.get((predicate, arity), 0)
+        return sum(
+            count
+            for (name, _arity), count in self._counts.items()
+            if name == predicate
+        )
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator["Atom"]:
+        """Every fact: relations in first-insertion order, facts in
+        insertion order within each."""
+        for predicate, arity in self._counts:
+            yield from self.relation(predicate, arity)
 
     # -- whole-store operations ----------------------------------------
+
+    @classmethod
+    def from_program(cls, text: str, **kwargs) -> "FactStore":
+        """Build a store from Datalog source containing only facts;
+        ``kwargs`` go to the constructor."""
+        from ..datalog.parser import parse_program
+
+        store = cls(**kwargs)
+        for rule in parse_program(text):
+            if not rule.is_fact:
+                raise DatalogError(f"not a fact: {rule}")
+            store.add(rule.head)
+        return store
 
     @abstractmethod
     def copy(self) -> "FactStore":
@@ -273,9 +359,3 @@ class FactStore(ABC):
 
     @abstractmethod
     def __contains__(self, fact: "Atom") -> bool: ...
-
-    @abstractmethod
-    def __len__(self) -> int: ...
-
-    @abstractmethod
-    def __iter__(self) -> Iterator["Atom"]: ...

@@ -11,7 +11,8 @@ store's per-argument hash indexes).
 assigned per insert, so ``ORDER BY rowid`` reproduces fact insertion
 order exactly — including the removed-then-re-added-goes-last rule,
 because a re-insert allocates a fresh, larger rowid.  Relation order
-for ``__iter__`` is tracked python-side in first-insertion order.
+for ``__iter__`` is the :class:`~repro.storage.interface.FactStore`
+catalog's first-insertion order.
 Together these make every enumeration byte-identical to
 :class:`~repro.datalog.database.Database` on the same mutation
 history, which is what keeps the BENCH metrics backend-independent.
@@ -33,7 +34,7 @@ clauses on bound columns only *prune* the scan, exactly like
 from __future__ import annotations
 
 import sqlite3
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..datalog.terms import (
     EMPTY_SUBSTITUTION,
@@ -43,7 +44,7 @@ from ..datalog.terms import (
     Variable,
 )
 from ..errors import DatalogError
-from .interface import FactStore, next_store_id
+from .interface import FactStore
 
 __all__ = ["SQLiteFactStore"]
 
@@ -68,45 +69,11 @@ class SQLiteFactStore(FactStore):
         )
         self._conn.execute("PRAGMA synchronous=OFF")
         self._tables: Dict[Tuple[str, int], str] = {}
-        #: Relation signatures in first-insertion order (``__iter__``).
-        self._relation_order: List[Tuple[str, int]] = []
-        self._signatures: Set[Tuple[str, int]] = set()
-        self._counts: Dict[Tuple[str, int], int] = {}
         #: encoding -> the exact Constant it came from.
         self._constants: Dict[str, Constant] = {}
-        self._size = 0
-        self._id = next_store_id()
-        self._generation = 0
+        super().__init__()
         for fact in facts:
             self.add(fact)
-
-    # ------------------------------------------------------------------
-    # Identity & coherence
-    # ------------------------------------------------------------------
-
-    @property
-    def generation(self) -> int:
-        return self._generation
-
-    @property
-    def cache_key(self) -> Tuple[int, int]:
-        return (self._id, self._generation)
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_program(cls, text: str) -> "SQLiteFactStore":
-        """Build a store from Datalog source containing only facts."""
-        from ..datalog.parser import parse_program
-
-        store = cls()
-        for rule in parse_program(text):
-            if not rule.is_fact:
-                raise DatalogError(f"not a fact: {rule}")
-            store.add(rule.head)
-        return store
 
     def copy(self) -> "SQLiteFactStore":
         """An independent in-memory copy, preserving enumeration order."""
@@ -140,7 +107,6 @@ class SQLiteFactStore(FactStore):
                     f"CREATE INDEX {table}_i{i} ON {table} (c{i})"
                 )
             self._tables[signature] = table
-            self._relation_order.append(signature)
         return table
 
     def _row_for(self, fact: Atom) -> Tuple[str, ...]:
@@ -167,8 +133,7 @@ class SQLiteFactStore(FactStore):
             raise TypeError("facts must be Atoms")
         if not fact.is_ground:
             raise DatalogError(f"facts must be ground, got {fact}")
-        signature = fact.signature
-        table = self._table_for(signature)
+        table = self._table_for(fact.signature)
         row = self._row_for(fact)
         placeholders = ", ".join("?" for _ in row)
         cursor = self._conn.execute(
@@ -176,15 +141,11 @@ class SQLiteFactStore(FactStore):
         )
         if cursor.rowcount == 0:
             return False
-        self._signatures.add(signature)
-        self._counts[signature] = self._counts.get(signature, 0) + 1
-        self._size += 1
-        self._generation += 1
+        self._record_write(fact, 1)
         return True
 
     def remove(self, fact: Atom) -> bool:
-        signature = fact.signature
-        table = self._tables.get(signature)
+        table = self._tables.get(fact.signature)
         if table is None or not fact.is_ground:
             return False
         row = self._row_for(fact)
@@ -194,12 +155,7 @@ class SQLiteFactStore(FactStore):
         )
         if cursor.rowcount == 0:
             return False
-        count = self._counts[signature] - 1
-        self._counts[signature] = count
-        if count == 0:
-            self._signatures.discard(signature)
-        self._size -= 1
-        self._generation += 1
+        self._record_write(fact, -1)
         return True
 
     # ------------------------------------------------------------------
@@ -218,13 +174,6 @@ class SQLiteFactStore(FactStore):
             f"SELECT 1 FROM {table} WHERE {where} LIMIT 1", row
         )
         return cursor.fetchone() is not None
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __iter__(self) -> Iterator[Atom]:
-        for signature in self._relation_order:
-            yield from self._scan(signature)
 
     def _scan(
         self, signature: Tuple[str, int], pattern: Optional[Atom] = None
@@ -256,18 +205,6 @@ class SQLiteFactStore(FactStore):
 
     def relation(self, predicate: str, arity: int) -> List[Atom]:
         return list(self._scan((predicate, arity)))
-
-    def count(self, predicate: str, arity: Optional[int] = None) -> int:
-        if arity is not None:
-            return self._counts.get((predicate, arity), 0)
-        return sum(
-            count
-            for (name, _arity), count in self._counts.items()
-            if name == predicate
-        )
-
-    def signatures(self) -> Set[Tuple[str, int]]:
-        return self._signatures
 
     def retrieve(self, pattern: Atom) -> Iterator[Substitution]:
         if pattern.is_ground:
@@ -308,11 +245,6 @@ class SQLiteFactStore(FactStore):
                     break
             else:
                 yield fact
-
-    def succeeds(self, pattern: Atom) -> bool:
-        for _ in self.retrieve(pattern):
-            return True
-        return False
 
     def __repr__(self) -> str:
         return f"SQLiteFactStore({self._size} facts)"

@@ -175,77 +175,39 @@ class InvariantMonitor(Recorder):
             self.inner.breaker_transition(arc_name, old_state, new_state)
 
     # ------------------------------------------------------------------
-    # Pass-throughs (events the monitor forwards but does not check)
+    # Forwarding (every other hook is generated below the class)
     # ------------------------------------------------------------------
 
     def begin_query(self, strategy: Any, resilient: bool = False) -> int:
         return self.inner.begin_query(strategy, resilient)
-
-    def end_query(self, span: int, **fields: Any) -> None:
-        if self.inner.enabled:
-            self.inner.end_query(span, **fields)
-
-    def arc_attempt(self, span, arc_name, outcome, cost, attempt=1) -> None:
-        if self.inner.enabled:
-            self.inner.arc_attempt(span, arc_name, outcome, cost, attempt)
-
-    def arc_retry(self, span, arc_name, attempt, backoff) -> None:
-        if self.inner.enabled:
-            self.inner.arc_retry(span, arc_name, attempt, backoff)
-
-    def arc_unsettled(self, span, arc_name, attempts) -> None:
-        if self.inner.enabled:
-            self.inner.arc_unsettled(span, arc_name, attempts)
-
-    def breaker_shed(self, span, arc_name) -> None:
-        if self.inner.enabled:
-            self.inner.breaker_shed(span, arc_name)
-
-    def deadline_expired(self, span, spent) -> None:
-        if self.inner.enabled:
-            self.inner.deadline_expired(span, spent)
-
-    def cache_hit(self, kind: str) -> None:
-        if self.inner.enabled:
-            self.inner.cache_hit(kind)
-
-    def cache_miss(self, kind: str) -> None:
-        if self.inner.enabled:
-            self.inner.cache_miss(kind)
-
-    def cache_evict(self, kind: str) -> None:
-        if self.inner.enabled:
-            self.inner.cache_evict(kind)
-
-    def incident(self, description: str) -> None:
-        if self.inner.enabled:
-            self.inner.incident(description)
-
-    def drift_alarm(self, epoch, context_number, sources) -> None:
-        if self.inner.enabled:
-            self.inner.drift_alarm(epoch, context_number, sources)
-
-    def pao_budget(self, requirements) -> None:
-        if self.inner.enabled:
-            self.inner.pao_budget(requirements)
-
-    def pao_complete(self, contexts_used, estimates) -> None:
-        if self.inner.enabled:
-            self.inner.pao_complete(contexts_used, estimates)
-
-    def checkpoint_saved(self, path: str) -> None:
-        if self.inner.enabled:
-            self.inner.checkpoint_saved(path)
-
-    def checkpoint_restored(self, path: str) -> None:
-        if self.inner.enabled:
-            self.inner.checkpoint_restored(path)
 
     def snapshot(self) -> Dict[str, object]:
         return {
             "violations": list(self.violations),
             "breaker_states": dict(self._breaker_state),
         }
+
+
+def _forward(name: str):
+    """A hook that hands one unchecked event to ``inner`` unchanged."""
+
+    def forward(self: InvariantMonitor, *args: Any, **fields: Any) -> None:
+        if self.inner.enabled:
+            getattr(self.inner, name)(*args, **fields)
+
+    forward.__name__ = name
+    forward.__qualname__ = f"InvariantMonitor.{name}"
+    return forward
+
+
+# Every Recorder hook the monitor neither checks nor answers itself
+# (``begin_query`` returns the span id) is forwarded, so a hook added
+# to Recorder reaches the inner tracer without an edit here.
+for _name, _hook in vars(Recorder).items():
+    if (callable(_hook) and not _name.startswith("_")
+            and _name not in vars(InvariantMonitor)):
+        setattr(InvariantMonitor, _name, _forward(_name))
+del _name, _hook
 
 
 class ConservatismWatcher:

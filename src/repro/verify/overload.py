@@ -34,7 +34,7 @@ from typing import Dict, List, Optional
 
 from ..datalog.rules import QueryForm
 from ..observability import Tracer
-from ..serving.admission import Request, RequestOutcome
+from ..serving.admission import TENANT_BURST, Request, RequestOutcome
 from ..serving.config import AdmissionConfig, CacheConfig, ServingConfig, \
     SessionConfig
 from ..serving.server import QueryServer
@@ -284,7 +284,7 @@ def check_overload_fairness(spec: WorldSpec) -> Optional[str]:
                 )
     if fair_spec.tenant_rate > 0:
         ticks = len(run.outcomes)
-        ceiling = (AdmissionConfig().tenant_burst
+        ceiling = (TENANT_BURST
                    + fair_spec.tenant_rate * ticks)
         for outcome_tenant, count in sorted(progressed.items()):
             if count > ceiling:

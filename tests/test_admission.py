@@ -176,15 +176,6 @@ class TestTenantQuota:
         assert not quota.try_acquire("t0")
         assert quota.try_acquire("t1")
 
-    def test_concurrency_bound(self):
-        quota = TenantQuota(rate=0.0, burst=8, concurrency=2)
-        quota.enter("t0")
-        assert not quota.over_concurrency("t0")
-        quota.enter("t0")
-        assert quota.over_concurrency("t0")
-        quota.leave("t0")
-        assert not quota.over_concurrency("t0")
-
 
 class TestLoadShedder:
     def test_reject_newest_names_no_victim(self):

@@ -256,14 +256,19 @@ class TestTargetedInvalidation:
             backend.add(atom("unrelated(x)"))
             assert not any(served_cached(session, self.QUERIES).values())
 
-    def test_flaky_database_delegates(self):
-        inner = store("leaf(c1). alt(c2).")
-        flaky = FlakyDatabase(inner, FaultPlan(seed=1))
+    def test_flaky_database_versions_its_own_writes(self):
+        loaded = store("leaf(c1). alt(c2).")
+        flaky = FlakyDatabase(loaded, FaultPlan(seed=1))
         keys = [bucket("leaf", 1, 0, "c1"), ("alt", 1)]
-        assert flaky.version(keys) == inner.version(keys)
+        assert flaky.version(keys) == loaded.version(keys)
+        assert flaky.generation == loaded.generation
         flaky.add(atom("leaf(c9)"))
+        assert flaky.generation == loaded.generation + 1
         assert flaky.version([bucket("leaf", 1, 0, "c1")]) == 1
-        assert flaky.version([("leaf", 1)]) == inner.generation
+        assert flaky.version([("leaf", 1)]) == flaky.generation
+        # The loaded store is a source, not a backing store.
+        assert atom("leaf(c9)") not in loaded
+        assert loaded.version([("leaf", 1)]) == 1
 
 
 class TestConcurrentWrites:

@@ -131,14 +131,21 @@ class TestFlakyDatabase:
             flaky.succeeds(pattern)
         assert flaky.succeeds(pattern) is True
 
-    def test_mutation_and_iteration_pass_through(self):
-        inner = Database.from_program("prof(russ).")
-        flaky = FlakyDatabase(inner, FaultPlan(seed=0))
-        fact = parse_query("grad(lena)")
-        assert flaky.add(fact)
-        assert fact in flaky and len(flaky) == 2
-        assert set(flaky) == set(inner)
-        assert flaky.count("prof") == 1
+    def test_mutation_iteration_and_catalog_match_database(self):
+        text = "prof(russ). grad(lena). prof(manolis)."
+        flaky = FlakyDatabase(Database.from_program(text), FaultPlan(seed=0))
+        plain = Database.from_program(text)
+        for store in (flaky, plain):
+            assert store.add(parse_query("grad(tom)"))
+            assert store.remove(parse_query("prof(russ)"))
+            assert not store.remove(parse_query("prof(russ)"))
+        assert list(flaky) == list(plain)
+        assert len(flaky) == len(plain) == 3
+        assert flaky.signatures() == plain.signatures()
+        assert flaky.count("prof") == plain.count("prof") == 1
+        assert flaky.generation == plain.generation
+        assert parse_query("grad(tom)") in flaky
+        assert list(flaky.copy()) == list(plain)
 
 
 class TestRetryPolicy:

@@ -14,13 +14,13 @@ from repro.datalog.database import Database
 from repro.datalog.parser import parse_query
 from repro.datalog.rules import QueryForm
 from repro.datalog.terms import Atom
-from repro.resilience.faults import FaultSpec
+from repro.errors import DatalogError
+from repro.resilience.faults import FaultPlan, FaultSpec, FlakyDatabase
 from repro.storage import (
     COMPLETE,
     Completeness,
     FactStore,
     FederatedStore,
-    ShardSpec,
     SQLiteFactStore,
 )
 from repro.system import SelfOptimizingQueryProcessor
@@ -52,6 +52,7 @@ def all_backends():
         ("federated", FederatedStore(facts, shards=3, seed=5)),
         ("federated-replicated",
          FederatedStore(facts, shards=2, seed=5, replicas=True)),
+        ("flaky", FlakyDatabase(Database(facts), FaultPlan(seed=0))),
     ]
 
 
@@ -122,6 +123,40 @@ class TestBackendParity:
                 assert store.relation(predicate, arity) == (
                     reference.relation(predicate, arity)
                 ), name
+
+    def test_catalog_tracks_emptied_and_refilled_relations(self):
+        e2 = [fact for fact in base_facts() if fact.predicate == "e2"]
+        reference = list(Database(base_facts()))
+        for name, store in all_backends():
+            store.add(Atom("e2", ["x"]))  # a second arity of e2
+            assert store.count("e2") == 4, name
+            assert store.remove(Atom("flag", [])), name
+            assert ("flag", 0) not in store.signatures(), name
+            assert store.count("flag", 0) == 0 == store.count("flag"), name
+            for fact in e2:
+                assert store.remove(fact), name
+            assert store.count("e2") == 1, name
+            assert store.signatures() == {("e1", 1), ("e2", 1)}, name
+            assert len(store) == 3, name
+            # A refilled relation returns to its first-insertion slot.
+            for fact in e2 + [Atom("flag", [])]:
+                assert store.add(fact), name
+            assert list(store) == reference + [Atom("e2", ["x"])], name
+
+    def test_from_program_builds_the_same_store(self):
+        text = "e2(a, b). e1(a). e2(b, c). flag. e1(b)."
+        reference = Database.from_program(text)
+        stores = [
+            SQLiteFactStore.from_program(text),
+            FederatedStore.from_program(text, shards=3, seed=5),
+            FlakyDatabase(Database.from_program(text), FaultPlan(seed=0)),
+        ]
+        for store in stores:
+            assert list(store) == list(reference), store
+            assert store.signatures() == reference.signatures(), store
+            assert store.generation == reference.generation == 5, store
+        with pytest.raises(DatalogError):
+            SQLiteFactStore.from_program("e1(X) :- e2(X, X).")
 
     def test_contains(self):
         for name, store in all_backends():

@@ -1,12 +1,15 @@
 """The virtual-clock simulator and the runtime invariant monitors."""
 
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from repro.datalog.database import Database
 from repro.datalog.rules import QueryForm
 from repro.learning.pib import PIB
+from repro.observability.recorder import Recorder
+from repro.observability.tracer import Tracer
 from repro.system import SelfOptimizingQueryProcessor
 from repro.strategies.execution import execute
 from repro.strategies.strategy import Strategy
@@ -178,6 +181,56 @@ class TestInvariantMonitor:
         with pytest.raises(InvariantViolation):
             with verify_invariants() as monitor:
                 monitor.breaker_transition("D0", "closed", "closed")
+
+    def test_forwards_every_hook_like_a_bare_tracer(self):
+        # Checked or not, every Recorder hook must reach the inner
+        # tracer exactly as it reaches a bare one.
+        climb = SimpleNamespace(
+            step=1, context_number=3, transformation="swap-1", samples=4,
+            estimated_gain=0.5, threshold=0.2, from_arcs=["a"],
+            to_arcs=["b"],
+        )
+
+        def drive(recorder):
+            span = recorder.begin_query(None)
+            recorder.arc_attempt(span, "a", "fault", 1.0)
+            recorder.arc_retry(span, "a", 2, 0.5)
+            recorder.arc_unsettled(span, "a", 3)
+            recorder.breaker_shed(span, "a")
+            recorder.breaker_transition("a", "closed", "open")
+            recorder.deadline_expired(span, 4.0)
+            recorder.end_query(span, cost=4.0, succeeded=False)
+            recorder.learner_sample(1, 2.0, {"swap-1": 0.5})
+            recorder.chernoff_margin("swap-1", 1, 0.5, 1.0)
+            recorder.climb(climb)
+            recorder.checkpoint_saved("pib.json")
+            recorder.checkpoint_restored("pib.json")
+            recorder.drift_alarm(1, 5, ["cost"])
+            recorder.epoch_reset(1, 5, ["a"])
+            recorder.rollback(1, 6, ["b"], ["a"])
+            recorder.pao_budget({"a": 3})
+            recorder.pao_complete(3, {"a": 0.5})
+            recorder.cache_hit("answer")
+            recorder.cache_miss("answer")
+            recorder.cache_evict("answer")
+            recorder.request_served("t0", 2.0)
+            recorder.request_rejected("t0", "queue-full")
+            recorder.request_degraded("t0", "queue-full")
+            recorder.queue_depth("f(b)", 3)
+            recorder.health_transition("healthy", "shedding")
+            recorder.warmstart("f(b)", "g(b)", 0.0, True)
+            recorder.experience_write("abc", 4)
+            recorder.incident("fallback")
+
+        bare, inner = Tracer(), Tracer()
+        drive(bare)
+        monitor = InvariantMonitor(inner)
+        drive(monitor)
+        monitor.check()
+        assert inner.events == bare.events
+        hooks = {name for name, hook in vars(Recorder).items()
+                 if callable(hook) and not name.startswith("_")}
+        assert hooks <= set(vars(InvariantMonitor))
 
     def test_real_pib_run_is_clean(self):
         spec = WorldSpec(seed=6)
