@@ -113,7 +113,6 @@ from .resilience import (
 )
 from .errors import (
     CheckpointError,
-    CircuitOpenError,
     DatalogError,
     DistributionError,
     EvaluationError,
@@ -129,7 +128,6 @@ from .errors import (
     SampleBudgetExceeded,
     StrategyError,
     StratificationError,
-    UnificationError,
 )
 
 #: Source of truth for the released version is ``pyproject.toml``;
@@ -208,7 +206,6 @@ __all__ = [
     "ResiliencePolicy",
     "RetryPolicy",
     "CheckpointError",
-    "CircuitOpenError",
     "DatalogError",
     "DistributionError",
     "EvaluationError",
@@ -224,6 +221,5 @@ __all__ = [
     "SampleBudgetExceeded",
     "StrategyError",
     "StratificationError",
-    "UnificationError",
     "__version__",
 ]

@@ -253,10 +253,3 @@ class BottomUpEngine:
     def answers(self, query: Atom, database: Database) -> List["object"]:
         """All bindings of ``query``'s variables in the model."""
         return list(self.model(database).retrieve(query))
-
-    def invalidate(self, database: Optional[Database] = None) -> None:
-        """Drop cached models (all of them, or one database's)."""
-        if database is None:
-            self._cache.clear()
-        else:
-            self._cache.pop(database.cache_key[0], None)

@@ -193,13 +193,6 @@ class QSQNEngine:
         """Boolean convenience wrapper over :meth:`prove`."""
         return self.prove(query, database).proved
 
-    def invalidate(self, database: Optional[Database] = None) -> None:
-        """Drop cached net states (all of them, or one database's)."""
-        if database is None:
-            self._cache.clear()
-        else:
-            self._cache.pop(database.cache_key[0], None)
-
     # ------------------------------------------------------------------
     # Net evaluation
     # ------------------------------------------------------------------

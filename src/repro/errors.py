@@ -11,7 +11,6 @@ __all__ = [
     "ReproError",
     "DatalogError",
     "ParseError",
-    "UnificationError",
     "StratificationError",
     "EvaluationError",
     "GraphError",
@@ -24,7 +23,6 @@ __all__ = [
     "ResilienceError",
     "RetrievalFaultError",
     "QueryDeadlineExceeded",
-    "CircuitOpenError",
     "CheckpointError",
 ]
 
@@ -53,10 +51,6 @@ class ParseError(DatalogError):
         super().__init__(message + location)
         self.line = line
         self.column = column
-
-
-class UnificationError(DatalogError):
-    """Raised by operations that require a unifier when none exists."""
 
 
 class StratificationError(DatalogError):
@@ -132,14 +126,6 @@ class QueryDeadlineExceeded(ResilienceError):
         )
         self.spent = float(spent)
         self.budget = float(budget)
-
-
-class CircuitOpenError(ResilienceError):
-    """An arc's circuit breaker is open: attempts are being shed."""
-
-    def __init__(self, arc_name):
-        super().__init__(f"circuit open for arc {arc_name!r}")
-        self.arc_name = arc_name
 
 
 class CheckpointError(LearningError):

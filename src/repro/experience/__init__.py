@@ -19,8 +19,6 @@ from .store import (
 )
 from .warmstart import (
     WarmStart,
-    neighbour_summary,
-    pao_aiming,
     record_from_learner,
     warm_start,
 )
@@ -36,8 +34,6 @@ __all__ = [
     "form_fingerprint",
     "form_profile",
     "migrate_experience_payload",
-    "neighbour_summary",
-    "pao_aiming",
     "record_from_learner",
     "similarity",
     "warm_start",

@@ -19,9 +19,7 @@ Similarity between two profiles follows the blend that querytorque's
 knowledge engine uses to rank prior outcomes: a *pattern* component
 (does the rule-dependency skeleton match?) weighted 0.7 against a
 *feature* component (how close are the coarse structural statistics?)
-weighted 0.3.  The weights live in
-:class:`~repro.serving.config.ExperienceConfig` and are only defaults
-here.
+weighted 0.3.
 """
 
 from __future__ import annotations
@@ -224,19 +222,14 @@ def _feature_closeness(
     return total / len(left)
 
 
-def similarity(
-    left: FormProfile,
-    right: FormProfile,
-    pattern_weight: float = DEFAULT_PATTERN_WEIGHT,
-    similarity_weight: float = DEFAULT_SIMILARITY_WEIGHT,
-) -> float:
+def similarity(left: FormProfile, right: FormProfile) -> float:
     """The blended structural similarity of two profiles in [0, 1].
 
     The *pattern* component is 1.0 on an exact skeleton match
     (identical shape and adornment) and degrades to the Dice overlap
     of the arc-label multisets otherwise; the *feature* component is
     the closeness of the coarse structural statistics.  The blend is
-    querytorque's ``0.7 * pattern + 0.3 * similarity`` by default.
+    querytorque's ``0.7 * pattern + 0.3 * similarity``.
     """
     if left.fingerprint == right.fingerprint:
         return 1.0
@@ -247,10 +240,7 @@ def similarity(
         if left.pattern != right.pattern:
             pattern_component *= 0.9
     feature_component = _feature_closeness(left.features, right.features)
-    total = pattern_weight + similarity_weight
-    if total <= 0.0:
-        return 0.0
     return (
-        pattern_weight * pattern_component
-        + similarity_weight * feature_component
-    ) / total
+        DEFAULT_PATTERN_WEIGHT * pattern_component
+        + DEFAULT_SIMILARITY_WEIGHT * feature_component
+    )

@@ -30,12 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import CheckpointError
 from ..persistence import backup_path, read_checked_json, write_checked_json
-from .fingerprint import (
-    DEFAULT_PATTERN_WEIGHT,
-    DEFAULT_SIMILARITY_WEIGHT,
-    FormProfile,
-    similarity,
-)
+from .fingerprint import FormProfile, similarity
 
 __all__ = [
     "EXPERIENCE_FORMAT",
@@ -231,8 +226,6 @@ class ExperienceStore:
         profile: FormProfile,
         k: int = 3,
         floor: float = 0.0,
-        pattern_weight: float = DEFAULT_PATTERN_WEIGHT,
-        similarity_weight: float = DEFAULT_SIMILARITY_WEIGHT,
     ) -> List[Neighbour]:
         """The ``k`` best records for ``profile`` above ``floor``.
 
@@ -241,15 +234,7 @@ class ExperienceStore:
         are identical across processes and ``PYTHONHASHSEED`` values.
         """
         scored = [
-            Neighbour(
-                record=record,
-                score=similarity(
-                    profile,
-                    record.profile,
-                    pattern_weight=pattern_weight,
-                    similarity_weight=similarity_weight,
-                ),
-            )
+            Neighbour(record=record, score=similarity(profile, record.profile))
             for record in self._records.values()
         ]
         eligible = [n for n in scored if n.score >= floor]

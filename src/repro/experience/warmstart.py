@@ -35,14 +35,17 @@ from typing import Optional
 from ..graphs.inference_graph import InferenceGraph
 from ..strategies.strategy import Strategy
 from .fingerprint import FormProfile
-from .store import ExperienceRecord, ExperienceStore, Neighbour
+from .store import ExperienceRecord, ExperienceStore
 
 __all__ = [
     "WarmStart",
     "warm_start",
     "record_from_learner",
-    "pao_aiming",
 ]
+
+#: Minimum blended similarity for a stored record to seed a session's
+#: learner; below it the form starts cold.
+SIMILARITY_FLOOR = 0.5
 
 
 @dataclass(frozen=True)
@@ -92,8 +95,6 @@ def warm_start(
     graph: InferenceGraph,
     k: int = 3,
     floor: float = 0.0,
-    pattern_weight: float = 0.7,
-    similarity_weight: float = 0.3,
 ) -> Optional[WarmStart]:
     """The best applicable prior for ``profile``, or ``None``.
 
@@ -102,13 +103,7 @@ def warm_start(
     ``graph`` as a legal path-structured strategy wins.  Returning
     ``None`` means "start cold" — never an error.
     """
-    for neighbour in store.nearest(
-        profile,
-        k=k,
-        floor=floor,
-        pattern_weight=pattern_weight,
-        similarity_weight=similarity_weight,
-    ):
+    for neighbour in store.nearest(profile, k=k, floor=floor):
         strategy = _strategy_from_record(
             graph, neighbour.record, exact=neighbour.exact
         )
@@ -162,40 +157,3 @@ def record_from_learner(
         profile=profile,
     )
 
-
-def pao_aiming(
-    store: ExperienceStore,
-    profile: FormProfile,
-    graph: InferenceGraph,
-    k: int = 3,
-    floor: float = 0.0,
-    pattern_weight: float = 0.7,
-    similarity_weight: float = 0.3,
-) -> Optional[Strategy]:
-    """A warm ``aiming`` strategy for PAO (Theorems 2/3).
-
-    PAO's ``aiming`` parameter is already a pure prior — it biases
-    which candidate the optimiser examines first without affecting
-    what the sample complexity bounds promise — so experience plugs in
-    directly: aim at the nearest neighbour's settled winner.
-    """
-    warm = warm_start(
-        store,
-        profile,
-        graph,
-        k=k,
-        floor=floor,
-        pattern_weight=pattern_weight,
-        similarity_weight=similarity_weight,
-    )
-    return warm.strategy if warm is not None else None
-
-
-def neighbour_summary(neighbour: Neighbour) -> str:
-    """One human line for CLI/report output."""
-    marker = "exact" if neighbour.exact else "similar"
-    return (
-        f"{neighbour.record.form} "
-        f"[{marker}, score={neighbour.score:.3f}, "
-        f"samples={neighbour.record.sample_count}]"
-    )

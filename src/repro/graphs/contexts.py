@@ -398,25 +398,9 @@ def context_from_datalog(
     rule head unifies with the instantiated goal of its *source* node's
     pattern — exactly the ``grad(fred) :- admitted(fred, X)`` situation
     of Section 4.1, where the arc is traversable only for the query
-    constant ``fred``.
+    constant ``fred``.  The statuses are those a
+    :class:`LazyDatalogContext` resolves, probed in experiment order.
     """
-    root_goal = graph.root.goal
-    statuses: Dict[str, bool] = {}
-    for arc in graph.experiments():
-        if arc.kind is ArcKind.RETRIEVAL:
-            if arc.goal is None:
-                raise GraphError(
-                    f"retrieval arc {arc.name!r} has no goal pattern; "
-                    "cannot derive its status from a database"
-                )
-            pattern = _instantiate(arc.goal, query, root_goal)
-            statuses[arc.name] = database.succeeds(pattern)
-        else:
-            if arc.rule is None or arc.source.goal is None:
-                raise GraphError(
-                    f"blockable reduction arc {arc.name!r} needs a rule and a "
-                    "source-goal pattern to derive its status"
-                )
-            goal = _instantiate(arc.source.goal, query, root_goal)
-            statuses[arc.name] = unify(arc.rule.head, goal) is not None
+    lazy = LazyDatalogContext(graph, query, database)
+    statuses = {arc.name: lazy.traversable(arc) for arc in graph.experiments()}
     return Context(graph, statuses, query=query, database=database)

@@ -16,7 +16,6 @@ from .chernoff import (
     sequential_confidence,
 )
 from .statistics import (
-    DecayedDeltaAccumulator,
     DeltaAccumulator,
     RetrievalStatistics,
     WindowedRetrievalStatistics,
@@ -30,7 +29,6 @@ from .drift import (
     DriftAwarePIB,
     DriftConfig,
     PageHinkleyDetector,
-    PAORevalidationMonitor,
     RollbackTransformation,
     make_detector,
 )
@@ -48,7 +46,6 @@ __all__ = [
     "pib_sum_threshold",
     "samples_for_radius",
     "sequential_confidence",
-    "DecayedDeltaAccumulator",
     "DeltaAccumulator",
     "RetrievalStatistics",
     "WindowedRetrievalStatistics",
@@ -61,7 +58,6 @@ __all__ = [
     "DriftAwarePIB",
     "DriftConfig",
     "PageHinkleyDetector",
-    "PAORevalidationMonitor",
     "RollbackTransformation",
     "make_detector",
     "PALO",

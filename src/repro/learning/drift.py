@@ -28,9 +28,6 @@ learners degrade *gracefully instead of wrongly*:
   the new regime makes statistically worse than the last-known-good
   one, the same Equation 6 test that justifies climbs justifies the
   roll back.
-* :class:`PAORevalidationMonitor` — watches settled per-arc outcomes
-  after a PAO run and flags when the ``p̂`` behind ``Θ_pao`` has gone
-  stale, so the Equation 7 sample budget can be re-drawn.
 
 Resilience interplay: detectors must only ever see **settled**
 outcomes (the fault-free-equivalent
@@ -45,10 +42,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import LearningError
-from ..graphs.contexts import Context
 from ..graphs.inference_graph import InferenceGraph
 from ..observability.recorder import NULL_RECORDER, Recorder
 from ..strategies.execution import ExecutionResult
@@ -66,12 +62,20 @@ __all__ = [
     "DriftConfig",
     "RollbackTransformation",
     "DriftAwarePIB",
-    "PAORevalidationMonitor",
     "make_detector",
 ]
 
 #: The transformation name rollback steps carry in ``ClimbRecord``s.
 ROLLBACK_NAME = "rollback"
+
+#: Samples a Page–Hinkley detector sees before it may alarm: the
+#: adaptive window's ``min_side``, not PH's own default of 30.
+PH_MIN_SAMPLES = 20
+
+#: Contexts at the start of a fresh epoch during which alarms are
+#: suppressed, so one regime change cannot trigger a reset storm while
+#: the detectors' windows still straddle the boundary.
+EPOCH_COOLDOWN = 50
 
 
 # ----------------------------------------------------------------------
@@ -269,19 +273,10 @@ class PageHinkleyDetector:
 def make_detector(kind: str, value_range: float, config: "DriftConfig"):
     """Build one detector of ``config``'s flavour for a given range."""
     if kind == "window":
-        return AdaptiveWindowDetector(
-            value_range,
-            delta=config.delta,
-            max_window=config.max_window,
-            check_every=config.check_every,
-            min_side=config.min_side,
-        )
+        return AdaptiveWindowDetector(value_range, delta=config.delta)
     if kind == "page-hinkley":
         return PageHinkleyDetector(
-            value_range,
-            delta=config.delta,
-            tolerance=config.tolerance * value_range,
-            min_samples=config.min_side,
+            value_range, delta=config.delta, min_samples=PH_MIN_SAMPLES
         )
     raise LearningError(
         f"unknown detector kind {kind!r} (use 'window' or 'page-hinkley')"
@@ -308,21 +303,11 @@ class DriftConfig:
     ``delta`` is each detector's false-alarm budget (the property the
     false-alarm tests measure); ``detector`` picks the flavour
     (``"window"`` is the default and the one with the anytime ``δ``
-    bound).  ``cooldown`` suppresses alarms for the first contexts of
-    a fresh epoch, so one regime change cannot trigger a reset storm
-    while the detectors' windows still straddle the boundary.
+    bound).
     """
 
     delta: float = 0.05
     detector: str = "window"
-    max_window: int = 400
-    check_every: int = 8
-    min_side: int = 20
-    tolerance: float = 0.0      # PH dead-band, as a fraction of the range
-    cooldown: int = 50
-    monitor_costs: bool = True
-    monitor_arcs: bool = True
-    frequency_window: int = 200
 
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < 1.0:
@@ -333,35 +318,16 @@ class DriftConfig:
             raise LearningError(
                 f"unknown detector kind {self.detector!r}"
             )
-        if self.cooldown < 0:
-            raise LearningError("cooldown must be non-negative")
-        if not (self.monitor_costs or self.monitor_arcs):
-            raise LearningError(
-                "drift config must monitor costs, arcs, or both"
-            )
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready form (the v2 checkpoint's ``drift.config``)."""
-        return {
-            "delta": self.delta,
-            "detector": self.detector,
-            "max_window": self.max_window,
-            "check_every": self.check_every,
-            "min_side": self.min_side,
-            "tolerance": self.tolerance,
-            "cooldown": self.cooldown,
-            "monitor_costs": self.monitor_costs,
-            "monitor_arcs": self.monitor_arcs,
-            "frequency_window": self.frequency_window,
-        }
+        return {"delta": self.delta, "detector": self.detector}
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "DriftConfig":
-        known = {f: payload[f] for f in (
-            "delta", "detector", "max_window", "check_every", "min_side",
-            "tolerance", "cooldown", "monitor_costs", "monitor_arcs",
-            "frequency_window",
-        ) if f in payload}
+        """Inverse of :meth:`to_dict`.  Unknown keys are ignored, so
+        checkpoints that carry more tuning keys than these two load."""
+        known = {f: payload[f] for f in ("delta", "detector") if f in payload}
         return cls(**known)
 
 
@@ -437,26 +403,20 @@ class DriftAwarePIB(PIB):
             recorder=recorder,
         )
         config = self.drift_config
-        self.retrieval_statistics = WindowedRetrievalStatistics(
-            graph, window=config.frequency_window
-        )
+        self.retrieval_statistics = WindowedRetrievalStatistics(graph)
         #: Epoch counter: 0 until the first confirmed drift.
         self.epoch = 0
         self.rollbacks = 0
         self.drift_alarms: List[DriftAlarm] = []
         self.last_known_good: Optional[Strategy] = None
         self._epoch_started_at = 0
-        self._cost_detector = (
-            make_detector(config.detector, graph.total_cost, config)
-            if config.monitor_costs else None
+        self._cost_detector = make_detector(
+            config.detector, graph.total_cost, config
         )
-        self._arc_detectors: Dict[str, object] = (
-            {
-                arc.name: make_detector(config.detector, 1.0, config)
-                for arc in graph.experiments()
-            }
-            if config.monitor_arcs else {}
-        )
+        self._arc_detectors: Dict[str, object] = {
+            arc.name: make_detector(config.detector, 1.0, config)
+            for arc in graph.experiments()
+        }
 
     # -- monitoring ----------------------------------------------------
 
@@ -469,18 +429,15 @@ class DriftAwarePIB(PIB):
     def _detect(self, result: ExecutionResult) -> List[str]:
         """Feed one settled result to every detector; alarm sources."""
         sources: List[str] = []
-        if self._cost_detector is not None:
-            if self._cost_detector.update(result.cost):
-                sources.append("cost")
+        if self._cost_detector.update(result.cost):
+            sources.append("cost")
         for name, unblocked in result.observations.items():
-            detector = self._arc_detectors.get(name)
-            if detector is not None and detector.update(1.0 if unblocked
-                                                        else 0.0):
+            if self._arc_detectors[name].update(1.0 if unblocked else 0.0):
                 sources.append(f"arc:{name}")
         if not sources:
             return []
         epoch_age = self.contexts_processed - self._epoch_started_at
-        if self.epoch > 0 and epoch_age < self.drift_config.cooldown:
+        if self.epoch > 0 and epoch_age < EPOCH_COOLDOWN:
             return []  # alarm storm damping right after a reset
         return sources
 
@@ -500,8 +457,7 @@ class DriftAwarePIB(PIB):
         # Restart the sequential-test schedule: within the new epoch
         # the δ_i series telescopes to δ afresh (Theorem 1 per-epoch).
         self.total_tests = 0
-        if self._cost_detector is not None:
-            self._cost_detector.reset()
+        self._cost_detector.reset()
         for detector in self._arc_detectors.values():
             detector.reset()
         self.retrieval_statistics.reset_window()
@@ -570,100 +526,3 @@ class DriftAwarePIB(PIB):
             ),
         }
 
-
-# ----------------------------------------------------------------------
-# PAO revalidation
-# ----------------------------------------------------------------------
-
-class PAORevalidationMonitor:
-    """Flags when a PAO strategy's ``p̂`` estimates have gone stale.
-
-    PAO is a one-shot learner: it spends its Equation 7/8 sample
-    budget, fixes ``p̂``, and hands ``Υ_AOT`` a strategy that is
-    ``ε``-optimal *for that distribution*.  This monitor watches the
-    settled outcomes of the deployed strategy's retrievals with one
-    drift detector per experiment arc (each running at ``δ/n`` so the
-    union over arcs stays within ``delta``) and reports staleness as
-    soon as any arc's success frequency drifts.  :meth:`revalidate`
-    then re-draws the whole budget via a fresh
-    :func:`~repro.learning.pao.pao` run and re-arms the monitor.
-    """
-
-    def __init__(
-        self,
-        graph: InferenceGraph,
-        delta: float = 0.05,
-        config: Optional[DriftConfig] = None,
-        recorder: Recorder = NULL_RECORDER,
-    ):
-        if not 0.0 < delta < 1.0:
-            raise LearningError(f"delta must be in (0, 1), got {delta}")
-        self.graph = graph
-        self.delta = delta
-        self.recorder = recorder
-        base = config if config is not None else DriftConfig()
-        experiments = graph.experiments()
-        per_arc = delta / max(len(experiments), 1)
-        shared = base.to_dict()
-        shared["delta"] = per_arc
-        self.config = DriftConfig.from_dict(shared)
-        self._detectors: Dict[str, object] = {
-            arc.name: make_detector(self.config.detector, 1.0, self.config)
-            for arc in experiments
-        }
-        self.stale_arcs: List[str] = []
-        self.observations = 0
-
-    @property
-    def stale(self) -> bool:
-        """True once any arc's frequency has drifted since (re)arming."""
-        return bool(self.stale_arcs)
-
-    def observe(self, arc_name: str, unblocked: bool) -> bool:
-        """Fold one settled outcome in; True when this call went stale."""
-        detector = self._detectors.get(arc_name)
-        if detector is None:
-            raise LearningError(f"unknown experiment arc {arc_name!r}")
-        self.observations += 1
-        if detector.update(1.0 if unblocked else 0.0):
-            if arc_name not in self.stale_arcs:
-                self.stale_arcs.append(arc_name)
-            if self.recorder.enabled:
-                self.recorder.drift_alarm(
-                    0, self.observations, [f"pao:{arc_name}"]
-                )
-            return True
-        return False
-
-    def record(self, result: ExecutionResult) -> None:
-        """Fold every settled observation of one run in."""
-        for name, unblocked in result.observations.items():
-            if name in self._detectors:
-                self.observe(name, unblocked)
-
-    def rearm(self) -> None:
-        """Forget drift state (after a revalidation)."""
-        self.stale_arcs.clear()
-        for detector in self._detectors.values():
-            detector.reset()
-
-    def revalidate(
-        self,
-        epsilon: float,
-        delta: float,
-        oracle: Callable[[], Context],
-        **pao_kwargs,
-    ):
-        """Re-draw the Equation 7/8 budget on the current distribution.
-
-        Runs :func:`~repro.learning.pao.pao` afresh (all keyword
-        arguments pass through), re-arms the detectors, and returns the
-        new :class:`~repro.learning.pao.PAOResult` — whose guarantee
-        now refers to the post-drift distribution.
-        """
-        from .pao import pao  # local import: pao is a sibling consumer
-
-        result = pao(self.graph, epsilon, delta, oracle,
-                     recorder=self.recorder, **pao_kwargs)
-        self.rearm()
-        return result

@@ -12,7 +12,7 @@ Equation 6 threshold.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict
 
 from ..graphs.inference_graph import InferenceGraph
@@ -24,7 +24,6 @@ __all__ = [
     "RetrievalStatistics",
     "WindowedRetrievalStatistics",
     "DeltaAccumulator",
-    "DecayedDeltaAccumulator",
     "delta_tilde",
 ]
 
@@ -116,7 +115,7 @@ class WindowedRetrievalStatistics(RetrievalStatistics):
     / ``successes`` dicts (persistence and Section 5.1's bookkeeping
     story are unchanged) but answers :meth:`frequency` from only the
     most recent ``window`` observations per arc — the current-regime
-    ``p̂`` the drift layer and a PAO revalidation want.
+    ``p̂`` the drift layer wants.
     """
 
     def __init__(self, graph: InferenceGraph, window: int = 200):
@@ -148,42 +147,3 @@ class WindowedRetrievalStatistics(RetrievalStatistics):
         for recent in self._recent.values():
             recent.clear()
 
-
-@dataclass
-class DecayedDeltaAccumulator(DeltaAccumulator):
-    """A ``Δ̃`` accumulator with exponential forgetting.
-
-    Each new sample first multiplies the running ``total`` (and the
-    *effective* sample count) by ``decay``, so evidence from ``k``
-    samples ago carries weight ``decay**k`` — estimates track the
-    current regime instead of averaging over every regime ever seen.
-
-    The decayed sum is **not** admissible in Equation 6: the Chernoff
-    bound's ``n`` must count i.i.d. samples at full weight, so
-    :class:`~repro.learning.drift.DriftAwarePIB` keeps plain
-    per-epoch accumulators for its climb decisions and uses this class
-    only where a regime-local *estimate* (not a guarantee) is wanted.
-    ``samples`` stays the integer count of updates; ``effective_samples``
-    is the decayed mass ``Σ decay**k``.
-    """
-
-    decay: float = 0.98
-    effective_samples: float = field(default=0.0)
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.decay <= 1.0:
-            raise ValueError(f"decay must be in (0, 1], got {self.decay}")
-
-    def update(self, result: ExecutionResult) -> float:
-        estimate = delta_tilde(result, self.candidate)
-        self.total = self.total * self.decay + estimate
-        self.effective_samples = self.effective_samples * self.decay + 1.0
-        self.samples += 1
-        return estimate
-
-    @property
-    def mean(self) -> float:
-        """The exponentially-weighted mean ``Δ̃`` per sample."""
-        if self.effective_samples <= 0.0:
-            return 0.0
-        return self.total / self.effective_samples

@@ -60,10 +60,8 @@ class ExperienceConfig:
     subsystem; with a config set, a new form's learner starts at its
     nearest structural neighbour's settled strategy instead of
     depth-first — the Theorem 1 per-run schedule still starts cold
-    either way.
-
-    The ranking blend follows querytorque's knowledge engine:
-    ``0.7 * pattern + 0.3 * similarity`` by default.
+    either way.  A neighbour needs a blended similarity of at least
+    :data:`~repro.experience.warmstart.SIMILARITY_FLOOR` to be used.
     """
 
     #: JSON store location (``None``: memory-only, dies with the
@@ -71,22 +69,10 @@ class ExperienceConfig:
     path: Optional[str] = None
     #: How many nearest neighbours to consider per form.
     neighbour_k: int = 3
-    #: Minimum blended similarity for a record to be used at all.
-    similarity_floor: float = 0.5
-    #: Weight of the structural-pattern component in the blend.
-    pattern_weight: float = 0.7
-    #: Weight of the feature-similarity component in the blend.
-    similarity_weight: float = 0.3
 
     def __post_init__(self) -> None:
         if self.neighbour_k < 1:
             raise ValueError("neighbour_k must be at least 1")
-        if not 0.0 <= self.similarity_floor <= 1.0:
-            raise ValueError("similarity_floor must be in [0, 1]")
-        if self.pattern_weight < 0 or self.similarity_weight < 0:
-            raise ValueError("blend weights cannot be negative")
-        if self.pattern_weight + self.similarity_weight <= 0:
-            raise ValueError("blend weights cannot both be zero")
 
 
 @dataclass

@@ -81,9 +81,6 @@ class BottomUpProofAdapter:
     def holds(self, query: Atom, database: Database) -> bool:
         return self._engine.holds(query, database)
 
-    def invalidate(self, database: Optional[Database] = None) -> None:
-        self._engine.invalidate(database)
-
 
 def make_engine(
     name: str,

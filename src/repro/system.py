@@ -36,6 +36,7 @@ from .datalog.database import Database
 from .experience.fingerprint import FormProfile, form_profile
 from .experience.store import ExperienceStore
 from .experience.warmstart import (
+    SIMILARITY_FLOOR,
     WarmStart,
     record_from_learner,
     warm_start,
@@ -346,15 +347,12 @@ class SelfOptimizingQueryProcessor:
         """
         if self.experience_store is None:
             return None
-        cfg = self.experience
         return warm_start(
             self.experience_store,
             self._profile_for(state),
             state.graph,
-            k=cfg.neighbour_k,
-            floor=cfg.similarity_floor,
-            pattern_weight=cfg.pattern_weight,
-            similarity_weight=cfg.similarity_weight,
+            k=self.experience.neighbour_k,
+            floor=SIMILARITY_FLOOR,
         )
 
     def contribute_experience(self) -> int:

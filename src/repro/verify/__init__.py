@@ -35,6 +35,7 @@ brute-force oracles in :mod:`repro.optimal`:
   {engine,qsqn,pib,pao,serving,chaos,overload,federation}``.
 """
 
+from ..bench.stats import clopper_pearson
 from .invariants import (
     ConservatismWatcher,
     InvariantMonitor,
@@ -48,7 +49,6 @@ from .oracles import (
     check_answer_equivalence,
     check_cost_oracle,
     check_three_way_equivalence,
-    clopper_pearson,
     pao_contract,
     pib_contract,
 )

@@ -40,7 +40,11 @@ from typing import List, Optional, Tuple
 
 from ..experience.fingerprint import form_profile
 from ..experience.store import ExperienceStore
-from ..experience.warmstart import record_from_learner, warm_start
+from ..experience.warmstart import (
+    SIMILARITY_FLOOR,
+    record_from_learner,
+    warm_start,
+)
 from ..learning.pib import PIB
 from ..serving.config import ExperienceConfig
 from .worldgen import WorldSpec, build_graph_world, context_rng
@@ -120,9 +124,7 @@ def check_experience_priors(
         profile,
         world.graph,
         k=knobs.neighbour_k,
-        floor=knobs.similarity_floor,
-        pattern_weight=knobs.pattern_weight,
-        similarity_weight=knobs.similarity_weight,
+        floor=SIMILARITY_FLOOR,
     )
     if warm is None:
         return "identical world missed its own record"
@@ -198,12 +200,7 @@ def check_experience_determinism(
         forward.add(record)
     for record in reversed(records):
         backward.add(record)
-    kwargs = dict(
-        k=max(knobs.neighbour_k, len(records)),
-        floor=0.0,
-        pattern_weight=knobs.pattern_weight,
-        similarity_weight=knobs.similarity_weight,
-    )
+    kwargs = dict(k=max(knobs.neighbour_k, len(records)), floor=0.0)
     first = forward.nearest(profile, **kwargs)
     second = backward.nearest(profile, **kwargs)
     if first != second:

@@ -21,10 +21,10 @@ Three families of checks, all driven by :class:`~repro.verify.worldgen.WorldSpec
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..bench.stats import clopper_pearson
 from ..datalog.bottomup import BottomUpEngine
 from ..datalog.engine import TopDownEngine
 from ..datalog.parser import parse_atom
@@ -45,7 +45,6 @@ from .worldgen import WorldSpec, build_graph_world, build_kb_world, context_rng
 __all__ = [
     "OracleFailure",
     "OracleReport",
-    "clopper_pearson",
     "check_cost_oracle",
     "check_answer_equivalence",
     "check_three_way_equivalence",
@@ -90,75 +89,6 @@ class OracleReport:
         )
         skipped = f", skipped {self.skipped}" if self.skipped else ""
         return f"{self.name}: {verdict} over {self.worlds} worlds{skipped}{extra}"
-
-
-# ----------------------------------------------------------------------
-# Clopper–Pearson (exact binomial) interval — pure python, no scipy
-# ----------------------------------------------------------------------
-
-
-def _binom_tail_ge(k: int, n: int, p: float) -> float:
-    """``P[X ≥ k]`` for ``X ~ Binomial(n, p)`` via exact summation."""
-    if k <= 0:
-        return 1.0
-    if p <= 0.0:
-        return 0.0
-    if p >= 1.0:
-        return 1.0
-    return sum(
-        math.comb(n, i) * (p ** i) * ((1.0 - p) ** (n - i))
-        for i in range(k, n + 1)
-    )
-
-
-def _bisect(predicate, low: float, high: float, iterations: int = 60) -> float:
-    """Smallest ``x`` in [low, high] with ``predicate(x)`` true, assuming
-    monotonicity."""
-    for _ in range(iterations):
-        mid = (low + high) / 2.0
-        if predicate(mid):
-            high = mid
-        else:
-            low = mid
-    return (low + high) / 2.0
-
-
-def clopper_pearson(
-    k: int, n: int, confidence: float = 0.999
-) -> Tuple[float, float]:
-    """The exact (Clopper–Pearson) two-sided confidence interval for a
-    binomial proportion, from ``k`` successes in ``n`` trials.
-
-    Implemented with exact binomial tails (:func:`math.comb`) and
-    bisection — no external statistics dependency.  The contract
-    checkers use the *lower* bound: a contract with mistake budget δ
-    is rejected only when even the lower bound on the observed bad-run
-    rate exceeds δ.
-    """
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    if not 0 <= k <= n:
-        raise ValueError(f"k must be in [0, {n}], got {k}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    alpha = 1.0 - confidence
-    if k == 0:
-        lower = 0.0
-    else:
-        # P[X ≥ k | p] grows in p; lower bound solves tail = α/2.
-        lower = _bisect(
-            lambda p: _binom_tail_ge(k, n, p) >= alpha / 2.0, 0.0, 1.0
-        )
-    if k == n:
-        upper = 1.0
-    else:
-        # P[X ≤ k | p] shrinks in p; upper bound solves tail = α/2.
-        upper = _bisect(
-            lambda p: 1.0 - _binom_tail_ge(k + 1, n, p) <= alpha / 2.0,
-            0.0,
-            1.0,
-        )
-    return lower, upper
 
 
 # ----------------------------------------------------------------------

@@ -33,8 +33,6 @@ __all__ = [
     "SegmentAccessDistribution",
     "FlakySegmentedTable",
     "FlakySegmentAccessDistribution",
-    "DriftingFlakySegmentAccessDistribution",
-    "burst_schedule",
 ]
 
 
@@ -226,93 +224,3 @@ class FlakySegmentAccessDistribution(SegmentAccessDistribution):
     def sample(self, rng: random.Random) -> Context:
         return FlakyContext(super().sample(rng), self.plan)
 
-
-class DriftingFlakySegmentAccessDistribution(FlakySegmentAccessDistribution):
-    """Combined chaos: the data *moves* while the network stays broken.
-
-    Models a re-sharding under fire — before ``shift_at`` draws the
-    individual homes follow the table's hit rates; from that draw on
-    they follow ``shifted_hit_rates`` (say, a hot segment was split and
-    its facts migrated).  The fault plan is **shared across the
-    boundary**: the drift changes where facts live, not how the network
-    fails, so the per-arc fault streams run uninterrupted.  That keeps
-    the three chaos axes — drift, faults, burst — independently seeded
-    and therefore independently attributable when a verify world fails.
-
-    Stateful like
-    :class:`~repro.workloads.distributions.PiecewiseStationaryDistribution`:
-    each :meth:`sample` advances a draw counter; :meth:`reset` rewinds
-    it for repeated benchmark passes.
-    """
-
-    def __init__(
-        self,
-        graph: InferenceGraph,
-        table: FlakySegmentedTable,
-        shifted_hit_rates: Mapping[str, float],
-        shift_at: int,
-        fault_seed: int = 0,
-    ):
-        super().__init__(graph, table, fault_seed)
-        if shift_at < 0:
-            raise DistributionError(f"shift_at must be >= 0, got {shift_at}")
-        shifted = FlakySegmentedTable(
-            table.segments,
-            table.scan_costs,
-            shifted_hit_rates,
-            table.failure_rates,
-            table.timeout_rates,
-        )
-        self.shifted = FlakySegmentAccessDistribution(graph, shifted, fault_seed)
-        self.shifted.plan = self.plan  # one fault stream across the boundary
-        self.shift_at = shift_at
-        self.draws = 0
-
-    @property
-    def drifted(self) -> bool:
-        """Whether the next draw comes from the post-shift regime."""
-        return self.draws >= self.shift_at
-
-    def current_table(self) -> FlakySegmentedTable:
-        """The table governing the next draw (pre- or post-shift)."""
-        table = self.shifted.table if self.drifted else self.table
-        assert isinstance(table, FlakySegmentedTable)
-        return table
-
-    def sample(self, rng: random.Random) -> Context:
-        source = self.shifted if self.drifted else self
-        self.draws += 1
-        if source is self:
-            return super().sample(rng)
-        return source.sample(rng)
-
-    def reset(self) -> None:
-        """Rewind to the pre-shift regime *and* restart the fault
-        streams (for repeated bench passes)."""
-        self.draws = 0
-        self.plan.reset()
-
-
-def burst_schedule(
-    ticks: int, burst_factor: int, period: int = 8, phase: int = 0
-) -> List[int]:
-    """Per-tick arrival counts for a deterministic bursty open loop.
-
-    One arrival per tick at baseline; every ``period``-th tick (offset
-    by ``phase``) delivers ``burst_factor`` arrivals at once.  The total
-    is a pure function of the arguments, so benches and verify worlds
-    can state expected admission counts exactly — no Poisson clock to
-    seed or argue about.
-    """
-    if ticks < 0:
-        raise DistributionError(f"ticks must be >= 0, got {ticks}")
-    if burst_factor < 1:
-        raise DistributionError(
-            f"burst_factor must be >= 1, got {burst_factor}"
-        )
-    if period < 1:
-        raise DistributionError(f"period must be >= 1, got {period}")
-    return [
-        burst_factor if tick % period == phase % period else 1
-        for tick in range(ticks)
-    ]

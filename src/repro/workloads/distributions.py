@@ -47,7 +47,6 @@ __all__ = [
     "MixtureDistribution",
     "DatalogDistribution",
     "PiecewiseStationaryDistribution",
-    "BlendingDistribution",
 ]
 
 
@@ -344,123 +343,6 @@ class PiecewiseStationaryDistribution(ContextDistribution):
 
     def reset(self) -> None:
         """Rewind to the first regime (for repeated benchmark runs)."""
-        self.draws = 0
-
-
-class BlendingDistribution(ContextDistribution):
-    """Gradual drift: one distribution cross-fading into another.
-
-    For the first ``hold`` draws the mix is pure ``start``; over the
-    next ``blend_over`` draws the probability of sampling from ``end``
-    ramps linearly from 0 to 1; afterwards the mix is pure ``end``.
-    Each draw is a two-component mixture, so marginal success
-    probabilities interpolate linearly — the *gradual* counterpart of
-    :class:`PiecewiseStationaryDistribution`'s jumps, and the harder
-    case for change detectors (no single boundary to find).
-
-    Like the piecewise wrapper it is stateful, and its introspection
-    describes the instantaneous mixture: :meth:`arc_probabilities`
-    reports the blended marginals, :meth:`expected_cost` the exact
-    mixture expectation ``(1−w)·C_start[Θ] + w·C_end[Θ]``.
-    """
-
-    def __init__(
-        self,
-        graph: InferenceGraph,
-        start: ContextDistribution,
-        end: ContextDistribution,
-        blend_over: int,
-        hold: int = 0,
-    ):
-        if start.graph is not graph or end.graph is not graph:
-            raise DistributionError(
-                "start and end must share the wrapper's graph"
-            )
-        if blend_over < 1:
-            raise DistributionError(
-                f"blend_over must be >= 1, got {blend_over}"
-            )
-        if hold < 0:
-            raise DistributionError(f"hold must be >= 0, got {hold}")
-        self.graph = graph
-        self.start = start
-        self.end = end
-        self.blend_over = blend_over
-        self.hold = hold
-        self.draws = 0
-
-    def weight_at(self, draw: int) -> float:
-        """The ``end`` component's mixing weight at a 0-based draw."""
-        if draw < self.hold:
-            return 0.0
-        return min(1.0, (draw - self.hold) / self.blend_over)
-
-    @property
-    def weight(self) -> float:
-        """The mixing weight the *next* draw uses."""
-        return self.weight_at(self.draws)
-
-    def sample(self, rng: random.Random) -> Context:
-        weight = self.weight
-        self.draws += 1
-        component = self.end if rng.random() < weight else self.start
-        return component.sample(rng)
-
-    def arc_probabilities(self) -> Optional[Dict[str, float]]:
-        """Exact instantaneous marginals: ``(1−w)·p_start + w·p_end``.
-
-        Marginals of a mixture are exact even though the joint is
-        correlated; callers needing the joint should use
-        :meth:`support`.
-        """
-        first = self.start.arc_probabilities()
-        second = self.end.arc_probabilities()
-        if first is None or second is None:
-            return None
-        weight = self.weight
-        return {
-            name: (1.0 - weight) * first[name] + weight * second[name]
-            for name in first
-        }
-
-    def support(self) -> Optional[List[Tuple[float, Context]]]:
-        """The instantaneous mixture's weighted support."""
-        weight = self.weight
-        components = []
-        if weight < 1.0:
-            components.append((1.0 - weight, self.start))
-        if weight > 0.0:
-            components.append((weight, self.end))
-        merged: Dict[Context, float] = {}
-        for outer, component in components:
-            inner = component.support()
-            if inner is None:
-                return None
-            for inner_weight, context in inner:
-                merged[context] = (
-                    merged.get(context, 0.0) + outer * inner_weight
-                )
-        return [(weight, context) for context, weight in merged.items()]
-
-    def expected_cost(
-        self,
-        strategy: Strategy,
-        samples: int = 20_000,
-        rng: Optional[random.Random] = None,
-    ) -> float:
-        """The exact mixture expectation at the current draw count."""
-        weight = self.weight
-        cost = 0.0
-        if weight < 1.0:
-            cost += (1.0 - weight) * self.start.expected_cost(
-                strategy, samples, rng
-            )
-        if weight > 0.0:
-            cost += weight * self.end.expected_cost(strategy, samples, rng)
-        return cost
-
-    def reset(self) -> None:
-        """Rewind the cross-fade (for repeated benchmark runs)."""
         self.draws = 0
 
 

@@ -1,5 +1,10 @@
 """Tests for the Clopper–Pearson interval helper."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.bench.stats import clopper_pearson, rate_with_interval
@@ -59,3 +64,29 @@ class TestRendering:
         text = rate_with_interval(0, 60)
         assert text.startswith("0.000 [0.000, ")
         assert text.endswith("]")
+
+
+class TestNoUndeclaredDependency:
+    def test_imports_with_scipy_blocked(self):
+        """The package declares no runtime dependency, so the bench
+        reports, the verify contracts and the bench-check tool must
+        work where scipy is not installed."""
+        repo = Path(__file__).resolve().parent.parent
+        probe = (
+            "import runpy, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import repro.bench, repro.verify\n"
+            "assert repro.bench.rate_with_interval(0, 60).startswith('0.000')\n"
+            "sys.argv = ['tools/bench_trajectory.py', '--help']\n"
+            "runpy.run_path(sys.argv[0], run_name='__main__')\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(repo / "src")),
+            cwd=str(repo),
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "usage: bench_trajectory.py" in result.stdout

@@ -110,8 +110,6 @@ class TestBottomUpEngine:
         db = Database.from_program("q(a).")
         first = engine.model(db)
         assert engine.model(db) is first
-        engine.invalidate(db)
-        assert engine.model(db) is not first
 
     def test_mutation_invalidates_cached_model(self):
         # Regression: the model cache used to key on ``id(database)``
@@ -135,13 +133,6 @@ class TestBottomUpEngine:
         second = engine.model(db)
         assert second is not first
         assert engine.model(db) is second
-
-    def test_invalidate_all(self):
-        engine = BottomUpEngine(parse_program("p(X) :- q(X)."))
-        db = Database.from_program("q(a).")
-        first = engine.model(db)
-        engine.invalidate()
-        assert engine.model(db) is not first
 
     def test_naive_mode(self):
         engine = BottomUpEngine(

@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import DistributionError
 from repro.workloads import (
-    BlendingDistribution,
     ExplicitDistribution,
     IndependentDistribution,
     MixtureDistribution,
@@ -240,63 +239,3 @@ class TestPiecewiseStationary:
                 (None, IndependentDistribution(other, {"Dp": 0.5, "Dg": 0.5})),
             ])
 
-
-class TestBlending:
-    def make(self, graph, blend_over=100, hold=50):
-        start = IndependentDistribution(graph, {"Dp": 0.15, "Dg": 0.6})
-        end = IndependentDistribution(graph, {"Dp": 0.6, "Dg": 0.15})
-        return BlendingDistribution(graph, start, end, blend_over, hold)
-
-    def test_weight_schedule(self):
-        stream = self.make(g_a())
-        assert stream.weight_at(0) == 0.0
-        assert stream.weight_at(49) == 0.0
-        assert stream.weight_at(100) == pytest.approx(0.5)
-        assert stream.weight_at(150) == 1.0
-        assert stream.weight_at(10**6) == 1.0
-
-    def test_marginals_interpolate_linearly(self):
-        graph = g_a()
-        stream = self.make(graph)
-        rng = random.Random(3)
-        for _ in range(100):          # halfway through the cross-fade
-            stream.sample(rng)
-        probs = stream.arc_probabilities()
-        assert probs["Dp"] == pytest.approx(0.5 * 0.15 + 0.5 * 0.6)
-        assert probs["Dg"] == pytest.approx(0.5 * 0.6 + 0.5 * 0.15)
-
-    def test_expected_cost_is_exact_mixture(self):
-        graph = g_a()
-        stream = self.make(graph)
-        rng = random.Random(4)
-        for _ in range(100):
-            stream.sample(rng)
-        start_cost = IndependentDistribution(
-            graph, {"Dp": 0.15, "Dg": 0.6}).expected_cost(theta_1(graph))
-        end_cost = IndependentDistribution(
-            graph, {"Dp": 0.6, "Dg": 0.15}).expected_cost(theta_1(graph))
-        assert stream.expected_cost(theta_1(graph)) == pytest.approx(
-            0.5 * (start_cost + end_cost)
-        )
-
-    def test_support_merges_components(self):
-        graph = g_a()
-        stream = self.make(graph)
-        rng = random.Random(5)
-        for _ in range(100):
-            stream.sample(rng)
-        support = stream.support()
-        assert support is not None
-        assert sum(weight for weight, _ in support) == pytest.approx(1.0)
-
-    def test_validation(self):
-        graph = g_a()
-        start = IndependentDistribution(graph, {"Dp": 0.5, "Dg": 0.5})
-        end = IndependentDistribution(graph, {"Dp": 0.1, "Dg": 0.9})
-        with pytest.raises(DistributionError):
-            BlendingDistribution(graph, start, end, blend_over=0)
-        with pytest.raises(DistributionError):
-            BlendingDistribution(graph, start, end, blend_over=10, hold=-1)
-        foreign = IndependentDistribution(g_a(), {"Dp": 0.5, "Dg": 0.5})
-        with pytest.raises(DistributionError):
-            BlendingDistribution(graph, foreign, end, blend_over=10)

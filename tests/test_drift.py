@@ -7,23 +7,24 @@ import pytest
 
 from repro.errors import LearningError
 from repro.learning.drift import (
+    EPOCH_COOLDOWN,
     ROLLBACK_NAME,
     AdaptiveWindowDetector,
     DriftAwarePIB,
     DriftConfig,
     PageHinkleyDetector,
-    PAORevalidationMonitor,
     RollbackTransformation,
     make_detector,
 )
 from repro.learning.pib import PIB
+from repro.learning.statistics import WindowedRetrievalStatistics
 from repro.observability import Tracer
 from repro.persistence import pib_to_dict
-from repro.strategies.execution import execute
 from repro.workloads import (
     IndependentDistribution,
     PiecewiseStationaryDistribution,
     g_a,
+    g_b,
     intended_probabilities,
     theta_1,
     theta_2,
@@ -134,13 +135,41 @@ class TestMakeDetectorAndConfig:
             DriftConfig(delta=0.0)
         with pytest.raises(LearningError):
             DriftConfig(detector="mystery")
-        with pytest.raises(LearningError):
-            DriftConfig(monitor_costs=False, monitor_arcs=False)
 
     def test_config_dict_roundtrip(self):
-        config = DriftConfig(delta=0.01, detector="page-hinkley",
-                             cooldown=99, frequency_window=123)
+        config = DriftConfig(delta=0.01, detector="page-hinkley")
         assert DriftConfig.from_dict(config.to_dict()) == config
+
+    def test_window_detector_tuning(self):
+        detector = make_detector("window", 4.0, DriftConfig(delta=0.01))
+        assert detector.delta == 0.01
+        assert detector.max_window == 400
+        assert detector.check_every == 8
+        assert detector.min_side == 20
+
+    def test_page_hinkley_tuning(self):
+        # 20 samples, not PageHinkleyDetector's own default of 30.
+        detector = make_detector("page-hinkley", 4.0, DriftConfig(delta=0.01))
+        assert detector.delta == 0.01
+        assert detector.min_samples == 20
+        assert detector.tolerance == 0.0
+
+    def test_learner_watches_cost_and_every_experiment(self):
+        for graph in (g_a(), g_b()):
+            pib = DriftAwarePIB(graph)
+            statistics = pib.retrieval_statistics
+            assert isinstance(statistics, WindowedRetrievalStatistics)
+            assert statistics.window == 200
+            assert isinstance(pib._cost_detector, AdaptiveWindowDetector)
+            assert pib._cost_detector.value_range == graph.total_cost
+            assert list(pib._arc_detectors) == [
+                arc.name for arc in graph.experiments()
+            ]
+            assert all(
+                isinstance(detector, AdaptiveWindowDetector)
+                and detector.value_range == 1.0
+                for detector in pib._arc_detectors.values()
+            )
 
 
 class TestFalseAlarmRate:
@@ -283,7 +312,7 @@ class TestEpochProtocol:
         # least a cooldown apart once past epoch 1.
         numbers = [a.context_number for a in pib.drift_alarms]
         gaps = [b - a for a, b in zip(numbers[1:], numbers[2:])]
-        assert all(gap >= DriftConfig().cooldown for gap in gaps)
+        assert all(gap >= EPOCH_COOLDOWN for gap in gaps)
 
     def test_drift_report_shape(self):
         _, pib, _ = self.drive_through_flip()
@@ -380,49 +409,6 @@ class TestTracingByteIdentity:
         assert len(tracer.events_of("drift_alarm")) == \
             len(traced.drift_alarms)
         assert len(tracer.events_of("epoch_reset")) == traced.epoch
-
-
-class TestPAORevalidationMonitor:
-    def feed(self, monitor, graph, probs, contexts, seed):
-        distribution = IndependentDistribution(graph, probs)
-        strategy = theta_1(graph)
-        rng = random.Random(seed)
-        for _ in range(contexts):
-            monitor.record(execute(strategy, distribution.sample(rng)))
-
-    def test_stays_armed_under_stationarity(self):
-        graph = g_a()
-        monitor = PAORevalidationMonitor(graph, delta=0.05)
-        self.feed(monitor, graph, GRAD_HEAVY, 600, seed=31)
-        assert not monitor.stale
-
-    def test_goes_stale_on_frequency_shift(self):
-        graph = g_a()
-        monitor = PAORevalidationMonitor(graph, delta=0.05)
-        self.feed(monitor, graph, GRAD_HEAVY, 400, seed=32)
-        self.feed(monitor, graph, PROF_HEAVY, 400, seed=33)
-        assert monitor.stale
-        assert any(arc in ("Dp", "Dg") for arc in monitor.stale_arcs)
-
-    def test_unknown_arc_rejected(self):
-        monitor = PAORevalidationMonitor(g_a(), delta=0.05)
-        with pytest.raises(LearningError):
-            monitor.observe("Dzz", True)
-
-    def test_revalidate_redraws_budget_and_rearms(self):
-        graph = g_a()
-        monitor = PAORevalidationMonitor(graph, delta=0.1)
-        self.feed(monitor, graph, GRAD_HEAVY, 400, seed=34)
-        self.feed(monitor, graph, PROF_HEAVY, 400, seed=35)
-        assert monitor.stale
-        distribution = IndependentDistribution(graph, PROF_HEAVY)
-        result = monitor.revalidate(
-            epsilon=1.0, delta=0.1,
-            oracle=distribution.sampler(random.Random(36)),
-            sample_scale=0.25,
-        )
-        assert result.strategy is not None
-        assert not monitor.stale
 
 
 class TestDriftThroughSystem:

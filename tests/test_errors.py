@@ -14,8 +14,7 @@ class TestHierarchy:
             assert issubclass(exc, errors.ReproError), name
 
     def test_datalog_family(self):
-        for name in ("ParseError", "UnificationError", "StratificationError",
-                     "EvaluationError"):
+        for name in ("ParseError", "StratificationError", "EvaluationError"):
             assert issubclass(getattr(errors, name), errors.DatalogError)
 
     def test_graph_family(self):

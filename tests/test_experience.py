@@ -322,12 +322,6 @@ class TestExperienceConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperienceConfig(neighbour_k=0)
-        with pytest.raises(ValueError):
-            ExperienceConfig(similarity_floor=1.5)
-        with pytest.raises(ValueError):
-            ExperienceConfig(pattern_weight=0.0, similarity_weight=0.0)
-        with pytest.raises(ValueError):
-            ExperienceConfig(pattern_weight=-0.1)
 
     def test_from_options_wires_experience(self):
         config = SessionConfig.from_options(

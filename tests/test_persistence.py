@@ -16,12 +16,14 @@ from repro.persistence import (
     strategy_from_dict,
     strategy_to_dict,
     transformation_from_name,
+    write_checked_json,
 )
 from repro.learning.drift import DriftAwarePIB, DriftConfig
 from repro.learning.pib import PIB
 from repro.strategies.transformations import PathPromotion, SiblingSwap
 from repro.workloads import (
     IndependentDistribution,
+    PiecewiseStationaryDistribution,
     g_a,
     intended_probabilities,
     theta_1,
@@ -238,3 +240,54 @@ class TestDriftRoundTrip:
         assert restored.strategy.arc_names() == pib.strategy.arc_names()
         assert restored.climbs == pib.climbs
         assert restored.epoch == pib.epoch
+
+    def test_checkpoint_with_retired_config_keys_resumes_identically(
+        self, tmp_path
+    ):
+        """Checkpoints once stored ten tuning keys under ``drift.config``;
+        only ``delta`` and ``detector`` are still settable, and the
+        other eight always held these defaults.  Such a file must resume
+        exactly like one that stores the two keys alone."""
+        graph, distribution, pib = self.make_trained_drift_pib()
+        pib._begin_epoch(["test"])
+        current = tmp_path / "current.json"
+        save_pib(pib, str(current))
+        legacy_payload = pib_to_dict(pib)
+        legacy_payload["drift"]["config"] = {
+            "delta": 0.05,
+            "detector": "window",
+            "max_window": 400,
+            "check_every": 8,
+            "min_side": 20,
+            "tolerance": 0.0,
+            "cooldown": 50,
+            "monitor_costs": True,
+            "monitor_arcs": True,
+            "frequency_window": 200,
+        }
+        legacy = tmp_path / "legacy.json"
+        write_checked_json(str(legacy), legacy_payload)
+        resumed = []
+        for path in (current, legacy):
+            learner = load_pib(graph, str(path))
+            # A flip after 300 contexts makes the detectors alarm.
+            stream = PiecewiseStationaryDistribution(graph, [
+                (300, distribution),
+                (None, IndependentDistribution(
+                    graph, {"Dp": 0.75, "Dg": 0.05}
+                )),
+            ])
+            learner.run(stream.sampler(random.Random(91)), 1200)
+            resumed.append(learner)
+        fresh, old = resumed
+        assert old.drift_config == fresh.drift_config
+        assert fresh.epoch > 1  # the drift path actually ran
+        assert old.epoch == fresh.epoch
+        assert old.total_tests == fresh.total_tests
+        assert old.strategy.arc_names() == fresh.strategy.arc_names()
+        assert [(a.transformation.name, a.total, a.samples)
+                for a in old._accumulators] == \
+               [(a.transformation.name, a.total, a.samples)
+                for a in fresh._accumulators]
+        assert json.dumps(pib_to_dict(old), sort_keys=True) == \
+            json.dumps(pib_to_dict(fresh), sort_keys=True)

@@ -172,15 +172,6 @@ class TestTablingAndBilling:
         db.remove(parse_atom("edge(n5, n6)"))
         assert not engine.holds(query, db)
 
-    def test_invalidate_drops_cached_state(self):
-        rules = parse_program(CLOSURE)
-        db = chain_db(4)
-        engine = QSQNEngine(rules)
-        assert engine.holds(parse_query("path(n0, n4)?"), db)
-        engine.invalidate(db)
-        engine.invalidate()
-        assert engine.holds(parse_query("path(n0, n4)?"), db)
-
 
 class TestEngineRegistry:
     def test_names(self):

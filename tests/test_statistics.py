@@ -6,7 +6,6 @@ import pytest
 
 from repro.graphs.contexts import Context
 from repro.learning.statistics import (
-    DecayedDeltaAccumulator,
     DeltaAccumulator,
     RetrievalStatistics,
     WindowedRetrievalStatistics,
@@ -143,63 +142,6 @@ class TestWindowedRetrievalStatistics:
     def test_window_validated(self):
         with pytest.raises(ValueError):
             WindowedRetrievalStatistics(g_a(), window=0)
-
-
-class TestDecayedDeltaAccumulator:
-    def make(self, decay=0.5):
-        graph = g_a()
-        transformation = SiblingSwap("Rp", "Rg")
-        return graph, DecayedDeltaAccumulator(
-            transformation, theta_2(graph),
-            transformation.chernoff_range(graph), decay=decay,
-        )
-
-    def test_older_samples_decay(self):
-        graph, accumulator = self.make(decay=0.5)
-        # First sample: Δ̃ = +2 (case 1); second: Δ̃ = −2 (case 3).
-        accumulator.update(
-            execute(theta_1(graph), Context(graph, {"Dp": False, "Dg": True}))
-        )
-        accumulator.update(
-            execute(theta_1(graph), Context(graph, {"Dp": True, "Dg": True}))
-        )
-        assert accumulator.samples == 2
-        # total = 2·0.5 + (−2) = −1; effective mass = 0.5 + 1 = 1.5.
-        assert accumulator.total == pytest.approx(-1.0)
-        assert accumulator.effective_samples == pytest.approx(1.5)
-        assert accumulator.mean == pytest.approx(-1.0 / 1.5)
-
-    def test_decay_one_matches_plain_accumulator(self):
-        graph = g_a()
-        transformation = SiblingSwap("Rp", "Rg")
-        plain = DeltaAccumulator(
-            transformation, theta_2(graph),
-            transformation.chernoff_range(graph),
-        )
-        decayed = DecayedDeltaAccumulator(
-            transformation, theta_2(graph),
-            transformation.chernoff_range(graph), decay=1.0,
-        )
-        distribution = IndependentDistribution(
-            graph, {"Dp": 0.4, "Dg": 0.6}
-        )
-        rng = random.Random(7)
-        for _ in range(50):
-            run = execute(theta_1(graph), distribution.sample(rng))
-            plain.update(run)
-            decayed.update(run)
-        assert decayed.total == pytest.approx(plain.total)
-        assert decayed.mean == pytest.approx(plain.mean)
-
-    def test_empty_mean_is_zero(self):
-        _, accumulator = self.make()
-        assert accumulator.mean == 0.0
-
-    def test_decay_validated(self):
-        with pytest.raises(ValueError):
-            self.make(decay=0.0)
-        with pytest.raises(ValueError):
-            self.make(decay=1.5)
 
 
 class TestDeltaAccumulator:
