@@ -67,7 +67,7 @@ from .cliflags import (
     STORE_FLAGS,
 )
 from .datalog.database import Database
-from .datalog.parser import parse_program, parse_query
+from .datalog.parser import parse_program, parse_query, strip_comment
 from .datalog.rules import QueryForm
 from .graphs.builder import build_inference_graph
 from .errors import ReproError
@@ -209,7 +209,7 @@ def _load_query_lines(path: str) -> List[str]:
     queries: List[str] = []
     with open(path, encoding="utf-8") as handle:
         for line in handle:
-            text = line.split("%", 1)[0].strip()
+            text = strip_comment(line).strip()
             if text:
                 queries.append(text)
     return queries

@@ -16,7 +16,19 @@ is how the worked examples name the paper's rules
 (``@Rp instructor(X) :- prof(X).``).
 
 Entry points: :func:`parse_program`, :func:`parse_rule`,
-:func:`parse_atom`, :func:`parse_query`.
+:func:`parse_atom`, :func:`parse_query`, and :func:`strip_comment` for
+the one-query-per-line stream format.
+
+Fact text has a second reader.  :meth:`FactStore.from_program
+<repro.storage.interface.FactStore.from_program>` takes its atoms from
+:func:`_read_facts`, which first tries :func:`_scan_facts`: that
+matches one whole ground-fact clause per regex match and builds its
+:class:`Atom` directly, with no tokens, :class:`Rule` objects or
+:class:`RuleBase`.  The scan is built from the same NAME, NUMBER,
+STRING and COMMENT patterns as the tokenizer and accepts only text that
+is certainly ground facts; anything else goes to :func:`parse_program`
+and the ``is_fact`` check, which stay the reference reading and the
+only error reporter.
 """
 
 from __future__ import annotations
@@ -24,11 +36,14 @@ from __future__ import annotations
 import re
 from typing import Iterator, List, NamedTuple, Optional
 
-from ..errors import ParseError
+from ..errors import DatalogError, ParseError
 from .rules import Literal, Rule, RuleBase
 from .terms import Atom, Constant, Term, Variable
 
-__all__ = ["parse_program", "parse_rule", "parse_atom", "parse_query", "tokenize"]
+__all__ = [
+    "parse_program", "parse_rule", "parse_atom", "parse_query", "strip_comment",
+    "tokenize",
+]
 
 
 class Token(NamedTuple):
@@ -38,9 +53,18 @@ class Token(NamedTuple):
     column: int
 
 
+# The lexical grammar, shared by the tokenizer, the fact scan and
+# strip_comment.  No pattern holds whitespace or '#', so each reads the
+# same inside a re.VERBOSE pattern.
+_COMMENT = r"%[^\n]*"
+_DOT = r"\.(?!\d)"
+_NUMBER = r"-?\d+(?:\.\d+)?"
+_STRING = r'"(?:[^"\\]|\\.)*"'
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<COMMENT>%[^\n]*)
+    rf"""
+    (?P<COMMENT>{_COMMENT})
   | (?P<WS>\s+)
   | (?P<IMPLIES>:-)
   | (?P<NAF>\\\+)
@@ -48,13 +72,21 @@ _TOKEN_RE = re.compile(
   | (?P<LPAREN>\()
   | (?P<RPAREN>\))
   | (?P<COMMA>,)
-  | (?P<DOT>\.(?!\d))
-  | (?P<NUMBER>-?\d+(?:\.\d+)?)
-  | (?P<STRING>"(?:[^"\\]|\\.)*")
-  | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<DOT>{_DOT})
+  | (?P<NUMBER>{_NUMBER})
+  | (?P<STRING>{_STRING})
+  | (?P<NAME>{_NAME})
     """,
     re.VERBOSE,
 )
+
+_STRING_OR_COMMENT_RE = re.compile(rf"({_STRING})|{_COMMENT}")
+
+
+def strip_comment(line: str) -> str:
+    """``line`` without its ``%`` comment.  A ``%`` inside a string
+    literal, as in ``q("50%")``, is part of the string and stays."""
+    return _STRING_OR_COMMENT_RE.sub(lambda found: found.group(1) or "", line)
 
 
 def tokenize(text: str) -> Iterator[Token]:
@@ -169,34 +201,123 @@ class _Parser:
 
     def term(self) -> Term:
         token = self._current
-        if token.kind == "NAME":
-            self._advance()
-            if token.text[0].isupper() or token.text[0] == "_":
-                return Variable(token.text)
-            return Constant(token.text)
-        if token.kind == "NUMBER":
-            self._advance()
-            value = float(token.text) if "." in token.text else int(token.text)
-            return Constant(value)
-        if token.kind == "STRING":
-            self._advance()
-            raw = token.text[1:-1]
-            return Constant(raw.replace('\\"', '"').replace("\\\\", "\\"))
-        raise ParseError(
-            f"expected a term, found {token.kind} ({token.text!r})",
-            line=token.line,
-            column=token.column,
-        )
+        if token.kind not in ("NAME", "NUMBER", "STRING"):
+            raise ParseError(
+                f"expected a term, found {token.kind} ({token.text!r})",
+                line=token.line,
+                column=token.column,
+            )
+        self._advance()
+        text = token.text
+        if token.kind == "NAME" and (text[0].isupper() or text[0] == "_"):
+            return Variable(text)
+        return _constant(text)
+
+
+def _constant(text: str) -> Constant:
+    """The constant that one lowercase NAME, NUMBER or STRING token
+    spells; the token's first character tells which."""
+    first = text[0]
+    if first == '"':
+        return Constant(text[1:-1].replace('\\"', '"').replace("\\\\", "\\"))
+    if first == "-" or first.isdigit():
+        return Constant(float(text) if "." in text else int(text))
+    return Constant(text)
+
+
+# -- the fact scan ---------------------------------------------------
+#
+# Layout matches in exactly one way: a whitespace run, then comments
+# running to the end of the line, each followed by a whitespace run.
+# So a failed match backtracks in linear time, with no atomic groups
+# (Python 3.9 has none).
+_LAYOUT = rf"\s*(?:{_COMMENT}(?![^\n])\s*)*"
+_LOWER_NAME = rf"(?=[a-z]){_NAME}"
+_CONSTANT = rf"(?:{_LOWER_NAME}|{_NUMBER}|{_STRING})"
+
+#: One ground-fact clause and the layout before it.  The ``\b`` keeps a
+#: label whole: without it ``@ab.`` would read as label ``a``, fact ``b``.
+_FACT_RE = re.compile(
+    rf"""
+    {_LAYOUT}
+    (?:@{_LAYOUT}{_NAME}\b{_LAYOUT})?
+    (?P<predicate>{_LOWER_NAME}){_LAYOUT}
+    (?:\(
+        (?P<args>{_LAYOUT}{_CONSTANT}{_LAYOUT}
+            (?:,{_LAYOUT}{_CONSTANT}{_LAYOUT})*)
+    \){_LAYOUT})?
+    {_DOT}
+    """,
+    re.VERBOSE,
+)
+_LAYOUT_RE = re.compile(_LAYOUT)
+#: The constants of a matched argument list (comments give ``''``).
+_ARGS_RE = re.compile(rf"{_COMMENT}|({_STRING}|{_NUMBER}|{_NAME})")
+
+
+def _scan_facts(text: str) -> Optional[List[Atom]]:
+    """The atoms of ``text``, in order, when it is certainly ground
+    facts only; ``None`` sends :func:`_read_facts` to
+    :func:`parse_program`.
+
+    A fact has a lowercase predicate and lowercase-name, number or
+    string arguments; its optional ``@label`` is dropped, as the
+    general path drops it.  Every other clause (a variable, a body, an
+    uppercase predicate, a stray character) returns ``None``, and so
+    does an integer past ``int``'s digit limit: the general parser
+    reads the whole text first and reports its error.
+    """
+    match, args_of = _FACT_RE.match, _ARGS_RE.findall
+    facts: List[Atom] = []
+    position = 0
+    try:
+        while True:
+            found = match(text, position)
+            if found is None:
+                break
+            predicate, args = found.group("predicate", "args")
+            facts.append(Atom._make(predicate, () if args is None else tuple(
+                [_constant(arg) for arg in args_of(args) if arg]
+            )))
+            position = found.end()
+    except ValueError:
+        return None
+    if _LAYOUT_RE.fullmatch(text, position) is None:
+        return None
+    return facts
 
 
 def parse_program(text: str) -> RuleBase:
     """Parse a full Datalog program into a :class:`RuleBase`.
 
-    Ground facts written in the program become body-less rules; callers
-    that want them in a :class:`~repro.datalog.database.Database`
-    instead can use :meth:`Database.from_program`.
+    Ground facts written in the program become body-less rules; fact
+    text that is bound for a store is read by
+    :meth:`FactStore.from_program
+    <repro.storage.interface.FactStore.from_program>` instead, which
+    scans it straight to atoms and calls this only for text the scan
+    does not accept.
     """
     return RuleBase(_Parser(text).program())
+
+
+def _read_facts(text: str) -> List[Atom]:
+    """The facts of ``text``, in order, all read before any is stored.
+
+    The scan's atoms when it accepts ``text``; otherwise the heads of
+    :func:`parse_program`'s rules, which raises on malformed text, with
+    :class:`DatalogError` for the first clause that is not a fact.
+    ``parse_program`` is looked up when called, so a wrapper installed
+    on this module sees the fallback.
+    """
+    facts = _scan_facts(text)
+    if facts is not None:
+        return facts
+    heads = []
+    for rule in parse_program(text):
+        if not rule.is_fact:
+            raise DatalogError(f"not a fact: {rule}")
+        heads.append(rule.head)
+    return heads
 
 
 def parse_rule(text: str) -> Rule:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from ..datalog.database import Database
-from ..datalog.parser import parse_program, parse_query
+from ..datalog.parser import parse_program, parse_query, strip_comment
 from ..datalog.rules import RuleBase
 from ..datalog.terms import Atom
 from ..errors import ReproError
@@ -237,7 +237,7 @@ class QuerySession:
                     handle, resolved, on_answer, checkpoint
                 )
         for raw in stream:
-            text = raw.split("%", 1)[0].strip()
+            text = strip_comment(raw).strip()
             if not text:
                 continue
             answer = self.query(text, resolved)

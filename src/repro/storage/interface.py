@@ -73,8 +73,6 @@ from typing import (
     Tuple,
 )
 
-from ..errors import DatalogError
-
 if TYPE_CHECKING:
     from ..datalog.terms import Atom, Substitution
 
@@ -343,14 +341,18 @@ class FactStore(ABC):
     @classmethod
     def from_program(cls, text: str, **kwargs) -> "FactStore":
         """Build a store from Datalog source containing only facts;
-        ``kwargs`` go to the constructor."""
-        from ..datalog.parser import parse_program
+        ``kwargs`` go to the constructor.
+
+        Fact-only text is scanned straight to atoms; any other text
+        goes through :func:`~repro.datalog.parser.parse_program`, which
+        reports its errors.  Either way the whole text is read before
+        the first :meth:`add`, so a malformed text writes nothing.
+        """
+        from ..datalog import parser
 
         store = cls(**kwargs)
-        for rule in parse_program(text):
-            if not rule.is_fact:
-                raise DatalogError(f"not a fact: {rule}")
-            store.add(rule.head)
+        for fact in parser._read_facts(text):
+            store.add(fact)
         return store
 
     @abstractmethod

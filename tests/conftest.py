@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.workloads import (
     db1,
@@ -16,6 +17,10 @@ from repro.workloads import (
     theta_abcd,
     university_rule_base,
 )
+
+#: The nightly deep run of the property tests
+#: (``--hypothesis-profile=nightly``); tier-1 keeps Hypothesis's default.
+settings.register_profile("nightly", max_examples=5000)
 
 
 @pytest.fixture

@@ -213,6 +213,22 @@ class TestTraceCommand:
         assert "error:" in output
 
 
+class TestServeCommand:
+    def test_percent_inside_a_string_survives_the_comment_strip(self, tmp_path):
+        rules = tmp_path / "kb.dl"
+        rules.write_text("q(X) :- r(X).")
+        facts = tmp_path / "db.dl"
+        facts.write_text('r("50%").')
+        stream = tmp_path / "queries.txt"
+        stream.write_text('q("50%")  % trailing comment\n')
+        code, output = run_cli([
+            "serve", "--rules", str(rules), "--facts", str(facts),
+            "--queries", str(stream),
+        ])
+        assert code == 0, output
+        assert "pass 1: 1 queries" in output
+
+
 class TestOptimalCommand:
     def test_prints_optimal_strategy(self, kb_files):
         rules, _ = kb_files

@@ -1,16 +1,25 @@
 """Unit tests for the Datalog parser and tokenizer."""
 
+import time
+
 import pytest
 
+import repro.datalog.parser
+from repro.bench.experiments import _serving_workload
+from repro.datalog.database import Database
 from repro.datalog.parser import (
     parse_atom,
     parse_program,
     parse_query,
     parse_rule,
+    strip_comment,
     tokenize,
 )
 from repro.datalog.terms import Atom, Constant, Variable
 from repro.errors import ParseError
+from repro.verify.worldgen import WorldSpec, build_kb_world
+from repro.workloads import db1
+from repro.workloads.hostile import KB_SHAPES
 
 
 class TestTokenizer:
@@ -128,3 +137,89 @@ class TestParseQuery:
 
     def test_bare_atom(self):
         assert parse_query("  p(X) ") == Atom("p", ["X"])
+
+
+@pytest.mark.parametrize("line, query", [
+    ("p(a)?  % why", "p(a)?"),
+    ('q("50%")  % trailing comment', 'q("50%")'),
+    (r'q("say \"50%\"") % note', r'q("say \"50%\"")'),
+    ('p(a) % say "hi', "p(a)"),
+])
+def test_strip_comment_spares_a_percent_inside_a_string(line, query):
+    assert strip_comment(line).strip() == query
+
+
+#: Malformed fact texts shaped to make a backtracking scan slow.
+SLOW_SHAPES = {
+    "percent-run": lambda: "%" * 100_000 + "\np(",
+    "space-run": lambda: " " * 200_000 + "P(a).",
+    "open-50k-args": lambda: "p(" + ", ".join(["a"] * 50_000) + ".",
+    "quote-run": lambda: (
+        "".join(f"p(c{index}).\n" for index in range(20_000)) + '"' * 5_000
+    ),
+}
+
+
+class TestFactScan:
+    """Fact text takes the scan in ``FactStore.from_program``; anything
+    else gets the general parser's error, and no input is slow."""
+
+    @pytest.fixture
+    def general_parser_off(self, monkeypatch):
+        """``parse_program`` raises, so only the scan can load facts."""
+
+        def refuse(text):
+            raise AssertionError(f"fact text fell back: {text[:60]!r}")
+
+        monkeypatch.setattr(repro.datalog.parser, "parse_program", refuse)
+
+    def test_generated_fact_texts_take_the_scan(self, general_parser_off):
+        for shape in KB_SHAPES:
+            for seed in range(4):
+                spec = WorldSpec(seed=seed, kb_shape=shape, negation_rate=0.3)
+                world = build_kb_world(spec)
+                assert len(world.database) == len(set(world.fact_text)), spec
+        assert len(db1()) == 2
+        _rules, facts_text, _queries = _serving_workload(6, 1)
+        assert len(Database.from_program(facts_text)) == 6 * 7
+        # One ``rel(cN).`` per line, as the benchmark's learn workloads.
+        facts = [f"leaf{form}_{branch}(c{key})."
+                 for form in range(8) for branch in range(5)
+                 for key in range(0, 2000, 37)]
+        assert len(Database.from_program("\n".join(facts))) == len(facts)
+
+    def test_scan_reads_what_the_general_parser_reads(self):
+        text = (
+            '@Label p(a, -3, 4.5, "x, y) % z.", \u0663). % (q).\n'
+            "not. not(not).\n% r(a).\n@_x\n% c\ns ( b ) ."
+        )
+        expected = [rule.head for rule in parse_program(text)]
+        assert repro.datalog.parser._scan_facts(text) == expected
+        assert expected[0].args[-1] == Constant(3)
+
+    @pytest.mark.parametrize("text", [
+        "p(X).", "p(a) :- q(a).", "P(a).", "p(a)", "p(a). 1.", 'p("a).',
+        "p(a) & q(b).", "@ab.", "p(a).5", "p(1a).", "p(a b).", "p().",
+        "p(-a).", "not p(a).", "p(_x).", "p(a).q(X).",
+    ])
+    def test_scan_declines_what_is_not_certainly_facts(self, text):
+        assert repro.datalog.parser._scan_facts(text) is None
+
+    def test_over_long_integer_gets_the_general_error(self):
+        # Past int's digit limit the scan declines, so the general
+        # parser's first error wins, as it did before the scan.
+        with pytest.raises(ParseError, match="unexpected character '&'"):
+            Database.from_program("p(" + "1" * 5_000 + "). q(&).")
+
+    @pytest.mark.parametrize("shape", sorted(SLOW_SHAPES))
+    def test_malformed_text_fails_fast_with_the_general_error(self, shape):
+        text = SLOW_SHAPES[shape]()
+        with pytest.raises(ParseError) as general:
+            parse_program(text)
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as raised:
+            Database.from_program(text)
+        assert time.perf_counter() - start < 5.0
+        assert (str(raised.value), raised.value.line, raised.value.column) == (
+            str(general.value), general.value.line, general.value.column
+        )

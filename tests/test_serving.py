@@ -302,6 +302,20 @@ class TestQuerySession:
         assert report.degraded == 0
         assert report.mean_cost > 0
 
+    def test_learn_from_stream_keeps_a_percent_inside_a_string(self):
+        seen = []
+        with open_session(
+            parse_program("q(X) :- r(X)."), Database.from_program('r("50%").')
+        ) as session:
+            report = session.learn_from_stream(
+                ['q("50%")  % trailing comment'],
+                on_answer=lambda n, text, answer: seen.append(
+                    (text, answer.proved)
+                ),
+            )
+        assert report.queries == 1
+        assert seen == [('q("50%")', True)]
+
     def test_learn_from_stream_path(self, tmp_path):
         stream_file = tmp_path / "stream.txt"
         stream_file.write_text("instructor(manolis)?\ninstructor(russ)?\n")

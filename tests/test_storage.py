@@ -8,13 +8,17 @@ dark.  The completeness verdict must thread through the system layer
 and gate the learner.
 """
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.datalog import parser
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_query
 from repro.datalog.rules import QueryForm
 from repro.datalog.terms import Atom
-from repro.errors import DatalogError
 from repro.resilience.faults import FaultPlan, FaultSpec, FlakyDatabase
 from repro.storage import (
     COMPLETE,
@@ -23,6 +27,7 @@ from repro.storage import (
     FederatedStore,
     SQLiteFactStore,
 )
+from repro.storage.interface import bucket_keys
 from repro.system import SelfOptimizingQueryProcessor
 from repro.workloads import db1, university_rule_base
 
@@ -54,6 +59,138 @@ def all_backends():
          FederatedStore(facts, shards=2, seed=5, replicas=True)),
         ("flaky", FlakyDatabase(Database(facts), FaultPlan(seed=0))),
     ]
+
+
+# -- fact-only program text ---------------------------------------------
+
+#: Layout between two tokens: whitespace, newlines and ``%`` comments
+#: holding the characters a careless scan would trip on.
+LAYOUT = st.lists(
+    st.sampled_from([" ", "\t", "\n", "\r\n", '% c, (d). "%\n']), max_size=2
+).map("".join)
+NAMES = st.from_regex(r"[a-z][A-Za-z0-9_]{0,2}", fullmatch=True)
+DIGITS = st.text("0123456789\u0663\u0967", min_size=1, max_size=3)
+NUMBERS = st.tuples(
+    st.sampled_from(["", "-"]), DIGITS,
+    st.one_of(st.just(""), DIGITS.map(lambda digits: "." + digits)),
+).map("".join)
+STRINGS = st.lists(
+    st.sampled_from(["a", " ", "%", ",", ")", ".", '\\"', "\\\\"]), max_size=4
+).map(lambda parts: '"' + "".join(parts) + '"')
+LABELS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,2}", fullmatch=True)
+
+#: Edits that make a fact-only text something the scan must not accept.
+MUTATIONS = ("variable", "body", "uppercase", "no-dot", "number-clause",
+             "open-string", "ampersand")
+
+
+@st.composite
+def fact_clauses(draw):
+    """Fact clauses as token lists: ``@Label``s, zero-arity facts, the
+    predicate ``not`` and duplicate facts included."""
+    clauses = []
+    for _ in range(draw(st.integers(0, 6))):
+        label = draw(st.one_of(st.none(), LABELS))
+        tokens = [] if label is None else ["@", label]
+        tokens.append(draw(st.one_of(st.just("not"), NAMES)))
+        args = draw(st.lists(st.one_of(NAMES, NUMBERS, STRINGS), max_size=3))
+        if args:
+            tokens.append("(")
+            for arg in args:
+                tokens += [arg, ","]
+            tokens[-1] = ")"
+        clauses.append(tokens + ["."])
+    for index in draw(st.lists(st.integers(0, 5), max_size=2)):
+        if clauses:
+            clauses.insert(index % len(clauses), list(clauses[index % len(clauses)]))
+    return clauses
+
+
+def render(draw, clauses):
+    """Join the tokens with drawn layout before and after each one."""
+    pieces = [draw(LAYOUT)]
+    for tokens in clauses:
+        for index, token in enumerate(tokens):
+            pieces.append(token)
+            # A label needs layout before its predicate, or the two names
+            # would lex as one.
+            gap = draw(LAYOUT)
+            pieces.append(gap or (" " if index and tokens[index - 1] == "@" else ""))
+    return "".join(pieces)
+
+
+def mutate(draw, clauses):
+    """A copy of ``clauses`` with one edit from :data:`MUTATIONS`."""
+    clauses = [list(tokens) for tokens in clauses] or [["p", "(", "a", ")", "."]]
+    where = draw(st.integers(0, len(clauses) - 1))
+    tokens = clauses[where]
+    predicate = 2 if tokens[0] == "@" else 0
+    kind = draw(st.sampled_from(MUTATIONS))
+    if kind == "variable":
+        if "(" in tokens:
+            tokens[tokens.index("(") + 1] = "X"
+        else:
+            tokens[-1:] = ["(", "X", ")", "."]
+    elif kind == "body":
+        tokens[-1:] = [":-", "q", "(", "a", ")", "."]
+    elif kind == "uppercase":
+        tokens[predicate] = tokens[predicate].capitalize()
+    elif kind == "no-dot":
+        tokens.pop()
+    elif kind == "number-clause":
+        clauses.insert(where, ["1", "."])
+    else:
+        stray = '"ab' if kind == "open-string" else "&"
+        tokens.insert(draw(st.integers(0, len(tokens))), stray)
+    return clauses
+
+
+@st.composite
+def fact_programs(draw):
+    """A fact-only text, and the same text with one mutation."""
+    clauses = draw(fact_clauses())
+    return render(draw, clauses), render(draw, mutate(draw, clauses))
+
+
+def load_by_rules(kind, text, **kwargs):
+    """``kind.from_program`` with the scan turned off: a fresh store fed
+    the heads of ``parse_program``'s rules, after the ``is_fact``
+    check."""
+    with mock.patch.object(parser, "_scan_facts", return_value=None):
+        return kind.from_program(text, **kwargs)
+
+
+def snapshot(store):
+    """What a reader sees of a store: its facts in order, its catalog
+    and its generation."""
+    return list(store), len(store), store.signatures(), store.generation
+
+
+def outcome(load, *args, **kwargs):
+    """What ``load(*args, **kwargs)`` did: the store it built, or the
+    error it raised."""
+    try:
+        return ("built", snapshot(load(*args, **kwargs)))
+    except Exception as error:
+        return ("raised", type(error), str(error),
+                getattr(error, "line", None), getattr(error, "column", None))
+
+
+class CountingDatabase(Database):
+    """A Database that counts ``add`` calls across all its instances."""
+
+    adds = 0
+
+    def add(self, fact):
+        CountingDatabase.adds += 1
+        return super().add(fact)
+
+
+STORE_KINDS = [
+    (Database, {}),
+    (SQLiteFactStore, {}),
+    (FederatedStore, {"shards": 3, "seed": 5}),
+]
 
 
 class TestBackendParity:
@@ -143,20 +280,39 @@ class TestBackendParity:
                 assert store.add(fact), name
             assert list(store) == reference + [Atom("e2", ["x"])], name
 
-    def test_from_program_builds_the_same_store(self):
-        text = "e2(a, b). e1(a). e2(b, c). flag. e1(b)."
-        reference = Database.from_program(text)
-        stores = [
-            SQLiteFactStore.from_program(text),
-            FederatedStore.from_program(text, shards=3, seed=5),
-            FlakyDatabase(Database.from_program(text), FaultPlan(seed=0)),
-        ]
-        for store in stores:
-            assert list(store) == list(reference), store
-            assert store.signatures() == reference.signatures(), store
-            assert store.generation == reference.generation == 5, store
-        with pytest.raises(DatalogError):
-            SQLiteFactStore.from_program("e1(X) :- e2(X, X).")
+    @settings(deadline=None)
+    @given(program=fact_programs())
+    @example(program=("e2(a, b). e1(a). e2(b, c). flag. e1(b).",
+                      "e1(X) :- e2(X, X)."))
+    def test_from_program_builds_the_same_store(self, program):
+        """``from_program`` builds what the general path builds from a
+        fact-only text, and raises what it raises on a mutated one,
+        without a single ``add`` first."""
+        text, malformed = program
+        reference = load_by_rules(Database, text)
+        # A fresh store's generation counts its facts: 5 for the example.
+        assert reference.generation == len(reference)
+        for kind, kwargs in STORE_KINDS:
+            # The general parser is off, so the scan built this store.
+            with mock.patch.object(parser, "parse_program",
+                                   side_effect=AssertionError(text)):
+                store = kind.from_program(text, **kwargs)
+            assert snapshot(store) == snapshot(
+                load_by_rules(kind, text, **kwargs)
+            ), kind
+            assert snapshot(store) == snapshot(reference), kind
+            assert outcome(kind.from_program, malformed, **kwargs) == (
+                outcome(load_by_rules, kind, malformed, **kwargs)
+            ), kind
+        database = Database.from_program(text)
+        for fact in reference:
+            for key in [fact.signature, *bucket_keys(fact)]:
+                assert database.version([key]) == reference.version([key]), key
+        flaky = FlakyDatabase(Database.from_program(text), FaultPlan(seed=0))
+        assert snapshot(flaky) == snapshot(reference)
+        CountingDatabase.adds = 0
+        if outcome(CountingDatabase.from_program, malformed)[0] == "raised":
+            assert CountingDatabase.adds == 0
 
     def test_contains(self):
         for name, store in all_backends():

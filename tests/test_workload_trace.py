@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.datalog.parser import parse_query
+from repro.datalog.parser import parse_query, strip_comment
 from repro.errors import ParseError
 from repro.workloads import intended_query_mix, query_stream
 
@@ -21,7 +21,7 @@ class TestStreamFormat:
         )
         queries = []
         for line in stream.read_text().splitlines():
-            line = line.split("%", 1)[0].strip()
+            line = strip_comment(line).strip()
             if line:
                 queries.append(parse_query(line))
         assert [str(q) for q in queries] == [
