@@ -8,7 +8,10 @@ each retrieval succeeds.  This module provides an indexed fact store:
 * a per-relation index (``signature -> facts``), and
 * per-argument hash indexes (``signature, position, constant -> facts``)
   so that bound positions of a retrieval pattern prune the scan, the
-  way any real EDB access path would.
+  way any real EDB access path would.  Only relations of arity two or
+  more get them: a probe opens a bucket only for a non-ground pattern
+  with a constant, which a unary pattern never is (a ground pattern is
+  a membership test on the relation index).
 
 Both index levels are backed by **insertion-ordered** dicts: every
 enumeration a query can observe — full relation scans and per-argument
@@ -27,9 +30,11 @@ effective write reports to.
 
 For the serving caches it keeps one *stamp* per read key (see
 :mod:`repro.storage.interface`): the generation of the last effective
-mutation under that relation or index bucket.  :meth:`Database.version`
-of a read set is the newest stamp in it, so a write changes the
-version of exactly the read sets that can observe it.
+mutation under that relation or bucket key, for every arity (a unary
+fact's bucket key is stamped though it has no bucket).
+:meth:`Database.version` of a read set is the newest stamp in it, so a
+write changes the version of exactly the read sets that can observe
+it.
 """
 
 from __future__ import annotations
@@ -70,7 +75,8 @@ class Database(FactStore):
         super().__init__()
         self._facts: Dict[Tuple[str, int], Dict[Atom, None]] = defaultdict(dict)
         # Insertion-ordered buckets (dict-as-ordered-set): enumeration
-        # through an index bucket must match insertion order.
+        # through an index bucket must match insertion order.  Filled
+        # for arity >= 2 only (see the module notes).
         self._arg_index: Dict[
             Tuple[str, int, int, Constant], Dict[Atom, None]
         ] = defaultdict(dict)
@@ -109,9 +115,10 @@ class Database(FactStore):
             return False
         relation[fact] = None
         keys = bucket_keys(fact)
-        arg_index = self._arg_index
-        for key in keys:
-            arg_index[key][fact] = None
+        if len(keys) > 1:
+            arg_index = self._arg_index
+            for key in keys:
+                arg_index[key][fact] = None
         generation = self._record_write(fact, 1)
         stamps = self._stamps
         stamps[signature] = generation

@@ -34,7 +34,7 @@ only error reporter.
 from __future__ import annotations
 
 import re
-from typing import Iterator, List, NamedTuple, Optional
+from typing import Dict, Iterator, List, NamedTuple, Optional
 
 from ..errors import DatalogError, ParseError
 from .rules import Literal, Rule, RuleBase
@@ -266,8 +266,15 @@ def _scan_facts(text: str) -> Optional[List[Atom]]:
     uppercase predicate, a stray character) returns ``None``, and so
     does an integer past ``int``'s digit limit: the general parser
     reads the whole text first and reports its error.
+
+    The facts of one relation share one predicate string, and the uses
+    of one constant text share one :class:`Constant`.  The two lookup
+    tables stay apart: in ``not(not).`` the predicate is the string
+    ``"not"`` and the argument the constant ``not``.
     """
     match, args_of = _FACT_RE.match, _ARGS_RE.findall
+    predicates: Dict[str, str] = {}
+    constants: Dict[str, Constant] = {}
     facts: List[Atom] = []
     position = 0
     try:
@@ -276,9 +283,16 @@ def _scan_facts(text: str) -> Optional[List[Atom]]:
             if found is None:
                 break
             predicate, args = found.group("predicate", "args")
-            facts.append(Atom._make(predicate, () if args is None else tuple(
-                [_constant(arg) for arg in args_of(args) if arg]
-            )))
+            predicate = predicates.setdefault(predicate, predicate)
+            terms: List[Term] = []
+            if args is not None:
+                for arg in args_of(args):
+                    if arg:
+                        constant = constants.get(arg)
+                        if constant is None:
+                            constant = constants[arg] = _constant(arg)
+                        terms.append(constant)
+            facts.append(Atom._make(predicate, tuple(terms)))
             position = found.end()
     except ValueError:
         return None

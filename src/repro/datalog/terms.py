@@ -23,9 +23,11 @@ representation is tuned accordingly:
 * hashes are computed **once at construction** and stored in a slot;
 * :class:`Variable` and :class:`Constant` are **interned** through a
   bounded table, so the working set compares by identity first (the
-  table stops growing past its cap instead of evicting, which keeps a
-  long-lived serving process from leaking through fresh-variable
-  churn);
+  table stops growing past its cap instead of evicting, which bounds a
+  long-lived process reading adversarial text).  The resolution
+  engines' fresh variables skip the table (:meth:`Variable._fresh`):
+  nothing looks them up by name, and each renaming shares one object
+  per variable anyway;
 * :class:`Atom` precomputes ``signature`` and ``is_ground`` as plain
   attributes and exposes the trusted fast constructor
   :meth:`Atom._make` for callers (the compiled rule plans, the fact
@@ -49,8 +51,8 @@ __all__ = [
 
 #: Interning stops (new objects are still created, just not remembered)
 #: once a table reaches this many entries, bounding memory under
-#: adversarial workloads such as fresh-variable churn in a long-lived
-#: serving process.
+#: adversarial workloads such as a long-lived process reading ever new
+#: names from text.  Fresh variables never enter the table.
 _INTERN_LIMIT = 1 << 16
 
 
@@ -150,6 +152,17 @@ class Variable(Term):
         self._hash = hash((Variable, name))
         if len(table) < _INTERN_LIMIT:
             table[name] = self
+        return self
+
+    @classmethod
+    def _fresh(cls, name: str) -> "Variable":
+        """Trusted constructor for a variable no text can name: skips
+        validation and the intern table.  The result equals and hashes
+        like ``Variable(name)``; it is just not remembered, since
+        nothing looks a fresh variable up by name again."""
+        self = object.__new__(cls)
+        self.name = name
+        self._hash = hash((Variable, name))
         return self
 
     def substitute(self, subst: "Substitution") -> Term:

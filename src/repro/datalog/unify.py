@@ -133,7 +133,8 @@ class fresh_variable_factory:
     """Generate variables guaranteed fresh across a resolution session.
 
     Produced names look like ``X#3`` — the ``#`` cannot appear in parsed
-    variable names, so fresh variables never collide with user ones.
+    variable names, so fresh variables never collide with user ones,
+    and no text names them, so they skip the variable intern table.
     """
 
     def __init__(self):
@@ -141,7 +142,7 @@ class fresh_variable_factory:
 
     def __call__(self, base: str = "V") -> Variable:
         root = base.split("#", 1)[0]
-        return Variable(f"{root}#{next(self._counter)}")
+        return Variable._fresh(f"{root}#{next(self._counter)}")
 
 
 def rename_apart(atoms: Tuple[Atom, ...],

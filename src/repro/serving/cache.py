@@ -151,27 +151,6 @@ class LRUTable:
             self._data.clear()
 
 
-def _pattern_key(pattern: Atom) -> Tuple:
-    """A canonical key for a retrieval pattern's success status.
-
-    Whether *any* fact matches a pattern depends on the constants at
-    bound positions and on which variable positions must be *equal* —
-    ``e2(X, X)`` only matches facts with identical arguments, so it
-    must not share an entry with ``e2(X, Y)``.  Variables are therefore
-    numbered by first occurrence (names stay wildcards, repetition
-    structure does not).
-    """
-    numbering: Dict[str, int] = {}
-    parts = []
-    for arg in pattern.args:
-        if isinstance(arg, Variable):
-            index = numbering.setdefault(arg.name, len(numbering))
-            parts.append(("var", index))
-        else:
-            parts.append(("const", arg))
-    return (pattern.predicate, pattern.arity, tuple(parts))
-
-
 class SubgoalMemo:
     """Tabling for ground-subgoal probes (the QSQN idea).
 
@@ -199,10 +178,29 @@ class SubgoalMemo:
     def _key(
         pattern: Atom, database: "Database", version: Optional[int]
     ) -> Tuple:
+        """One flat key, ``(identity, version, predicate, *args)``.
+
+        Whether *any* fact matches a pattern depends on the constants
+        at bound positions and on which variable positions must be
+        *equal* — ``e2(X, X)`` only matches facts with identical
+        arguments, so it must not share an entry with ``e2(X, Y)``.
+        Each variable therefore becomes the ``int`` numbering it by
+        first occurrence: the names are forgotten, the repetition
+        structure is kept.  An ``int`` never equals a
+        :class:`Constant`, and the tuple's length carries the arity.
+        """
         identity, generation = database.cache_key
         if version is None:
             version = generation
-        return (identity, version) + _pattern_key(pattern)
+        if pattern.is_ground:
+            return (identity, version, pattern.predicate) + pattern.args
+        numbering: Dict[Variable, int] = {}
+        key = [identity, version, pattern.predicate]
+        for arg in pattern.args:
+            if type(arg) is Variable:
+                arg = numbering.setdefault(arg, len(numbering))
+            key.append(arg)
+        return tuple(key)
 
     def lookup(
         self,

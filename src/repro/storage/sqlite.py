@@ -3,9 +3,10 @@
 Each relation gets its own table (``r1``, ``r2``, …, mapped through a
 python-side catalog since predicate names are not valid SQL
 identifiers) with one TEXT column per argument position, a UNIQUE
-index over the full row (duplicate-fact detection) and a secondary
-index per argument column (the access-path analogue of the in-memory
-store's per-argument hash indexes).
+index over the full row (duplicate-fact detection) and, for arity two
+or more, a secondary index per argument column (the access-path
+analogue of the in-memory store's per-argument hash indexes; a unary
+table's UNIQUE index is already one).
 
 **Enumeration order.**  SQLite's implicit ``rowid`` is monotonically
 assigned per insert, so ``ORDER BY rowid`` reproduces fact insertion
@@ -102,10 +103,12 @@ class SQLiteFactStore(FactStore):
             self._conn.execute(
                 f"CREATE UNIQUE INDEX {table}_uq ON {table} ({unique})"
             )
-            for i in range(arity):
-                self._conn.execute(
-                    f"CREATE INDEX {table}_i{i} ON {table} (c{i})"
-                )
+            if arity > 1:
+                # A unary table's UNIQUE index already covers its column.
+                for i in range(arity):
+                    self._conn.execute(
+                        f"CREATE INDEX {table}_i{i} ON {table} (c{i})"
+                    )
             self._tables[signature] = table
         return table
 

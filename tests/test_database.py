@@ -158,3 +158,19 @@ class TestIndexSelectivity:
         hits = list(db.retrieve(atom("t", "a", "X", "d")))
         assert len(hits) == 1
         assert hits[0][Variable("X")] == Constant("b")
+
+    def test_only_relations_of_arity_two_or_more_get_buckets(self):
+        # A unary pattern is either ground (a membership test) or has
+        # no constant, so no probe would open a unary bucket.
+        db = Database([atom("p", "a"), atom("p", "b"), atom("flag")])
+        assert len(db._arg_index) == 0
+        db.add(atom("e", "a", "b"))
+        assert sorted(key[2] for key in db._arg_index) == [0, 1]
+        assert all(key[0] == "e" for key in db._arg_index)
+        assert [dict(s) for s in db.retrieve(atom("p", "X"))] == [
+            {Variable("X"): Constant("a")}, {Variable("X"): Constant("b")},
+        ]
+        assert db.succeeds(atom("p", "b"))
+        assert db.remove(atom("p", "a"))
+        assert not db.succeeds(atom("p", "a"))
+        assert list(db.facts_matching(atom("p", "X"))) == [atom("p", "b")]

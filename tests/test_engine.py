@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.datalog.bottomup import BottomUpEngine
 from repro.datalog.database import Database
 from repro.datalog.engine import CostModel, TopDownEngine
 from repro.datalog.parser import parse_program, parse_query
@@ -230,3 +231,58 @@ class TestFirstK:
         db = Database.from_program("p(a). p(b). p(c).")
         answers = list(engine.answers(parse_query("p(X)"), db, limit=2))
         assert len(answers) == 2
+
+
+CHAIN_RULES = """
+    tc(X, Y) :- e(X, Y).
+    tc(X, Y) :- e(X, Z), tc(Z, Y).
+"""
+
+
+def chain_db(edges):
+    return Database.from_program(
+        " ".join(f"e(n{i}, n{i + 1})." for i in range(edges))
+    )
+
+
+class TestFreshVariables:
+    def test_proving_leaves_the_intern_table_unchanged(self, monkeypatch):
+        # An empty table, so names interned by earlier tests cannot
+        # hide a fresh variable entering it.
+        monkeypatch.setattr(Variable, "_intern", {})
+        learn = make_engine("""
+            @Rp instructor(X) :- prof(X).
+            @Rg instructor(X) :- grad(X).
+            senior(X) :- instructor(X), tenured(X, Y).
+        """)
+        chain = make_engine(CHAIN_RULES)
+        db = Database.from_program(
+            "prof(russ). grad(manolis). tenured(russ, y1). "
+            "e(n0, n1). e(n1, n2). e(n2, n3)."
+        )
+        goals = [
+            (learn, "instructor(manolis)"), (learn, "instructor(W)"),
+            (learn, "senior(russ)"), (learn, "senior(manolis)"),
+            (chain, "tc(n0, n3)"), (chain, "tc(n0, W)"), (chain, "tc(n3, n0)"),
+        ]
+        parsed = [(engine, parse_query(text)) for engine, text in goals]
+        before = len(Variable._intern)
+        proved = [engine.prove(goal, db).proved for engine, goal in parsed]
+        assert proved == [True, True, True, False, True, True, False]
+        assert len(Variable._intern) == before
+
+
+class TestDepthBound:
+    def test_deep_chain_goal_holds_bottom_up(self):
+        model = BottomUpEngine(parse_program(CHAIN_RULES)).model(chain_db(96))
+        assert model.succeeds(parse_query("tc(n0, n96)"))
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "SLD prunes silently at its depth bound: the default max_depth=64 "
+        "(datalog/engine.py:176) and the bare `if depth <= 0: return` in "
+        "_solve (datalog/engine.py:352) report the 96-edge chain goal as "
+        "not proved instead of truncated"
+    ))
+    def test_deep_chain_goal_is_proved_top_down(self):
+        engine = make_engine(CHAIN_RULES)
+        assert engine.prove(parse_query("tc(n0, n96)"), chain_db(96)).proved

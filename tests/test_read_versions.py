@@ -95,6 +95,21 @@ class TestStamps:
         database.add(atom("q(a)"))
         assert database.version(key) == before
 
+    def test_unary_bucket_keys_are_stamped_without_buckets(self):
+        database = store("p(a).")
+        assert not database._arg_index
+        key = [bucket("p", 1, 0, "c")]
+        before = database.version(key)
+        database.add(atom("p(c)"))
+        added = database.version(key)
+        assert added > before
+        database.add(atom("p(d)"))
+        database.remove(atom("p(d)"))
+        assert database.version(key) == added
+        database.remove(atom("p(c)"))
+        assert database.version(key) > added
+        assert not database._arg_index
+
 
 class TestProbeKey:
     def test_first_bound_position(self):

@@ -200,6 +200,32 @@ class TestSubgoalMemo:
         # Repetition *pattern* is shared, names are not.
         assert memo.lookup(parse_query("advises(Z, Z)"), database) is False
 
+    def test_variable_numbers_never_match_constants(self):
+        # The flat key numbers a variable 0; the constant 0 must not
+        # read that entry, nor the other way round.
+        memo = SubgoalMemo(8)
+        database = make_db()
+        memo.store(parse_query("prof(X)"), database, True)
+        assert memo.lookup(parse_query("prof(0)"), database) is None
+        memo.store(parse_query("grad(0)"), database, False)
+        assert memo.lookup(parse_query("grad(X)"), database) is None
+
+    def test_arity_is_part_of_the_key(self):
+        memo = SubgoalMemo(8)
+        database = make_db()
+        memo.store(parse_query("p(a)"), database, True)
+        assert memo.lookup(parse_query("p(a, b)"), database) is None
+        memo.store(parse_query("q(a, b)"), database, True)
+        assert memo.lookup(parse_query("q(a)"), database) is None
+
+    def test_stores_never_share_entries(self):
+        memo = SubgoalMemo(8)
+        first, second = make_db(), make_db()
+        assert first.cache_key[1] == second.cache_key[1]
+        memo.store(parse_query("prof(X)"), first, True)
+        assert memo.lookup(parse_query("prof(X)"), second) is None
+        assert memo.lookup(parse_query("prof(X)"), first) is True
+
 
 class TestQueryServer:
     def test_batch_results_align_with_input_order(self):

@@ -353,6 +353,19 @@ class TestSQLiteEncoding:
         store.close()
         store.close()
 
+    def test_column_indexes_only_for_arity_two_or_more(self):
+        store = SQLiteFactStore(base_facts())
+
+        def indexes(signature):
+            table = store._tables[signature]
+            rows = store._conn.execute(f"PRAGMA index_list({table})")
+            return sorted(row[1] for row in rows)
+
+        # A unary table's UNIQUE index already covers its one column.
+        assert indexes(("e1", 1)) == ["r1_uq"]
+        assert indexes(("e2", 2)) == ["r2_i0", "r2_i1", "r2_uq"]
+        assert indexes(("flag", 0)) == ["r3_uq"]
+
 
 class TestCompleteness:
     def test_complete_singleton(self):

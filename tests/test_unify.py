@@ -117,3 +117,23 @@ class TestRenameApart:
         factory = fresh_variable_factory()
         (renamed,) = rename_apart((Atom("p", ["a", "X"]),), factory)
         assert renamed.args[0] == Constant("a")
+
+    def test_fresh_variables_equal_their_named_twins(self):
+        fresh = fresh_variable_factory()("X")
+        named = Variable(fresh.name)
+        assert fresh == named and named == fresh
+        assert hash(fresh) == hash(named)
+        assert {named: 1}[fresh] == 1
+
+    def test_fresh_variables_skip_the_intern_table(self):
+        factory = fresh_variable_factory()
+        atoms = (Atom("p", ["X", "Y"]), Atom("q", ["Y", "Y"]))
+        before = len(Variable._intern)
+        head, body = rename_apart(atoms, factory)
+        assert len(Variable._intern) == before
+        assert all(Variable._intern.get(var.name) is not var
+                   for var in head.variables())
+        # Still one object per renamed variable, distinct from the
+        # originals.
+        assert head.args[1] is body.args[0] is body.args[1]
+        assert set(head.variables()).isdisjoint(atoms[0].variables())
