@@ -86,10 +86,7 @@ def _join_rule(rule: Rule, facts: Database, required: Optional[Database] = None,
     slots: List[Optional[object]] = [None] * plan.nslots
     slot_vars = plan.slot_vars
     n_positive = len(positives)
-    # Wrapped databases (e.g. fault injectors) may not expose the
-    # fact-level iterator; fall back to enumerating via retrieve.
-    facts_matching = getattr(facts, "facts_matching", None) \
-        or (lambda pattern: _matching_via_retrieve(facts, pattern))
+    facts_matching = facts.facts_matching
 
     def blocked_by_negation() -> bool:
         for lp in negateds:
@@ -157,12 +154,6 @@ def _join_rule(rule: Rule, facts: Database, required: Optional[Database] = None,
             else:
                 args.append(spec)
         yield Atom._make(head_predicate, tuple(args))
-
-
-def _matching_via_retrieve(facts, pattern: Atom) -> Iterator[Atom]:
-    """Fact enumeration through the public ``retrieve`` API only."""
-    for binding in facts.retrieve(pattern):
-        yield pattern.substitute(binding)
 
 
 def _strata_rules(rule_base: RuleBase) -> List[List[Rule]]:

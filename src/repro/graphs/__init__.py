@@ -1,13 +1,7 @@
 """Inference graphs, contexts, and graph construction (Section 2.1)."""
 
 from .inference_graph import Arc, ArcKind, GraphBuilder, InferenceGraph, Node
-from .contexts import (
-    Context,
-    LazyDatalogContext,
-    MemoizedDatalogContext,
-    PartialContext,
-    context_from_datalog,
-)
+from .contexts import Context, LazyDatalogContext, context_from_datalog
 from .builder import build_inference_graph
 from .random_graphs import random_instance, random_probabilities, random_tree_graph
 from .hypergraph import (
@@ -29,8 +23,6 @@ __all__ = [
     "Node",
     "Context",
     "LazyDatalogContext",
-    "MemoizedDatalogContext",
-    "PartialContext",
     "context_from_datalog",
     "build_inference_graph",
     "random_instance",

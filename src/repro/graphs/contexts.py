@@ -8,13 +8,12 @@ the subset of unblocked arcs).  This module provides:
 * :class:`Context` — the symbolic equivalence-class representative: a
   frozen map from blockable arc to blocked/unblocked, optionally
   carrying the concrete query and database it came from;
+* :class:`LazyDatalogContext` — a concrete ``⟨query, DB⟩`` pair whose
+  arc statuses are probed on demand, each through the probe the graph
+  compiled for the arc, optionally through a memo of probe results;
 * :func:`context_from_datalog` — compile a concrete ``⟨query, DB⟩``
   pair into its :class:`Context` by checking every retrieval pattern
   (and blockable reduction) against the database;
-* :class:`PartialContext` — what a monitored run actually *observed*
-  (PIB sees only the arcs the current strategy attempted), plus the
-  pessimistic completion used to compute the under-estimates
-  ``Δ̃`` of Section 3;
 * :class:`ReadPlan` / :func:`compile_read_plan` — the store read keys
   behind a compiled form's retrieval arcs.  By Note 2 a concrete
   context matters only through those arcs' statuses, so an answer
@@ -36,9 +35,7 @@ from .inference_graph import Arc, ArcKind, InferenceGraph
 
 __all__ = [
     "Context",
-    "PartialContext",
     "LazyDatalogContext",
-    "MemoizedDatalogContext",
     "ReadPlan",
     "context_from_datalog",
     "compile_read_plan",
@@ -123,109 +120,6 @@ class Context:
         return f"Context({inner})"
 
 
-class PartialContext:
-    """The arc statuses one monitored run revealed.
-
-    PIB watches the *current* strategy only (Section 3: "without
-    building Θ₂"), so it knows the status of exactly the arcs that run
-    attempted.  :meth:`pessimistic_completion` fills in the unobserved
-    arcs the way Section 3.2 prescribes for the under-estimate ``Δ̃``:
-    assume the unexplored parts of the graph yield no solution at
-    maximal cost — unobserved retrievals blocked, unobserved
-    reductions traversable.
-    """
-
-    __slots__ = ("graph", "_observed")
-
-    def __init__(self, graph: InferenceGraph,
-                 observed: Optional[Mapping[str, bool]] = None):
-        self.graph = graph
-        self._observed: Dict[str, bool] = {}
-        if observed:
-            for name, status in observed.items():
-                self.observe(graph.arc(name), status)
-
-    def observe(self, arc: Arc, traversable: bool) -> None:
-        """Record the observed status of one attempted arc."""
-        if not arc.blockable:
-            if not traversable:
-                raise GraphError(f"non-blockable arc {arc.name!r} cannot block")
-            return
-        previous = self._observed.get(arc.name)
-        if previous is not None and previous != bool(traversable):
-            raise GraphError(f"contradictory observations for arc {arc.name!r}")
-        self._observed[arc.name] = bool(traversable)
-
-    def observed(self, arc: Arc) -> Optional[bool]:
-        """The known status of ``arc``, or ``None`` if unobserved."""
-        if not arc.blockable:
-            return True
-        return self._observed.get(arc.name)
-
-    def is_observed(self, arc: Arc) -> bool:
-        return not arc.blockable or arc.name in self._observed
-
-    def pessimistic_completion(self) -> Context:
-        """Complete unobserved arcs adversarially for candidate strategies.
-
-        Unobserved retrieval arcs are assumed *blocked* (the unexplored
-        subtree holds no solution) and unobserved blockable reductions
-        assumed *traversable* (the candidate pays the full traversal
-        cost before failing).
-
-        This completion *maximizes* ``c(Θ', ·)`` over every context
-        consistent with the observations, for **any** candidate ``Θ'``:
-        blocking a retrieval removes a stopping opportunity without
-        changing its attempt charge (in the symmetric-cost model;
-        asymmetric arcs are bounded by their Chernoff-range
-        ``max(f, f_blocked)``), and opening a reduction only adds
-        traversal below it.  Meanwhile the monitored strategy's own
-        cost is unchanged (it attempted exactly the observed arcs), so
-        ``Δ̃ = c(Θ, I) − c(Θ', pessimistic) ≤ Δ`` — the soundness PIB's
-        Theorem 1 rests on (property-tested in
-        ``tests/test_property_costs.py``).
-        """
-        statuses: Dict[str, bool] = {}
-        for arc in self.graph.experiments():
-            known = self._observed.get(arc.name)
-            if known is not None:
-                statuses[arc.name] = known
-            else:
-                statuses[arc.name] = arc.kind is not ArcKind.RETRIEVAL
-        return Context(self.graph, statuses)
-
-    def consistent_with(self, context: Context) -> bool:
-        """Whether ``context`` agrees with every observation."""
-        return all(
-            context._statuses[name] == status
-            for name, status in self._observed.items()
-        )
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{name}={'ok' if ok else 'blocked'}"
-            for name, ok in sorted(self._observed.items())
-        )
-        return f"PartialContext({inner})"
-
-
-def _instantiate(goal: Atom, query: Atom, root_goal: Optional[Atom]) -> Atom:
-    """Bind a prototype arc goal with the concrete query's constants.
-
-    Graphs built from a query form use prototype variables (``B0`` …)
-    in the root goal; unifying the root prototype against the concrete
-    query yields the bindings to push down to each arc's goal pattern.
-    """
-    if root_goal is None:
-        return goal
-    unifier = unify(root_goal, query)
-    if unifier is None:
-        raise GraphError(
-            f"query {query} does not match the graph's root goal {root_goal}"
-        )
-    return goal.substitute(unifier)
-
-
 class LazyDatalogContext(Context):
     """A concrete ``⟨query, DB⟩`` context whose arc statuses are
     computed *on demand*.
@@ -236,14 +130,41 @@ class LazyDatalogContext(Context):
     touch exactly the retrievals its strategy attempts.  This class
     resolves each arc's status the first time the execution asks for
     it, caching the answer, so a satisficing run performs the same
-    database work it would have performed unmonitored.
+    database work it would have performed unmonitored.  Each arc tests
+    :meth:`InferenceGraph.probe` — the graph's compiled template with
+    the query's arguments filled in.
+
+    ``memo`` shares retrieval-probe results *across queries*
+    (QSQN-style tabling): any object with ``lookup(pattern, database,
+    version)`` → ``Optional[bool]`` and ``store(pattern, database,
+    status, version)``, typically a
+    :class:`repro.serving.cache.SubgoalMemo`.  ``version`` is the
+    store's :meth:`~repro.storage.interface.FactStore.version` of the
+    probe's :func:`~repro.storage.interface.probe_key`, read once
+    *before* the probe, so a write to the probed bucket invalidates the
+    entry and a write anywhere else does not.  Blockable reductions
+    touch no database and are never memoized.  Cost accounting is the
+    same either way: attempting an arc bills ``f(arc)`` whether its
+    status came from the memo or from a physical probe.
     """
 
-    __slots__ = ("_graph",)
+    __slots__ = ("_graph", "_memo")
 
-    def __init__(self, graph: InferenceGraph, query: Atom, database: Database):
+    def __init__(
+        self,
+        graph: InferenceGraph,
+        query: Atom,
+        database: Database,
+        memo=None,
+    ):
+        root_goal = graph.root.goal
+        if root_goal is not None and query.signature != root_goal.signature:
+            raise GraphError(
+                f"query {query} does not match the graph's root goal {root_goal}"
+            )
         # Deliberately skip Context.__init__: statuses fill in lazily.
         self._graph = graph
+        self._memo = memo
         self._statuses = {}
         self.query = query
         self.database = database
@@ -258,70 +179,28 @@ class LazyDatalogContext(Context):
         return cached
 
     def _resolve(self, arc: Arc) -> bool:
-        if arc.kind is ArcKind.RETRIEVAL:
-            if arc.goal is None:
+        probe = self._graph.probe(arc, self.query)
+        if arc.kind is not ArcKind.RETRIEVAL:
+            if arc.rule is None:
                 raise GraphError(
-                    f"retrieval arc {arc.name!r} has no goal pattern"
+                    f"blockable reduction arc {arc.name!r} needs a rule"
                 )
-            pattern = _instantiate(arc.goal, self.query, self._graph.root.goal)
-            return self.database.succeeds(pattern)
-        if arc.rule is None or arc.source.goal is None:
-            raise GraphError(
-                f"blockable reduction arc {arc.name!r} needs a rule and a "
-                "source-goal pattern"
-            )
-        goal = _instantiate(arc.source.goal, self.query, self._graph.root.goal)
-        return unify(arc.rule.head, goal) is not None
+            return unify(arc.rule.head, probe) is not None
+        database = self.database
+        memo = self._memo
+        if memo is None:
+            return database.succeeds(probe)
+        version = database.version((probe_key(probe),))
+        remembered = memo.lookup(probe, database, version)
+        if remembered is not None:
+            return remembered
+        status = database.succeeds(probe)
+        memo.store(probe, database, status, version)
+        return status
 
     def probed(self) -> Dict[str, bool]:
         """The statuses resolved so far (for asserting unobtrusiveness)."""
         return dict(self._statuses)
-
-
-class MemoizedDatalogContext(LazyDatalogContext):
-    """A :class:`LazyDatalogContext` that shares retrieval-probe
-    results *across queries* through a memo table (QSQN-style tabling).
-
-    ``memo`` is any object with ``lookup(pattern, database, version)``
-    → ``Optional[bool]`` and ``store(pattern, database, status,
-    version)`` — typically a :class:`repro.serving.cache.SubgoalMemo`.
-    ``version`` is the store's :meth:`~repro.storage.interface.FactStore.version`
-    of the probe's :func:`~repro.storage.interface.probe_key`, read
-    once *before* the probe, so a write to the probed bucket
-    invalidates the entry and a write anywhere else does not.
-
-    Only *retrieval* arcs are memoized: their status is a pure
-    function of (pattern, database state).  Blockable reduction arcs
-    stay on the inherited unification path — it touches no database.
-    The strategy's cost accounting is unchanged either way: attempting
-    an arc bills ``f(arc)`` whether the status came from the memo or
-    from a physical probe.
-    """
-
-    __slots__ = ("_memo",)
-
-    def __init__(
-        self,
-        graph: InferenceGraph,
-        query: Atom,
-        database: Database,
-        memo,
-    ):
-        super().__init__(graph, query, database)
-        self._memo = memo
-
-    def _resolve(self, arc: Arc) -> bool:
-        if arc.kind is not ArcKind.RETRIEVAL or arc.goal is None:
-            return super()._resolve(arc)
-        pattern = _instantiate(arc.goal, self.query, self._graph.root.goal)
-        database = self.database
-        version = database.version((probe_key(pattern),))
-        remembered = self._memo.lookup(pattern, database, version)
-        if remembered is not None:
-            return remembered
-        status = database.succeeds(pattern)
-        self._memo.store(pattern, database, status, version)
-        return status
 
 
 class ReadPlan:
@@ -358,29 +237,26 @@ class ReadPlan:
 def compile_read_plan(graph: InferenceGraph, form: QueryForm) -> ReadPlan:
     """Precompile the read keys of ``form``'s graph.
 
-    One key per retrieval arc: the :func:`probe_key` its goal gets once
-    :func:`_instantiate` binds the form's bound positions (the root
-    prototype's ``B<i>`` variables) to query constants.  These are the
-    only probes :class:`LazyDatalogContext` and the processor's binding
-    recovery make, so the plan covers the learned path.
+    One key per retrieval arc, read off its
+    :meth:`~InferenceGraph.probe_template`: the bucket at the first
+    position holding a constant or a bound query argument, else the
+    relation — the :func:`probe_key` of every probe the template makes
+    for a query of ``form``.  :class:`LazyDatalogContext` and the
+    processor's binding recovery probe nothing else, so the plan covers
+    the learned path.
     """
-    root_args = graph.root.goal.args
-    query_index = {
-        arg: index
-        for index, (arg, mode) in enumerate(zip(root_args, form.pattern))
-        if mode == "b"
-    }
     static = []
     templates = []
     for arc in graph.retrieval_arcs():
-        predicate, arity = arc.goal.signature
-        for position, arg in enumerate(arc.goal.args):
-            if arg.is_ground:
-                static.append((predicate, arity, position, arg))
-                break
-            index = query_index.get(arg)
-            if index is not None:
-                templates.append((predicate, arity, position, index))
+        predicate, specs = graph.probe_template(arc)
+        arity = len(specs)
+        for position, spec in enumerate(specs):
+            if type(spec) is int:
+                if form.pattern[spec] == "b":
+                    templates.append((predicate, arity, position, spec))
+                    break
+            elif spec.is_ground:
+                static.append((predicate, arity, position, spec))
                 break
         else:
             static.append((predicate, arity))

@@ -23,13 +23,18 @@ applies to one query constant.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import GraphError
 from ..datalog.rules import Rule
-from ..datalog.terms import Atom
+from ..datalog.terms import Atom, Variable
 
 __all__ = ["ArcKind", "Node", "Arc", "InferenceGraph", "GraphBuilder"]
+
+#: A blockable arc's test compiled over the query: the predicate, and
+#: per argument either the ``int`` position of the query argument it
+#: stands for or a term kept as it is.
+ProbeTemplate = Tuple[str, Tuple[object, ...]]
 
 
 class ArcKind(enum.Enum):
@@ -196,6 +201,34 @@ class InferenceGraph:
                 self._f_star[child.name] for child in self._children[arc.target.name]
             )
             self._f_star[arc.name] = max(arc.cost, arc.blocked_cost) + below
+        self._probes = self._compile_probes()
+
+    def _compile_probes(self) -> Dict[str, ProbeTemplate]:
+        """Each blockable arc's test as a :data:`ProbeTemplate`.
+
+        A retrieval tests its own goal and a blockable reduction its
+        source node's goal.  Every variable of the root goal becomes the
+        position of the query argument it stands for; constants and
+        rule-local variables stay.  Filling query arguments in by
+        position keeps the query's variables apart from the root
+        goal's even where their names coincide, which unifying the
+        root goal with the query would not.
+        """
+        positions: Dict[Variable, int] = {}
+        if self.root.goal is not None:
+            for index, arg in enumerate(self.root.goal.args):
+                if type(arg) is Variable:
+                    positions.setdefault(arg, index)
+        probes: Dict[str, ProbeTemplate] = {}
+        for arc in self._arcs.values():
+            if not arc.blockable:
+                continue
+            goal = arc.goal if arc.kind is ArcKind.RETRIEVAL else arc.source.goal
+            if goal is not None:
+                probes[arc.name] = (goal.predicate, tuple(
+                    positions.get(arg, arg) for arg in goal.args
+                ))
+        return probes
 
     def _validate(self) -> None:
         """Check connectivity and the retrieval/success invariants."""
@@ -266,6 +299,23 @@ class InferenceGraph:
     def experiments(self) -> List[Arc]:
         """All blockable arcs (Theorem 3's probabilistic experiments)."""
         return [a for a in self._arcs.values() if a.blockable]
+
+    def probe_template(self, arc: Arc) -> ProbeTemplate:
+        """The compiled test of blockable ``arc`` (see :meth:`probe`)."""
+        template = self._probes.get(arc.name)
+        if template is None:
+            raise GraphError(f"blockable arc {arc.name!r} has no goal pattern")
+        return template
+
+    def probe(self, arc: Arc, query: Atom) -> Atom:
+        """The atom blockable ``arc`` tests for a concrete ``query``: a
+        retrieval's goal, or a blockable reduction's source goal, with
+        the query's arguments in place of the root goal's variables."""
+        predicate, specs = self.probe_template(arc)
+        args = query.args
+        return Atom._make(predicate, tuple([
+            args[spec] if type(spec) is int else spec for spec in specs
+        ]))
 
     def is_simple_disjunctive(self) -> bool:
         """Whether only retrieval arcs are experiments (Note 4's class)."""

@@ -77,7 +77,7 @@ def delta_tilde(
     over-state it.  Hence the returned value never exceeds the true
     ``Δ = c(Θ, I) − c(Θ', I)``.
     """
-    return result.cost - pessimistic_cost(candidate, result.partial_context())
+    return result.cost - pessimistic_cost(candidate, result.observations)
 
 
 @dataclass

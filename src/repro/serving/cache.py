@@ -154,8 +154,8 @@ class LRUTable:
 class SubgoalMemo:
     """Tabling for ground-subgoal probes (the QSQN idea).
 
-    Implements the memo seam
-    :class:`~repro.graphs.contexts.MemoizedDatalogContext` consumes:
+    Implements the ``memo`` seam of
+    :class:`~repro.graphs.contexts.LazyDatalogContext`:
     :meth:`lookup` returns the remembered status of a retrieval
     pattern at a store version (``None`` when unknown), :meth:`store`
     records a settled probe.  The context passes the version of the

@@ -28,15 +28,11 @@ spelling.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, TYPE_CHECKING
+from typing import Optional
 
 from ..learning.drift import DriftConfig
 from ..resilience.policy import ResiliencePolicy
 from ..resilience.retry import RetryPolicy
-
-if TYPE_CHECKING:
-    from ..graphs.inference_graph import InferenceGraph
-    from ..strategies.transformations import Transformation
 
 __all__ = [
     "SessionConfig",
@@ -90,10 +86,6 @@ class SessionConfig:
     test_every: int = 1
     #: Graph-unfolding / SLD recursion bound (``None``: defaults).
     max_depth: Optional[int] = None
-    #: Operator set factory (``None``: every sibling swap).
-    transformations_factory: Optional[
-        Callable[["InferenceGraph"], Sequence["Transformation"]]
-    ] = None
     #: Retries/breakers/deadlines for the learned path (``None``: off).
     resilience: Optional[ResiliencePolicy] = None
     #: Directory for crash-safe per-form PIB checkpoints (``None``: off).

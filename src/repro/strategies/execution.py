@@ -23,10 +23,10 @@ arcs the run did not attempt).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Set
 
 from ..errors import RetrievalFaultError
-from ..graphs.contexts import Context, PartialContext
+from ..graphs.contexts import Context
 from ..graphs.inference_graph import Arc, ArcKind
 from ..observability.recorder import NULL_RECORDER, Recorder
 from .strategy import Strategy
@@ -113,10 +113,6 @@ class ExecutionResult:
             list(self.attempted),
             dict(self.observations),
         )
-
-    def partial_context(self) -> PartialContext:
-        """The :class:`PartialContext` of what this run revealed."""
-        return PartialContext(self.strategy.graph, self.observations)
 
 
 def execute(
@@ -318,18 +314,29 @@ def cost_of(strategy: Strategy, context: Context) -> float:
     return execute(strategy, context).cost
 
 
-def pessimistic_cost(strategy: Strategy, partial: PartialContext) -> float:
+def pessimistic_cost(
+    strategy: Strategy, observations: Mapping[str, bool]
+) -> float:
     """An upper bound on ``c(strategy, I)`` over every context ``I``
-    consistent with the observations in ``partial``.
+    consistent with ``observations`` (a monitored run's
+    :attr:`ExecutionResult.observations`).
 
     This is the evaluation behind PIB's under-estimate ``Δ̃``
     (Section 3.2): arcs the monitored run observed are charged their
     actual outcome; unobserved arcs are charged their *worst-case*
     attempt ``max(f, f_blocked)`` and completed adversarially —
     retrievals blocked (no early stop), reductions traversable (full
-    subtree exposure).  With the paper's symmetric costs this equals
-    executing against ``partial.pessimistic_completion()``; with
-    Note 4's asymmetric costs the explicit max keeps the bound sound.
+    subtree exposure).
+
+    This completion *maximizes* ``c(Θ', ·)`` over every context
+    consistent with the observations, for **any** candidate ``Θ'``:
+    blocking a retrieval removes a stopping opportunity without
+    changing its attempt charge, and opening a reduction only adds
+    traversal below it.  The monitored strategy's own cost is
+    unchanged (it attempted exactly the observed arcs), so
+    ``Δ̃ = c(Θ, I) − pessimistic_cost(Θ', ·) ≤ Δ`` — the soundness
+    PIB's Theorem 1 rests on (property-tested in
+    ``tests/test_property_costs.py``).
     """
     graph = strategy.graph
     reached: Set[str] = {graph.root.name}
@@ -337,7 +344,7 @@ def pessimistic_cost(strategy: Strategy, partial: PartialContext) -> float:
     for arc in strategy:
         if arc.source.name not in reached:
             continue
-        observed = partial.observed(arc)
+        observed = observations.get(arc.name) if arc.blockable else True
         if observed is None:
             cost += max(arc.cost, arc.blocked_cost)
             traversable = arc.kind is not ArcKind.RETRIEVAL

@@ -101,7 +101,7 @@ class PathPromotion(Transformation):
     The conservative ``Δ̃`` under-estimate stays sound for this (and
     any) transformation because the pessimistic completion *maximizes*
     the candidate's cost over all contexts consistent with the
-    monitored run (see ``PartialContext.pessimistic_completion``).
+    monitored run (see :func:`~repro.strategies.execution.pessimistic_cost`).
     """
 
     def __init__(self, retrieval: str):

@@ -50,13 +50,7 @@ from .errors import (
     ResilienceError,
 )
 from .graphs.builder import build_inference_graph
-from .graphs.contexts import (
-    LazyDatalogContext,
-    MemoizedDatalogContext,
-    ReadPlan,
-    _instantiate,
-    compile_read_plan,
-)
+from .graphs.contexts import LazyDatalogContext, ReadPlan, compile_read_plan
 from .graphs.inference_graph import InferenceGraph
 from .learning.drift import DriftAwarePIB
 from .learning.pib import ClimbRecord, PIB
@@ -67,7 +61,6 @@ from .storage.interface import COMPLETE, Completeness
 from .strategies.engines import make_engine
 from .strategies.execution import execute
 from .strategies.strategy import Strategy
-from .strategies.transformations import all_sibling_swaps
 
 __all__ = ["SystemAnswer", "FormState", "SelfOptimizingQueryProcessor"]
 
@@ -227,15 +220,11 @@ class SelfOptimizingQueryProcessor:
             )
         if self.resilience is not None and self.recorder.enabled:
             self.resilience.bind_recorder(self.recorder)
-        self._transformations_factory = (
-            config.transformations_factory or all_sibling_swaps
-        )
         #: Seam for the serving layer: when a
         #: :class:`~repro.serving.cache.SubgoalMemo` is installed here,
-        #: learned-path executions run against a
-        #: :class:`MemoizedDatalogContext` that consults it before
-        #: probing the database.  ``None`` (the default) keeps the
-        #: plain lazy context, byte-identical to pre-serving behaviour.
+        #: every learned-path context consults it before probing the
+        #: database.  ``None`` (the default) probes directly,
+        #: byte-identical to pre-serving behaviour.
         self.subgoal_memo = None
         self._states: Dict[QueryForm, FormState] = {}
         self._uncompilable: Dict[QueryForm, str] = {}
@@ -306,9 +295,6 @@ class SelfOptimizingQueryProcessor:
                 )
         kwargs = dict(
             delta=self.delta,
-            transformations=list(
-                self._transformations_factory(state.graph)
-            ),
             test_every=self.test_every,
             recorder=self.recorder,
         )
@@ -450,16 +436,6 @@ class SelfOptimizingQueryProcessor:
             plan = self._read_plans[form]
         return plan
 
-    def _make_context(self, graph, query, database):
-        """The execution context for one learned-path run: memoized
-        when the serving layer installed a subgoal memo, plain lazy
-        otherwise."""
-        if self.subgoal_memo is not None:
-            return MemoizedDatalogContext(
-                graph, query, database, memo=self.subgoal_memo
-            )
-        return LazyDatalogContext(graph, query, database)
-
     def strategy_for(self, form: QueryForm) -> Optional[Strategy]:
         """The current strategy for a form (``None`` if never compiled)."""
         state = self._states.get(form)
@@ -520,7 +496,9 @@ class SelfOptimizingQueryProcessor:
 
         state.queries += 1
         climbs_before = state.learner.climbs
-        context = self._make_context(state.graph, query, database)
+        context = LazyDatalogContext(
+            state.graph, query, database, memo=self.subgoal_memo
+        )
         try:
             result = execute(
                 state.learner.strategy, context,
@@ -653,10 +631,7 @@ class SelfOptimizingQueryProcessor:
         graph: InferenceGraph, success_arc, query: Atom, database: Database
     ) -> Substitution:
         """Recover the query-variable bindings behind a winning retrieval."""
-        if success_arc.goal is None:
-            return Substitution()
-        pattern = _instantiate(success_arc.goal, query, graph.root.goal)
-        for binding in database.retrieve(pattern):
+        for binding in database.retrieve(graph.probe(success_arc, query)):
             return binding.restrict(set(query.variables()))
         return Substitution()
 

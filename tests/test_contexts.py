@@ -1,4 +1,4 @@
-"""Unit tests for contexts, partial observations, and Datalog compilation."""
+"""Unit tests for contexts and Datalog compilation."""
 
 import pytest
 
@@ -7,8 +7,7 @@ from repro.datalog.parser import parse_atom, parse_program
 from repro.datalog.rules import QueryForm
 from repro.errors import GraphError
 from repro.graphs.builder import build_inference_graph
-from repro.graphs.contexts import Context, PartialContext, context_from_datalog
-from repro.graphs.inference_graph import GraphBuilder
+from repro.graphs.contexts import Context, context_from_datalog
 
 
 def ga():
@@ -50,46 +49,6 @@ class TestContext:
         b = Context(graph, {"Dp": True, "Dg": False})
         c = Context(graph, {"Dp": False, "Dg": False})
         assert a == b and hash(a) == hash(b) and a != c
-
-
-class TestPartialContext:
-    def test_observation_roundtrip(self):
-        graph = ga()
-        partial = PartialContext(graph)
-        partial.observe(graph.arc("Dp"), False)
-        assert partial.observed(graph.arc("Dp")) is False
-        assert partial.observed(graph.arc("Dg")) is None
-        assert partial.is_observed(graph.arc("Rp"))  # non-blockable
-
-    def test_contradiction_rejected(self):
-        graph = ga()
-        partial = PartialContext(graph, {"Dp": True})
-        with pytest.raises(GraphError):
-            partial.observe(graph.arc("Dp"), False)
-
-    def test_pessimistic_completion_blocks_unseen_retrievals(self):
-        graph = ga()
-        partial = PartialContext(graph, {"Dp": True})
-        completed = partial.pessimistic_completion()
-        assert completed.traversable(graph.arc("Dp"))
-        assert completed.blocked(graph.arc("Dg"))
-
-    def test_pessimistic_completion_opens_unseen_reductions(self):
-        builder = GraphBuilder("r")
-        builder.reduction("Rb", "r", "x", blockable=True)
-        builder.retrieval("Dx", "x")
-        graph = builder.build()
-        completed = PartialContext(graph).pessimistic_completion()
-        assert completed.traversable(graph.arc("Rb"))
-        assert completed.blocked(graph.arc("Dx"))
-
-    def test_consistency(self):
-        graph = ga()
-        partial = PartialContext(graph, {"Dp": True})
-        assert partial.consistent_with(Context(graph, {"Dp": True, "Dg": False}))
-        assert not partial.consistent_with(
-            Context(graph, {"Dp": False, "Dg": False})
-        )
 
 
 class TestDatalogCompilation:

@@ -3,7 +3,7 @@
 
 from repro.graphs.contexts import Context
 from repro.graphs.inference_graph import GraphBuilder
-from repro.strategies.execution import cost_of, execute
+from repro.strategies.execution import cost_of, execute, pessimistic_cost
 from repro.strategies.strategy import Strategy
 from repro.workloads import g_a, g_b, theta_1, theta_2, theta_abcd
 
@@ -89,12 +89,28 @@ class TestSkippedSubtrees:
         assert result.success_arc.name == "Dp"
 
 
-class TestPartialContextBridge:
-    def test_partial_context_matches_observations(self):
+class TestPessimisticCost:
+    """Δ̃'s completion of a run's observations: unobserved retrievals
+    blocked, unobserved blockable reductions traversable — the costs
+    of executing against that completed context."""
+
+    def test_pessimistic_completion_blocks_unseen_retrievals(self):
         graph = g_a()
-        context = Context(graph, {"Dp": False, "Dg": True})
-        result = execute(theta_1(graph), context)
-        partial = result.partial_context()
-        assert partial.observed(graph.arc("Dp")) is False
-        assert partial.observed(graph.arc("Dg")) is True
-        assert partial.consistent_with(context)
+        completed = Context(graph, {"Dp": True, "Dg": False})
+        for strategy in (theta_1(graph), theta_2(graph)):
+            assert pessimistic_cost(strategy, {"Dp": True}) \
+                == cost_of(strategy, completed)
+        assert pessimistic_cost(theta_2(graph), {"Dp": True}) == 4.0
+
+    def test_pessimistic_completion_opens_unseen_reductions(self):
+        builder = GraphBuilder("r")
+        builder.reduction("Rb", "r", "x", blockable=True)
+        builder.retrieval("Dx", "x")
+        builder.reduction("Rn", "r", "y")
+        builder.retrieval("Dy", "y")
+        graph = builder.build()
+        strategy = Strategy.depth_first(graph)
+        completed = Context(graph, {"Rb": True, "Dx": False, "Dy": False})
+        # Rb open (1), Dx blocked (1), then Rn (1) and Dy blocked (1).
+        assert pessimistic_cost(strategy, {}) == 4.0
+        assert pessimistic_cost(strategy, {}) == cost_of(strategy, completed)

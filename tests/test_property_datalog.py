@@ -1,8 +1,9 @@
 """Property-based tests for the Datalog substrate.
 
-Key cross-engine invariants: semi-naive ≡ naive bottom-up, and the
+Key cross-engine invariants: semi-naive ≡ naive bottom-up, the
 top-down satisficing engine agrees with the bottom-up model on ground
-queries (for positive, non-recursive-unbounded programs).
+queries (for positive, non-recursive-unbounded programs), and the
+processor's learned path agrees with both.
 """
 
 
@@ -13,7 +14,8 @@ from repro.datalog.bottomup import naive_evaluate, seminaive_evaluate
 from repro.datalog.database import Database
 from repro.datalog.engine import TopDownEngine
 from repro.datalog.parser import parse_program
-from repro.datalog.terms import Atom, Constant
+from repro.datalog.terms import Atom, Constant, Variable
+from repro.system import SelfOptimizingQueryProcessor
 
 NODES = [Constant(f"n{i}") for i in range(6)]
 
@@ -26,6 +28,19 @@ CLOSURE_RULES = """
     path(X, Y) :- edge(X, Y).
     path(X, Y) :- edge(X, Z), path(Z, Y).
 """
+
+#: Two disjunctive rules, so every query form compiles to a learned
+#: graph; the second reverses the argument order.
+SWAPPED_RULES = """
+    r(X, Y) :- edge(X, Y).
+    r(X, Y) :- back(Y, X).
+"""
+
+#: Query terms: constants, plain variables, and variables named like
+#: the root prototype's (``B<i>`` bound, ``F<i>`` free).
+QUERY_TERMS = NODES[:4] + [
+    Variable(name) for name in ("X", "Y", "B0", "B1", "F0", "F1")
+]
 
 LAYERED_RULES = """
     top(X) :- mid(X).
@@ -42,7 +57,7 @@ def edge_db(pairs):
 
 
 class TestBottomUpAgreement:
-    @settings(max_examples=50, deadline=None)
+    @settings(deadline=None)
     @given(edges)
     def test_seminaive_equals_naive(self, pairs):
         base = parse_program(CLOSURE_RULES)
@@ -51,7 +66,7 @@ class TestBottomUpAgreement:
             seminaive_evaluate(base, database)
         )
 
-    @settings(max_examples=50, deadline=None)
+    @settings(deadline=None)
     @given(edges)
     def test_closure_matches_networkx_reachability(self, pairs):
         import networkx as nx
@@ -76,7 +91,7 @@ class TestBottomUpAgreement:
             }
             assert derived == reachable
 
-    @settings(max_examples=50, deadline=None)
+    @settings(deadline=None)
     @given(edges)
     def test_topdown_agrees_with_bottomup_on_ground_queries(self, pairs):
         base = parse_program(CLOSURE_RULES)
@@ -89,8 +104,40 @@ class TestBottomUpAgreement:
                 assert engine.holds(query, database) == (query in model)
 
 
+class TestLearnedPathAgreement:
+    @settings(deadline=None)
+    @given(
+        edges,
+        edges,
+        st.lists(
+            st.tuples(st.sampled_from(QUERY_TERMS), st.sampled_from(QUERY_TERMS)),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_learned_answers_match_topdown_and_bottomup(
+        self, forward, backward, queries
+    ):
+        base = parse_program(SWAPPED_RULES)
+        database = Database()
+        for src, dst in forward:
+            database.add(Atom("edge", [src, dst]))
+        for src, dst in backward:
+            database.add(Atom("back", [src, dst]))
+        model = seminaive_evaluate(base, database)
+        engine = TopDownEngine(base)
+        processor = SelfOptimizingQueryProcessor(base)
+        for args in queries:
+            query = Atom("r", args)
+            answer = processor.query(query, database)
+            assert answer.learned
+            assert answer.proved == engine.prove(query, database).proved
+            if answer.proved:
+                assert query.substitute(answer.substitution) in model
+
+
 class TestLayeredAgreement:
-    @settings(max_examples=50, deadline=None)
+    @settings(deadline=None)
     @given(
         st.lists(st.sampled_from(NODES), max_size=5),
         st.lists(st.sampled_from(NODES), max_size=5),
@@ -112,7 +159,7 @@ class TestLayeredAgreement:
 
 
 class TestDatabaseRoundTrip:
-    @settings(max_examples=50, deadline=None)
+    @settings(deadline=None)
     @given(edges)
     def test_add_remove_roundtrip(self, pairs):
         database = Database()

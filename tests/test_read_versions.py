@@ -18,8 +18,10 @@ from repro import CacheConfig, SelfOptimizingQueryProcessor, open_session
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_atom, parse_program, parse_query
 from repro.datalog.rules import QueryForm
+from repro.datalog.terms import Substitution, Variable
+from repro.datalog.unify import unify
 from repro.graphs.builder import build_inference_graph
-from repro.graphs.contexts import _instantiate, compile_read_plan
+from repro.graphs.contexts import compile_read_plan
 from repro.resilience.faults import FaultPlan, FlakyDatabase
 from repro.serving.cache import AnswerCache
 from repro.storage.federation import FederatedStore
@@ -176,14 +178,29 @@ class TestReadPlan:
     @pytest.mark.parametrize("text", [
         "f(c7)", "g(c1, c2)", "g(c1, Y)", "g(X, c2)", "g(X, Y)",
         "loops(X)", "loops(c3)", "admit(fred)", "admit(sue)",
+        # Query variables named like the root prototype's (B<i>, F<i>).
+        "g(c1, B0)", "g(F1, F0)", "g(B0, F0)", "g(B1, c2)", "loops(F0)",
     ])
     def test_plan_matches_the_instantiated_probes(self, text):
         graph, query, plan = self.plan_for(text)
-        probes = {
-            probe_key(_instantiate(arc.goal, query, graph.root.goal))
+        probes = [
+            reference_probe(graph.root.goal, arc.goal, query)
             for arc in graph.retrieval_arcs()
-        }
-        assert set(plan.keys(query)) == probes
+        ]
+        assert [graph.probe(arc, query) for arc in graph.retrieval_arcs()] \
+            == probes
+        assert set(plan.keys(query)) == {probe_key(p) for p in probes}
+
+
+def reference_probe(root_goal, goal, query):
+    """``goal`` instantiated for ``query`` by unification: rename the
+    query's variables apart from the graph's, unify the root goal with
+    the renamed query, substitute into ``goal``, then give the query's
+    variables their own names back."""
+    apart = {var: Variable(f"{var.name}?query") for var in query.variables()}
+    unifier = unify(root_goal, query.substitute(Substitution(apart)))
+    back = Substitution({fresh: var for var, fresh in apart.items()})
+    return goal.substitute(unifier).substitute(back)
 
 
 FORMS = """

@@ -2,8 +2,11 @@
 
 import random
 
+import pytest
 
+from repro import CacheConfig, open_session
 from repro.datalog.database import Database
+from repro.datalog.engine import TopDownEngine
 from repro.datalog.parser import parse_program, parse_query
 from repro.datalog.terms import Constant, Variable
 from repro.graphs.contexts import LazyDatalogContext
@@ -68,6 +71,35 @@ class TestQueryAnswering:
         report = self.qp.report()
         assert "instructor^(b)" in report
         assert "instructor^(f)" in report
+
+
+class TestQueriesReusingPrototypeNames:
+    """A query's variables may carry the names of the root prototype's
+    (``B<i>``, ``F<i>``); each arc probe still takes the query's own
+    terms, on the learned path and through the answer cache."""
+
+    @pytest.mark.parametrize("text, expected", [
+        ("p(a, B0)", {"B0": "b"}),
+        ("p(F1, F0)", {"F1": "a", "F0": "b"}),
+        ("p(B0, F0)", {"B0": "a", "F0": "b"}),
+    ])
+    def test_learned_and_cached_answers(self, text, expected):
+        rules = parse_program("p(X, Y) :- e(X, Y).")
+        database = Database.from_program("e(a, b).")
+        bindings = {
+            Variable(name): Constant(value) for name, value in expected.items()
+        }
+        assert TopDownEngine(rules).prove(parse_query(text), database).proved
+        with open_session(
+            rules, database,
+            cache=CacheConfig(answer_capacity=64, subgoal_capacity=64),
+        ) as session:
+            first = session.query(text)
+            again = session.query(text)
+        assert first.proved and first.learned and not first.cached
+        assert dict(first.substitution) == bindings
+        assert again.proved and again.cached
+        assert dict(again.substitution) == bindings
 
 
 class TestLearningThroughTheSystem:
