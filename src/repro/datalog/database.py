@@ -44,7 +44,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import DatalogError
 from ..storage.interface import FactStore, ReadKey, bucket_keys
-from .terms import EMPTY_SUBSTITUTION, Atom, Constant, Substitution, Variable
+from .terms import Atom, Constant, Variable
 
 __all__ = ["Database"]
 
@@ -164,10 +164,12 @@ class Database(FactStore):
         return list(self._facts.get((predicate, arity), ()))
 
     def _candidates(self, pattern: Atom) -> Iterable[Atom]:
-        """Facts that could match ``pattern``, using the tightest index.
+        """Facts that could match ``pattern``, using the tightest index
+        (the hook behind the base's ``retrieve``/``facts_matching``).
 
-        Returns an insertion-ordered mapping view, so enumeration is
-        deterministic regardless of which index bucket is chosen.
+        Returns an insertion-ordered dict — a bucket is an ordered
+        subset of its relation — so enumeration is deterministic
+        regardless of which index bucket is chosen.
         """
         relation = self._facts.get(pattern.signature)
         if not relation:
@@ -183,61 +185,6 @@ class Database(FactStore):
             if best is None or len(bucket) < len(best):
                 best = bucket
         return relation if best is None else best
-
-    def retrieve(self, pattern: Atom) -> Iterator[Substitution]:
-        """Yield one substitution per fact matching ``pattern``.
-
-        A ground pattern yields at most one (empty) substitution; a
-        pattern with variables yields their bindings.  This is the
-        "attempted database retrieval" of the paper: the retrieval
-        *succeeds* iff the iterator is non-empty.  Enumeration order is
-        fact insertion order.
-        """
-        if pattern.is_ground:
-            if pattern in self:
-                yield EMPTY_SUBSTITUTION
-            return
-        pattern_args = pattern.args
-        for fact in self._candidates(pattern):
-            bindings = {}
-            for p_arg, f_arg in zip(pattern_args, fact.args):
-                if type(p_arg) is Variable:
-                    bound = bindings.get(p_arg)
-                    if bound is None:
-                        bindings[p_arg] = f_arg
-                    elif bound != f_arg:
-                        break
-                elif p_arg != f_arg:
-                    break
-            else:
-                yield Substitution._resolved(bindings)
-
-    def facts_matching(self, pattern: Atom) -> Iterator[Atom]:
-        """Yield the stored facts matching ``pattern``, in insertion
-        order.
-
-        Like :meth:`retrieve` but yields the facts themselves instead
-        of substitutions — the bottom-up join binds its slot array
-        straight from the fact argument tuples.
-        """
-        if pattern.is_ground:
-            if pattern in self:
-                yield pattern
-            return
-        pattern_args = pattern.args
-        for fact in self._candidates(pattern):
-            bindings = {}
-            for p_arg, f_arg in zip(pattern_args, fact.args):
-                if type(p_arg) is Variable:
-                    bound = bindings.get(p_arg)
-                    if bound is None:
-                        bindings[p_arg] = f_arg
-                    elif bound != f_arg:
-                        break
-                elif p_arg != f_arg:
-                    break
-            else:
-                yield fact
 
     def __repr__(self) -> str:
         return f"Database({self._size} facts)"

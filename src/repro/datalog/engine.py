@@ -43,6 +43,7 @@ from .terms import (
     Substitution,
     Term,
     Variable,
+    _variant_key,
     variables_of,
 )
 from .unify import fresh_variable_factory
@@ -239,30 +240,6 @@ class TopDownEngine:
     # Resolution core
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _canonical(atom: Atom) -> tuple:
-        """A variant-invariant key: variables numbered by first occurrence.
-
-        Two atoms are variants (equal up to variable renaming) iff
-        their canonical keys coincide; the loop check below uses this
-        to recognize a subgoal that repeats one of its own ancestors.
-        The key is a tuple of the predicate plus, per argument, the
-        occurrence index for a variable or the constant itself — no
-        string rendering (``int`` never equals ``Constant``, so the
-        two kinds of entry cannot collide).
-        """
-        mapping: Dict[Variable, int] = {}
-        parts: List[object] = [atom.predicate]
-        for arg in atom.args:
-            if type(arg) is Variable:
-                index = mapping.get(arg)
-                if index is None:
-                    index = mapping[arg] = len(mapping)
-                parts.append(index)
-            else:
-                parts.append(arg)
-        return tuple(parts)
-
     def _reduce(
         self, rule: Rule, goal: Atom, ancestry: FrozenSet[tuple]
     ) -> Optional[Tuple[Substitution, List[_Goal]]]:
@@ -339,7 +316,7 @@ class TopDownEngine:
     ) -> Iterator[Substitution]:
         """Prove the conjunction ``goals`` under ``bindings`` (generator).
 
-        Each pending goal carries the canonical keys of its *branch
+        Each pending goal carries the variant keys of its *branch
         ancestors*; a selected subgoal that is a variant of one of them
         is pruned (the standard Datalog loop check — any proof through
         a repeated variant subgoal has a shorter proof without it), so
@@ -362,7 +339,7 @@ class TopDownEngine:
             )
             return
 
-        key = self._canonical(goal)
+        key = _variant_key(goal)
         if key in ancestry:
             return  # variant loop: this branch cannot make progress
         child_ancestry = ancestry | {key}

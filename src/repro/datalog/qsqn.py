@@ -14,7 +14,8 @@ The net:
 * an **input relation** per predicate holds the registered subqueries
   (goal patterns), canonicalized so that variants collapse to one
   entry — the adornment structure of the QSQ literature;
-* an **answer relation** per predicate tables every derived fact;
+* an **answer relation** per predicate tables every derived fact, all
+  of them held in one indexed :class:`Database` per net state;
 * per rule, a compiled :class:`_RuleNet` of edges — one per body
   literal, classified once as extensional or intensional, positive or
   negated — through which an *activation* propagates a subquery
@@ -32,11 +33,14 @@ predicate's stratum lies strictly below the head's.
 
 Everything rides the PR-7 hot-path machinery: rules are joined through
 their compiled :class:`~repro.datalog.rules.RulePlan` slot arrays,
-facts are enumerated via :meth:`Database.facts_matching`, and atoms
-are built with the trusted :meth:`Atom._make` constructor.  All
-iteration runs over insertion-ordered dicts, so answer enumeration
-order and billed probe counts are byte-identical across
-``PYTHONHASHSEED`` values.
+stored facts and tabled answers alike are enumerated via
+:meth:`Database.facts_matching` — so an intensional edge probes the
+answers' tightest index bucket, not the whole relation — and atoms are
+built with the trusted :meth:`Atom._make` constructor.  All iteration
+runs over insertion-ordered dicts, so answer enumeration order and
+billed probe counts are byte-identical across ``PYTHONHASHSEED``
+values.  Answer-relation probes are the net's own bookkeeping and are
+never billed.
 
 Like :class:`~repro.datalog.bottomup.BottomUpEngine`, net state is
 cached per database *state* (``Database.cache_key``): repeat queries
@@ -90,9 +94,10 @@ class _NetState:
     """The mutable net state for one database state.
 
     ``input`` maps each predicate signature to its registered
-    subqueries (canonical key -> representative pattern atom);
-    ``ans`` tables the derived facts per signature.  Both levels are
-    insertion-ordered dicts — enumeration never touches hash order.
+    subqueries (canonical key -> representative pattern atom), in
+    insertion-ordered dicts; ``ans`` is a :class:`Database` tabling the
+    derived facts of every predicate, so its probes enumerate in
+    insertion order and prune by bound positions.
     ``version`` counts net growth events (new answer or new subquery);
     ``processed`` memoizes, per (signature, key, rule index), the
     version at which the activation last ran, so the fixpoint loop
@@ -103,30 +108,10 @@ class _NetState:
 
     def __init__(self) -> None:
         self.input: Dict[Tuple[str, int], Dict[tuple, Atom]] = {}
-        self.ans: Dict[Tuple[str, int], Dict[Atom, None]] = {}
+        self.ans = Database()
         self.version = 0
         self.processed: Dict[Tuple[Tuple[str, int], tuple, int], int] = {}
         self.activations = 0
-
-
-def _matches(fact: Atom, pattern: Atom) -> bool:
-    """Whether a ground fact is an instance of ``pattern``.
-
-    Honours repeated variables (``p(X, X)`` only matches facts whose
-    two arguments coincide), which ``Database.facts_matching`` already
-    does for stored facts — answer-relation scans need the same check.
-    """
-    bindings: Dict[Variable, Term] = {}
-    for p_arg, f_arg in zip(pattern.args, fact.args):
-        if type(p_arg) is Variable:
-            bound = bindings.get(p_arg)
-            if bound is None:
-                bindings[p_arg] = f_arg
-            elif bound != f_arg:
-                return False
-        elif p_arg != f_arg:
-            return False
-    return True
 
 
 class QSQNEngine:
@@ -230,8 +215,8 @@ class QSQNEngine:
                 yield fact
             if not found:
                 trace.record_retrieval(query, False, cost)
-        for fact in list(state.ans.get(signature, ())):
-            if fact not in seen and _matches(fact, query):
+        for fact in list(state.ans.facts_matching(query)):
+            if fact not in seen:
                 seen[fact] = None
                 yield fact
 
@@ -346,7 +331,6 @@ class QSQNEngine:
         edges = net.edges
         n_edges = len(edges)
         signatures = database.signatures()
-        head_signature = net.rule.head.signature
         head_predicate = net.rule.head.predicate
         head_args = plan.head_args
         retrieval = self.cost_model.retrieval
@@ -374,12 +358,7 @@ class QSQNEngine:
                     args.append(value)
                 else:
                     args.append(spec)
-            fact = Atom._make(head_predicate, tuple(args))
-            answers = state.ans.get(head_signature)
-            if answers is None:
-                answers = state.ans[head_signature] = {}
-            if fact not in answers:
-                answers[fact] = None
+            if state.ans.add(Atom._make(head_predicate, tuple(args))):
                 state.version += 1
 
         def walk(level: int) -> None:
@@ -420,11 +399,11 @@ class QSQNEngine:
                     trace.record_retrieval(pattern, False, cost)
             if kind == _IDB:
                 self._register(state, lp.signature, pattern)
-                for fact in list(state.ans.get(lp.signature, ())):
+                # A snapshot: the join may table new answers.
+                for fact in list(state.ans.facts_matching(pattern)):
                     if stored and fact in database:
                         continue  # already joined from the database
-                    if _matches(fact, pattern):
-                        extend(fact)
+                    extend(fact)
 
         walk(0)
 
@@ -450,9 +429,8 @@ class QSQNEngine:
             self._drain(
                 state, database, trace, self._level.get(signature, 0)
             )
-            for fact in list(state.ans.get(signature, ())):
-                if _matches(fact, goal):
-                    return True
+            if state.ans.succeeds(goal):
+                return True
             if signature not in database.signatures():
                 return False
         cost = self.cost_model.retrieval(goal)

@@ -410,6 +410,28 @@ def _walk(term: Term, bindings: Mapping[Variable, Term]) -> Term:
 EMPTY_SUBSTITUTION = Substitution()
 
 
+def _variant_key(atom: Atom) -> tuple:
+    """A variant-invariant key: ``(predicate, *args)`` with each
+    variable replaced by the ``int`` numbering it by first occurrence.
+
+    Two atoms are variants (equal up to variable renaming) iff their
+    keys coincide.  The names are forgotten but the repetition
+    structure is kept — ``p(X, X)`` and ``p(X, Y)`` differ — and an
+    ``int`` never equals a :class:`Constant`, so the two kinds of entry
+    cannot collide.  A ground atom's key is its predicate and
+    arguments, built without the loop.
+    """
+    if atom.is_ground:
+        return (atom.predicate,) + atom.args
+    numbering: Dict[Variable, int] = {}
+    key: list = [atom.predicate]
+    for arg in atom.args:
+        if type(arg) is Variable:
+            arg = numbering.setdefault(arg, len(numbering))
+        key.append(arg)
+    return tuple(key)
+
+
 def variables_of(*items: Union[Term, Atom]) -> "set[Variable]":
     """Collect the set of variables occurring in the given terms/atoms."""
     found: set = set()

@@ -8,18 +8,18 @@ are unique up to variable renaming.
 Three operations are provided:
 
 * :func:`unify` — most general unifier of two atoms (or ``None``);
-* :func:`match` — one-sided unification: bind variables of a *pattern*
-  to make it equal a (usually ground) *target*, used by the fact
-  indexes for retrieval;
+* :func:`match` — the general one-sided matcher: bind variables of a
+  *pattern* to make it equal a *target*, which may itself hold
+  variables.  Stored-fact retrieval runs the storage base's own loop
+  (:class:`~repro.storage.interface.FactStore`), and the storage
+  property tests hold every backend's probes to :func:`match`;
 * :func:`rename_apart` — freshen the variables of a clause before
   resolution so distinct rule applications never share variables.
 
-``unify`` and ``match`` are hot-path operations (one call per
-reduction attempt / per candidate fact), so both build a single raw
-binding dict in place and hand it to the trusted
-:meth:`~repro.datalog.terms.Substitution._resolved` constructor after a
-final chain-resolution pass, instead of re-validating through
-``Substitution.__init__``.
+``unify`` and ``match`` build a single raw binding dict in place and
+hand it to the trusted :meth:`~repro.datalog.terms.Substitution._resolved`
+constructor after a final chain-resolution pass, instead of
+re-validating through ``Substitution.__init__``.
 """
 
 from __future__ import annotations
@@ -91,8 +91,10 @@ def match(pattern: Atom, target: Atom) -> Optional[Substitution]:
     """One-sided unification: bind ``pattern``'s variables to equal ``target``.
 
     Variables in ``target`` are treated as constants-like and never
-    bound; retrieval from the fact database uses this with ground
-    targets.  Returns ``None`` when no such binding exists.
+    bound.  This is the general matcher: the fact stores' retrieval
+    loop is its ground-target case, and the storage property tests
+    use it as their reference.  Returns ``None`` when no such binding
+    exists.
     """
     if pattern.signature != target.signature:
         return None

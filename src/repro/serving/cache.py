@@ -41,7 +41,7 @@ from collections import OrderedDict
 from dataclasses import replace
 from typing import Any, Dict, Hashable, Optional, Tuple, TYPE_CHECKING
 
-from ..datalog.terms import Atom, Variable
+from ..datalog.terms import Atom, _variant_key
 from ..observability.recorder import NULL_RECORDER, Recorder
 
 if TYPE_CHECKING:
@@ -184,23 +184,14 @@ class SubgoalMemo:
         at bound positions and on which variable positions must be
         *equal* — ``e2(X, X)`` only matches facts with identical
         arguments, so it must not share an entry with ``e2(X, Y)``.
-        Each variable therefore becomes the ``int`` numbering it by
-        first occurrence: the names are forgotten, the repetition
-        structure is kept.  An ``int`` never equals a
-        :class:`Constant`, and the tuple's length carries the arity.
+        The pattern part is therefore its variant key, which numbers
+        the variables by first occurrence; the tuple's length carries
+        the arity.
         """
         identity, generation = database.cache_key
         if version is None:
             version = generation
-        if pattern.is_ground:
-            return (identity, version, pattern.predicate) + pattern.args
-        numbering: Dict[Variable, int] = {}
-        key = [identity, version, pattern.predicate]
-        for arg in pattern.args:
-            if type(arg) is Variable:
-                arg = numbering.setdefault(arg, len(numbering))
-            key.append(arg)
-        return tuple(key)
+        return (identity, version) + _variant_key(pattern)
 
     def lookup(
         self,

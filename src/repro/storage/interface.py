@@ -35,10 +35,14 @@ that bills nothing.
 **What the base owns.**  :class:`FactStore` keeps everything the
 backends share: the store identity and :attr:`~FactStore.generation`,
 the relation catalog (``signatures``, ``count``, ``__len__`` and the
-relations' first-insertion order) and :meth:`~FactStore.from_program`.
-A backend implements its physical storage — ``add``/``remove``, the
-probes, ``relation``, ``__contains__``, ``copy`` — and reports every
-*effective* insert or delete through one base call,
+relations' first-insertion order), :meth:`~FactStore.from_program`,
+and the one loop that matches a pattern against facts, behind
+``retrieve``, ``facts_matching`` and ``succeeds``.  A backend
+implements its physical storage — ``add``/``remove``, ``relation``,
+``__contains__`` (which answers ground probes), ``copy`` and the
+retrieval hook ``_candidates``, which yields a relation's facts in
+insertion order, pruned by the pattern's bound positions — and reports
+every *effective* insert or delete through one base call,
 :meth:`~FactStore._record_write`, so one method sees every write of
 every backend.
 
@@ -62,19 +66,11 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-if TYPE_CHECKING:
-    from ..datalog.terms import Atom, Substitution
+# ``repro`` loads ``repro.datalog.terms``, which imports nothing from
+# the package, before ``repro.datalog.database`` imports this module.
+from ..datalog.terms import EMPTY_SUBSTITUTION, Atom, Substitution, Variable
 
 __all__ = [
     "Completeness",
@@ -92,7 +88,7 @@ __all__ = [
 ReadKey = Tuple
 
 
-def bucket_keys(fact: "Atom") -> List[ReadKey]:
+def bucket_keys(fact: Atom) -> List[ReadKey]:
     """The bucket keys holding ``fact``, one per argument position.  A
     write of ``fact`` changes exactly these and its relation key
     ``fact.signature``."""
@@ -103,7 +99,7 @@ def bucket_keys(fact: "Atom") -> List[ReadKey]:
     return keys
 
 
-def probe_key(pattern: "Atom") -> ReadKey:
+def probe_key(pattern: Atom) -> ReadKey:
     """The read key covering every fact a probe of ``pattern`` can see.
 
     A matching fact carries the pattern's constant at every bound
@@ -236,18 +232,18 @@ class FactStore(ABC):
     # -- mutation ------------------------------------------------------
 
     @abstractmethod
-    def add(self, fact: "Atom") -> bool:
+    def add(self, fact: Atom) -> bool:
         """Add a ground fact; ``False`` when already present."""
 
     @abstractmethod
-    def remove(self, fact: "Atom") -> bool:
+    def remove(self, fact: Atom) -> bool:
         """Remove a fact; ``False`` when it was absent."""
 
-    def update(self, facts: Iterable["Atom"]) -> int:
+    def update(self, facts: Iterable[Atom]) -> int:
         """Add many facts; returns how many were new."""
         return sum(1 for fact in facts if self.add(fact))
 
-    def _record_write(self, fact: "Atom", delta: int) -> int:
+    def _record_write(self, fact: Atom, delta: int) -> int:
         """Record one effective physical insert (``delta=1``) or delete
         (``delta=-1``) of ``fact``: update the catalog, bump the
         generation and return the new one.
@@ -269,15 +265,61 @@ class FactStore(ABC):
 
     # -- retrieval -----------------------------------------------------
 
-    @abstractmethod
-    def retrieve(self, pattern: "Atom") -> Iterator["Substitution"]:
-        """One substitution per matching fact, in insertion order."""
+    def retrieve(self, pattern: Atom) -> Iterator[Substitution]:
+        """Yield one substitution per fact matching ``pattern``.
 
-    @abstractmethod
-    def facts_matching(self, pattern: "Atom") -> Iterator["Atom"]:
-        """The stored facts matching ``pattern``, in insertion order."""
+        A ground pattern yields at most one (empty) substitution; a
+        pattern with variables yields their bindings.  This is the
+        "attempted database retrieval" of the paper: the retrieval
+        *succeeds* iff the iterator is non-empty.  Enumeration order is
+        fact insertion order.
+        """
+        return self._matching(pattern, False)
 
-    def succeeds(self, pattern: "Atom") -> bool:
+    def facts_matching(self, pattern: Atom) -> Iterator[Atom]:
+        """Yield the stored facts matching ``pattern``, in insertion
+        order: :meth:`retrieve`'s matches as the facts themselves — the
+        bottom-up join binds its slot array straight from their
+        argument tuples."""
+        return self._matching(pattern, True)
+
+    def _matching(self, pattern: Atom, as_facts: bool) -> Iterator:
+        """The one match loop behind both probes.
+
+        A ground pattern is a membership test.  Otherwise a candidate
+        matches when it carries the pattern's constants and binds each
+        repeated variable to one value.  The bindings are built inside
+        the loop: this is the SLD engine's probe, so it adds no call or
+        generator per fact.
+        """
+        if pattern.is_ground:
+            if pattern in self:
+                yield pattern if as_facts else EMPTY_SUBSTITUTION
+            return
+        pattern_args = pattern.args
+        for fact in self._candidates(pattern):
+            bindings = {}
+            for p_arg, f_arg in zip(pattern_args, fact.args):
+                if type(p_arg) is Variable:
+                    bound = bindings.get(p_arg)
+                    if bound is None:
+                        bindings[p_arg] = f_arg
+                    elif bound != f_arg:
+                        break
+                elif p_arg != f_arg:
+                    break
+            else:
+                yield fact if as_facts else Substitution._resolved(bindings)
+
+    def _candidates(self, pattern: Atom) -> Iterable[Atom]:
+        """The stored facts of ``pattern``'s relation that could match
+        it, in insertion order — a backend's one retrieval hook.  It may
+        prune by the pattern's bound positions (an index, a ``WHERE``
+        clause) but never reorder; the match loop checks the rest.
+        ``pattern`` is never ground."""
+        raise NotImplementedError
+
+    def succeeds(self, pattern: Atom) -> bool:
         """Whether at least one fact matches ``pattern`` (satisficing)."""
         for _ in self.retrieve(pattern):
             return True
@@ -309,7 +351,7 @@ class FactStore(ABC):
         return self._signatures
 
     @abstractmethod
-    def relation(self, predicate: str, arity: int) -> List["Atom"]:
+    def relation(self, predicate: str, arity: int) -> List[Atom]:
         """All facts of one relation, in insertion order."""
 
     def count(self, predicate: str, arity: Optional[int] = None) -> int:
@@ -330,7 +372,7 @@ class FactStore(ABC):
     def __len__(self) -> int:
         return self._size
 
-    def __iter__(self) -> Iterator["Atom"]:
+    def __iter__(self) -> Iterator[Atom]:
         """Every fact: relations in first-insertion order, facts in
         insertion order within each."""
         for predicate, arity in self._counts:
@@ -360,4 +402,4 @@ class FactStore(ABC):
         """An independent same-backend copy of the store."""
 
     @abstractmethod
-    def __contains__(self, fact: "Atom") -> bool: ...
+    def __contains__(self, fact: Atom) -> bool: ...

@@ -24,11 +24,14 @@ are distinct constants).  Arguments are therefore stored as
 ``"<typename>:<repr>"`` strings — injective for every type the parser
 produces — and decoded through a python-side table that remembers the
 exact :class:`Constant` each encoding came from, so round-trips are
-identity-exact even for exotic hashable values.
+identity-exact even for exotic hashable values.  Only ``add`` fills
+that table: probes and removes encode without registering, so asking
+about constants never stored does not grow it.
 
-Matching semantics (bound positions, repeated variables) reuse the
-same python matching loop as the in-memory store: SQL ``WHERE``
-clauses on bound columns only *prune* the scan, exactly like
+Matching (bound positions, repeated variables) is the
+:class:`~repro.storage.interface.FactStore` base's one loop; this
+backend only supplies its candidates, a select whose ``WHERE`` clauses
+on bound columns *prune* the scan, exactly like
 ``Database._candidates`` picking the tightest index bucket.
 """
 
@@ -37,13 +40,7 @@ from __future__ import annotations
 import sqlite3
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..datalog.terms import (
-    EMPTY_SUBSTITUTION,
-    Atom,
-    Constant,
-    Substitution,
-    Variable,
-)
+from ..datalog.terms import Atom, Constant, Variable
 from ..errors import DatalogError
 from .interface import FactStore
 
@@ -112,15 +109,11 @@ class SQLiteFactStore(FactStore):
             self._tables[signature] = table
         return table
 
-    def _row_for(self, fact: Atom) -> Tuple[str, ...]:
+    @staticmethod
+    def _row_for(fact: Atom) -> Tuple[str, ...]:
         if not fact.args:
             return ("()",)
-        row = []
-        for arg in fact.args:
-            encoded = _encode(arg)
-            self._constants.setdefault(encoded, arg)
-            row.append(encoded)
-        return tuple(row)
+        return tuple(_encode(arg) for arg in fact.args)
 
     def _fact_from(self, predicate: str, row: Tuple[str, ...]) -> Atom:
         return Atom._make(
@@ -144,6 +137,10 @@ class SQLiteFactStore(FactStore):
         )
         if cursor.rowcount == 0:
             return False
+        # Only a stored fact's constants enter the decode table: a
+        # membership probe or a remove of unseen constants must not grow it.
+        for encoded, arg in zip(row, fact.args):
+            self._constants.setdefault(encoded, arg)
         self._record_write(fact, 1)
         return True
 
@@ -209,45 +206,8 @@ class SQLiteFactStore(FactStore):
     def relation(self, predicate: str, arity: int) -> List[Atom]:
         return list(self._scan((predicate, arity)))
 
-    def retrieve(self, pattern: Atom) -> Iterator[Substitution]:
-        if pattern.is_ground:
-            if pattern in self:
-                yield EMPTY_SUBSTITUTION
-            return
-        pattern_args = pattern.args
-        for fact in self._scan(pattern.signature, pattern):
-            bindings = {}
-            for p_arg, f_arg in zip(pattern_args, fact.args):
-                if type(p_arg) is Variable:
-                    bound = bindings.get(p_arg)
-                    if bound is None:
-                        bindings[p_arg] = f_arg
-                    elif bound != f_arg:
-                        break
-                elif p_arg != f_arg:
-                    break
-            else:
-                yield Substitution._resolved(bindings)
-
-    def facts_matching(self, pattern: Atom) -> Iterator[Atom]:
-        if pattern.is_ground:
-            if pattern in self:
-                yield pattern
-            return
-        pattern_args = pattern.args
-        for fact in self._scan(pattern.signature, pattern):
-            bindings = {}
-            for p_arg, f_arg in zip(pattern_args, fact.args):
-                if type(p_arg) is Variable:
-                    bound = bindings.get(p_arg)
-                    if bound is None:
-                        bindings[p_arg] = f_arg
-                    elif bound != f_arg:
-                        break
-                elif p_arg != f_arg:
-                    break
-            else:
-                yield fact
+    def _candidates(self, pattern: Atom) -> Iterator[Atom]:
+        return self._scan(pattern.signature, pattern)
 
     def __repr__(self) -> str:
         return f"SQLiteFactStore({self._size} facts)"

@@ -279,8 +279,8 @@ class TestDepthBound:
 
     @pytest.mark.xfail(strict=True, reason=(
         "SLD prunes silently at its depth bound: the default max_depth=64 "
-        "(datalog/engine.py:176) and the bare `if depth <= 0: return` in "
-        "_solve (datalog/engine.py:352) report the 96-edge chain goal as "
+        "(datalog/engine.py:177) and the bare `if depth <= 0: return` in "
+        "_solve (datalog/engine.py:329) report the 96-edge chain goal as "
         "not proved instead of truncated"
     ))
     def test_deep_chain_goal_is_proved_top_down(self):

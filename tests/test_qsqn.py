@@ -160,6 +160,20 @@ class TestTablingAndBilling:
         warm = engine.prove(query, db)
         assert warm.proved and warm.trace.cost == 0.0
 
+    @pytest.mark.parametrize("length, billed", [
+        (24, (3504.0, 1752, 1752)),
+        (48, (13920.0, 6960, 6960)),
+    ])
+    def test_bound_chain_billing(self, length, billed):
+        # Pinned at the global-version memo: each new answer re-runs
+        # every activation, so activations grow about 3N^2.  A
+        # semi-naive net bills less and changes these on purpose.
+        rules = parse_program(CLOSURE)
+        trace = QSQNEngine(rules).prove(
+            parse_query(f"path(n0, n{length})?"), chain_db(length)
+        ).trace
+        assert (trace.cost, trace.reductions, len(trace.retrievals)) == billed
+
     def test_mutation_invalidates_tabled_state(self):
         rules = parse_program(CLOSURE)
         db = chain_db(3)

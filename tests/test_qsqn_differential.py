@@ -79,7 +79,7 @@ def fail_with_artifact(spec, message):
 
 
 class TestHypothesisPrograms:
-    @settings(max_examples=40, deadline=None)
+    @settings(deadline=None)
     @given(edges)
     def test_three_way_agreement_on_stratified_programs(self, pairs):
         rules = parse_program(STRATIFIED_RULES)
@@ -106,7 +106,7 @@ class TestHypothesisPrograms:
                 )
                 assert engine.prove(query, db).proved == bool(reference)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(deadline=None)
     @given(edges)
     def test_answers_are_ground_instances(self, pairs):
         rules = parse_program(STRATIFIED_RULES)

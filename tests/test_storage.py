@@ -18,7 +18,8 @@ from repro.datalog import parser
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_query
 from repro.datalog.rules import QueryForm
-from repro.datalog.terms import Atom
+from repro.datalog.terms import Atom, Constant, Variable
+from repro.datalog.unify import match
 from repro.resilience.faults import FaultPlan, FaultSpec, FlakyDatabase
 from repro.storage import (
     COMPLETE,
@@ -176,6 +177,43 @@ def outcome(load, *args, **kwargs):
                 getattr(error, "line", None), getattr(error, "column", None))
 
 
+# -- mutation histories and patterns -------------------------------------
+
+#: Relations of arity 0 to 3; ``r`` at two arities must never mix.
+RELATIONS = [("t", 0), ("u", 1), ("r", 2), ("r", 3)]
+CONSTANTS = st.sampled_from(["a", "b", "c", 1, "1"]).map(Constant)
+#: Few names, so patterns repeat variables, adjacent or not.
+VARIABLES = st.sampled_from(["X", "Y", "Z"]).map(Variable)
+
+
+@st.composite
+def relation_atoms(draw, terms):
+    predicate, arity = draw(st.sampled_from(RELATIONS))
+    return Atom(predicate, draw(st.lists(terms, min_size=arity,
+                                         max_size=arity)))
+
+
+#: Adds, removes and re-adds over a small fact space.
+HISTORIES = st.lists(
+    st.tuples(st.sampled_from(["add", "remove"]),
+              relation_atoms(CONSTANTS)),
+    max_size=24,
+)
+PATTERNS_DRAWN = st.lists(
+    relation_atoms(st.one_of(CONSTANTS, VARIABLES)), min_size=1, max_size=6
+)
+
+
+def matcher_backends():
+    """One empty store of each backend; the fault plan injects nothing."""
+    return [
+        Database(),
+        SQLiteFactStore(),
+        FederatedStore(shards=3, seed=5),
+        FlakyDatabase((), FaultPlan(seed=0)),
+    ]
+
+
 class CountingDatabase(Database):
     """A Database that counts ``add`` calls across all its instances."""
 
@@ -233,6 +271,45 @@ class TestBackendParity:
                 assert store.succeeds(pattern) == reference.succeeds(
                     pattern
                 ), (name, text)
+
+    @settings(deadline=None)
+    @given(history=HISTORIES, patterns=PATTERNS_DRAWN)
+    @example(
+        history=[("add", parse_query(text)) for text in (
+            "r(a, c, a)", "r(a, c, b)", "r(b, c, b)", "r(c, a, c)")]
+        + [("remove", parse_query("r(a, c, a)")),
+           ("add", parse_query("r(a, c, a)"))],
+        patterns=[parse_query(text) for text in (
+            "r(X, c, X)", "r(X, X, Y)", "r(a, c, a)", "r(X, Y, Z)")],
+    )
+    def test_matching_agrees_with_match_over_any_history(
+        self, history, patterns
+    ):
+        """Every probe of every backend is the facts of the history, in
+        insertion order, that :func:`match` accepts."""
+        model = []
+        stores = matcher_backends()
+        for op, fact in history:
+            if op == "add":
+                effective = fact not in model
+                if effective:
+                    model.append(fact)
+            else:
+                effective = fact in model
+                if effective:
+                    model.remove(fact)
+            for store in stores:
+                assert getattr(store, op)(fact) == effective, (store, op, fact)
+        for pattern in patterns:
+            matching = [fact for fact in model if match(pattern, fact) is not None]
+            bindings = [match(pattern, fact) for fact in matching]
+            for store in stores:
+                assert list(store.facts_matching(pattern)) == matching, (
+                    store, pattern)
+                assert list(store.retrieve(pattern)) == bindings, (
+                    store, pattern)
+                assert store.succeeds(pattern) == bool(matching), (
+                    store, pattern)
 
     def test_removed_then_readded_enumerates_last(self):
         fact = Atom("e1", ["a"])
@@ -347,6 +424,22 @@ class TestSQLiteEncoding:
         assert len(store) == 2
         facts = list(store.facts_matching(parse_query("n(X)")))
         assert facts == [Atom("n", [1]), Atom("n", ["1"])]
+
+    def test_probes_and_removes_do_not_grow_the_decode_table(self):
+        store = SQLiteFactStore.from_program("e(a, b).")
+        assert len(store._constants) == 2
+        for index in range(1000):
+            assert Atom("e", ["a", f"z{index}"]) not in store
+            assert not store.remove(Atom("e", [f"y{index}", "b"]))
+        assert len(store._constants) == 2
+        # A constant first probed, then stored, still decodes.
+        assert store.add(Atom("e", ["a", "z7"]))
+        assert len(store._constants) == 3
+        stored = [Atom("e", ["a", "b"]), Atom("e", ["a", "z7"])]
+        assert list(store) == stored
+        assert list(store.retrieve(parse_query("e(a, X)"))) == [
+            match(parse_query("e(a, X)"), fact) for fact in stored
+        ]
 
     def test_close_is_idempotent(self):
         store = SQLiteFactStore(base_facts())
