@@ -28,13 +28,18 @@ per-retrieval "is this relation extensional?" check — belongs to the
 :class:`~repro.storage.interface.FactStore` base, which every
 effective write reports to.
 
-For the serving caches it keeps one *stamp* per read key (see
-:mod:`repro.storage.interface`): the generation of the last effective
-mutation under that relation or bucket key, for every arity (a unary
-fact's bucket key is stamped though it has no bucket).
-:meth:`Database.version` of a read set is the newest stamp in it, so a
-write changes the version of exactly the read sets that can observe
-it.
+The constructor builds its initial facts in one pass: it fills the
+relation dicts and the argument buckets, then records the catalog once
+with the base (:meth:`~repro.storage.interface.FactStore._record_load`).
+
+For the serving caches it keeps one *stamp* per read key written since
+construction (see :mod:`repro.storage.interface`): the generation of
+the last effective mutation under that relation or bucket key, for
+every arity (a unary fact's bucket key is stamped though it has no
+bucket).  A key with no stamp reads 0: the constructor writes none,
+since no reader can exist before it returns.  :meth:`Database.version`
+of a read set is the newest stamp in it, so a write changes the
+version of exactly the read sets that can observe it.
 """
 
 from __future__ import annotations
@@ -42,8 +47,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..errors import DatalogError
-from ..storage.interface import FactStore, ReadKey, bucket_keys
+from ..storage.interface import FactStore, ReadKey, _check_fact, bucket_keys
 from .terms import Atom, Constant, Variable
 
 __all__ = ["Database"]
@@ -56,12 +60,15 @@ class Database(FactStore):
     insertion order — including enumeration through the per-argument
     indexes — which keeps retrieval enumeration deterministic.
 
-    Every mutation that actually changes the stored fact set is
-    recorded with the base, which bumps :attr:`generation`, and then
-    stamps the relation and index buckets it touched with the new
-    generation.  Stamps only grow and are never deleted — a bucket that
-    empties keeps its stamp — so :meth:`version` over a read set
-    changes exactly when a fact under it is added or removed.
+    ``facts`` are stored in one pass, duplicates skipped, with no
+    stamps: construction is not a mutation, and :attr:`generation`
+    ends at the number of distinct facts.  Every later mutation that
+    actually changes the stored fact set is recorded with the base,
+    which bumps :attr:`generation`, and then stamps the relation and
+    index buckets it touched with the new generation.  Stamps only grow
+    and are never deleted — a bucket that empties keeps its stamp — so
+    :meth:`version` over a read set changes exactly when a fact under
+    it is added or removed.
 
     Stamps are written only once the relation and *every* index bucket
     show the mutation: a probe may enumerate through any bound
@@ -82,11 +89,23 @@ class Database(FactStore):
         ] = defaultdict(dict)
         #: Read key -> generation of its last effective mutation.
         self._stamps: Dict[ReadKey, int] = {}
+        relations, arg_index = self._facts, self._arg_index
         for fact in facts:
-            self.add(fact)
+            _check_fact(fact)
+            relation = relations[fact.signature]
+            if fact in relation:
+                continue
+            relation[fact] = None
+            if len(fact.args) > 1:
+                for key in bucket_keys(fact):
+                    arg_index[key][fact] = None
+        self._record_load(
+            {signature: len(relation) for signature, relation in relations.items()}
+        )
 
     def version(self, keys: Iterable[ReadKey]) -> int:
-        """The newest stamp among ``keys`` (0 for keys never mutated)."""
+        """The newest stamp among ``keys`` (0 for keys not mutated since
+        construction)."""
         stamp_of = self._stamps.get
         newest = 0
         for key in keys:
@@ -105,10 +124,7 @@ class Database(FactStore):
 
     def add(self, fact: Atom) -> bool:
         """Add a ground fact; returns ``False`` when already present."""
-        if not isinstance(fact, Atom):
-            raise TypeError("facts must be Atoms")
-        if not fact.is_ground:
-            raise DatalogError(f"facts must be ground, got {fact}")
+        _check_fact(fact)
         signature = fact.signature
         relation = self._facts[signature]
         if fact in relation:

@@ -34,7 +34,7 @@ only error reporter.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterator, List, NamedTuple, Optional
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..errors import DatalogError, ParseError
 from .rules import Literal, Rule, RuleBase
@@ -267,13 +267,12 @@ def _scan_facts(text: str) -> Optional[List[Atom]]:
     does an integer past ``int``'s digit limit: the general parser
     reads the whole text first and reports its error.
 
-    The facts of one relation share one predicate string, and the uses
-    of one constant text share one :class:`Constant`.  The two lookup
-    tables stay apart: in ``not(not).`` the predicate is the string
-    ``"not"`` and the argument the constant ``not``.
+    The facts of one relation share one signature tuple, and with it
+    one predicate string (:meth:`Atom._ground`); the uses of one
+    constant text share one :class:`Constant`.
     """
     match, args_of = _FACT_RE.match, _ARGS_RE.findall
-    predicates: Dict[str, str] = {}
+    signatures: Dict[Tuple[str, int], Tuple[str, int]] = {}
     constants: Dict[str, Constant] = {}
     facts: List[Atom] = []
     position = 0
@@ -283,8 +282,7 @@ def _scan_facts(text: str) -> Optional[List[Atom]]:
             if found is None:
                 break
             predicate, args = found.group("predicate", "args")
-            predicate = predicates.setdefault(predicate, predicate)
-            terms: List[Term] = []
+            terms: List[Constant] = []
             if args is not None:
                 for arg in args_of(args):
                     if arg:
@@ -292,7 +290,9 @@ def _scan_facts(text: str) -> Optional[List[Atom]]:
                         if constant is None:
                             constant = constants[arg] = _constant(arg)
                         terms.append(constant)
-            facts.append(Atom._make(predicate, tuple(terms)))
+            signature = (predicate, len(terms))
+            signature = signatures.setdefault(signature, signature)
+            facts.append(Atom._ground(signature, tuple(terms)))
             position = found.end()
     except ValueError:
         return None

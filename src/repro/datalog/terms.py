@@ -31,7 +31,9 @@ representation is tuned accordingly:
 * :class:`Atom` precomputes ``signature`` and ``is_ground`` as plain
   attributes and exposes the trusted fast constructor
   :meth:`Atom._make` for callers (the compiled rule plans, the fact
-  indexes) that already hold a tuple of ``Term`` arguments.
+  indexes) that already hold a tuple of ``Term`` arguments, and
+  :meth:`Atom._ground` for the fact scan, whose facts of one relation
+  share one ``signature`` tuple.
 """
 
 from __future__ import annotations
@@ -229,6 +231,22 @@ class Atom:
         atom.args = args
         atom.signature = (predicate, len(args))
         atom.is_ground = all(type(a) is not Variable for a in args)
+        atom._hash = hash((Atom, predicate, args))
+        return atom
+
+    @classmethod
+    def _ground(cls, signature: Tuple[str, int], args: Tuple[Constant, ...]) -> "Atom":
+        """Trusted constructor for a ground fact: ``args`` must be a
+        tuple of :class:`Constant` objects and ``signature`` must equal
+        ``(predicate, len(args))``.  It skips :meth:`_make`'s
+        per-argument ground test and keeps the ``signature`` object it
+        is given, so the facts a caller builds for one relation share
+        one tuple."""
+        atom = object.__new__(cls)
+        atom.predicate = predicate = signature[0]
+        atom.args = args
+        atom.signature = signature
+        atom.is_ground = True
         atom._hash = hash((Atom, predicate, args))
         return atom
 

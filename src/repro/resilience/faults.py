@@ -265,12 +265,13 @@ class FlakyDatabase(Database):
     Meant for use behind :class:`~repro.graphs.contexts.LazyDatalogContext`:
     the self-optimizing processor's own retrievals then fault at the
     storage layer, exactly where a deployed system would see them.
-    ``facts`` load in enumeration order, so a freshly loaded
-    :class:`Database` passed in is copied with its generation.  Only
-    the probing entry points draw from ``plan`` first —
-    :meth:`retrieve`, :meth:`facts_matching`, and ``succeeds`` through
-    ``retrieve``; mutation, iteration, the catalog and read versions
-    are the database's own.
+    ``facts`` are built in one pass in enumeration order, as by
+    :class:`Database`, so ``FlakyDatabase(Database.from_program(text),
+    plan)`` and ``FlakyDatabase.from_program(text, plan=plan)`` hold the
+    same facts at the same generation.  Only the probing entry points
+    draw from ``plan`` first — :meth:`retrieve`, :meth:`facts_matching`,
+    and ``succeeds`` through ``retrieve``; mutation, iteration, the
+    catalog and read versions are the database's own.
     """
 
     def __init__(self, facts: Iterable[Atom], plan: FaultPlan):

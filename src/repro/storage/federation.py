@@ -65,10 +65,9 @@ from typing import (
 
 from ..datalog.database import Database
 from ..datalog.terms import Atom, Substitution
-from ..errors import DatalogError
 from ..resilience.circuit import CircuitBreaker
 from ..resilience.faults import FaultPlan, FaultSpec
-from .interface import Completeness, FactStore, ProbeWindow
+from .interface import Completeness, FactStore, ProbeWindow, _check_fact
 
 __all__ = ["ShardSpec", "Shard", "ProbeWindow", "FederatedStore"]
 
@@ -319,10 +318,7 @@ class FederatedStore(FactStore):
     # ------------------------------------------------------------------
 
     def add(self, fact: Atom) -> bool:
-        if not isinstance(fact, Atom):
-            raise TypeError("facts must be Atoms")
-        if not fact.is_ground:
-            raise DatalogError(f"facts must be ground, got {fact}")
+        _check_fact(fact)
         shard = self.shard_for(fact.signature)
         if not shard.primary.add(fact):
             return False

@@ -36,15 +36,18 @@ that bills nothing.
 backends share: the store identity and :attr:`~FactStore.generation`,
 the relation catalog (``signatures``, ``count``, ``__len__`` and the
 relations' first-insertion order), :meth:`~FactStore.from_program`,
-and the one loop that matches a pattern against facts, behind
-``retrieve``, ``facts_matching`` and ``succeeds``.  A backend
-implements its physical storage — ``add``/``remove``, ``relation``,
-``__contains__`` (which answers ground probes), ``copy`` and the
-retrieval hook ``_candidates``, which yields a relation's facts in
-insertion order, pruned by the pattern's bound positions — and reports
-every *effective* insert or delete through one base call,
+the one ground-fact check every stored fact passes, and the one loop
+that matches a pattern against facts, behind ``retrieve``,
+``facts_matching`` and ``succeeds``.  A backend implements its
+physical storage — ``add``/``remove``, ``relation``, ``__contains__``
+(which answers ground probes), ``copy`` and the retrieval hook
+``_candidates``, which yields a relation's facts in insertion order,
+pruned by the pattern's bound positions — and reports every
+*effective* insert or delete through one base call,
 :meth:`~FactStore._record_write`, so one method sees every write of
-every backend.
+every backend.  Construction is not a write: a backend that builds its
+initial facts in one pass records them once, through
+:meth:`~FactStore._record_load`.
 
 **Read keys and versions.**  What a probe can observe is named in one
 vocabulary, shared by every backend's :meth:`FactStore.version` and by
@@ -58,7 +61,10 @@ A probe's key is :func:`probe_key` of its pattern.  ``version(keys)``
 is a number that differs from every earlier reading as soon as a fact
 under any of ``keys`` has been added or removed since; a cache entry
 keyed on the version of everything its computation probed stays valid
-exactly as long as that version does.
+exactly as long as that version does.  Versions count writes, and the
+facts a store was constructed with are not writes: a key that no write
+has touched since construction reads as constructed, which no reader
+can have cached before the constructor returned.
 """
 
 from __future__ import annotations
@@ -71,6 +77,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 # ``repro`` loads ``repro.datalog.terms``, which imports nothing from
 # the package, before ``repro.datalog.database`` imports this module.
 from ..datalog.terms import EMPTY_SUBSTITUTION, Atom, Substitution, Variable
+from ..errors import DatalogError
 
 __all__ = [
     "Completeness",
@@ -86,6 +93,15 @@ __all__ = [
 #: A relation key ``(predicate, arity)`` or a bucket key
 #: ``(predicate, arity, position, constant)`` (see the module notes).
 ReadKey = Tuple
+
+
+def _check_fact(fact: Atom) -> None:
+    """Raise unless ``fact`` can be stored: every backend checks each
+    fact it loads or adds here, so all raise the same errors."""
+    if not isinstance(fact, Atom):
+        raise TypeError("facts must be Atoms")
+    if not fact.is_ground:
+        raise DatalogError(f"facts must be ground, got {fact}")
 
 
 def bucket_keys(fact: Atom) -> List[ReadKey]:
@@ -189,7 +205,9 @@ class FactStore(ABC):
     the module-level contract — especially the enumeration-order
     guarantee — and calls :meth:`_record_write` once per *effective*
     mutation, since the serving caches key on ``cache_key = (identity,
-    generation)`` or on :meth:`version`.
+    generation)`` or on :meth:`version`.  Its constructor may load its
+    initial facts through ``add`` or build them in one pass and record
+    them with :meth:`_record_load`.
     """
 
     def __init__(self) -> None:
@@ -206,7 +224,8 @@ class FactStore(ABC):
 
     @property
     def generation(self) -> int:
-        """Mutation counter: bumped by every effective add/remove."""
+        """Mutation counter: bumped by every effective add/remove.  A
+        freshly constructed store's is its number of facts."""
         return self._generation
 
     @property
@@ -225,7 +244,9 @@ class FactStore(ABC):
         The default is the whole-store :attr:`generation`: coherent for
         any backend, but every mutation anywhere changes it.  A backend
         that tracks per-key stamps returns the newest stamp among
-        ``keys`` instead, so writes elsewhere leave it unchanged.
+        ``keys`` instead, so writes elsewhere leave it unchanged; a key
+        no write has touched since construction has no stamp and reads
+        0, "as constructed".
         """
         return self.generation
 
@@ -243,13 +264,28 @@ class FactStore(ABC):
         """Add many facts; returns how many were new."""
         return sum(1 for fact in facts if self.add(fact))
 
+    def _record_load(self, counts: Dict[Tuple[str, int], int]) -> None:
+        """Record the catalog of a store built in one pass: ``counts``
+        maps each relation, in first-insertion order, to its (positive)
+        number of distinct facts.
+
+        The constructor calls this once, after its facts are stored and
+        before it returns.  Loading is not a write — no reader can have
+        seen the store yet — but :attr:`generation` still ends at the
+        number of facts, as if each had been added.
+        """
+        self._counts = counts
+        self._signatures = set(counts)
+        self._size = self._generation = sum(counts.values())
+
     def _record_write(self, fact: Atom, delta: int) -> int:
         """Record one effective physical insert (``delta=1``) or delete
         (``delta=-1``) of ``fact``: update the catalog, bump the
         generation and return the new one.
 
         Every backend calls this exactly once per write that changed
-        its stored fact set, after the write is visible to every probe.
+        its stored fact set, after the write is visible to every probe
+        — every write after construction (see :meth:`_record_load`).
         """
         signature = fact.signature
         counts = self._counts
@@ -382,20 +418,17 @@ class FactStore(ABC):
 
     @classmethod
     def from_program(cls, text: str, **kwargs) -> "FactStore":
-        """Build a store from Datalog source containing only facts;
-        ``kwargs`` go to the constructor.
+        """Build a store from Datalog source containing only facts:
+        ``cls(facts, **kwargs)``.
 
         Fact-only text is scanned straight to atoms; any other text
         goes through :func:`~repro.datalog.parser.parse_program`, which
         reports its errors.  Either way the whole text is read before
-        the first :meth:`add`, so a malformed text writes nothing.
+        the store is constructed, so a malformed text builds nothing.
         """
         from ..datalog import parser
 
-        store = cls(**kwargs)
-        for fact in parser._read_facts(text):
-            store.add(fact)
-        return store
+        return cls(parser._read_facts(text), **kwargs)
 
     @abstractmethod
     def copy(self) -> "FactStore":

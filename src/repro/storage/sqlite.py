@@ -41,8 +41,7 @@ import sqlite3
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..datalog.terms import Atom, Constant, Variable
-from ..errors import DatalogError
-from .interface import FactStore
+from .interface import FactStore, _check_fact
 
 __all__ = ["SQLiteFactStore"]
 
@@ -125,10 +124,7 @@ class SQLiteFactStore(FactStore):
     # ------------------------------------------------------------------
 
     def add(self, fact: Atom) -> bool:
-        if not isinstance(fact, Atom):
-            raise TypeError("facts must be Atoms")
-        if not fact.is_ground:
-            raise DatalogError(f"facts must be ground, got {fact}")
+        _check_fact(fact)
         table = self._table_for(fact.signature)
         row = self._row_for(fact)
         placeholders = ", ".join("?" for _ in row)

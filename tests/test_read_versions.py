@@ -25,7 +25,7 @@ from repro.graphs.contexts import compile_read_plan
 from repro.resilience.faults import FaultPlan, FlakyDatabase
 from repro.serving.cache import AnswerCache
 from repro.storage.federation import FederatedStore
-from repro.storage.interface import probe_key
+from repro.storage.interface import bucket_keys, probe_key
 from repro.storage.sqlite import SQLiteFactStore
 
 
@@ -49,7 +49,9 @@ class TestStamps:
         assert database.version([]) == 0
 
     def test_stamp_is_generation_of_last_mutation(self):
-        database = store("p(a). p(b). q(a, b).")
+        database = Database()
+        for text in ("p(a)", "p(b)", "q(a, b)"):
+            database.add(atom(text))
         assert database.version([bucket("p", 1, 0, "a")]) == 1
         assert database.version([bucket("p", 1, 0, "b")]) == 2
         assert database.version([("p", 1)]) == 2
@@ -82,11 +84,27 @@ class TestStamps:
         assert database.version(key) > before
 
     def test_noop_mutations_leave_versions(self):
-        database = store("p(a).")
-        database.add(atom("p(a)"))
-        database.remove(atom("p(zz)"))
-        assert database.version([("p", 1)]) == 1
-        assert database.version([bucket("p", 1, 0, "zz")]) == 0
+        written = Database()
+        written.add(atom("p(a)"))
+        # A constructed key reads 0; a written one its write's generation.
+        for database, stamp in ((store("p(a)."), 0), (written, 1)):
+            database.add(atom("p(a)"))
+            database.remove(atom("p(zz)"))
+            assert database.version([("p", 1)]) == stamp
+            assert database.version([bucket("p", 1, 0, "zz")]) == 0
+
+    def test_constructed_keys_read_zero_until_written(self):
+        text = "p(a). p(b). q(a, b). q(b, b). flag. p(a)."
+        for database in (store(text), Database(list(store(text)))):
+            keys = {key for fact in database
+                    for key in (fact.signature, *bucket_keys(fact))}
+            assert all(database.version([key]) == 0 for key in keys)
+            assert database.generation == len(database) == 5
+            database.add(atom("q(a, c)"))
+            written = {("q", 2), bucket("q", 2, 0, "a"), bucket("q", 2, 1, "c")}
+            for key in keys | written:
+                expected = 6 if key in written else 0
+                assert database.version([key]) == expected, key
 
     def test_write_elsewhere_leaves_the_version(self):
         database = store("p(a). p(b).")
@@ -292,15 +310,15 @@ class TestTargetedInvalidation:
         loaded = store("leaf(c1). alt(c2).")
         flaky = FlakyDatabase(loaded, FaultPlan(seed=1))
         keys = [bucket("leaf", 1, 0, "c1"), ("alt", 1)]
-        assert flaky.version(keys) == loaded.version(keys)
+        assert flaky.version(keys) == loaded.version(keys) == 0
         assert flaky.generation == loaded.generation
         flaky.add(atom("leaf(c9)"))
         assert flaky.generation == loaded.generation + 1
-        assert flaky.version([bucket("leaf", 1, 0, "c1")]) == 1
+        assert flaky.version([bucket("leaf", 1, 0, "c1")]) == 0
         assert flaky.version([("leaf", 1)]) == flaky.generation
         # The loaded store is a source, not a backing store.
         assert atom("leaf(c9)") not in loaded
-        assert loaded.version([("leaf", 1)]) == 1
+        assert loaded.version([("leaf", 1)]) == 0
 
 
 class TestConcurrentWrites:

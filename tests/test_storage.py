@@ -8,6 +8,9 @@ dark.  The completeness verdict must thread through the system layer
 and gate the learner.
 """
 
+import gc
+import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -20,6 +23,7 @@ from repro.datalog.parser import parse_query
 from repro.datalog.rules import QueryForm
 from repro.datalog.terms import Atom, Constant, Variable
 from repro.datalog.unify import match
+from repro.errors import DatalogError, RetrievalFaultError
 from repro.resilience.faults import FaultPlan, FaultSpec, FlakyDatabase
 from repro.storage import (
     COMPLETE,
@@ -414,6 +418,150 @@ class TestBackendParity:
             assert store.generation == generation + 1, name
             store.remove(Atom("e1", ["nope"]))
             assert store.generation == generation + 1, name
+
+
+def render_fact(fact):
+    """``fact`` as fact text: a string constant that is not a lowercase
+    name is quoted, so ``1`` and ``"1"`` stay apart."""
+    if not fact.args:
+        return f"{fact.predicate}."
+    args = ", ".join(
+        f'"{arg.value}"' if isinstance(arg.value, str) and not arg.value[:1].islower()
+        else str(arg.value)
+        for arg in fact.args
+    )
+    return f"{fact.predicate}({args})."
+
+
+def database_state(database):
+    """What a one-pass build must reproduce: the facts in order, the
+    catalog, the generation, the per-relation and per-name counts, each
+    relation in order, and the argument buckets with their entries in
+    order."""
+    relations = sorted(database.signatures())
+    return (
+        list(database), len(database), set(relations), database.generation,
+        [database.count(*signature) for signature in relations],
+        [database.count(predicate) for predicate, _ in relations],
+        [database.relation(*signature) for signature in relations],
+        {key: list(bucket) for key, bucket in database._arg_index.items()},
+    )
+
+
+def store_keys(facts):
+    """Every relation and bucket key a write of one of ``facts`` stamps."""
+    return {key for fact in facts for key in (fact.signature, *bucket_keys(fact))}
+
+
+#: What ``add`` raises for a fact it cannot store, in every backend.
+UNSTORABLE = [
+    ("p(a)", TypeError, "facts must be Atoms"),
+    (Atom("p", ["a", "X"]), DatalogError, "facts must be ground, got p(a, X)"),
+]
+
+
+class TestLoading:
+    """A fresh store's facts: ``Database`` builds them in one pass, the
+    other backends add them one by one, and all check them alike."""
+
+    @pytest.mark.parametrize("fact, error, message", UNSTORABLE,
+                             ids=["non-atom", "non-ground"])
+    @pytest.mark.parametrize("via", ["constructor", "add"])
+    @pytest.mark.parametrize("kind, kwargs", STORE_KINDS,
+                             ids=["memory", "sqlite", "federated"])
+    def test_unstorable_fact_raises_the_same_error(
+        self, kind, kwargs, via, fact, error, message
+    ):
+        with pytest.raises(error) as raised:
+            if via == "constructor":
+                kind([Atom("p", ["a"]), fact], **kwargs)
+            else:
+                kind(**kwargs).add(fact)
+        assert type(raised.value) is error
+        assert str(raised.value) == message
+
+    def test_flaky_database_from_program(self):
+        text = "leaf(c1). pair(c1, c2). leaf(c1). flag."
+        plan = FaultPlan(seed=1, per_arc={"leaf": FaultSpec(fail_first=1)})
+        flaky = FlakyDatabase.from_program(text, plan=plan)
+        wrapped = FlakyDatabase(Database.from_program(text), FaultPlan(seed=1))
+        assert list(flaky) == list(wrapped)
+        assert len(flaky) == len(wrapped) == 3
+        assert flaky.generation == wrapped.generation == 3
+        keys = store_keys(flaky)
+        assert [flaky.version([key]) for key in keys] == [
+            wrapped.version([key]) for key in keys
+        ]
+        assert flaky.plan is plan
+        with pytest.raises(RetrievalFaultError):
+            flaky.succeeds(parse_query("leaf(c1)"))
+        assert flaky.succeeds(parse_query("leaf(c1)"))
+
+    @settings(deadline=None)
+    @given(facts=st.lists(relation_atoms(CONSTANTS), max_size=16),
+           history=HISTORIES, patterns=PATTERNS_DRAWN)
+    @example(
+        facts=[parse_query(text) for text in (
+            "r(a, 1)", 'r(a, "1")', "u(b)", "r(a, 1)", "t", "r(1, a, a)", "u(b)")],
+        history=[("remove", parse_query("r(a, 1)")), ("add", parse_query("u(c)")),
+                 ("add", parse_query("r(a, 1)"))],
+        patterns=[parse_query(text) for text in ("r(a, X)", "u(X)", "r(X, Y, Y)")],
+    )
+    def test_one_pass_build_equals_one_add_per_fact(self, facts, history, patterns):
+        built = Database(facts)
+        added = Database()
+        for fact in facts:
+            added.add(fact)
+        reference = database_state(added)
+        assert database_state(built) == reference
+        assert {key[:2] for key in built._arg_index} == {
+            signature for signature in built.signatures() if signature[1] > 1
+        }
+        for pattern in patterns:
+            assert list(built.retrieve(pattern)) == list(added.retrieve(pattern))
+            assert list(built.facts_matching(pattern)) == list(
+                added.facts_matching(pattern))
+        # Writes move the same keys in both stores.
+        keys = store_keys(facts + [fact for _, fact in history])
+        before = [(built.version([key]), added.version([key])) for key in keys]
+        for op, fact in history:
+            assert getattr(built, op)(fact) == getattr(added, op)(fact)
+        for key, (built_was, added_was) in zip(keys, before):
+            assert (built.version([key]) != built_was) == (
+                added.version([key]) != added_was), key
+        assert database_state(built) == database_state(added)
+        # The scan builds the same facts, one signature per relation.
+        text = " ".join(render_fact(fact) for fact in facts)
+        scanned = parser._scan_facts(text)
+        assert scanned == facts
+        assert [hash(fact) for fact in scanned] == [hash(fact) for fact in facts]
+        shared = {}
+        for fact in scanned:
+            assert shared.setdefault(fact.signature, fact.signature) is fact.signature
+        assert database_state(Database.from_program(text)) == reference
+
+    def test_loading_holds_under_280_bytes_per_fact(self):
+        """A learn-shaped text, 80 unary relations of 245 out of 2,000
+        constants, costs about 218 traced bytes per fact once loaded:
+        the facts, their buckets and the catalog.  One signature tuple
+        per fact, or one read stamp per key, would push it past 400."""
+        rng = random.Random(0)
+        constants = [f"k{index}" for index in range(2000)]
+        text = " ".join(
+            f"leaf{relation}({constant})."
+            for relation in range(80)
+            for constant in rng.sample(constants, 245)
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            database = Database.from_program(text)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(database) == 80 * 245
+        assert held / len(database) <= 280
 
 
 class TestSQLiteEncoding:
