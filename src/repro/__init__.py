@@ -94,14 +94,7 @@ from .serving import (
     open_session,
 )
 from . import storage
-from .storage import (
-    COMPLETE,
-    Completeness,
-    FactStore,
-    FederatedStore,
-    ShardSpec,
-    SQLiteFactStore,
-)
+from .storage import COMPLETE, Completeness, FactStore
 from .persistence import load_pib, pib_from_dict, pib_to_dict, save_pib
 from .resilience import (
     FaultPlan,
@@ -150,7 +143,26 @@ def _resolve_version() -> str:
         return _FALLBACK_VERSION
 
 
-__version__ = _resolve_version()
+#: Names resolved on first use (PEP 562), so that ``import repro``
+#: loads neither ``importlib.metadata`` nor ``sqlite3``: a served
+#: query never needs them.
+_LAZY = ("__version__", "FederatedStore", "ShardSpec", "SQLiteFactStore")
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name == "__version__":
+        value = _resolve_version()
+    else:
+        value = getattr(storage, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "SelfOptimizingQueryProcessor",

@@ -1203,8 +1203,13 @@ class LatencyDatabase(Database):
     lock), so the serving experiment models what form-sharded workers
     actually overlap in a deployment: retrieval I/O.  ``time.sleep``
     releases the interpreter lock, exactly as a real database call
-    would block on the network.
+    would block on the network.  Its probes count as I/O, so the
+    subgoal memo fronts it; with ``latency=0`` it never sleeps, which
+    lets the serving verify oracles and tests run the memo over a
+    :class:`Database`'s bucket-level versions.
     """
+
+    probes_are_io = True
 
     def __init__(self, facts=(), latency: float = 0.002):
         super().__init__(facts)

@@ -240,7 +240,9 @@ CACHE_FLAGS = FlagAdapter(
         )),
         ("--cache-subgoals", dict(
             type=int, default=None,
-            help="subgoal memo capacity (0 disables)",
+            help="subgoal memo capacity (0 disables); the memo fronts "
+                 "only stores whose probes bill latency "
+                 "(--store federated)",
         )),
     ],
     _build_cache,

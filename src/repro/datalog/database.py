@@ -168,7 +168,10 @@ class Database(FactStore):
     # ------------------------------------------------------------------
 
     def __contains__(self, fact: Atom) -> bool:
-        relation = self._facts.get(fact.signature)
+        try:
+            relation = self._facts.get(fact.signature)
+        except AttributeError:  # not an Atom, so never stored
+            return False
         return bool(relation) and fact in relation
 
     def __iter__(self) -> Iterator[Atom]:

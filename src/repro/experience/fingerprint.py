@@ -24,7 +24,6 @@ weighted 0.3.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -151,6 +150,8 @@ def form_profile(
     graph: InferenceGraph, form: Optional[QueryForm] = None
 ) -> FormProfile:
     """Profile a compiled form (``form=None`` for synthetic graphs)."""
+    import hashlib  # only the experience subsystem profiles forms
+
     if form is not None:
         predicate, arity, pattern = form.predicate, form.arity, form.pattern
     else:

@@ -142,10 +142,15 @@ class LazyDatalogContext(Context):
     store's :meth:`~repro.storage.interface.FactStore.version` of the
     probe's :func:`~repro.storage.interface.probe_key`, read once
     *before* the probe, so a write to the probed bucket invalidates the
-    entry and a write anywhere else does not.  Blockable reductions
+    entry and a write anywhere else does not.  A status is stored only
+    while the store's probe window has seen no dark source: a "no" from
+    a shard that could not be reached is not the store's answer, and a
+    memoized one would be replayed as clean.  Blockable reductions
     touch no database and are never memoized.  Cost accounting is the
     same either way: attempting an arc bills ``f(arc)`` whether its
-    status came from the memo or from a physical probe.
+    status came from the memo or from a physical probe.  The processor
+    passes a memo only for a store whose probes are I/O
+    (:attr:`~repro.storage.interface.FactStore.probes_are_io`).
     """
 
     __slots__ = ("_graph", "_memo")
@@ -195,7 +200,8 @@ class LazyDatalogContext(Context):
         if remembered is not None:
             return remembered
         status = database.succeeds(probe)
-        memo.store(probe, database, status, version)
+        if not database.probe_window_missing():
+            memo.store(probe, database, status, version)
         return status
 
     def probed(self) -> Dict[str, bool]:

@@ -15,7 +15,6 @@ reference is validated against it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -337,6 +336,8 @@ def payload_checksum(payload: Dict[str, object]) -> str:
     pretty-printed — so a byte-level comparison of two checkpoints can
     use the checksum alone.
     """
+    import hashlib  # only checkpoint writes and reads need it
+
     body = {key: value for key, value in payload.items() if key != "checksum"}
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -8,9 +8,14 @@ re-proving.  The serving layer applies the same idea at two levels:
   executor's unit operation is "does any fact match this retrieval
   pattern?"; the memo records the answer per (pattern, version of the
   probed bucket) so that concurrent and repeated queries skip the
-  physical probe.  The strategy's cost accounting is untouched — an
-  attempted arc is billed its ``f(arc)`` either way — so learning
-  statistics are identical with and without the memo.
+  physical probe.  It fronts only stores whose probes bill latency
+  (:attr:`~repro.storage.interface.FactStore.probes_are_io`): tabling
+  pays where a probe is dear, and an index that answers at no latency
+  answers a probe faster than the memo looks one up.  The strategy's
+  cost accounting is untouched — an attempted arc is billed its
+  ``f(arc)`` either way — so learning statistics are identical with
+  and without the memo; what a hit spares is the probe's latency (on
+  the federated store, the billed shard latency added to the answer).
 * :class:`AnswerCache` — whole-query results.  A repeated query whose
   read set is unchanged is answered straight from cache (billed zero:
   no retrieval work happens) and **bypasses the learner**: a cache hit
@@ -160,8 +165,10 @@ class SubgoalMemo:
     pattern at a store version (``None`` when unknown), :meth:`store`
     records a settled probe.  The context passes the version of the
     probe's bucket, read before probing; without one the entry is
-    keyed on the store's generation.  Faulted probes are never stored
-    — only the storage layer's settled truth enters the table.
+    keyed on the store's generation.  Only the storage layer's settled
+    truth enters the table: a probe that faults raises before anything
+    is stored, and the context stores nothing once the store's probe
+    window has seen a dark shard, whose "no" only means "unreachable".
     """
 
     def __init__(self, capacity: int, recorder: Recorder = NULL_RECORDER):

@@ -194,7 +194,10 @@ class CacheConfig:
     #: read set: its retrieval arcs' buckets, or its rule cone).
     answer_capacity: int = 0
     #: Subgoal memo entries, keyed by (probe pattern, version of the
-    #: probed bucket).
+    #: probed bucket).  The memo fronts only a store whose probes bill
+    #: latency (:attr:`~repro.storage.interface.FactStore.probes_are_io`,
+    #: today the federated store); over any other store it stays
+    #: empty, whatever this bound.
     subgoal_capacity: int = 0
 
     def __post_init__(self) -> None:

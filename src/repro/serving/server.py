@@ -13,7 +13,8 @@ Layered in front of execution sit the two cache tiers of
 :mod:`repro.serving.cache`: the answer cache short-circuits repeated
 queries whose read set no write has touched, and the subgoal memo
 (installed into the processor as its context seam) shares settled
-database-probe results across queries and threads.
+database-probe results across queries and threads, over stores whose
+probes are I/O.
 
 Determinism contract (asserted by the ``serving_determinism`` tests):
 
@@ -28,7 +29,6 @@ Determinism contract (asserted by the ``serving_determinism`` tests):
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from dataclasses import replace
@@ -101,6 +101,13 @@ class QueryServer:
         )
         if self.subgoal_memo is not None:
             processor.subgoal_memo = self.subgoal_memo
+        #: The thread pool class, loaded only by a server with more than
+        #: one worker, and when it is built, so no batch pays the import.
+        self._pool_class = None
+        if self.serving.workers > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool_class = ThreadPoolExecutor
         self.batches = 0
         self.queries_served = 0
         self.cached_answers = 0
@@ -399,7 +406,7 @@ class QueryServer:
                 drain_queue(form, queue)
         else:
             workers = min(self.serving.workers, len(pending))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+            with self._pool_class(max_workers=workers) as pool:
                 list(pool.map(lambda pair: drain_queue(*pair), pending))
 
         self._update_health()
@@ -449,7 +456,7 @@ class QueryServer:
                 for index in indexes
             ]
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with self._pool_class(max_workers=workers) as pool:
             for chunk in pool.map(run_group, groups.values()):
                 for index, answer in chunk:
                     results[index] = answer

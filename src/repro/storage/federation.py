@@ -133,6 +133,10 @@ class FederatedStore(FactStore):
     configure the per-shard breakers.
     """
 
+    #: Every probe is a (simulated) remote round trip that bills shard
+    #: latency, so the subgoal memo fronts this store.
+    probes_are_io = True
+
     def __init__(
         self,
         facts: Iterable[Atom] = (),

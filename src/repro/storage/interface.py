@@ -210,6 +210,14 @@ class FactStore(ABC):
     them with :meth:`_record_load`.
     """
 
+    #: Whether a probe bills or blocks on latency, as a remote round
+    #: trip would: the federated store bills each probe its shard's
+    #: latency, the S1 bench's latency store sleeps.  Only such a
+    #: store is fronted by the serving layer's subgoal memo: an index
+    #: that answers at no latency answers a probe faster than the memo
+    #: can look one up (DESIGN §9).
+    probes_are_io = False
+
     def __init__(self) -> None:
         self._id = next_store_id()
         self._generation = 0

@@ -222,9 +222,11 @@ class SelfOptimizingQueryProcessor:
             self.resilience.bind_recorder(self.recorder)
         #: Seam for the serving layer: when a
         #: :class:`~repro.serving.cache.SubgoalMemo` is installed here,
-        #: every learned-path context consults it before probing the
-        #: database.  ``None`` (the default) probes directly,
-        #: byte-identical to pre-serving behaviour.
+        #: every learned-path context over a store whose probes bill
+        #: latency (:attr:`~repro.storage.interface.FactStore.probes_are_io`)
+        #: consults it before probing.  Any other store, and every
+        #: store while this is ``None`` (the default), is probed
+        #: directly, byte-identical to pre-serving behaviour.
         self.subgoal_memo = None
         self._states: Dict[QueryForm, FormState] = {}
         self._uncompilable: Dict[QueryForm, str] = {}
@@ -497,7 +499,8 @@ class SelfOptimizingQueryProcessor:
         state.queries += 1
         climbs_before = state.learner.climbs
         context = LazyDatalogContext(
-            state.graph, query, database, memo=self.subgoal_memo
+            state.graph, query, database,
+            memo=self.subgoal_memo if database.probes_are_io else None,
         )
         try:
             result = execute(

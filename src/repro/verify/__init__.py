@@ -29,7 +29,8 @@ brute-force oracles in :mod:`repro.optimal`:
   parity, learner isolation, no-starvation and quota ceilings;
 * :mod:`repro.verify.federation` — cross-backend answer equivalence
   (memory vs SQLite vs healthy-federated), partial-answer soundness
-  under shard faults, and faulty-replay byte-determinism;
+  under shard faults, faulty-replay byte-determinism, and clean
+  cached answers over a faulty store;
 * :mod:`repro.verify.runner` — the profile runner behind
   ``repro verify --seeds N --profile
   {engine,qsqn,pib,pao,serving,chaos,overload,federation}``.
@@ -53,6 +54,7 @@ from .oracles import (
     pib_contract,
 )
 from .federation import (
+    check_federation_clean_answers,
     check_federation_determinism,
     check_federation_equivalence,
     check_federation_partial,
@@ -80,6 +82,7 @@ __all__ = [
     "check_answer_equivalence",
     "check_cache_generation_coherence",
     "check_cost_oracle",
+    "check_federation_clean_answers",
     "check_federation_determinism",
     "check_federation_equivalence",
     "check_federation_partial",

@@ -1,6 +1,6 @@
 """Federation oracles: cross-backend equivalence, partial soundness.
 
-Three deterministic checks close the loop on the pluggable-storage
+Four deterministic checks close the loop on the pluggable-storage
 refactor (DESIGN §13):
 
 * **Backend equivalence** — the same seeded knowledge base answered
@@ -20,6 +20,12 @@ refactor (DESIGN §13):
 * **Byte determinism** — replaying the same faulty federated world
   (same spec, fresh store) reproduces the same answers, verdicts,
   billed latencies, probe counts, and final breaker states.
+* **Clean cached answers** — a session with both cache tiers on serves
+  the faulty world's queries twice; every answer it marks ``clean``,
+  fresh or replayed, must agree with the healthy in-memory answer:
+  the same ``proved``, and a binding that instantiates the query to a
+  fact of the program's model.  A dark shard's "no" must never come
+  back as clean.
 
 Federation worlds keep ``negation_rate`` at 0: under
 negation-as-failure a hidden fact could *flip a negated subgoal to
@@ -32,16 +38,21 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from ..datalog.bottomup import BottomUpEngine
 from ..datalog.engine import TopDownEngine
 from ..resilience.faults import FaultSpec
+from ..serving.config import CacheConfig, SessionConfig
+from ..serving.session import QuerySession
 from ..storage.federation import FederatedStore
 from ..storage.sqlite import SQLiteFactStore
+from ..system import SelfOptimizingQueryProcessor
 from .worldgen import KBWorld, WorldSpec, build_kb_world
 
 __all__ = [
     "check_federation_equivalence",
     "check_federation_partial",
     "check_federation_determinism",
+    "check_federation_clean_answers",
 ]
 
 
@@ -206,4 +217,43 @@ def check_federation_determinism(spec: WorldSpec) -> Optional[str]:
                     f"{left} != {right}"
                 )
         return "federated replay produced different row counts"
+    return None
+
+
+def check_federation_clean_answers(spec: WorldSpec) -> Optional[str]:
+    """Both cache tiers over shard faults: every clean answer is true."""
+    world = build_kb_world(spec)
+    config = SessionConfig(delta=spec.delta)
+    healthy = SelfOptimizingQueryProcessor(world.rules, config=config)
+    expected = [
+        healthy.query(query, world.database).proved
+        for query in world.queries
+    ]
+    model = BottomUpEngine(world.rules).model(world.database)
+    session = QuerySession(
+        world.rules,
+        _faulty_store(spec, world),
+        config=config,
+        cache=CacheConfig(
+            answer_capacity=spec.answer_cache or 64,
+            subgoal_capacity=spec.subgoal_memo or 256,
+        ),
+    )
+    for serve in (1, 2):
+        for query, proved in zip(world.queries, expected):
+            answer = session.query(query)
+            if not answer.clean:
+                continue
+            source = "cached" if answer.cached else "fresh"
+            if answer.proved != proved:
+                return (
+                    f"serve {serve}: {source} clean answer to {query} is "
+                    f"proved={answer.proved}, the healthy store's is "
+                    f"proved={proved}"
+                )
+            if proved and query.substitute(answer.substitution) not in model:
+                return (
+                    f"serve {serve}: {source} clean answer to {query} binds "
+                    f"{answer.substitution}, which is no model fact"
+                )
     return None

@@ -35,8 +35,9 @@ overload   seeded burst worlds through admission control: outcome and
 federation cross-backend answer equivalence (memory vs SQLite vs
            healthy-federated, same answers in the same order), partial
            answers under shard faults are sound subsets with
-           correctly-attributed missing shards, and faulty federated
-           replays are byte-deterministic
+           correctly-attributed missing shards, faulty federated
+           replays are byte-deterministic, and a session with both
+           cache tiers on serves no wrong answer as clean
 experience the warm-start priors-only contract: identical answers and
            Equation 6 test schedule with/without warm-start, exact
            self-matches, insertion-order/hash-seed-independent
@@ -68,6 +69,7 @@ from .experience import (
     check_experience_recovery,
 )
 from .federation import (
+    check_federation_clean_answers,
     check_federation_determinism,
     check_federation_equivalence,
     check_federation_partial,
@@ -485,6 +487,7 @@ def run_profile(
             ("federation-backend-equivalence", check_federation_equivalence),
             ("federation-partial-soundness", check_federation_partial),
             ("federation-byte-determinism", check_federation_determinism),
+            ("federation-clean-answers", check_federation_clean_answers),
         ):
             verify.reports.append(
                 _run_deterministic(name, family, check, shrink_failures)
@@ -586,6 +589,7 @@ PROFILE_CHECKS: Dict[str, List[str]] = {
         "federation-backend-equivalence",
         "federation-partial-soundness",
         "federation-byte-determinism",
+        "federation-clean-answers",
     ],
     "experience": [
         "experience-priors-only",

@@ -36,6 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..bench.experiments import LatencyDatabase
 from ..datalog.parser import parse_atom
 from ..datalog.rules import QueryForm
 from ..datalog.terms import Atom
@@ -96,6 +97,18 @@ def _build_server(
     return QueryServer(processor, serving=ServingConfig(workers=1), cache=cache)
 
 
+def _store_for(spec: WorldSpec, world: KBWorld):
+    """The store the server probes: the world's own, or, when the spec
+    sets a subgoal memo, its facts in a zero-latency
+    :class:`~repro.bench.experiments.LatencyDatabase`, whose probes
+    count as I/O.  The memo fronts only such a store, so this is what
+    puts it under the cache oracles, over a :class:`Database`'s
+    bucket-level versions."""
+    if not spec.subgoal_memo:
+        return world.database
+    return LatencyDatabase(world.database, latency=0.0)
+
+
 def simulate(spec: WorldSpec, caches: Optional[bool] = None) -> SimulatedBatch:
     """Run the spec's query batch under the virtual-clock scheduler.
 
@@ -111,6 +124,7 @@ def simulate(spec: WorldSpec, caches: Optional[bool] = None) -> SimulatedBatch:
         else bool(spec.answer_cache or spec.subgoal_memo)
     )
     server = _build_server(spec, world, use_caches)
+    database = _store_for(spec, world)
 
     # Shard by form in first-appearance order, exactly like the server.
     groups: Dict[QueryForm, List[int]] = {}
@@ -148,7 +162,7 @@ def simulate(spec: WorldSpec, caches: Optional[bool] = None) -> SimulatedBatch:
             index = queue[worker][cursors[worker]]
             cursors[worker] += 1
             query = world.queries[index]
-            answer = server.submit(query, world.database)
+            answer = server.submit(query, database)
             service = max(answer.cost, 0.0)
             started = clock[worker]
             clock[worker] = started + service + 1.0  # +1: fixed overhead tick
@@ -371,7 +385,7 @@ def check_mutation_transparency(
     cached_spec = spec.replace(answer_cache=spec.answer_cache or 64,
                                subgoal_memo=spec.subgoal_memo or 256)
     server = _build_server(cached_spec, world, caches=True)
-    processor, database = server.processor, world.database
+    processor, database = server.processor, _store_for(cached_spec, world)
     config = SessionConfig(delta=spec.delta)
 
     def serve(label: str, inside: Dict[Atom, bool]) -> Optional[str]:

@@ -15,6 +15,7 @@ import threading
 import pytest
 
 from repro import CacheConfig, SelfOptimizingQueryProcessor, open_session
+from repro.bench.experiments import LatencyDatabase
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_atom, parse_program, parse_query
 from repro.datalog.rules import QueryForm
@@ -35,6 +36,12 @@ def atom(text):
 
 def store(text):
     return Database.from_program(text)
+
+
+def io_store(text):
+    """The same facts in a store whose probes count as I/O (with no
+    latency), so the subgoal memo fronts it."""
+    return LatencyDatabase(store(text), latency=0.0)
 
 
 def bucket(predicate, arity, position, constant):
@@ -269,7 +276,7 @@ class TestTargetedInvalidation:
     QUERIES = ("f(c1)", "f(c2)", "h(c1)")
 
     def test_write_invalidates_only_its_form_and_constant(self):
-        database = store("leaf(c1). alt(c2). other(c1).")
+        database = io_store("leaf(c1). alt(c2). other(c1).")
         with cached_session(FORMS, database, memo=64) as session:
             served_cached(session, self.QUERIES)
             database.remove(atom("leaf(c1)"))
@@ -277,6 +284,7 @@ class TestTargetedInvalidation:
                 "f(c1)": False, "f(c2)": True, "h(c1)": True,
             }
             assert session.query("f(c1)").proved is False
+            assert session.server.subgoal_memo.stats.lookups > 0
 
     def test_uncompilable_form_invalidated_through_its_cone(self):
         database = store("e(a, b). e(b, c). banned(z). other(c1).")
@@ -327,7 +335,7 @@ class TestConcurrentWrites:
         # barrier every query must serve the truth.  An answer filed
         # under a version read after its work could still be served.
         constants = [f"c{index}" for index in range(4)]
-        database = store(" ".join(f"leaf({c})." for c in constants[::2]))
+        database = io_store(" ".join(f"leaf({c})." for c in constants[::2]))
         queries = [parse_query(f"{name}({c})")
                    for name in ("f", "h") for c in constants]
         session = cached_session(FORMS, database, memo=64)
@@ -379,16 +387,15 @@ class TestConcurrentWrites:
             session.close()
         assert not any(thread.is_alive() for thread in threads)
         assert stale == []
+        assert server.subgoal_memo.stats.lookups > 0
 
 
-class WritingProbeDatabase(Database):
+class WritesDuringProbe:
     """A store whose first ``grad`` probe also stores ``grad(fred)``,
     as if another writer's add landed while the answer was computed.
     The probe itself still reports what it saw before the write."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.armed = True
+    armed = True
 
     def succeeds(self, pattern):
         found = super().succeeds(pattern)
@@ -398,6 +405,15 @@ class WritingProbeDatabase(Database):
         return found
 
 
+class WritingProbeDatabase(WritesDuringProbe, Database):
+    pass
+
+
+class WritingProbeRemoteStore(WritesDuringProbe, FederatedStore):
+    """The same, over a store whose probes are I/O: the subgoal memo
+    fronts only such a store."""
+
+
 INSTRUCTOR = """
 instructor(X) :- prof(X).
 instructor(X) :- grad(X).
@@ -405,10 +421,12 @@ instructor(X) :- grad(X).
 
 
 class TestVersionReadBeforeTheWork:
-    @pytest.mark.parametrize("answers, memo", [(64, 0), (0, 64)],
-                             ids=["answer-cache", "subgoal-memo"])
-    def test_write_during_the_work_is_not_hidden(self, answers, memo):
-        database = WritingProbeDatabase([atom("prof(russ)")])
+    @pytest.mark.parametrize("answers, memo, kind", [
+        (64, 0, WritingProbeDatabase),
+        (0, 64, WritingProbeRemoteStore),
+    ], ids=["answer-cache", "subgoal-memo"])
+    def test_write_during_the_work_is_not_hidden(self, answers, memo, kind):
+        database = kind([atom("prof(russ)")])
         with open_session(
             parse_program(INSTRUCTOR), database,
             cache=CacheConfig(answer_capacity=answers,

@@ -24,12 +24,15 @@ from repro import (
     Tracer,
     open_session,
 )
+from repro.bench.experiments import LatencyDatabase
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_program, parse_query
 from repro.datalog.rules import QueryForm
 from repro.errors import ReproError
+from repro.resilience.faults import FaultPlan, FaultSpec, FlakyDatabase
 from repro.serving.cache import AnswerCache, LRUTable, SubgoalMemo
 from repro.serving.cache import _MISS
+from repro.storage import FactStore, FederatedStore, SQLiteFactStore
 from repro.strategies import ExecutionResult
 from repro.workloads import db1, university_rule_base
 
@@ -45,18 +48,6 @@ FACTS = "prof(russ). grad(manolis). grad(lena). dean(ullman)."
 
 def make_db() -> Database:
     return Database.from_program(FACTS)
-
-
-class CountingDatabase(Database):
-    """A database that counts physical ``succeeds`` probes."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.probes = 0
-
-    def succeeds(self, pattern):
-        self.probes += 1
-        return super().succeeds(pattern)
 
 
 class TestLRUTable:
@@ -151,30 +142,111 @@ class TestAnswerCache:
         assert cache.lookup(parse_query("instructor(x)"), make_db()) is None
 
 
+def make_remote() -> FederatedStore:
+    """A healthy federated store: its probes are (simulated) I/O, and
+    ``store.probes`` counts the physical ones."""
+    return FederatedStore.from_program(FACTS, shards=2, seed=0)
+
+
+def count_probes(store) -> list:
+    """Record every ``succeeds`` probe that reaches ``store``."""
+    probes = []
+    succeeds = store.succeeds
+
+    def counted(pattern):
+        probes.append(pattern)
+        return succeeds(pattern)
+
+    store.succeeds = counted
+    return probes
+
+
 class TestSubgoalMemo:
     def test_memo_skips_physical_probes(self):
-        database = CountingDatabase(make_db())
+        store = make_remote()
         with open_session(
             parse_program(RULES),
-            database,
+            store,
             cache=CacheConfig(subgoal_capacity=64),
         ) as session:
             session.query("instructor(fred)")  # unprovable: probes both arcs
-            cold = database.probes
+            cold = store.probes
             assert cold > 0
             session.query("instructor(fred)")
-            assert database.probes == cold  # warm run: memo answered
+            assert store.probes == cold  # warm run: memo answered
 
     def test_memo_respects_generation(self):
-        database = CountingDatabase(make_db())
+        store = make_remote()
         with open_session(
             parse_program(RULES),
-            database,
+            store,
             cache=CacheConfig(subgoal_capacity=64),
         ) as session:
             assert not session.query("instructor(fred)").proved
-            database.add(parse_query("prof(fred)"))
+            store.add(parse_query("prof(fred)"))
             assert session.query("instructor(fred)").proved
+
+    def test_only_stores_whose_probes_are_io_are_fronted(self):
+        assert not FactStore.probes_are_io
+        assert FederatedStore.probes_are_io
+        assert LatencyDatabase.probes_are_io
+        for kind in (Database, SQLiteFactStore, FlakyDatabase):
+            assert not kind.probes_are_io, kind
+
+    @pytest.mark.parametrize("make", [
+        make_db,
+        lambda: SQLiteFactStore(make_db()),
+        lambda: FlakyDatabase(make_db(), FaultPlan(seed=0)),
+    ], ids=["memory", "sqlite", "flaky"])
+    def test_memo_stays_empty_over_an_in_process_store(self, make):
+        """The store's own index answers every probe: the memo-on run
+        answers, bills and probes exactly as the memo-off run does."""
+        stream = ["instructor(fred)", "instructor(manolis)", "senior(lena)",
+                  "senior(ullman)"] * 3
+
+        def serve(memo):
+            store = make()
+            probes = count_probes(store)
+            with open_session(
+                parse_program(RULES), store,
+                cache=CacheConfig(subgoal_capacity=memo),
+            ) as session:
+                answers = [
+                    (answer.proved, repr(answer.substitution), answer.cost)
+                    for answer in map(session.query, stream)
+                ]
+                tier = session.server.subgoal_memo
+            return answers, probes, tier
+
+        answers, probes, memo = serve(64)
+        assert (answers, probes) == serve(0)[:2]
+        assert len(probes) > 0
+        assert len(memo) == 0 and memo.stats.lookups == 0
+
+    def test_dark_shard_no_is_never_memoized(self):
+        """Regression: the memo stored the "no" of a probe whose shard
+        was dark, so the next ask replayed it as a clean "no" (and the
+        answer cache then served that), while ``g(a)`` holds."""
+        rules = parse_program("g(X) :- e(X).\ng(X) :- f(X).")
+
+        def serve(cache):
+            store = FederatedStore.from_program(
+                "e(a). f(c).", shards=1,
+                fault=FaultSpec(fail_first=2), retry_budget=1,
+            )
+            with open_session(rules, store, cache=cache) as session:
+                return [
+                    (answer.proved, answer.clean, answer.cached)
+                    for answer in (session.query("g(a)") for _ in range(3))
+                ]
+
+        served = serve(CacheConfig.default_enabled())
+        assert served == [
+            (False, False, False),  # e(a) dark: a partial "no"
+            (True, True, False),
+            (True, True, True),
+        ]
+        assert served == serve(CacheConfig(answer_capacity=4096))
 
     def test_variable_renaming_shares_entries(self):
         memo = SubgoalMemo(8)

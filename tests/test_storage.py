@@ -400,6 +400,11 @@ class TestBackendParity:
             assert Atom("e2", ["b", "c"]) in store, name
             assert Atom("e2", ["c", "b"]) not in store, name
 
+    def test_contains_is_false_for_a_non_atom(self):
+        for name, store in all_backends():
+            for item in ("p(a)", "e1(a)", None, 3):
+                assert item not in store, (name, item)
+
     def test_copy_is_independent(self):
         for name, store in all_backends():
             clone = store.copy()

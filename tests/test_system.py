@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro import CacheConfig, open_session
+from repro.bench.experiments import LatencyDatabase
 from repro.datalog.database import Database
 from repro.datalog.engine import TopDownEngine
 from repro.datalog.parser import parse_program, parse_query
@@ -85,7 +86,10 @@ class TestQueriesReusingPrototypeNames:
     ])
     def test_learned_and_cached_answers(self, text, expected):
         rules = parse_program("p(X, Y) :- e(X, Y).")
-        database = Database.from_program("e(a, b).")
+        # Probes count as I/O, so the subgoal memo fronts this store.
+        database = LatencyDatabase(
+            Database.from_program("e(a, b)."), latency=0.0
+        )
         bindings = {
             Variable(name): Constant(value) for name, value in expected.items()
         }
@@ -96,6 +100,8 @@ class TestQueriesReusingPrototypeNames:
         ) as session:
             first = session.query(text)
             again = session.query(text)
+            memo = session.server.subgoal_memo
+        assert memo.stats.lookups > 0
         assert first.proved and first.learned and not first.cached
         assert dict(first.substitution) == bindings
         assert again.proved and again.cached

@@ -3,6 +3,7 @@
 from repro.storage.federation import FederatedStore, ProbeWindow
 from repro.storage.sqlite import SQLiteFactStore
 from repro.verify.federation import (
+    check_federation_clean_answers,
     check_federation_determinism,
     check_federation_equivalence,
     check_federation_partial,
@@ -27,6 +28,7 @@ class TestFederationProfile:
             assert check_federation_equivalence(spec) is None
             assert check_federation_partial(spec) is None
             assert check_federation_determinism(spec) is None
+            assert check_federation_clean_answers(spec) is None
 
     def test_run_profile_reports_every_check(self):
         report = run_profile("federation", seeds=2)
@@ -67,5 +69,19 @@ class TestFederationOraclesCatchBugs:
         ]
         assert any(
             message is not None and "sqlite" in message
+            for message in messages
+        )
+
+    def test_memoized_dark_no_detected(self, monkeypatch):
+        # A context that cannot see the dark shards memoizes their "no".
+        monkeypatch.setattr(
+            FederatedStore, "probe_window_missing", lambda self: frozenset()
+        )
+        messages = [
+            check_federation_clean_answers(spec)
+            for spec in specs_for("federation", 8)
+        ]
+        assert any(
+            message is not None and "clean answer" in message
             for message in messages
         )

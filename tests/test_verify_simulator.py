@@ -10,6 +10,7 @@ from repro.datalog.rules import QueryForm
 from repro.learning.pib import PIB
 from repro.observability.recorder import Recorder
 from repro.observability.tracer import Tracer
+from repro.serving.cache import SubgoalMemo
 from repro.system import SelfOptimizingQueryProcessor
 from repro.strategies.execution import execute
 from repro.strategies.strategy import Strategy
@@ -106,6 +107,18 @@ class TestMutationTransparency:
     def test_frozen_versions_are_caught(self, monkeypatch):
         # A store whose versions never move serves pre-write answers.
         monkeypatch.setattr(Database, "version", lambda self, keys: 0)
+        failures = [check_mutation_transparency(spec)
+                    for spec in specs_for("serving", 4)]
+        assert any(failure is not None for failure in failures)
+
+    def test_stale_memo_entries_are_caught(self, monkeypatch):
+        # A memo that ignores the probed bucket's version replays
+        # pre-write probes; the storm sees that only if the memo fronts
+        # the store it serves from.
+        key = SubgoalMemo._key
+        monkeypatch.setattr(SubgoalMemo, "_key", staticmethod(
+            lambda pattern, database, version: key(pattern, database, 0)
+        ))
         failures = [check_mutation_transparency(spec)
                     for spec in specs_for("serving", 4)]
         assert any(failure is not None for failure in failures)
