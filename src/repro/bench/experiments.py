@@ -1244,6 +1244,10 @@ def _serving_workload(forms: int, queries_per_form: int):
     return "\n".join(rules_lines), "\n".join(facts_lines), queries
 
 
+#: Fresh sessions per S1 configuration; each timing is their fastest.
+SERVING_REPEATS = 3
+
+
 def experiment_serving(
     forms: int = 6,
     queries_per_form: int = 25,
@@ -1259,6 +1263,11 @@ def experiment_serving(
     faster than the cold pass, with the hit counters visible in the
     report; (3) parallelism changes *when* forms run, never *what* the
     learners decide — per-form climb histories are identical.
+
+    Each batch takes 2–100 ms, so one timing is at the mercy of the
+    host's scheduler: every configuration runs in
+    :data:`SERVING_REPEATS` fresh sessions, interleaved, and each
+    timing is the fastest of them.
     """
     result = ExperimentResult(
         "S1: form-sharded serving — parallel throughput and caching"
@@ -1283,32 +1292,33 @@ def experiment_serving(
         session.query_batch(queries)
         return time.perf_counter() - start
 
-    with fresh_session(1, CacheConfig()) as sequential:
-        t_sequential = timed_batch(sequential)
-        sequential_climbs = {
+    def climbs(session):
+        return {
             form: [
                 (r.context_number, r.transformation, tuple(r.to_arcs))
-                for r in sequential.processor.climb_history(form)
+                for r in session.processor.climb_history(form)
             ]
-            for form in list(sequential.processor._states)
+            for form in list(session.processor._states)
         }
 
-    with fresh_session(workers, CacheConfig()) as parallel:
-        t_parallel = timed_batch(parallel)
-        parallel_climbs = {
-            form: [
-                (r.context_number, r.transformation, tuple(r.to_arcs))
-                for r in parallel.processor.climb_history(form)
-            ]
-            for form in list(parallel.processor._states)
-        }
-
-    with fresh_session(
-        workers, CacheConfig.default_enabled()
-    ) as cached_session:
-        t_cold = timed_batch(cached_session)
-        t_warm = timed_batch(cached_session)
-        serving_snapshot = cached_session.server.snapshot()
+    sequential_s, parallel_s, cold_s, warm_s = [], [], [], []
+    parallel_climbs = []
+    for _ in range(SERVING_REPEATS):
+        with fresh_session(1, CacheConfig()) as sequential:
+            sequential_s.append(timed_batch(sequential))
+            sequential_climbs = climbs(sequential)
+        with fresh_session(workers, CacheConfig()) as parallel:
+            parallel_s.append(timed_batch(parallel))
+            parallel_climbs.append(climbs(parallel))
+        with fresh_session(
+            workers, CacheConfig.default_enabled()
+        ) as cached_session:
+            cold_s.append(timed_batch(cached_session))
+            warm_s.append(timed_batch(cached_session))
+            serving_snapshot = cached_session.server.snapshot()
+    t_sequential, t_parallel, t_cold, t_warm = map(
+        min, (sequential_s, parallel_s, cold_s, warm_s)
+    )
 
     parallel_speedup = t_sequential / t_parallel if t_parallel else 0.0
     warm_speedup = t_cold / t_warm if t_warm else 0.0
@@ -1356,7 +1366,7 @@ def experiment_serving(
     )
     result.check(
         "per-form climb decisions identical under parallel serving",
-        parallel_climbs == sequential_climbs,
+        all(run == sequential_climbs for run in parallel_climbs),
     )
     result.check(
         "cache counters visible in the serving report",

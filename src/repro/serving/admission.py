@@ -19,7 +19,8 @@ as the resilience and verify layers:
 * dispatch latency is accounted on a per-form *virtual cost clock*
   (each serve advances the form's clock by its billed cost plus one
   overhead tick), so admission outcomes and latency percentiles are
-  byte-identical across worker counts and replays.
+  byte-identical across worker counts and replays.  An answer-cache
+  hit is served at admission for that one tick and never queues.
 
 The learner-isolation invariant (checked by the ``overload`` verify
 profile): a shed, rejected, or cache-degraded request never reaches
@@ -97,8 +98,10 @@ class RequestOutcome:
       the :class:`LoadShedder` reason strings and ``answer`` is None.
 
     ``latency`` is wait + service in cost units on the form's virtual
-    clock (0.0 for rejected requests — they never waited in a served
-    queue slot).
+    clock.  A coherent answer-cache hit is answered at admission, with
+    no queue wait, at latency 1.0: one overhead tick, its billed cost
+    being 0.  A rejected request's latency is 0.0: it never waited in
+    a served queue slot.
     """
 
     request: Request

@@ -119,8 +119,13 @@ class LRUTable:
     def __len__(self) -> int:
         return len(self._data)
 
-    def get(self, key: Hashable) -> Any:
-        """The cached value, or the module-private miss sentinel."""
+    def get(self, key: Hashable, count_miss: bool = True) -> Any:
+        """The cached value, or the module-private miss sentinel.
+
+        A hit is always counted; a miss only with ``count_miss``, for a
+        caller that will look the same request up again and count it
+        then, so each request counts once.
+        """
         with self._lock:
             if key in self._data:
                 self._data.move_to_end(key)
@@ -128,13 +133,14 @@ class LRUTable:
                 value = self._data[key]
                 hit = True
             else:
-                self.stats.misses += 1
+                if count_miss:
+                    self.stats.misses += 1
                 value = _MISS
                 hit = False
         if self.recorder.enabled:
             if hit:
                 self.recorder.cache_hit(self.kind)
-            else:
+            elif count_miss:
                 self.recorder.cache_miss(self.kind)
         return value
 
@@ -239,17 +245,28 @@ class AnswerCache:
     hit must reflect the whole fact base.  A stored answer is
     normalized to its served-from-cache form once — zero billed cost,
     ``cached=True`` — so hits share one immutable object.
+
+    ``keep_stale=False`` leaves the stale table empty: a server builds
+    its cache that way when it sheds by a policy other than
+    ``degrade-to-cached``, the only reader of that table.
     """
 
-    def __init__(self, capacity: int, recorder: Recorder = NULL_RECORDER):
+    def __init__(
+        self,
+        capacity: int,
+        recorder: Recorder = NULL_RECORDER,
+        keep_stale: bool = True,
+    ):
         self._table = LRUTable(capacity, "answer", recorder)
         #: Last clean answer per (database identity, query) — any
         #: version.  Only the admission layer's ``degrade-to-cached``
         #: shed policy reads this, and only through
         #: :meth:`lookup_stale`; coherent lookups never see it.  Bounded
-        #: by the same capacity as the main table.
+        #: by the same capacity as the main table, and filled only with
+        #: ``keep_stale``.
         self._stale: "OrderedDict[Tuple, SystemAnswer]" = OrderedDict()
         self._stale_lock = threading.Lock()
+        self._keep_stale = keep_stale
         self.stale_hits = 0
 
     @property
@@ -277,8 +294,12 @@ class AnswerCache:
         query: Atom,
         database: "Database",
         version: Optional[int] = None,
+        count_miss: bool = True,
     ) -> Optional["SystemAnswer"]:
-        value = self._table.get(self._key(query, database, version))
+        """The coherent answer, or ``None``.  ``count_miss=False``
+        leaves a miss uncounted (see :meth:`LRUTable.get`)."""
+        value = self._table.get(self._key(query, database, version),
+                                count_miss)
         return None if value is _MISS else value
 
     def store(
@@ -294,9 +315,9 @@ class AnswerCache:
         Degraded answers are never cached.  *Partial* answers (a
         federated backend with dark shards) are not clean, so they
         never enter the coherent table, but they do refresh the stale
-        table, where the preserved ``completeness`` verdict guarantees
-        a later degrade-to-cached shed serves them flagged partial,
-        never as complete.
+        table when one is kept, where the preserved ``completeness``
+        verdict guarantees a later degrade-to-cached shed serves them
+        flagged partial, never as complete.
         """
         if answer.degraded:
             return False
@@ -304,6 +325,8 @@ class AnswerCache:
         clean = answer.clean
         if clean:
             self._table.put(self._key(query, database, version), normalized)
+        if not self._keep_stale:
+            return clean
         with self._stale_lock:
             key = self._stale_key(query, database)
             existing = self._stale.get(key)

@@ -236,7 +236,13 @@ class AdmissionConfig:
       from a noisy neighbour); quota violations still reject;
     * ``degrade-to-cached`` — before rejecting, try to serve a stale
       :class:`~repro.serving.cache.AnswerCache` entry (any version)
-      as a *degraded* answer — availability over freshness.
+      as a *degraded* answer — availability over freshness.  It is the
+      only policy that reads the cache's stale table, so a server
+      under either other policy keeps none.
+
+    A coherent answer-cache hit is served at admission and never
+    queued, so no policy ever sheds it; draining and tenant quotas
+    still apply to it.
     """
 
     #: Bounded per-form queue capacity (the backpressure bound).

@@ -14,7 +14,9 @@ Layered in front of execution sit the two cache tiers of
 queries whose read set no write has touched, and the subgoal memo
 (installed into the processor as its context seam) shares settled
 database-probe results across queries and threads, over stores whose
-probes are I/O.
+probes are I/O.  Under admission control the answer cache is read at
+admission, so a hit never waits in its form's queue: the queue keeps
+PIB's samples in serial order, and a hit feeds PIB no sample.
 
 Determinism contract (asserted by the ``serving_determinism`` tests):
 
@@ -89,8 +91,21 @@ class QueryServer:
         self.serving = serving or ServingConfig()
         self.cache_config = cache or CacheConfig()
         recorder = processor.recorder
+        admission = self.serving.admission
+        self._shedder: Optional[LoadShedder] = (
+            LoadShedder(admission.shed_policy)
+            if admission is not None else None
+        )
+        # Of the shed policies only degrade-to-cached reads the stale
+        # table; without admission the cache keeps it, as one built
+        # directly does.
         self.answer_cache: Optional[AnswerCache] = (
-            AnswerCache(self.cache_config.answer_capacity, recorder)
+            AnswerCache(
+                self.cache_config.answer_capacity,
+                recorder,
+                keep_stale=(self._shedder is None
+                            or self._shedder.wants_degrade),
+            )
             if self.cache_config.answer_capacity
             else None
         )
@@ -115,13 +130,9 @@ class QueryServer:
         self.requests_degraded = 0
         self._admin_lock = threading.Lock()
         self._shards: Dict[QueryForm, Tuple[threading.Lock, ReadPlan]] = {}
-        admission = self.serving.admission
         if admission is not None:
             self._quota: Optional[TenantQuota] = TenantQuota(
                 admission.tenant_rate, TENANT_BURST
-            )
-            self._shedder: Optional[LoadShedder] = LoadShedder(
-                admission.shed_policy
             )
             self._health: Optional[HealthTracker] = HealthTracker(
                 SHED_THRESHOLD, RECOVER_THRESHOLD
@@ -132,7 +143,6 @@ class QueryServer:
             self._admission_lock = threading.Lock()
         else:
             self._quota = None
-            self._shedder = None
             self._health = None
             self._queues = {}
 
@@ -180,18 +190,33 @@ class QueryServer:
         """
         return self._serve(query, QueryForm.of(query), database)
 
+    def _cached(
+        self,
+        query: Atom,
+        plan: ReadPlan,
+        database: Database,
+        count_miss: bool = True,
+    ) -> Tuple[Optional[SystemAnswer], int]:
+        """The coherent cached answer (``None`` on a miss) and the
+        read-set version it was looked up under; a hit counts as a
+        served query.  Requires an answer cache."""
+        version = database.version(plan.keys(query))
+        cached = self.answer_cache.lookup(query, database, version,
+                                          count_miss=count_miss)
+        if cached is not None:
+            with self._admin_lock:
+                self.queries_served += 1
+                self.cached_answers += 1
+        return cached, version
+
     def _serve(
         self, query: Atom, form: QueryForm, database: Database
     ) -> SystemAnswer:
         lock, plan = self._shard_for(form)
         cache = self.answer_cache
         if cache is not None:
-            version = database.version(plan.keys(query))
-            cached = cache.lookup(query, database, version)
+            cached, version = self._cached(query, plan, database)
             if cached is not None:
-                with self._admin_lock:
-                    self.queries_served += 1
-                    self.cached_answers += 1
                 return cached
         with lock:
             answer = self.processor.query(query, database)
@@ -299,10 +324,15 @@ class QueryServer:
 
         *Admission* walks the arrival sequence once — each arrival
         advances the quota clock one tick, DRAINING and per-tenant
-        limits shed first, then the form's bounded queue admits or the
-        shed policy picks a victim.  All admission state is a pure
-        function of the arrival sequence (never wall time), so
-        outcomes are byte-identical across worker counts and replays.
+        limits shed first, then a coherent answer-cache hit is served
+        on the spot at latency 1.0 (one overhead tick, its billed cost
+        being 0), and only a miss reaches the form's bounded queue,
+        which admits it or lets the shed policy pick a victim.  A hit
+        takes no queue slot, form lock or place on the form's clock,
+        so it is never shed or expired in a queue.  All admission
+        state is a pure function of the arrival sequence (never wall
+        time), so outcomes are byte-identical across worker counts and
+        replays.
 
         *Dispatch* drains each form's queue in (deadline, arrival)
         order on the form's *virtual cost clock*: each serve advances
@@ -314,6 +344,10 @@ class QueryServer:
         processor has one) still bounds each run's own cost, so the
         two compose.  Forms are independent — with ``workers > 1``
         they drain in parallel with unchanged outcomes.
+
+        Dispatch re-reads the read-set version and re-checks the
+        cache, so a repeat of an earlier miss in the same burst hits
+        there, and a write between admission and dispatch is seen.
 
         Shed requests never reach the processor: they contribute no
         PIB sample, so Theorem 1's per-form schedule over the served
@@ -334,6 +368,7 @@ class QueryServer:
         assert (self._quota is not None and self._shedder is not None
                 and self._health is not None)
         quota, shedder, health = self._quota, self._shedder, self._health
+        cache = self.answer_cache
         slots: List[Optional[RequestOutcome]] = [None] * len(requests)
 
         # -- Phase 1: admission, strictly in arrival order -------------
@@ -348,6 +383,21 @@ class QueryServer:
                                           database)
                 continue
             form = QueryForm.of(request.query)
+            if cache is not None:
+                # A coherent hit runs no strategy and feeds PIB no
+                # sample, so it needs no place in the form's serial
+                # order: it is answered here, at one overhead tick.  A
+                # miss is counted once, by its lookup at dispatch.
+                cached, _ = self._cached(request.query,
+                                         self._shard_for(form)[1],
+                                         database, count_miss=False)
+                if cached is not None:
+                    slots[index] = RequestOutcome(
+                        request, "served", answer=cached, latency=1.0
+                    )
+                    if recorder.enabled:
+                        recorder.request_served(tenant, 1.0)
+                    continue
             queue = self._queue_for(form)
             # Proactive backpressure: in SHEDDING, a tenant that already
             # holds queue slots is shed before the queue is hard-full —

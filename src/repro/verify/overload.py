@@ -23,7 +23,11 @@ and these oracles hold it to that:
   (shed requests contributed no PIB sample);
 * :func:`check_overload_fairness` — under the ``reject-over-quota``
   policy no demanding tenant starves, and with a rate quota no tenant
-  exceeds its token-bucket ceiling.
+  exceeds its token-bucket ceiling;
+* :func:`check_overload_cache_coherence` — with an answer cache, the
+  burst is served again after each step of a mutation storm, and
+  every clean answer, including those answered at admission, agrees
+  with the bottom-up model of the store at that moment.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from ..datalog.bottomup import BottomUpEngine
+from ..datalog.parser import parse_atom
 from ..datalog.rules import QueryForm
 from ..observability import Tracer
 from ..serving.admission import TENANT_BURST, Request, RequestOutcome
@@ -39,6 +45,7 @@ from ..serving.config import AdmissionConfig, CacheConfig, ServingConfig, \
     SessionConfig
 from ..serving.server import QueryServer
 from ..system import SelfOptimizingQueryProcessor
+from ..workloads.hostile import mutation_storm
 from .worldgen import KBWorld, WorldSpec, build_kb_world
 
 __all__ = [
@@ -49,7 +56,11 @@ __all__ = [
     "check_overload_conservation",
     "check_overload_isolation",
     "check_overload_fairness",
+    "check_overload_cache_coherence",
 ]
+
+#: Storm steps of the cache-coherence check when the spec sets none.
+STORM_STEPS = 6
 
 
 @dataclass
@@ -96,12 +107,13 @@ def _burst_requests(spec: WorldSpec, world: KBWorld) -> List[Request]:
     return requests
 
 
-def simulate_overload(
-    spec: WorldSpec, workers: Optional[int] = None
-) -> OverloadRun:
-    """Run the spec's burst through a fresh admission-controlled server."""
-    world = build_kb_world(spec)
-    tracer = Tracer(margin_events=False)
+def _overload_server(
+    spec: WorldSpec,
+    world: KBWorld,
+    tracer: Optional[Tracer] = None,
+    workers: int = 1,
+) -> QueryServer:
+    """A fresh admission-controlled server for the spec's world."""
     processor = SelfOptimizingQueryProcessor(
         world.rules, config=SessionConfig(delta=spec.delta), recorder=tracer
     )
@@ -111,17 +123,24 @@ def simulate_overload(
         shed_policy=spec.shed_policy,
         deadline=spec.request_deadline,
     )
-    server = QueryServer(
+    return QueryServer(
         processor,
-        serving=ServingConfig(
-            workers=workers if workers is not None else 1,
-            admission=admission,
-        ),
+        serving=ServingConfig(workers=workers, admission=admission),
         cache=CacheConfig(
             answer_capacity=spec.answer_cache,
             subgoal_capacity=spec.subgoal_memo,
         ) if (spec.answer_cache or spec.subgoal_memo) else CacheConfig(),
     )
+
+
+def simulate_overload(
+    spec: WorldSpec, workers: Optional[int] = None
+) -> OverloadRun:
+    """Run the spec's burst through a fresh admission-controlled server."""
+    world = build_kb_world(spec)
+    tracer = Tracer(margin_events=False)
+    server = _overload_server(spec, world, tracer,
+                              workers if workers is not None else 1)
     requests = _burst_requests(spec, world)
     outcomes = server.run_requests(requests, world.database)
     return OverloadRun(spec, requests, outcomes, server, tracer)
@@ -292,4 +311,63 @@ def check_overload_fairness(spec: WorldSpec) -> Optional[str]:
                     f"tenant {outcome_tenant} progressed {count} requests, "
                     f"over the token-bucket ceiling {ceiling:.1f}"
                 )
+    return None
+
+
+def check_overload_cache_coherence(spec: WorldSpec) -> Optional[str]:
+    """Answers served through admission stay true while the store
+    mutates.
+
+    The burst is served through an admission server with an answer
+    cache, then the world's mutation storm is applied one step at a
+    time, with the burst served again after each step.  Every clean
+    served answer must agree with the bottom-up model of the store at
+    that moment: the same ``proved``, and for a proved answer a binding
+    that instantiates the query to a model fact.  A cached answer is
+    served at admission at latency 1.0, unless an earlier request of
+    the same burst asked the same query: that repeat hits at dispatch,
+    after its wait.
+    """
+    cached_spec = spec.replace(answer_cache=spec.answer_cache or 32)
+    world = build_kb_world(cached_spec)
+    server = _overload_server(cached_spec, world)
+    database = world.database
+    requests = _burst_requests(cached_spec, world)
+    engine = BottomUpEngine(world.rules)
+
+    def serve(label: str) -> Optional[str]:
+        asked = set()
+        outcomes = server.run_requests(requests, database)
+        for request, outcome in zip(requests, outcomes):
+            query = request.query
+            repeat = query in asked
+            asked.add(query)
+            answer = outcome.answer
+            if not outcome.served or not answer.clean:
+                continue
+            if answer.cached and outcome.latency != 1.0 and not repeat:
+                return (f"{label}: the cached answer to {query} waited "
+                        f"until {outcome.latency:g} though no earlier "
+                        f"request of the burst asked it")
+            proved = engine.holds(query, database)
+            if answer.proved != proved:
+                return (f"{label}: {'cached' if answer.cached else 'fresh'}"
+                        f" answer to {query} is proved={answer.proved}, "
+                        f"the model's is proved={proved}")
+            if proved and (query.substitute(answer.substitution)
+                           not in engine.model(database)):
+                return (f"{label}: the answer to {query} binds "
+                        f"{answer.substitution}, which is no model fact")
+        return None
+
+    problem = serve("first burst")
+    if problem is not None:
+        return problem
+    ops = mutation_storm(spec.seed, world.fact_text,
+                         spec.mutation_steps or STORM_STEPS)
+    for number, (op, text) in enumerate(ops):
+        getattr(database, op)(parse_atom(text))
+        problem = serve(f"after storm step #{number} ({op} {text})")
+        if problem is not None:
+            return problem
     return None

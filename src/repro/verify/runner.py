@@ -31,7 +31,9 @@ overload   seeded burst worlds through admission control: outcome and
            trace byte-determinism, worker-count parity, typed-outcome
            conservation, learner isolation (shed requests feed no PIB
            sample), no-starvation and quota ceilings under
-           reject-over-quota
+           reject-over-quota, and answers served through admission
+           with an answer cache checked against the bottom-up model
+           across a mutation storm
 federation cross-backend answer equivalence (memory vs SQLite vs
            healthy-federated, same answers in the same order), partial
            answers under shard faults are sound subsets with
@@ -85,6 +87,7 @@ from .oracles import (
     pib_contract,
 )
 from .overload import (
+    check_overload_cache_coherence,
     check_overload_conservation,
     check_overload_determinism,
     check_overload_fairness,
@@ -478,6 +481,7 @@ def run_profile(
             ("overload-conservation", check_overload_conservation),
             ("overload-learner-isolation", check_overload_isolation),
             ("overload-fairness", check_overload_fairness),
+            ("overload-cache-coherence", check_overload_cache_coherence),
         ):
             verify.reports.append(
                 _run_deterministic(name, family, check, shrink_failures)
@@ -584,6 +588,7 @@ PROFILE_CHECKS: Dict[str, List[str]] = {
         "overload-conservation",
         "overload-learner-isolation",
         "overload-fairness",
+        "overload-cache-coherence",
     ],
     "federation": [
         "federation-backend-equivalence",

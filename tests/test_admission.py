@@ -30,10 +30,12 @@ from repro import (
     open_session,
 )
 from repro.datalog.database import Database
-from repro.datalog.parser import parse_program, parse_query
+from repro.datalog.parser import parse_atom, parse_program, parse_query
 from repro.serving.admission import (
+    REASON_DEADLINE,
     REASON_DRAINING,
     REASON_EVICTED,
+    REASON_OVER_QUOTA,
     REASON_QUEUE_FULL,
     AdmissionQueue,
     HealthTracker,
@@ -289,6 +291,9 @@ class TestServerAdmission:
         db = make_db()
         warm = server.run_requests(burst(1), db)
         assert warm[0].served
+        # A write under lena's read set: the warm entry is now stale,
+        # so the storm's lena requests miss and queue.
+        db.add(parse_atom("prof(lena)"))
         stormy = server.run_requests(burst(4), db)
         degraded = [o for o in stormy if o.degraded]
         assert degraded, "overflow should salvage the cached answer"
@@ -336,6 +341,145 @@ class TestServerAdmission:
         synthesized = [a for a in answers if a.degraded]
         assert len(synthesized) == 3
         assert all(not a.proved and a.cost == 0.0 for a in synthesized)
+
+
+class TestCacheHitsAtAdmission:
+    """A coherent answer-cache hit is answered at admission, at one
+    overhead tick: it takes no queue slot, so it is never shed or
+    expired in a queue, while draining and tenant quotas still apply
+    to it and a write under its read set still makes it a miss."""
+
+    RULES = """
+    instructor(X) :- prof(X).
+    instructor(X) :- grad(X).
+    """
+    LENA = parse_query("instructor(lena)")
+
+    def warm(self, admission, recorder=None):
+        """A server whose cache holds ``instructor(lena)``, and its
+        store."""
+        processor = SelfOptimizingQueryProcessor(
+            parse_program(self.RULES), config=SessionConfig(),
+            recorder=recorder,
+        )
+        server = QueryServer(
+            processor,
+            serving=ServingConfig(admission=admission),
+            cache=CacheConfig(answer_capacity=8),
+        )
+        db = Database.from_program("prof(russ). grad(lena).")
+        warm = server.run_requests([self.LENA], db)
+        assert warm[0].served and not warm[0].answer.cached
+        return server, db
+
+    @pytest.mark.parametrize("policy", [
+        "reject-newest", "reject-over-quota", "degrade-to-cached",
+    ])
+    def test_cached_answer_is_never_shed(self, policy):
+        server, db = self.warm(
+            AdmissionConfig(queue_capacity=1, shed_policy=policy)
+        )
+        outcomes = server.run_requests([self.LENA] * 3, db)
+        assert [o.status for o in outcomes] == ["served"] * 3
+        assert all(o.answer.cached and o.answer.proved
+                   and o.latency == 1.0 for o in outcomes)
+        admission = server.snapshot()["admission"]
+        assert admission["rejected"] == admission["degraded"] == 0
+
+    def test_draining_refuses_a_cached_answer(self):
+        server, db = self.warm(AdmissionConfig(queue_capacity=1))
+        server.drain()
+        outcomes = server.run_requests([self.LENA] * 2, db)
+        assert all(o.rejected and o.reason == REASON_DRAINING
+                   for o in outcomes)
+
+    def test_tenant_over_quota_is_shed_though_cached(self):
+        server, db = self.warm(
+            AdmissionConfig(queue_capacity=1, tenant_rate=0.01)
+        )
+        outcomes = server.run_requests([self.LENA] * 10, db)
+        # The warm request spent one of the bucket's eight tokens.
+        assert [o.status for o in outcomes] == \
+            ["served"] * 7 + ["rejected"] * 3
+        assert all(o.reason == REASON_OVER_QUOTA for o in outcomes[7:])
+        assert all(o.answer.cached for o in outcomes[:7])
+
+    def test_short_deadline_never_expires_a_hit(self):
+        server, db = self.warm(
+            AdmissionConfig(queue_capacity=8, deadline=0.5)
+        )
+        russ = parse_query("instructor(russ)")
+        outcomes = server.run_requests(
+            [russ, self.LENA, russ, self.LENA], db
+        )
+        # The miss runs at clock 0; its repeat waits past the deadline.
+        assert outcomes[0].served and not outcomes[0].answer.cached
+        assert outcomes[2].reason == REASON_DEADLINE
+        for hit in (outcomes[1], outcomes[3]):
+            assert hit.served and hit.answer.cached
+            assert hit.latency == 1.0
+
+    def test_write_under_the_read_set_makes_a_miss(self):
+        server, db = self.warm(AdmissionConfig(queue_capacity=4))
+        db.remove(parse_atom("grad(lena)"))
+        outcome = server.run_requests([self.LENA], db)[0]
+        assert outcome.served
+        assert not outcome.answer.cached
+        assert not outcome.answer.proved
+        assert outcome.latency > 1.0
+
+    def test_outcomes_identical_across_workers(self):
+        def run(workers):
+            server = make_server(
+                AdmissionConfig(queue_capacity=2, tenant_rate=0.5),
+                workers=workers, cache=CacheConfig(answer_capacity=8),
+            )
+            db = make_db()
+            queries = [parse_query(f"{name}({who})")
+                       for name in ("instructor", "senior")
+                       for who in ("russ", "lena", "ullman")]
+            requests = coerce_requests(queries * 3, tenants=2)
+            return [fingerprint(server.run_requests(requests, db))
+                    for _ in range(2)]
+
+        serial = run(1)
+        assert serial == run(3)
+        assert '"served"' in serial[1]
+
+    def test_each_request_counts_once(self):
+        tracer = Tracer()
+        server, db = self.warm(AdmissionConfig(queue_capacity=8),
+                               recorder=tracer)
+        russ = parse_query("instructor(russ)")
+        # lena hits at admission; russ misses there, and its repeat
+        # hits at dispatch, behind the first russ.
+        outcomes = server.run_requests([self.LENA, russ, russ], db)
+        assert [o.answer.cached for o in outcomes] == [True, False, True]
+        assert outcomes[2].latency > 1.0
+        stats = server.answer_cache.stats
+        assert (stats.hits, stats.misses) == (2, 2)
+        assert stats.lookups == 1 + len(outcomes)
+        # The warm burst's miss is counted too.
+        actions = [e["action"] for e in tracer.events_of("cache")
+                   if e["cache"] == "answer"]
+        assert actions.count("hit") == 2 and actions.count("miss") == 2
+        served = [e for e in tracer.events_of("admission")
+                  if e["action"] == "served"]
+        assert served[1]["latency"] == 1.0  # lena, at admission
+        # The warm request and the two russes queued; lena did not.
+        assert len(tracer.events_of("queue_depth")) == 3
+
+    def test_no_stale_table_under_a_policy_that_never_reads_it(self):
+        for policy in ("reject-newest", "reject-over-quota"):
+            server, db = self.warm(AdmissionConfig(
+                queue_capacity=1, shed_policy=policy))
+            server.run_requests(
+                [parse_query("instructor(russ)"), self.LENA], db
+            )
+            assert len(server.answer_cache._stale) == 0
+        kept, _ = self.warm(AdmissionConfig(
+            queue_capacity=1, shed_policy="degrade-to-cached"))
+        assert len(kept.answer_cache._stale) == 1
 
 
 @pytest.mark.serving_determinism
