@@ -20,7 +20,8 @@ slot array (no ``Substitution`` objects, no per-level atom
 re-substitution), and the join order is chosen greedily by
 bound-position selectivity — most bound positions first, smaller
 relation on ties — which is deterministic and independent of hash
-seeds.
+seeds.  The join reads only a matched fact's arguments, so it probes
+through the store's row probe and builds no :class:`Atom` per match.
 """
 
 from __future__ import annotations
@@ -74,10 +75,11 @@ def _join_rule(rule: Rule, facts: Database, required: Optional[Database] = None,
                negatives: Optional[Database] = None) -> Iterator[Atom]:
     """All head instances derivable from ``rule`` over ``facts``.
 
-    When ``required`` is given (semi-naive delta), at least one positive
-    body literal must match a fact in ``required``.  Negated literals
-    are checked against ``negatives`` (the finished lower strata) —
-    callers guarantee stratification, so this is sound.
+    When ``required`` is given (semi-naive delta, a :class:`Database`),
+    at least one positive body literal must match a fact in it.
+    Negated literals are checked against ``negatives`` (the finished
+    lower strata) — callers guarantee stratification, so this is
+    sound.
     """
     negatives = negatives if negatives is not None else facts
     plan = rule.plan
@@ -86,7 +88,12 @@ def _join_rule(rule: Rule, facts: Database, required: Optional[Database] = None,
     slots: List[Optional[object]] = [None] * plan.nslots
     slot_vars = plan.slot_vars
     n_positive = len(positives)
-    facts_matching = facts.facts_matching
+    rows_matching = facts._rows_matching
+    # The delta's rows of each positive literal's relation (``required``
+    # is a plain Database, unchanged while the join runs).
+    delta_rows = None if required is None else [
+        required._facts.get(lp.signature, ()) for lp in positives
+    ]
 
     def blocked_by_negation() -> bool:
         for lp in negateds:
@@ -128,13 +135,14 @@ def _join_rule(rule: Rule, facts: Database, required: Optional[Database] = None,
             else:
                 args.append(spec)
         pattern = Atom._make(lp.predicate, tuple(args))
-        for fact in facts_matching(pattern):
+        for row in rows_matching(pattern):
             bound_here: List[int] = []
-            for spec, f_arg in zip(specs, fact.args):
+            for spec, f_arg in zip(specs, row):
                 if type(spec) is int and slots[spec] is None:
                     slots[spec] = f_arg
                     bound_here.append(spec)
-            in_delta = used_delta or (required is not None and fact in required)
+            in_delta = used_delta or (
+                delta_rows is not None and row in delta_rows[level])
             yield from join(level + 1, in_delta)
             for spec in bound_here:
                 slots[spec] = None

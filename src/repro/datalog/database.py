@@ -3,15 +3,26 @@
 Retrieval is the unit operation the whole paper is built around — a
 strategy is an ordering of *attempted retrievals* (plus the rule
 reductions that reach them), and PIB/PAO's statistics count how often
-each retrieval succeeds.  This module provides an indexed fact store:
+each retrieval succeeds.  This module provides an indexed fact store.
 
-* a per-relation index (``signature -> facts``), and
-* per-argument hash indexes (``signature, position, constant -> facts``)
+**A stored fact is its argument tuple** (its *row*), the paper's
+extensional database as a set of ground tuples per relation.  The
+relation a row is filed under names its predicate, so the store keeps
+no :class:`Atom` per fact: it has
+
+* a per-relation index (``signature -> rows``), and
+* per-argument hash indexes (``signature, position, constant -> rows``)
   so that bound positions of a retrieval pattern prune the scan, the
   way any real EDB access path would.  Only relations of arity two or
   more get them: a probe opens a bucket only for a non-ground pattern
   with a constant, which a unary pattern never is (a ground pattern is
   a membership test on the relation index).
+
+Membership, ``add`` and ``remove`` take atoms and look their rows up.
+The retrieval hook :meth:`Database._candidates` yields rows, which the
+:class:`~repro.storage.interface.FactStore` base matches; an
+:class:`Atom` is rebuilt, on one signature tuple per call, only where
+``__iter__``, ``relation`` or ``facts_matching`` must return one.
 
 Both index levels are backed by **insertion-ordered** dicts: every
 enumeration a query can observe — full relation scans and per-argument
@@ -28,9 +39,11 @@ per-retrieval "is this relation extensional?" check — belongs to the
 :class:`~repro.storage.interface.FactStore` base, which every
 effective write reports to.
 
-The constructor builds its initial facts in one pass: it fills the
-relation dicts and the argument buckets, then records the catalog once
-with the base (:meth:`~repro.storage.interface.FactStore._record_load`).
+The constructor builds its initial facts in one pass, from rows: the
+fact scan's rows as they are, or each given atom's after the one
+ground-fact check.  It fills the relation dicts and the argument
+buckets, then records the catalog once with the base
+(:meth:`~repro.storage.interface.FactStore._record_load`).
 
 For the serving caches it keeps one *stamp* per read key written since
 construction (see :mod:`repro.storage.interface`): the generation of
@@ -47,7 +60,14 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..storage.interface import FactStore, ReadKey, _check_fact, bucket_keys
+from ..storage.interface import (
+    FactStore,
+    ReadKey,
+    _check_fact,
+    _fact_rows,
+    _FactRows,
+    bucket_keys,
+)
 from .terms import Atom, Constant, Variable
 
 __all__ = ["Database"]
@@ -55,17 +75,19 @@ __all__ = ["Database"]
 class Database(FactStore):
     """An indexed collection of ground facts.
 
-    Databases are mutable (facts can be added and removed) but the
-    stored atoms themselves are immutable.  Iteration order is
-    insertion order — including enumeration through the per-argument
-    indexes — which keeps retrieval enumeration deterministic.
+    Databases are mutable (facts can be added and removed) but each
+    stored fact is an immutable row, its argument tuple.  Iteration
+    order is insertion order — including enumeration through the
+    per-argument indexes — which keeps retrieval enumeration
+    deterministic.
 
-    ``facts`` are stored in one pass, duplicates skipped, with no
-    stamps: construction is not a mutation, and :attr:`generation`
-    ends at the number of distinct facts.  Every later mutation that
-    actually changes the stored fact set is recorded with the base,
-    which bumps :attr:`generation`, and then stamps the relation and
-    index buckets it touched with the new generation.  Stamps only grow
+    ``facts`` (atoms, or the fact scan's rows) are stored in one pass,
+    duplicates skipped, with no stamps: construction is not a
+    mutation, and :attr:`generation` ends at the number of distinct
+    facts.  Every later mutation that actually changes the stored fact
+    set is recorded with the base, which bumps :attr:`generation`, and
+    then stamps the relation and index buckets it touched with the new
+    generation.  Stamps only grow
     and are never deleted — a bucket that empties keeps its stamp — so
     :meth:`version` over a read set changes exactly when a fact under
     it is added or removed.
@@ -80,25 +102,26 @@ class Database(FactStore):
 
     def __init__(self, facts: Iterable[Atom] = ()):
         super().__init__()
-        self._facts: Dict[Tuple[str, int], Dict[Atom, None]] = defaultdict(dict)
+        #: Relation -> its rows, as an insertion-ordered dict.
+        self._facts: Dict[Tuple[str, int], Dict[tuple, None]] = defaultdict(dict)
         # Insertion-ordered buckets (dict-as-ordered-set): enumeration
         # through an index bucket must match insertion order.  Filled
         # for arity >= 2 only (see the module notes).
         self._arg_index: Dict[
-            Tuple[str, int, int, Constant], Dict[Atom, None]
+            Tuple[str, int, int, Constant], Dict[tuple, None]
         ] = defaultdict(dict)
         #: Read key -> generation of its last effective mutation.
         self._stamps: Dict[ReadKey, int] = {}
         relations, arg_index = self._facts, self._arg_index
-        for fact in facts:
-            _check_fact(fact)
-            relation = relations[fact.signature]
-            if fact in relation:
+        for signature, args in _fact_rows(facts):
+            relation = relations[signature]
+            if args in relation:
                 continue
-            relation[fact] = None
-            if len(fact.args) > 1:
-                for key in bucket_keys(fact):
-                    arg_index[key][fact] = None
+            relation[args] = None
+            if len(args) > 1:
+                predicate, arity = signature
+                for position, arg in enumerate(args):
+                    arg_index[predicate, arity, position, arg][args] = None
         self._record_load(
             {signature: len(relation) for signature, relation in relations.items()}
         )
@@ -115,8 +138,12 @@ class Database(FactStore):
         return newest
 
     def copy(self) -> "Database":
-        """An independent copy of the database."""
-        return Database(self)
+        """An independent copy of the database, built from its rows."""
+        return Database(_FactRows(
+            (signature, args)
+            for signature, relation in self._facts.items()
+            for args in relation
+        ))
 
     # ------------------------------------------------------------------
     # Mutation
@@ -125,16 +152,16 @@ class Database(FactStore):
     def add(self, fact: Atom) -> bool:
         """Add a ground fact; returns ``False`` when already present."""
         _check_fact(fact)
-        signature = fact.signature
+        signature, args = fact.signature, fact.args
         relation = self._facts[signature]
-        if fact in relation:
+        if args in relation:
             return False
-        relation[fact] = None
+        relation[args] = None
         keys = bucket_keys(fact)
         if len(keys) > 1:
             arg_index = self._arg_index
             for key in keys:
-                arg_index[key][fact] = None
+                arg_index[key][args] = None
         generation = self._record_write(fact, 1)
         stamps = self._stamps
         stamps[signature] = generation
@@ -144,16 +171,16 @@ class Database(FactStore):
 
     def remove(self, fact: Atom) -> bool:
         """Remove a fact; returns ``False`` when it was absent."""
-        signature = fact.signature
+        signature, args = fact.signature, fact.args
         relation = self._facts.get(signature)
-        if not relation or fact not in relation:
+        if not relation or args not in relation:
             return False
-        del relation[fact]
+        del relation[args]
         keys = bucket_keys(fact)
         for key in keys:
             bucket = self._arg_index.get(key)
             if bucket is not None:
-                bucket.pop(fact, None)
+                bucket.pop(args, None)
                 if not bucket:
                     del self._arg_index[key]
         generation = self._record_write(fact, -1)
@@ -172,29 +199,34 @@ class Database(FactStore):
             relation = self._facts.get(fact.signature)
         except AttributeError:  # not an Atom, so never stored
             return False
-        return bool(relation) and fact in relation
+        return bool(relation) and fact.args in relation
 
     def __iter__(self) -> Iterator[Atom]:
-        for relation in self._facts.values():
-            yield from relation
+        ground = Atom._ground
+        for signature, relation in self._facts.items():
+            for args in relation:
+                yield ground(signature, args)
 
     def relation(self, predicate: str, arity: int) -> List[Atom]:
         """All facts of one relation, in insertion order."""
-        return list(self._facts.get((predicate, arity), ()))
+        signature = (predicate, arity)
+        ground = Atom._ground
+        return [ground(signature, args)
+                for args in self._facts.get(signature, ())]
 
-    def _candidates(self, pattern: Atom) -> Iterable[Atom]:
-        """Facts that could match ``pattern``, using the tightest index
-        (the hook behind the base's ``retrieve``/``facts_matching``).
+    def _candidates(self, pattern: Atom) -> Iterable[tuple]:
+        """Rows that could match ``pattern``, using the tightest index
+        (the hook behind the base's probes).
 
-        Returns an insertion-ordered dict — a bucket is an ordered
-        subset of its relation — so enumeration is deterministic
+        Returns an insertion-ordered dict of rows — a bucket is an
+        ordered subset of its relation — so enumeration is deterministic
         regardless of which index bucket is chosen.
         """
         relation = self._facts.get(pattern.signature)
         if not relation:
             return ()
         predicate, arity = pattern.signature
-        best: Optional[Dict[Atom, None]] = None
+        best: Optional[Dict[tuple, None]] = None
         for position, arg in enumerate(pattern.args):
             if type(arg) is Variable:
                 continue

@@ -20,15 +20,16 @@ Entry points: :func:`parse_program`, :func:`parse_rule`,
 the one-query-per-line stream format.
 
 Fact text has a second reader.  :meth:`FactStore.from_program
-<repro.storage.interface.FactStore.from_program>` takes its atoms from
+<repro.storage.interface.FactStore.from_program>` takes its facts from
 :func:`_read_facts`, which first tries :func:`_scan_facts`: that
-matches one whole ground-fact clause per regex match and builds its
-:class:`Atom` directly, with no tokens, :class:`Rule` objects or
-:class:`RuleBase`.  The scan is built from the same NAME, NUMBER,
-STRING and COMMENT patterns as the tokenizer and accepts only text that
-is certainly ground facts; anything else goes to :func:`parse_program`
-and the ``is_fact`` check, which stay the reference reading and the
-only error reporter.
+matches one whole ground-fact clause per regex match and yields its
+``(signature, args)`` row directly, with no tokens, :class:`Rule`
+objects, :class:`RuleBase` or :class:`Atom` — a store keeps a fact as
+its argument tuple, so none is needed.  The scan is built from the same
+NAME, NUMBER, STRING and COMMENT patterns as the tokenizer and accepts
+only text that is certainly ground facts; anything else goes to
+:func:`parse_program` and the ``is_fact`` check, which stay the
+reference reading and the only error reporter.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import re
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..errors import DatalogError, ParseError
+from ..storage.interface import _FactRows
 from .rules import Literal, Rule, RuleBase
 from .terms import Atom, Constant, Term, Variable
 
@@ -255,10 +257,10 @@ _LAYOUT_RE = re.compile(_LAYOUT)
 _ARGS_RE = re.compile(rf"{_COMMENT}|({_STRING}|{_NUMBER}|{_NAME})")
 
 
-def _scan_facts(text: str) -> Optional[List[Atom]]:
-    """The atoms of ``text``, in order, when it is certainly ground
-    facts only; ``None`` sends :func:`_read_facts` to
-    :func:`parse_program`.
+def _scan_facts(text: str) -> Optional[_FactRows]:
+    """The facts of ``text`` as ``(signature, args)`` rows, in order,
+    when it is certainly ground facts only; ``None`` sends
+    :func:`_read_facts` to :func:`parse_program`.
 
     A fact has a lowercase predicate and lowercase-name, number or
     string arguments; its optional ``@label`` is dropped, as the
@@ -267,14 +269,14 @@ def _scan_facts(text: str) -> Optional[List[Atom]]:
     does an integer past ``int``'s digit limit: the general parser
     reads the whole text first and reports its error.
 
-    The facts of one relation share one signature tuple, and with it
-    one predicate string (:meth:`Atom._ground`); the uses of one
-    constant text share one :class:`Constant`.
+    The rows of one relation share one signature tuple, and with it
+    one predicate string; the uses of one constant text share one
+    :class:`Constant`.
     """
     match, args_of = _FACT_RE.match, _ARGS_RE.findall
     signatures: Dict[Tuple[str, int], Tuple[str, int]] = {}
     constants: Dict[str, Constant] = {}
-    facts: List[Atom] = []
+    rows = _FactRows()
     position = 0
     try:
         while True:
@@ -292,13 +294,13 @@ def _scan_facts(text: str) -> Optional[List[Atom]]:
                         terms.append(constant)
             signature = (predicate, len(terms))
             signature = signatures.setdefault(signature, signature)
-            facts.append(Atom._ground(signature, tuple(terms)))
+            rows.append((signature, tuple(terms)))
             position = found.end()
     except ValueError:
         return None
     if _LAYOUT_RE.fullmatch(text, position) is None:
         return None
-    return facts
+    return rows
 
 
 def parse_program(text: str) -> RuleBase:
@@ -308,24 +310,24 @@ def parse_program(text: str) -> RuleBase:
     text that is bound for a store is read by
     :meth:`FactStore.from_program
     <repro.storage.interface.FactStore.from_program>` instead, which
-    scans it straight to atoms and calls this only for text the scan
+    scans it straight to rows and calls this only for text the scan
     does not accept.
     """
     return RuleBase(_Parser(text).program())
 
 
-def _read_facts(text: str) -> List[Atom]:
+def _read_facts(text: str) -> List:
     """The facts of ``text``, in order, all read before any is stored.
 
-    The scan's atoms when it accepts ``text``; otherwise the heads of
+    The scan's rows when it accepts ``text``; otherwise the heads of
     :func:`parse_program`'s rules, which raises on malformed text, with
     :class:`DatalogError` for the first clause that is not a fact.
     ``parse_program`` is looked up when called, so a wrapper installed
     on this module sees the fallback.
     """
-    facts = _scan_facts(text)
-    if facts is not None:
-        return facts
+    rows = _scan_facts(text)
+    if rows is not None:
+        return rows
     heads = []
     for rule in parse_program(text):
         if not rule.is_fact:

@@ -31,12 +31,15 @@ the strictly-lower strata are drained to completion before the
 emptiness test — sound because stratification guarantees the negated
 predicate's stratum lies strictly below the head's.
 
-Everything rides the PR-7 hot-path machinery: rules are joined through
-their compiled :class:`~repro.datalog.rules.RulePlan` slot arrays,
-stored facts and tabled answers alike are enumerated via
-:meth:`Database.facts_matching` — so an intensional edge probes the
-answers' tightest index bucket, not the whole relation — and atoms are
-built with the trusted :meth:`Atom._make` constructor.  All iteration
+Everything rides the hot-path machinery of the other engines: rules
+are joined through their compiled
+:class:`~repro.datalog.rules.RulePlan` slot arrays, stored facts and
+tabled answers alike are enumerated as argument rows through the
+store's row probe (``_rows_matching``, the match loop behind
+:meth:`Database.facts_matching` with no :class:`Atom` per fact) — so an
+intensional edge probes the answers' tightest index bucket, not the
+whole relation — and atoms are built with the trusted
+:meth:`Atom._make` constructor.  All iteration
 runs over insertion-ordered dicts, so answer enumeration order and
 billed probe counts are byte-identical across ``PYTHONHASHSEED``
 values.  Answer-relation probes are the net's own bookkeeping and are
@@ -158,8 +161,8 @@ class QSQNEngine:
     def prove(self, query: Atom, database: Database) -> Answer:
         """Satisficing entry point: the first tabled answer, with trace."""
         trace = ProofTrace()
-        for fact in self._answer_facts(query, database, trace):
-            return Answer(True, self._binding(query, fact), trace)
+        for row in self._answer_rows(query, database, trace):
+            return Answer(True, self._binding(query, row), trace)
         return Answer(False, Substitution(), trace)
 
     def answers(
@@ -168,8 +171,8 @@ class QSQNEngine:
         """Yield up to ``limit`` distinct answers, sharing one trace."""
         trace = ProofTrace()
         produced = 0
-        for fact in self._answer_facts(query, database, trace):
-            yield Answer(True, self._binding(query, fact), trace)
+        for row in self._answer_rows(query, database, trace):
+            yield Answer(True, self._binding(query, row), trace)
             produced += 1
             if limit is not None and produced >= limit:
                 return
@@ -192,40 +195,41 @@ class QSQNEngine:
             self._cache[identity] = cached
         return cached[1]
 
-    def _answer_facts(
+    def _answer_rows(
         self, query: Atom, database: Database, trace: ProofTrace
-    ) -> Iterator[Atom]:
-        """Ground instances of ``query``: database facts first (for
-        extensional and mixed predicates), then tabled answers, both in
-        insertion order, deduplicated."""
+    ) -> Iterator[tuple]:
+        """The argument rows of the ground instances of ``query``:
+        database facts first (for extensional and mixed predicates),
+        then tabled answers, both in insertion order, deduplicated."""
         signature = query.signature
         state = self._state(database)
         if signature in self._idb:
             self._register(state, signature, query)
             self._drain(state, database, trace, self._top_level)
-        seen: Dict[Atom, None] = {}
+        seen: Dict[tuple, None] = {}
         if signature not in self._net or signature in database.signatures():
             cost = self.cost_model.retrieval(query)
             found = False
-            for fact in database.facts_matching(query):
+            for row in database._rows_matching(query):
                 if not found:
                     trace.record_retrieval(query, True, cost)
                     found = True
-                seen[fact] = None
-                yield fact
+                seen[row] = None
+                yield row
             if not found:
                 trace.record_retrieval(query, False, cost)
-        for fact in list(state.ans.facts_matching(query)):
-            if fact not in seen:
-                seen[fact] = None
-                yield fact
+        for row in list(state.ans._rows_matching(query)):
+            if row not in seen:
+                seen[row] = None
+                yield row
 
     @staticmethod
-    def _binding(query: Atom, fact: Atom) -> Substitution:
-        """The substitution sending ``query`` to ``fact``, restricted to
-        the query's variables (consistency already checked)."""
+    def _binding(query: Atom, row: tuple) -> Substitution:
+        """The substitution sending ``query`` to the fact with arguments
+        ``row``, restricted to the query's variables (consistency
+        already checked)."""
         bindings: Dict[Variable, Term] = {}
-        for q_arg, f_arg in zip(query.args, fact.args):
+        for q_arg, f_arg in zip(query.args, row):
             if type(q_arg) is Variable and q_arg not in bindings:
                 bindings[q_arg] = f_arg
         return Substitution._resolved(bindings)
@@ -376,9 +380,9 @@ class QSQNEngine:
             pattern = pattern_for(lp)
             specs = lp.args
 
-            def extend(fact: Atom) -> None:
+            def extend(row: tuple) -> None:
                 bound_here: List[int] = []
-                for spec, f_arg in zip(specs, fact.args):
+                for spec, f_arg in zip(specs, row):
                     if type(spec) is int and slots[spec] is None:
                         slots[spec] = f_arg
                         bound_here.append(spec)
@@ -390,20 +394,21 @@ class QSQNEngine:
             if stored:
                 cost = retrieval(pattern)
                 found = False
-                for fact in database.facts_matching(pattern):
+                for row in database._rows_matching(pattern):
                     if not found:
                         trace.record_retrieval(pattern, True, cost)
                         found = True
-                    extend(fact)
+                    extend(row)
                 if not found:
                     trace.record_retrieval(pattern, False, cost)
             if kind == _IDB:
                 self._register(state, lp.signature, pattern)
                 # A snapshot: the join may table new answers.
-                for fact in list(state.ans.facts_matching(pattern)):
-                    if stored and fact in database:
+                for row in list(state.ans._rows_matching(pattern)):
+                    if stored and Atom._ground(
+                            pattern.signature, row) in database:
                         continue  # already joined from the database
-                    extend(fact)
+                    extend(row)
 
         walk(0)
 

@@ -32,8 +32,8 @@ representation is tuned accordingly:
   attributes and exposes the trusted fast constructor
   :meth:`Atom._make` for callers (the compiled rule plans, the fact
   indexes) that already hold a tuple of ``Term`` arguments, and
-  :meth:`Atom._ground` for the fact scan, whose facts of one relation
-  share one ``signature`` tuple.
+  :meth:`Atom._ground`, with which a store rebuilds facts from their
+  stored argument tuples on one shared ``signature`` tuple.
 """
 
 from __future__ import annotations

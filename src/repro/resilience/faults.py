@@ -269,9 +269,10 @@ class FlakyDatabase(Database):
     :class:`Database`, so ``FlakyDatabase(Database.from_program(text),
     plan)`` and ``FlakyDatabase.from_program(text, plan=plan)`` hold the
     same facts at the same generation.  Only the probing entry points
-    draw from ``plan`` first — :meth:`retrieve`, :meth:`facts_matching`,
-    and ``succeeds`` through ``retrieve``; mutation, iteration, the
-    catalog and read versions are the database's own.
+    draw from ``plan`` first — ``retrieve``, ``facts_matching``,
+    ``succeeds`` and the row probe, all through the one match loop
+    :meth:`_matching`; mutation, iteration, the catalog and read
+    versions are the database's own.
     """
 
     def __init__(self, facts: Iterable[Atom], plan: FaultPlan):
@@ -290,10 +291,11 @@ class FlakyDatabase(Database):
 
     def _inject(self, pattern) -> None:
         """One injection draw, billed identically for every probing
-        entry point — ``retrieve``, ``facts_matching`` and ``succeeds``
-        draw eagerly from the same predicate-keyed stream, so the same
-        pattern sequence produces the same injections and the same
-        billed cost regardless of which entry point ran it."""
+        entry point — ``retrieve``, ``facts_matching``, ``succeeds`` and
+        the row probe draw eagerly from the same predicate-keyed
+        stream, so the same pattern sequence produces the same
+        injections and the same billed cost regardless of which entry
+        point ran it."""
         predicate = pattern.predicate
         injection = self.plan.draw(predicate)
         if self.probe_log is not None:
@@ -314,13 +316,9 @@ class FlakyDatabase(Database):
             # counted in ``plan.injected_spikes`` but billed nowhere.
             self.billed_probe_cost += injection.cost_multiplier
 
-    def retrieve(self, pattern) -> Iterator:
+    def _matching(self, pattern, form: int) -> Iterator:
         self._inject(pattern)
-        return super().retrieve(pattern)
-
-    def facts_matching(self, pattern) -> Iterator:
-        self._inject(pattern)
-        return super().facts_matching(pattern)
+        return super()._matching(pattern, form)
 
     def copy(self) -> "FlakyDatabase":
         return FlakyDatabase(self, self.plan)

@@ -58,6 +58,11 @@ __all__ = ["CacheStats", "LRUTable", "SubgoalMemo", "AnswerCache"]
 #: Distinguishes "cached as False/None" from "not cached".
 _MISS = object()
 
+#: At most this many shared served-from-cache answers (see
+#: :meth:`AnswerCache._served_form`); past it, new values are stored
+#: unshared.
+_SHARED_LIMIT = 64
+
 
 class CacheStats:
     """Hit/miss/eviction counters for one cache tier."""
@@ -244,11 +249,15 @@ class AnswerCache:
     not the database, so replaying them would be wrong, and a coherent
     hit must reflect the whole fact base.  A stored answer is
     normalized to its served-from-cache form once — zero billed cost,
-    ``cached=True`` — so hits share one immutable object.
+    ``cached=True`` — so hits share one immutable object.  An answer
+    with an empty substitution (every ground query's) is one of a few
+    values, so equal ones share one object across entries too: the
+    cache's "yes" and "no" to thousands of ground queries are two
+    objects.
 
     ``keep_stale=False`` leaves the stale table empty: a server builds
-    its cache that way when it sheds by a policy other than
-    ``degrade-to-cached``, the only reader of that table.
+    its cache that way unless it sheds by ``degrade-to-cached``, the
+    only reader of that table.
     """
 
     def __init__(
@@ -268,6 +277,9 @@ class AnswerCache:
         self._stale_lock = threading.Lock()
         self._keep_stale = keep_stale
         self.stale_hits = 0
+        #: Served forms with an empty substitution, each its own key.
+        self._shared: Dict["SystemAnswer", "SystemAnswer"] = {}
+        self._shared_lock = threading.Lock()
 
     @property
     def stats(self) -> CacheStats:
@@ -321,7 +333,7 @@ class AnswerCache:
         """
         if answer.degraded:
             return False
-        normalized = replace(answer, cost=0.0, climbed=False, cached=True)
+        normalized = self._served_form(answer)
         clean = answer.clean
         if clean:
             self._table.put(self._key(query, database, version), normalized)
@@ -339,6 +351,22 @@ class AnswerCache:
                 while len(self._stale) > self._table.capacity:
                     self._stale.popitem(last=False)
         return clean
+
+    def _served_form(self, answer: "SystemAnswer") -> "SystemAnswer":
+        """``answer`` as a hit serves it: zero billed cost, not climbed,
+        ``cached``.  With an empty substitution it is the one shared
+        object of its value; a substitution's bindings vary per query,
+        so such an answer is never shared."""
+        normalized = replace(answer, cost=0.0, climbed=False, cached=True)
+        if normalized.substitution:
+            return normalized
+        with self._shared_lock:
+            shared = self._shared.get(normalized)
+            if shared is not None:
+                return shared
+            if len(self._shared) < _SHARED_LIMIT:
+                self._shared[normalized] = normalized
+        return normalized
 
     def lookup_stale(
         self, query: Atom, database: "Database"

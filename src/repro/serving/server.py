@@ -96,15 +96,14 @@ class QueryServer:
             LoadShedder(admission.shed_policy)
             if admission is not None else None
         )
-        # Of the shed policies only degrade-to-cached reads the stale
-        # table; without admission the cache keeps it, as one built
-        # directly does.
+        # Only the degrade-to-cached shed policy reads the stale table,
+        # so only a server shedding by it keeps one.
         self.answer_cache: Optional[AnswerCache] = (
             AnswerCache(
                 self.cache_config.answer_capacity,
                 recorder,
-                keep_stale=(self._shedder is None
-                            or self._shedder.wants_degrade),
+                keep_stale=(self._shedder is not None
+                            and self._shedder.wants_degrade),
             )
             if self.cache_config.answer_capacity
             else None

@@ -41,8 +41,10 @@ Mutations and catalog reads (``signatures``/``count``/``relation``/
 ``__iter__``/``__contains__``) are *administrative*: they model the
 control plane, which in this simulation is always reachable, and never
 draw from the fault streams.  Only the probing entry points
-(``retrieve``, ``facts_matching``, ``succeeds``) touch the simulated
-network.
+(``retrieve``, ``facts_matching``, ``succeeds``, and the row probe the
+bottom-up join and QSQN use) touch the simulated network: they all run
+the base's one match loop, whose ``_matching`` this backend overrides
+to route the probe to a shard first.
 """
 
 from __future__ import annotations
@@ -64,10 +66,16 @@ from typing import (
 )
 
 from ..datalog.database import Database
-from ..datalog.terms import Atom, Substitution
+from ..datalog.terms import Atom
 from ..resilience.circuit import CircuitBreaker
 from ..resilience.faults import FaultPlan, FaultSpec
-from .interface import Completeness, FactStore, ProbeWindow, _check_fact
+from .interface import (
+    Completeness,
+    FactStore,
+    ProbeWindow,
+    _check_fact,
+    _FactRows,
+)
 
 __all__ = ["ShardSpec", "Shard", "ProbeWindow", "FederatedStore"]
 
@@ -205,6 +213,8 @@ class FederatedStore(FactStore):
         self.dark_probes = 0
         self.hedged_reads = 0
         self._window = threading.local()
+        if type(facts) is _FactRows:
+            facts = [Atom._ground(signature, args) for signature, args in facts]
         for fact in facts:
             self.add(fact)
 
@@ -299,23 +309,15 @@ class FederatedStore(FactStore):
                 self._window.missing.add(shard.name)
         return source
 
-    def retrieve(self, pattern: Atom) -> Iterator[Substitution]:
+    def _matching(self, pattern: Atom, form: int) -> Iterator:
+        """Every probe entry point — ``retrieve``, ``facts_matching``,
+        ``succeeds`` and the row probe — resolves its shard here, once
+        per call, and matches on the live copy; a dark shard yields
+        nothing."""
         source = self._source_for(pattern.signature)
         if source is None:
             return iter(())
-        return source.retrieve(pattern)
-
-    def facts_matching(self, pattern: Atom) -> Iterator[Atom]:
-        source = self._source_for(pattern.signature)
-        if source is None:
-            return iter(())
-        return source.facts_matching(pattern)
-
-    def succeeds(self, pattern: Atom) -> bool:
-        source = self._source_for(pattern.signature)
-        if source is None:
-            return False
-        return source.succeeds(pattern)
+        return source._matching(pattern, form)
 
     # ------------------------------------------------------------------
     # Mutation (administrative)

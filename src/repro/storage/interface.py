@@ -32,21 +32,33 @@ set and billed remote latency for one query.  Backends that are always
 complete keep the defaults: an empty, trivially :data:`COMPLETE` window
 that bills nothing.
 
+**What a stored fact is.**  A fact is stored as its argument tuple,
+a *row*: the relation it belongs to is where it is stored, so no
+backend keeps an :class:`Atom` per fact.  The retrieval hook
+``_candidates`` yields rows, and an :class:`Atom` is built — sharing
+one signature tuple for the call — only where an entry point must
+return one: ``facts_matching``, ``__iter__`` and ``relation``.
+Fact text reaches a constructor as rows too (:class:`_FactRows`, the
+fact scan's output), so loading builds no :class:`Atom` per fact.
+
 **What the base owns.**  :class:`FactStore` keeps everything the
 backends share: the store identity and :attr:`~FactStore.generation`,
 the relation catalog (``signatures``, ``count``, ``__len__`` and the
 relations' first-insertion order), :meth:`~FactStore.from_program`,
 the one ground-fact check every stored fact passes, and the one loop
-that matches a pattern against facts, behind ``retrieve``,
-``facts_matching`` and ``succeeds``.  A backend implements its
-physical storage — ``add``/``remove``, ``relation``, ``__contains__``
-(which answers ground probes), ``copy`` and the retrieval hook
-``_candidates``, which yields a relation's facts in insertion order,
-pruned by the pattern's bound positions — and reports every
-*effective* insert or delete through one base call,
+that matches a pattern against rows, :meth:`~FactStore._matching`,
+behind ``retrieve``, ``facts_matching``, ``succeeds`` and the row
+probe ``_rows_matching`` that the bottom-up join and QSQN use.  A
+backend implements its physical storage — ``add``/``remove``,
+``relation``, ``__contains__`` (which answers ground probes), ``copy``
+and the retrieval hook ``_candidates``, which yields the rows of a
+relation in insertion order, pruned by the pattern's bound positions —
+and reports every *effective* insert or delete through one base call,
 :meth:`~FactStore._record_write`, so one method sees every write of
-every backend.  Construction is not a write: a backend that builds its
-initial facts in one pass records them once, through
+every backend.  A store whose probes go elsewhere first (a fault
+draw, a shard route) overrides ``_matching`` alone, so every probe
+entry point takes that path.  Construction is not a write: a backend
+that builds its initial facts in one pass records them once, through
 :meth:`~FactStore._record_load`.
 
 **Read keys and versions.**  What a probe can observe is named in one
@@ -102,6 +114,30 @@ def _check_fact(fact: Atom) -> None:
         raise TypeError("facts must be Atoms")
     if not fact.is_ground:
         raise DatalogError(f"facts must be ground, got {fact}")
+
+
+class _FactRows(list):
+    """Facts as ``(signature, args)`` rows that are already storable:
+    ``args`` is a tuple of constants and ``signature`` is
+    ``(predicate, len(args))``.  The fact scan returns one, and
+    :meth:`FactStore.from_program` hands it to the constructor, which
+    loads the rows as they are, with no :class:`Atom` per fact."""
+
+    __slots__ = ()
+
+
+def _fact_rows(facts: Iterable) -> Iterable[Tuple[Tuple[str, int], tuple]]:
+    """A constructor's ``facts`` as rows: a :class:`_FactRows` as it
+    is, anything else fact by fact through :func:`_check_fact`."""
+    if type(facts) is _FactRows:
+        return facts
+    return _checked_rows(facts)
+
+
+def _checked_rows(facts: Iterable) -> Iterator[Tuple[Tuple[str, int], tuple]]:
+    for fact in facts:
+        _check_fact(fact)
+        yield fact.signature, fact.args
 
 
 def bucket_keys(fact: Atom) -> List[ReadKey]:
@@ -197,6 +233,11 @@ class ProbeWindow:
 #: and the processor closes one window per query).
 _EMPTY_WINDOW = ProbeWindow()
 
+#: What :meth:`FactStore._matching` yields per match: the bindings
+#: (``retrieve``), the fact (``facts_matching``) or its row
+#: (``_rows_matching``).
+_BINDINGS, _FACTS, _ROWS = range(3)
+
 
 class FactStore(ABC):
     """Abstract base for ground-fact storage backends.
@@ -207,7 +248,8 @@ class FactStore(ABC):
     mutation, since the serving caches key on ``cache_key = (identity,
     generation)`` or on :meth:`version`.  Its constructor may load its
     initial facts through ``add`` or build them in one pass and record
-    them with :meth:`_record_load`.
+    them with :meth:`_record_load`.  It takes atoms, or the rows
+    :meth:`from_program` passes (:func:`_fact_rows` reads either).
     """
 
     #: Whether a probe bills or blocks on latency, as a remote round
@@ -318,32 +360,43 @@ class FactStore(ABC):
         *succeeds* iff the iterator is non-empty.  Enumeration order is
         fact insertion order.
         """
-        return self._matching(pattern, False)
+        return self._matching(pattern, _BINDINGS)
 
     def facts_matching(self, pattern: Atom) -> Iterator[Atom]:
         """Yield the stored facts matching ``pattern``, in insertion
-        order: :meth:`retrieve`'s matches as the facts themselves — the
-        bottom-up join binds its slot array straight from their
-        argument tuples."""
-        return self._matching(pattern, True)
+        order: :meth:`retrieve`'s matches as the facts themselves."""
+        return self._matching(pattern, _FACTS)
 
-    def _matching(self, pattern: Atom, as_facts: bool) -> Iterator:
-        """The one match loop behind both probes.
+    def _rows_matching(self, pattern: Atom) -> Iterator[tuple]:
+        """Yield the rows (argument tuples) of the stored facts matching
+        ``pattern``, in insertion order: :meth:`facts_matching` with no
+        :class:`Atom` per fact.  The bottom-up join and QSQN bind their
+        slot arrays straight from these."""
+        return self._matching(pattern, _ROWS)
+
+    def _matching(self, pattern: Atom, form: int) -> Iterator:
+        """The one match loop behind every probe; ``form`` says what it
+        yields per match (see :data:`_BINDINGS`).
 
         A ground pattern is a membership test.  Otherwise a candidate
-        matches when it carries the pattern's constants and binds each
-        repeated variable to one value.  The bindings are built inside
-        the loop: this is the SLD engine's probe, so it adds no call or
-        generator per fact.
+        row matches when it carries the pattern's constants and binds
+        each repeated variable to one value.  The bindings are built
+        inside the loop: this is the SLD engine's probe, so it adds no
+        call or generator per row.  A fact is built only for
+        ``facts_matching``, on the pattern's signature tuple.
         """
         if pattern.is_ground:
             if pattern in self:
-                yield pattern if as_facts else EMPTY_SUBSTITUTION
+                if form == _BINDINGS:
+                    yield EMPTY_SUBSTITUTION
+                else:
+                    yield pattern if form == _FACTS else pattern.args
             return
         pattern_args = pattern.args
-        for fact in self._candidates(pattern):
+        signature = pattern.signature
+        for row in self._candidates(pattern):
             bindings = {}
-            for p_arg, f_arg in zip(pattern_args, fact.args):
+            for p_arg, f_arg in zip(pattern_args, row):
                 if type(p_arg) is Variable:
                     bound = bindings.get(p_arg)
                     if bound is None:
@@ -353,14 +406,19 @@ class FactStore(ABC):
                 elif p_arg != f_arg:
                     break
             else:
-                yield fact if as_facts else Substitution._resolved(bindings)
+                if form == _BINDINGS:
+                    yield Substitution._resolved(bindings)
+                elif form == _FACTS:
+                    yield Atom._ground(signature, row)
+                else:
+                    yield row
 
-    def _candidates(self, pattern: Atom) -> Iterable[Atom]:
-        """The stored facts of ``pattern``'s relation that could match
-        it, in insertion order — a backend's one retrieval hook.  It may
-        prune by the pattern's bound positions (an index, a ``WHERE``
-        clause) but never reorder; the match loop checks the rest.
-        ``pattern`` is never ground."""
+    def _candidates(self, pattern: Atom) -> Iterable[tuple]:
+        """The rows of ``pattern``'s relation that could match it, in
+        insertion order — a backend's one retrieval hook.  It may prune
+        by the pattern's bound positions (an index, a ``WHERE`` clause)
+        but never reorder; the match loop checks the rest.  ``pattern``
+        is never ground."""
         raise NotImplementedError
 
     def succeeds(self, pattern: Atom) -> bool:
@@ -429,10 +487,12 @@ class FactStore(ABC):
         """Build a store from Datalog source containing only facts:
         ``cls(facts, **kwargs)``.
 
-        Fact-only text is scanned straight to atoms; any other text
-        goes through :func:`~repro.datalog.parser.parse_program`, which
-        reports its errors.  Either way the whole text is read before
-        the store is constructed, so a malformed text builds nothing.
+        Fact-only text is scanned straight to rows (a
+        :class:`_FactRows`); any other text goes through
+        :func:`~repro.datalog.parser.parse_program`, which reports its
+        errors, and reaches the constructor as atoms.  Either way the
+        whole text is read before the store is constructed, so a
+        malformed text builds nothing.
         """
         from ..datalog import parser
 

@@ -24,15 +24,26 @@ are distinct constants).  Arguments are therefore stored as
 ``"<typename>:<repr>"`` strings — injective for every type the parser
 produces — and decoded through a python-side table that remembers the
 exact :class:`Constant` each encoding came from, so round-trips are
-identity-exact even for exotic hashable values.  Only ``add`` fills
-that table: probes and removes encode without registering, so asking
-about constants never stored does not grow it.
+identity-exact even for exotic hashable values.  Only stored facts
+fill that table: probes and removes encode without registering, so
+asking about constants never stored does not grow it.
+
+**Loading.**  The constructor stores its initial facts in one
+transaction, with one ``executemany`` per relation in first-insertion
+order, and records the catalog once
+(:meth:`~repro.storage.interface.FactStore._record_load`).  The
+``UNIQUE`` index skips duplicates, and each relation's count is the
+rows its ``executemany`` inserted, so :attr:`generation` ends at the
+number of distinct facts, as after one ``add`` per fact.  Rowids
+within a relation follow the facts' order, which is all the
+enumeration-order guarantee reads.
 
 Matching (bound positions, repeated variables) is the
 :class:`~repro.storage.interface.FactStore` base's one loop; this
-backend only supplies its candidates, a select whose ``WHERE`` clauses
-on bound columns *prune* the scan, exactly like
-``Database._candidates`` picking the tightest index bucket.
+backend only supplies its candidate rows, decoded from a select whose
+``WHERE`` clauses on bound columns *prune* the scan, exactly like
+``Database._candidates`` picking the tightest index bucket.  No
+:class:`Atom` is built per row unless an entry point returns facts.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ import sqlite3
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..datalog.terms import Atom, Constant, Variable
-from .interface import FactStore, _check_fact
+from .interface import FactStore, _check_fact, _fact_rows
 
 __all__ = ["SQLiteFactStore"]
 
@@ -69,8 +80,40 @@ class SQLiteFactStore(FactStore):
         #: encoding -> the exact Constant it came from.
         self._constants: Dict[str, Constant] = {}
         super().__init__()
-        for fact in facts:
-            self.add(fact)
+        self._load(_fact_rows(facts))
+
+    def _load(self, rows: Iterable[Tuple[Tuple[str, int], tuple]]) -> None:
+        """Store a fresh store's rows in one transaction (see the module
+        notes).  Every row is read, and so checked, before the first
+        table is made."""
+        relations: Dict[Tuple[str, int], List[tuple]] = {}
+        for signature, args in rows:
+            relation = relations.get(signature)
+            if relation is None:
+                relation = relations[signature] = []
+            relation.append(args)
+        counts: Dict[Tuple[str, int], int] = {}
+        constants = self._constants
+        conn = self._conn
+        conn.execute("BEGIN")
+        try:
+            for signature, relation in relations.items():
+                encoded = [self._row_for(args) for args in relation]
+                table = self._table_for(signature)
+                cursor = conn.executemany(
+                    f"INSERT OR IGNORE INTO {table} VALUES "
+                    f"({', '.join('?' for _ in encoded[0])})",
+                    encoded,
+                )
+                counts[signature] = cursor.rowcount
+                for row, args in zip(encoded, relation):
+                    for cell, arg in zip(row, args):
+                        constants.setdefault(cell, arg)
+            conn.execute("COMMIT")
+        except BaseException:
+            conn.execute("ROLLBACK")
+            raise
+        self._record_load(counts)
 
     def copy(self) -> "SQLiteFactStore":
         """An independent in-memory copy, preserving enumeration order."""
@@ -109,15 +152,11 @@ class SQLiteFactStore(FactStore):
         return table
 
     @staticmethod
-    def _row_for(fact: Atom) -> Tuple[str, ...]:
-        if not fact.args:
+    def _row_for(args: tuple) -> Tuple[str, ...]:
+        """The encoded table row of a fact's arguments."""
+        if not args:
             return ("()",)
-        return tuple(_encode(arg) for arg in fact.args)
-
-    def _fact_from(self, predicate: str, row: Tuple[str, ...]) -> Atom:
-        return Atom._make(
-            predicate, tuple(self._constants[cell] for cell in row)
-        )
+        return tuple(map(_encode, args))
 
     # ------------------------------------------------------------------
     # Mutation
@@ -126,7 +165,7 @@ class SQLiteFactStore(FactStore):
     def add(self, fact: Atom) -> bool:
         _check_fact(fact)
         table = self._table_for(fact.signature)
-        row = self._row_for(fact)
+        row = self._row_for(fact.args)
         placeholders = ", ".join("?" for _ in row)
         cursor = self._conn.execute(
             f"INSERT OR IGNORE INTO {table} VALUES ({placeholders})", row
@@ -144,7 +183,7 @@ class SQLiteFactStore(FactStore):
         table = self._tables.get(fact.signature)
         if table is None or not fact.is_ground:
             return False
-        row = self._row_for(fact)
+        row = self._row_for(fact.args)
         where = " AND ".join(f"c{i} = ?" for i in range(len(row)))
         cursor = self._conn.execute(
             f"DELETE FROM {table} WHERE {where}", row
@@ -164,7 +203,7 @@ class SQLiteFactStore(FactStore):
         table = self._tables.get(fact.signature)
         if table is None:
             return False
-        row = self._row_for(fact)
+        row = self._row_for(fact.args)
         where = " AND ".join(f"c{i} = ?" for i in range(len(row)))
         cursor = self._conn.execute(
             f"SELECT 1 FROM {table} WHERE {where} LIMIT 1", row
@@ -173,13 +212,13 @@ class SQLiteFactStore(FactStore):
 
     def _scan(
         self, signature: Tuple[str, int], pattern: Optional[Atom] = None
-    ) -> Iterator[Atom]:
-        """Facts of one relation in insertion (rowid) order, pruned by
-        the bound positions of ``pattern`` when given."""
+    ) -> Iterator[tuple]:
+        """Rows of one relation in insertion (rowid) order, decoded,
+        pruned by the bound positions of ``pattern`` when given."""
         table = self._tables.get(signature)
         if table is None:
             return
-        predicate, arity = signature
+        arity = signature[1]
         clauses: List[str] = []
         params: List[str] = []
         if pattern is not None:
@@ -194,15 +233,18 @@ class SQLiteFactStore(FactStore):
         )
         if arity == 0:
             for _row in cursor:
-                yield Atom._make(predicate, ())
+                yield ()
             return
+        decode = self._constants.__getitem__
         for row in cursor:
-            yield self._fact_from(predicate, row)
+            yield tuple(map(decode, row))
 
     def relation(self, predicate: str, arity: int) -> List[Atom]:
-        return list(self._scan((predicate, arity)))
+        signature = (predicate, arity)
+        ground = Atom._ground
+        return [ground(signature, args) for args in self._scan(signature)]
 
-    def _candidates(self, pattern: Atom) -> Iterator[Atom]:
+    def _candidates(self, pattern: Atom) -> Iterator[tuple]:
         return self._scan(pattern.signature, pattern)
 
     def __repr__(self) -> str:

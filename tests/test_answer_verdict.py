@@ -114,16 +114,39 @@ def fallback_faulted(monkeypatch):
     return server, database, query, lambda: server.submit(query, database)
 
 
-def dark_shard(monkeypatch):
+def dark_grad_shard():
+    """A federated store whose shard holding ``grad`` is always dark."""
     probe = FederatedStore(Database.from_program(FACTS), shards=2, seed=0)
     owner = probe.shard_for(("grad", 1)).name
-    database = FederatedStore(
+    return FederatedStore(
         Database.from_program(FACTS), shards=2, seed=0,
         per_shard={owner: FaultSpec(fault_rate=1.0)},
     )
+
+
+def dark_shard(monkeypatch):
+    # No admission, so nothing could read a stale table: none is kept.
+    database = dark_grad_shard()
     server = make_server()
     query = parse_query("instructor(lena)")
     return server, database, query, lambda: server.submit(query, database)
+
+
+def dark_shard_degrade_to_cached(monkeypatch):
+    # The same partial answer, served by a server that sheds to the
+    # stale table, lands there (flagged partial) for a later shed.
+    database = dark_grad_shard()
+    server = make_server(admission=AdmissionConfig(
+        queue_capacity=1, shed_policy="degrade-to-cached"
+    ))
+    query = parse_query("instructor(lena)")
+
+    def serve():
+        outcome = server.run_requests([Request(query)], database)[0]
+        assert outcome.served
+        return outcome.answer
+
+    return server, database, query, serve
 
 
 def degrade_to_cached(monkeypatch):
@@ -170,7 +193,9 @@ ROWS = [
      "degraded no-answer: unsettled="),
     (fallback_faulted, True, False, True, False, False,
      "fallback faulted 2x"),
-    (dark_shard, False, True, False, False, True,
+    (dark_shard, False, True, False, False, False,
+     "partial execution: partial (missing: "),
+    (dark_shard_degrade_to_cached, False, True, False, False, True,
      "partial execution: partial (missing: "),
     (degrade_to_cached, True, False, False, False, False, None),
     (run_batch_rejection, True, False, False, False, False, None),
@@ -223,6 +248,9 @@ def test_verdict_table(monkeypatch, samples, row, degraded, partial,
     served_form = replace(answer, cost=0.0, climbed=False, cached=True)
     assert (cache.lookup(query, database, version) == served_form) is coherent
     assert (cache.lookup_stale(query, database) == served_form) is stale
+    if server.serving.admission is None:
+        # Only the degrade-to-cached shed policy reads the stale table.
+        assert len(cache._stale) == 0
 
 
 def test_clean_answers_enter_the_coherent_tier(samples):

@@ -194,22 +194,25 @@ class TestFactScan:
             "not. not(not).\n% r(a).\n@_x\n% c\ns ( b ) ."
         )
         expected = [rule.head for rule in parse_program(text)]
-        assert repro.datalog.parser._scan_facts(text) == expected
+        assert repro.datalog.parser._scan_facts(text) == [
+            (head.signature, head.args) for head in expected]
         assert expected[0].args[-1] == Constant(3)
 
     def test_scan_shares_predicates_and_constants(self, monkeypatch):
         # With interning off, only the scan's own tables can share.
         monkeypatch.setattr(repro.datalog.terms, "_INTERN_LIMIT", 0)
-        first, second, third = repro.datalog.parser._scan_facts(
-            'edge(zq_a, 7). edge("7", zq_a). node(zq_a).'
+        (edge, first), (edge_again, second), (_node, third) = (
+            repro.datalog.parser._scan_facts(
+                'edge(zq_a, 7). edge("7", zq_a). node(zq_a).'
+            )
         )
-        assert first.predicate is second.predicate
-        assert first.args[0] is second.args[1] is third.args[0]
-        assert first.args[0] == Constant("zq_a")
-        assert first.args[0] is not Constant("zq_a")
+        assert edge is edge_again == ("edge", 2)
+        assert first[0] is second[1] is third[0]
+        assert first[0] == Constant("zq_a")
+        assert first[0] is not Constant("zq_a")
         # Keyed on the text as written, so the number 7 and the string
         # "7" stay distinct constants.
-        assert first.args[1] == Constant(7) != second.args[0]
+        assert first[1] == Constant(7) != second[0]
 
     @pytest.mark.parametrize("text", [
         "p(X).", "p(a) :- q(a).", "P(a).", "p(a)", "p(a). 1.", 'p("a).',

@@ -13,6 +13,9 @@ two determinism contracts:
 """
 
 import json
+import sys
+import threading
+from dataclasses import replace
 
 import pytest
 
@@ -140,6 +143,89 @@ class TestAnswerCache:
             parse_query("instructor(x)"), make_db(), degraded
         )
         assert cache.lookup(parse_query("instructor(x)"), make_db()) is None
+
+    def test_equal_ground_answers_share_one_object(self):
+        """64 ground queries of one form, some proved and some not: the
+        cache holds one object per distinct value, each hit equal to
+        the form a hit serves."""
+        database = Database.from_program(
+            " ".join(f"prof(p{index})." for index in range(0, 64, 3))
+        )
+        processor = SelfOptimizingQueryProcessor(parse_program(RULES))
+        cache = AnswerCache(64)
+        served = []
+        for index in range(64):
+            query = parse_query(f"instructor(p{index})")
+            answer = processor.query(query, database)
+            assert cache.store(query, database, answer)
+            served.append((query, answer))
+        hits = [cache.lookup(query, database) for query, _ in served]
+        for hit, (_query, answer) in zip(hits, served):
+            assert hit == replace(answer, cost=0.0, climbed=False, cached=True)
+        assert {hit.proved for hit in hits} == {True, False}
+        assert len({id(hit) for hit in hits}) <= len(set(hits)) == 2
+
+    def test_shared_answers_stay_one_object_under_threads(self):
+        """Eight threads store the same 200 ground-answer values in the
+        same order at once, switching often: every cached entry equal
+        to a shared value is that one object, and the sharing table
+        never passes its bound."""
+        from repro.datalog.terms import Substitution
+        from repro.serving.cache import _SHARED_LIMIT
+        from repro.storage import Completeness
+        from repro.system import SystemAnswer
+
+        database = make_db()
+        cache = AnswerCache(4096)
+        answers = [
+            SystemAnswer(
+                proved=bool(index % 2), substitution=Substitution(),
+                cost=1.0, learned=True,
+                completeness=Completeness.missing([f"shard{index // 2}"]),
+            )
+            for index in range(200)
+        ]
+        start = threading.Barrier(8)
+
+        def store(worker):
+            start.wait(timeout=60)
+            for index, answer in enumerate(answers):
+                query = parse_query(f"instructor(w{worker}_{index})")
+                cache.store(query, database, answer)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=store, args=(worker,))
+                       for worker in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(cache._shared) == _SHARED_LIMIT
+        entries = list(cache._stale.values())
+        assert len(entries) == 8 * len(answers)
+        for entry in entries:
+            assert entry.cached and entry.cost == 0.0
+            shared = cache._shared.get(entry)
+            assert shared is None or shared is entry
+
+    def test_an_answer_with_bindings_is_never_shared(self):
+        processor = SelfOptimizingQueryProcessor(parse_program(RULES))
+        query = parse_query("instructor(X)")
+        first, second = make_db(), make_db()
+        answer = processor.query(query, first)
+        assert answer.substitution
+        cache = AnswerCache(8)
+        assert cache.store(query, first, answer)
+        assert cache.store(query, second, answer)
+        one, other = cache.lookup(query, first), cache.lookup(query, second)
+        assert one == other == replace(
+            answer, cost=0.0, climbed=False, cached=True)
+        assert one is not other
 
 
 def make_remote() -> FederatedStore:

@@ -290,14 +290,19 @@ class TestBackendParity:
         self, history, patterns
     ):
         """Every probe of every backend is the facts of the history, in
-        insertion order, that :func:`match` accepts."""
+        insertion order, that :func:`match` accepts; every fact a
+        backend rebuilds from its rows equals, and hashes like, the
+        same fact parsed afresh."""
         model = []
+        relations = []  # relation first-insertion order
         stores = matcher_backends()
         for op, fact in history:
             if op == "add":
                 effective = fact not in model
                 if effective:
                     model.append(fact)
+                    if fact.signature not in relations:
+                        relations.append(fact.signature)
             else:
                 effective = fact in model
                 if effective:
@@ -314,6 +319,22 @@ class TestBackendParity:
                     store, pattern)
                 assert store.succeeds(pattern) == bool(matching), (
                     store, pattern)
+
+        def parsed(facts):
+            return [parse_query(render_fact(fact)) for fact in facts]
+
+        def same_atoms(got, expected):
+            return got == expected and [hash(atom) for atom in got] == [
+                hash(atom) for atom in expected]
+
+        everything = [fact for signature in relations for fact in model
+                      if fact.signature == signature]
+        for store in stores:
+            assert same_atoms(list(store), parsed(everything)), store
+            for signature in relations:
+                assert same_atoms(store.relation(*signature), parsed(
+                    fact for fact in model if fact.signature == signature
+                )), (store, signature)
 
     def test_removed_then_readded_enumerates_last(self):
         fact = Atom("e1", ["a"])
@@ -441,7 +462,7 @@ def render_fact(fact):
 def database_state(database):
     """What a one-pass build must reproduce: the facts in order, the
     catalog, the generation, the per-relation and per-name counts, each
-    relation in order, and the argument buckets with their entries in
+    relation in order, and the argument buckets with their rows in
     order."""
     relations = sorted(database.signatures())
     return (
@@ -535,21 +556,70 @@ class TestLoading:
             assert (built.version([key]) != built_was) == (
                 added.version([key]) != added_was), key
         assert database_state(built) == database_state(added)
-        # The scan builds the same facts, one signature per relation.
+        # The scan reads the same facts as rows, one signature per
+        # relation, and a row rebuilds its fact, hash and all.
         text = " ".join(render_fact(fact) for fact in facts)
         scanned = parser._scan_facts(text)
-        assert scanned == facts
-        assert [hash(fact) for fact in scanned] == [hash(fact) for fact in facts]
+        assert scanned == [(fact.signature, fact.args) for fact in facts]
+        assert [hash(Atom._ground(*row)) for row in scanned] == [
+            hash(fact) for fact in facts]
         shared = {}
-        for fact in scanned:
-            assert shared.setdefault(fact.signature, fact.signature) is fact.signature
+        for signature, _args in scanned:
+            assert shared.setdefault(signature, signature) is signature
         assert database_state(Database.from_program(text)) == reference
 
-    def test_loading_holds_under_280_bytes_per_fact(self):
+    @settings(deadline=None)
+    @given(facts=st.lists(relation_atoms(CONSTANTS), max_size=16),
+           history=HISTORIES, patterns=PATTERNS_DRAWN)
+    @example(
+        facts=[parse_query(text) for text in (
+            "r(a, 1)", 'r(a, "1")', "u(b)", "r(a, 1)", "t", "t", "r(1, a, a)")],
+        history=[("remove", parse_query("r(a, 1)")), ("add", parse_query("t")),
+                 ("add", parse_query("r(a, 1)"))],
+        patterns=[parse_query(text) for text in ("r(a, X)", "u(X)", "r(X, Y, Y)")],
+    )
+    def test_sqlite_one_pass_build_equals_one_add_per_fact(
+        self, facts, history, patterns
+    ):
+        """SQLite loads in one transaction, one insert per relation: the
+        same store as one ``add`` per fact, duplicates skipped and not
+        counted, rowids in fact order, only stored constants decoded."""
+
+        def state(store):
+            relations = sorted(store.signatures())
+            return (
+                list(store), len(store), set(relations), store.generation,
+                [store.count(*signature) for signature in relations],
+                [store.relation(*signature) for signature in relations],
+                store._constants, list(store._tables),
+            )
+
+        built = SQLiteFactStore(facts)
+        added = SQLiteFactStore()
+        for fact in facts:
+            added.add(fact)
+        assert not built._conn.in_transaction
+        assert state(built) == state(added)
+        assert built.generation == len(set(facts))
+        assert set(built._constants.values()) == {
+            arg for fact in facts for arg in fact.args}
+        text = " ".join(render_fact(fact) for fact in facts)
+        assert state(SQLiteFactStore.from_program(text)) == state(added)
+        for op, fact in history:
+            assert getattr(built, op)(fact) == getattr(added, op)(fact)
+        assert state(built) == state(added)
+        for pattern in patterns:
+            assert list(built.retrieve(pattern)) == list(added.retrieve(pattern))
+            assert list(built.facts_matching(pattern)) == list(
+                added.facts_matching(pattern))
+
+    def test_loading_holds_under_140_bytes_per_fact(self):
         """A learn-shaped text, 80 unary relations of 245 out of 2,000
-        constants, costs about 218 traced bytes per fact once loaded:
-        the facts, their buckets and the catalog.  One signature tuple
-        per fact, or one read stamp per key, would push it past 400."""
+        constants, costs about 110 traced bytes per fact once loaded
+        from the text, and 87 from its atoms (whose constants already
+        exist): the rows, the relation dicts and the catalog.  An
+        :class:`Atom` kept per fact, as the store once did, made these
+        218 and 194."""
         rng = random.Random(0)
         constants = [f"k{index}" for index in range(2000)]
         text = " ".join(
@@ -557,16 +627,24 @@ class TestLoading:
             for relation in range(80)
             for constant in rng.sample(constants, 245)
         )
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            database = Database.from_program(text)
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert len(database) == 80 * 245
-        assert held / len(database) <= 280
+
+        def from_atoms(text):
+            atoms = list(Database.from_program(text))
+            return Database(atoms)
+
+        for load in (Database.from_program, from_atoms):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                database = load(text)
+                gc.collect()
+                held = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert len(database) == 80 * 245
+            assert held / len(database) <= 140, load
+            del database
 
 
 class TestSQLiteEncoding:

@@ -51,13 +51,13 @@ class TestOracleCatchesBrokenEngines:
     """The three-way check must reject seeded misbehaviour, not just pass."""
 
     def test_dropped_qsqn_answers_detected(self, monkeypatch):
-        real = QSQNEngine._answer_facts
+        real = QSQNEngine._answer_rows
 
         def lossy(self, query, database, trace):
-            facts = list(real(self, query, database, trace))
-            return iter(facts[:-1])  # swallow the last derived answer
+            rows = list(real(self, query, database, trace))
+            return iter(rows[:-1])  # swallow the last derived answer
 
-        monkeypatch.setattr(QSQNEngine, "_answer_facts", lossy)
+        monkeypatch.setattr(QSQNEngine, "_answer_rows", lossy)
         messages = [
             check_three_way_equivalence(spec)
             for spec in specs_for("qsqn", 8)
