@@ -51,77 +51,7 @@ Quickstart (learning internals)::
     print(learner.strategy)          # climbs to Θ₂ = ⟨Rg Dg Rp Dp⟩
 """
 
-from . import (
-    datalog,
-    graphs,
-    observability,
-    strategies,
-    optimal,
-    learning,
-    resilience,
-    workloads,
-)
-from .observability import (
-    MetricsRegistry,
-    NULL_RECORDER,
-    Recorder,
-    Tracer,
-)
-from .system import SelfOptimizingQueryProcessor, SystemAnswer
-from . import experience
-from .experience import (
-    ExperienceRecord,
-    ExperienceStore,
-    FormProfile,
-    WarmStart,
-    form_fingerprint,
-    form_profile,
-    warm_start,
-)
-from . import serving
-from .serving import (
-    AdmissionConfig,
-    CacheConfig,
-    ExperienceConfig,
-    QueryServer,
-    QuerySession,
-    Request,
-    RequestOutcome,
-    ServerHealth,
-    ServingConfig,
-    SessionConfig,
-    StreamReport,
-    open_session,
-)
-from . import storage
-from .storage import COMPLETE, Completeness, FactStore
-from .persistence import load_pib, pib_from_dict, pib_to_dict, save_pib
-from .resilience import (
-    FaultPlan,
-    FaultSpec,
-    FlakyContext,
-    FlakyDatabase,
-    ResiliencePolicy,
-    RetryPolicy,
-)
-from .errors import (
-    CheckpointError,
-    DatalogError,
-    DistributionError,
-    EvaluationError,
-    GraphError,
-    IllegalStrategyError,
-    LearningError,
-    ParseError,
-    QueryDeadlineExceeded,
-    RecursionLimitError,
-    ReproError,
-    ResilienceError,
-    RetrievalFaultError,
-    SampleBudgetExceeded,
-    StrategyError,
-    StratificationError,
-)
+from ._lazy import lazy_names
 
 #: Source of truth for the released version is ``pyproject.toml``;
 #: installed builds read it back through package metadata so the two
@@ -141,27 +71,6 @@ def _resolve_version() -> str:
         return metadata.version("repro")
     except metadata.PackageNotFoundError:
         return _FALLBACK_VERSION
-
-
-#: Names resolved on first use (PEP 562), so that ``import repro``
-#: loads neither ``importlib.metadata`` nor ``sqlite3``: a served
-#: query never needs them.
-_LAZY = ("__version__", "FederatedStore", "ShardSpec", "SQLiteFactStore")
-
-
-def __getattr__(name):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    if name == "__version__":
-        value = _resolve_version()
-    else:
-        value = getattr(storage, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
 
 
 __all__ = [
@@ -235,3 +144,38 @@ __all__ = [
     "StratificationError",
     "__version__",
 ]
+
+#: Every name, the subpackages among them, resolves on first use
+#: (:mod:`repro._lazy`), so ``import repro`` runs no module a caller
+#: does not use; ``__version__`` resolves lazily too, so that it loads
+#: ``importlib.metadata`` only when asked for.
+_getattr, __dir__ = lazy_names(__name__, {
+    ".system": ("SelfOptimizingQueryProcessor", "SystemAnswer"),
+    ".experience": ("ExperienceRecord", "ExperienceStore", "FormProfile",
+                    "WarmStart", "form_fingerprint", "form_profile",
+                    "warm_start"),
+    ".serving": ("AdmissionConfig", "CacheConfig", "ExperienceConfig",
+                 "QueryServer", "QuerySession", "Request", "RequestOutcome",
+                 "ServerHealth", "ServingConfig", "SessionConfig",
+                 "StreamReport", "open_session"),
+    ".observability": ("MetricsRegistry", "NULL_RECORDER", "Recorder",
+                       "Tracer"),
+    ".persistence": ("load_pib", "pib_from_dict", "pib_to_dict", "save_pib"),
+    ".storage": ("COMPLETE", "Completeness", "FactStore", "FederatedStore",
+                 "ShardSpec", "SQLiteFactStore"),
+    ".resilience": ("FaultPlan", "FaultSpec", "FlakyContext", "FlakyDatabase",
+                    "ResiliencePolicy", "RetryPolicy"),
+    ".errors": ("CheckpointError", "DatalogError", "DistributionError",
+                "EvaluationError", "GraphError", "IllegalStrategyError",
+                "LearningError", "ParseError", "QueryDeadlineExceeded",
+                "RecursionLimitError", "ReproError", "ResilienceError",
+                "RetrievalFaultError", "SampleBudgetExceeded",
+                "StrategyError", "StratificationError"),
+})
+
+
+def __getattr__(name):
+    if name != "__version__":
+        return _getattr(name)
+    value = globals()[name] = _resolve_version()
+    return value

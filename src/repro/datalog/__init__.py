@@ -7,14 +7,7 @@ a bottom-up semi-naive oracle, and a goal-directed set-at-a-time
 query-subquery-net engine.
 """
 
-from .terms import Atom, Constant, Substitution, Term, Variable, variables_of
-from .unify import match, rename_apart, unify
-from .rules import Literal, QueryForm, Rule, RuleBase
-from .parser import parse_atom, parse_program, parse_query, parse_rule
-from .database import Database
-from .engine import Answer, CostModel, ProofTrace, RetrievalEvent, TopDownEngine
-from .bottomup import BottomUpEngine, naive_evaluate, seminaive_evaluate
-from .qsqn import QSQNEngine
+from .._lazy import lazy_names
 
 __all__ = [
     "Atom",
@@ -45,3 +38,16 @@ __all__ = [
     "naive_evaluate",
     "seminaive_evaluate",
 ]
+
+__getattr__, __dir__ = lazy_names(__name__, {
+    ".terms": ("Atom", "Constant", "Substitution", "Term", "Variable",
+               "variables_of"),
+    ".unify": ("match", "rename_apart", "unify"),
+    ".rules": ("Literal", "QueryForm", "Rule", "RuleBase"),
+    ".parser": ("parse_atom", "parse_program", "parse_query", "parse_rule"),
+    ".database": ("Database",),
+    ".engine": ("Answer", "CostModel", "ProofTrace", "RetrievalEvent",
+                "TopDownEngine"),
+    ".bottomup": ("BottomUpEngine", "naive_evaluate", "seminaive_evaluate"),
+    ".qsqn": ("QSQNEngine",),
+})

@@ -213,7 +213,14 @@ class _Parser:
         text = token.text
         if token.kind == "NAME" and (text[0].isupper() or text[0] == "_"):
             return Variable(text)
-        return _constant(text)
+        try:
+            return _constant(text)
+        except ValueError as error:  # an integer past int's digit limit
+            raise ParseError(
+                f"integer literal too long: {error}",
+                line=token.line,
+                column=token.column,
+            ) from None
 
 
 def _constant(text: str) -> Constant:
@@ -270,12 +277,16 @@ def _scan_facts(text: str) -> Optional[_FactRows]:
     reads the whole text first and reports its error.
 
     The rows of one relation share one signature tuple, and with it
-    one predicate string; the uses of one constant text share one
-    :class:`Constant`.
+    one predicate string.  The constant table maps each constant text
+    to its one-element row: the uses of one constant text share one
+    :class:`Constant`, and every one-argument fact over it, in any
+    relation, shares that row, so one-argument rows are bounded by the
+    distinct constants.  A wider row is built per fact, since a table
+    of those would grow with the text.
     """
     match, args_of = _FACT_RE.match, _ARGS_RE.findall
     signatures: Dict[Tuple[str, int], Tuple[str, int]] = {}
-    constants: Dict[str, Constant] = {}
+    singles: Dict[str, Tuple[Constant]] = {}
     rows = _FactRows()
     position = 0
     try:
@@ -284,17 +295,30 @@ def _scan_facts(text: str) -> Optional[_FactRows]:
             if found is None:
                 break
             predicate, args = found.group("predicate", "args")
-            terms: List[Constant] = []
-            if args is not None:
-                for arg in args_of(args):
-                    if arg:
-                        constant = constants.get(arg)
-                        if constant is None:
-                            constant = constants[arg] = _constant(arg)
-                        terms.append(constant)
-            signature = (predicate, len(terms))
+            if args is None:
+                row: tuple = ()
+            elif args in singles:  # one constant, already read
+                row = singles[args]
+            else:
+                texts = args_of(args)
+                if len(texts) > 1 and "" in texts:  # a comment reads ''
+                    texts = [arg for arg in texts if arg]
+                if len(texts) == 1:
+                    arg = texts[0]
+                    row = singles.get(arg)
+                    if row is None:
+                        row = singles[arg] = (_constant(arg),)
+                else:
+                    terms: List[Constant] = []
+                    for arg in texts:
+                        single = singles.get(arg)
+                        if single is None:
+                            single = singles[arg] = (_constant(arg),)
+                        terms.append(single[0])
+                    row = tuple(terms)
+            signature = (predicate, len(row))
             signature = signatures.setdefault(signature, signature)
-            rows.append((signature, tuple(terms)))
+            rows.append((signature, row))
             position = found.end()
     except ValueError:
         return None

@@ -3,25 +3,7 @@ outcomes, warm-start new learners from their nearest structural
 neighbours — as priors only (Theorem 1's per-run schedule is never
 touched)."""
 
-from .fingerprint import (
-    FormProfile,
-    form_fingerprint,
-    form_profile,
-    similarity,
-)
-from .store import (
-    EXPERIENCE_FORMAT,
-    EXPERIENCE_VERSION,
-    ExperienceRecord,
-    ExperienceStore,
-    Neighbour,
-    migrate_experience_payload,
-)
-from .warmstart import (
-    WarmStart,
-    record_from_learner,
-    warm_start,
-)
+from .._lazy import lazy_names
 
 __all__ = [
     "EXPERIENCE_FORMAT",
@@ -38,3 +20,11 @@ __all__ = [
     "similarity",
     "warm_start",
 ]
+
+__getattr__, __dir__ = lazy_names(__name__, {
+    ".fingerprint": ("FormProfile", "form_fingerprint", "form_profile",
+                     "similarity"),
+    ".store": ("EXPERIENCE_FORMAT", "EXPERIENCE_VERSION", "ExperienceRecord",
+               "ExperienceStore", "Neighbour", "migrate_experience_payload"),
+    ".warmstart": ("WarmStart", "record_from_learner", "warm_start"),
+})

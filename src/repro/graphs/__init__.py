@@ -1,19 +1,6 @@
 """Inference graphs, contexts, and graph construction (Section 2.1)."""
 
-from .inference_graph import Arc, ArcKind, GraphBuilder, InferenceGraph, Node
-from .contexts import Context, LazyDatalogContext, context_from_datalog
-from .builder import build_inference_graph
-from .random_graphs import random_instance, random_probabilities, random_tree_graph
-from .hypergraph import (
-    AndOrGraph,
-    EvalResult,
-    HyperArc,
-    HyperContext,
-    Policy,
-    build_and_or_graph,
-    evaluate,
-    sibling_orderings,
-)
+from .._lazy import lazy_names
 
 __all__ = [
     "Arc",
@@ -37,3 +24,15 @@ __all__ = [
     "evaluate",
     "sibling_orderings",
 ]
+
+__getattr__, __dir__ = lazy_names(__name__, {
+    ".inference_graph": ("Arc", "ArcKind", "GraphBuilder", "InferenceGraph",
+                         "Node"),
+    ".contexts": ("Context", "LazyDatalogContext", "context_from_datalog"),
+    ".builder": ("build_inference_graph",),
+    ".random_graphs": ("random_instance", "random_probabilities",
+                       "random_tree_graph"),
+    ".hypergraph": ("AndOrGraph", "EvalResult", "HyperArc", "HyperContext",
+                    "Policy", "build_and_or_graph", "evaluate",
+                    "sibling_orderings"),
+})

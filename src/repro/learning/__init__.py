@@ -5,37 +5,7 @@ formulas (Equations 1–3, 5–8), the light statistics collectors of
 Section 5.1, and Lemma 1's sensitivity analysis.
 """
 
-from .chernoff import (
-    aiming_sample_size,
-    chernoff_tail,
-    confidence_radius,
-    pao_sample_size,
-    pib_sequential_threshold,
-    pib_sum_threshold,
-    samples_for_radius,
-    sequential_confidence,
-)
-from .statistics import (
-    DeltaAccumulator,
-    RetrievalStatistics,
-    WindowedRetrievalStatistics,
-    delta_tilde,
-)
-from .pib1 import PIB1
-from .pib import PIB, ClimbRecord
-from .drift import (
-    AdaptiveWindowDetector,
-    DriftAlarm,
-    DriftAwarePIB,
-    DriftConfig,
-    PageHinkleyDetector,
-    RollbackTransformation,
-    make_detector,
-)
-from .palo import PALO
-from .pao import PAOResult, pao, sample_requirements
-from .policy import PolicyPIB, PolicySwap, all_policy_swaps
-from .sensitivity import excess_cost, lemma1_bound, sensitivity_report
+from .._lazy import lazy_names
 
 __all__ = [
     "aiming_sample_size",
@@ -71,3 +41,21 @@ __all__ = [
     "lemma1_bound",
     "sensitivity_report",
 ]
+
+__getattr__, __dir__ = lazy_names(__name__, {
+    ".chernoff": ("aiming_sample_size", "chernoff_tail", "confidence_radius",
+                  "pao_sample_size", "pib_sequential_threshold",
+                  "pib_sum_threshold", "samples_for_radius",
+                  "sequential_confidence"),
+    ".statistics": ("DeltaAccumulator", "RetrievalStatistics",
+                    "WindowedRetrievalStatistics", "delta_tilde"),
+    ".pib1": ("PIB1",),
+    ".pib": ("PIB", "ClimbRecord"),
+    ".drift": ("AdaptiveWindowDetector", "DriftAlarm", "DriftAwarePIB",
+               "DriftConfig", "PageHinkleyDetector",
+               "RollbackTransformation", "make_detector"),
+    ".palo": ("PALO",),
+    ".pao": ("PAOResult", "pao", "sample_requirements"),
+    ".policy": ("PolicyPIB", "PolicySwap", "all_policy_swaps"),
+    ".sensitivity": ("excess_cost", "lemma1_bound", "sensitivity_report"),
+})

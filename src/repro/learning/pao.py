@@ -34,7 +34,6 @@ from ..errors import LearningError, SampleBudgetExceeded
 from ..graphs.contexts import Context
 from ..graphs.inference_graph import InferenceGraph
 from ..observability.recorder import NULL_RECORDER, Recorder
-from ..strategies.adaptive import AdaptiveQueryProcessor
 from ..strategies.strategy import Strategy
 from .chernoff import aiming_sample_size, pao_sample_size
 
@@ -116,6 +115,9 @@ def pao(
         )
     if upsilon is None:
         from ..optimal.upsilon import upsilon_aot as upsilon  # late: avoid cycle
+    # Late too: ``repro.learning`` binds :func:`pao` when it is imported
+    # (see :mod:`repro._lazy`), and a session never runs PAO.
+    from ..strategies.adaptive import AdaptiveQueryProcessor
 
     requirements = sample_requirements(
         graph, epsilon, delta, aiming=aiming, sample_scale=sample_scale

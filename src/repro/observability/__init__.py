@@ -22,10 +22,7 @@ Quickstart::
     print(tracer.metrics.snapshot())
 """
 
-from .metrics import Counter, Histogram, LATENCY_BUCKETS, MetricsRegistry
-from .recorder import NULL_RECORDER, Recorder
-from .sink import read_trace, summarize_trace, write_trace
-from .tracer import Tracer
+from .._lazy import lazy_names
 
 __all__ = [
     "Counter",
@@ -39,3 +36,10 @@ __all__ = [
     "summarize_trace",
     "write_trace",
 ]
+
+__getattr__, __dir__ = lazy_names(__name__, {
+    ".metrics": ("Counter", "Histogram", "LATENCY_BUCKETS", "MetricsRegistry"),
+    ".recorder": ("NULL_RECORDER", "Recorder"),
+    ".sink": ("read_trace", "summarize_trace", "write_trace"),
+    ".tracer": ("Tracer",),
+})

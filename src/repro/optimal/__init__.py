@@ -6,15 +6,7 @@ general problem is NP-hard, [Gre91]), a polynomial approximation, and
 the fact-distribution heuristic baseline of [Smi89].
 """
 
-from .ratio import Block, block_statistics
-from .upsilon import upsilon_aot, upsilon_ot
-from .brute_force import (
-    optimal_strategy_brute_force,
-    optimal_strategy_explicit,
-    path_structured_suffices,
-)
-from .approximate import path_ratio, upsilon_greedy
-from .smith import smith_estimates, smith_strategy
+from .._lazy import lazy_names
 
 __all__ = [
     "Block",
@@ -29,3 +21,12 @@ __all__ = [
     "smith_estimates",
     "smith_strategy",
 ]
+
+__getattr__, __dir__ = lazy_names(__name__, {
+    ".ratio": ("Block", "block_statistics"),
+    ".upsilon": ("upsilon_aot", "upsilon_ot"),
+    ".brute_force": ("optimal_strategy_brute_force",
+                     "optimal_strategy_explicit", "path_structured_suffices"),
+    ".approximate": ("path_ratio", "upsilon_greedy"),
+    ".smith": ("smith_estimates", "smith_strategy"),
+})

@@ -25,17 +25,7 @@ arc — so the Δ̃ under-estimates of Theorem 1 see the stationary
 blocked/unblocked distribution, never the fault noise.
 """
 
-from .circuit import CircuitBreaker, CircuitBreakerBoard, CircuitState
-from .deadline import CostDeadline
-from .faults import (
-    FaultPlan,
-    FaultSpec,
-    FlakyContext,
-    FlakyDatabase,
-    Injection,
-)
-from .policy import ResiliencePolicy
-from .retry import RetryPolicy
+from .._lazy import lazy_names
 
 __all__ = [
     "CircuitBreaker",
@@ -50,3 +40,12 @@ __all__ = [
     "ResiliencePolicy",
     "RetryPolicy",
 ]
+
+__getattr__, __dir__ = lazy_names(__name__, {
+    ".circuit": ("CircuitBreaker", "CircuitBreakerBoard", "CircuitState"),
+    ".deadline": ("CostDeadline",),
+    ".faults": ("FaultPlan", "FaultSpec", "FlakyContext", "FlakyDatabase",
+                "Injection"),
+    ".policy": ("ResiliencePolicy",),
+    ".retry": ("RetryPolicy",),
+})

@@ -19,20 +19,12 @@ Public surface:
   :class:`~repro.serving.admission.ServerHealth` — the admission
   control surface (bounded queues, quotas, shedding, health).
 
-``server``/``session`` import :mod:`repro.system` (which itself uses
-this package's config module), so they are loaded lazily via module
-``__getattr__`` to keep the import graph acyclic.
+Every name loads on first use (:mod:`repro._lazy`), which also keeps
+the import graph acyclic: ``server``/``session`` import
+:mod:`repro.system`, which itself uses this package's config module.
 """
 
-from .admission import Request, RequestOutcome, ServerHealth
-from .cache import AnswerCache, CacheStats, SubgoalMemo
-from .config import (
-    AdmissionConfig,
-    CacheConfig,
-    ExperienceConfig,
-    ServingConfig,
-    SessionConfig,
-)
+from .._lazy import lazy_names
 
 __all__ = [
     "AdmissionConfig",
@@ -52,27 +44,11 @@ __all__ = [
     "open_session",
 ]
 
-_LAZY = {
-    "QueryServer": "server",
-    "QuerySession": "session",
-    "StreamReport": "session",
-    "open_session": "session",
-}
-
-
-def __getattr__(name):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    from importlib import import_module
-
-    module = import_module(f".{module_name}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
+__getattr__, __dir__ = lazy_names(__name__, {
+    ".admission": ("Request", "RequestOutcome", "ServerHealth"),
+    ".cache": ("AnswerCache", "CacheStats", "SubgoalMemo"),
+    ".config": ("AdmissionConfig", "CacheConfig", "ExperienceConfig",
+                "ServingConfig", "SessionConfig"),
+    ".server": ("QueryServer",),
+    ".session": ("QuerySession", "StreamReport", "open_session"),
+})

@@ -44,6 +44,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import replace
+from sys import intern
 from typing import Any, Dict, Hashable, Optional, Tuple, TYPE_CHECKING
 
 from ..datalog.terms import Atom, _variant_key
@@ -236,9 +237,9 @@ class SubgoalMemo:
 class AnswerCache:
     """Whole-answer cache keyed by (store, read-set version, query).
 
-    The query is keyed as the :class:`~repro.datalog.terms.Atom` itself,
-    never its text: ``n(1)`` and ``n("1")`` print alike but are
-    different queries.  ``version`` is the store's version of the
+    The query is keyed by its predicate and argument terms (see
+    :meth:`_key`), never its text: ``n(1)`` and ``n("1")`` print alike
+    but are different queries.  ``version`` is the store's version of the
     query's read set, read by the caller *before* computing the answer
     and passed to both :meth:`lookup` and :meth:`store`; without one,
     entries key on the store's generation.
@@ -292,14 +293,23 @@ class AnswerCache:
     def _key(
         query: Atom, database: "Database", version: Optional[int]
     ) -> Tuple:
+        """One flat key, ``(identity, version, predicate, *args)``.
+
+        It holds the query's terms but not the query: an entry keeps
+        no parsed :class:`Atom` of a request alive, and its predicate
+        is interned, so no request's predicate string either.  Unlike
+        :class:`SubgoalMemo`'s, the key keeps the variables' names: a
+        cached substitution binds the query's own variables, so
+        ``p(X)`` and ``p(Y)`` are separate entries.
+        """
         identity, generation = database.cache_key
         if version is None:
             version = generation
-        return (identity, version, query)
+        return (identity, version, intern(query.predicate)) + query.args
 
     @staticmethod
     def _stale_key(query: Atom, database: "Database") -> Tuple:
-        return (database.cache_key[0], query)
+        return (database.cache_key[0], intern(query.predicate)) + query.args
 
     def lookup(
         self,

@@ -28,11 +28,13 @@ spelling.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..learning.drift import DriftConfig
-from ..resilience.policy import ResiliencePolicy
-from ..resilience.retry import RetryPolicy
+# A resilience policy or drift config is built only when one is asked
+# for, so a plain session never loads those packages.
+if TYPE_CHECKING:
+    from ..learning.drift import DriftConfig
+    from ..resilience.policy import ResiliencePolicy
 
 __all__ = [
     "SessionConfig",
@@ -146,15 +148,19 @@ class SessionConfig:
         """
         resilience = None
         if retries or deadline:
+            from ..resilience.policy import ResiliencePolicy
+            from ..resilience.retry import RetryPolicy
+
             resilience = ResiliencePolicy(
                 retry=RetryPolicy(max_attempts=retries or 3),
                 deadline=deadline,
             )
-        drift_config = (
-            DriftConfig(delta=drift_delta, detector=drift_detector)
-            if drift
-            else None
-        )
+        drift_config = None
+        if drift:
+            from ..learning.drift import DriftConfig
+
+            drift_config = DriftConfig(delta=drift_delta,
+                                       detector=drift_detector)
         experience_config = None
         if experience or experience_path is not None:
             experience_config = ExperienceConfig(

@@ -74,6 +74,7 @@ from .interface import (
     FactStore,
     ProbeWindow,
     _check_fact,
+    _fact_rows,
     _FactRows,
 )
 
@@ -213,10 +214,32 @@ class FederatedStore(FactStore):
         self.dark_probes = 0
         self.hedged_reads = 0
         self._window = threading.local()
-        if type(facts) is _FactRows:
-            facts = [Atom._ground(signature, args) for signature, args in facts]
-        for fact in facts:
-            self.add(fact)
+        self._load(facts)
+
+    def _load(self, facts: Iterable) -> None:
+        """Build every shard in one pass: each shard's rows, in fact
+        order, go to ``Database(rows)`` for its primary and its replica,
+        which so share their row tuples, and the catalog is recorded
+        once.  No shard stamps a key: this store's :meth:`version` is
+        its generation, so nothing reads them."""
+        rows_of: Dict[Shard, _FactRows] = {}
+        #: Relation -> its shard, in first-insertion order.
+        relations: Dict[Tuple[str, int], Shard] = {}
+        for row in _fact_rows(facts):
+            signature = row[0]
+            shard = relations.get(signature)
+            if shard is None:
+                shard = relations[signature] = self.shard_for(signature)
+                rows_of.setdefault(shard, _FactRows())
+            rows_of[shard].append(row)
+        for shard, shard_rows in rows_of.items():
+            shard.primary = Database(shard_rows)
+            if shard.replica is not None:
+                shard.replica = Database(shard_rows)
+        self._record_load({
+            signature: shard.primary.count(*signature)
+            for signature, shard in relations.items()
+        })
 
     # ------------------------------------------------------------------
     # Routing

@@ -86,8 +86,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-# ``repro`` loads ``repro.datalog.terms``, which imports nothing from
-# the package, before ``repro.datalog.database`` imports this module.
+# ``repro.datalog.terms`` imports nothing from the package, so this is
+# safe while ``repro.datalog.database`` is importing this module.
 from ..datalog.terms import EMPTY_SUBSTITUTION, Atom, Substitution, Variable
 from ..errors import DatalogError
 

@@ -7,31 +7,7 @@ transformations PIB climbs with, exhaustive enumeration for ground
 truth, and the adaptive query processor ``QP^A`` of Section 4.1.
 """
 
-from .strategy import Strategy
-from .execution import ExecutionResult, cost_of, execute, pessimistic_cost
-from .expected_cost import (
-    attempt_probabilities,
-    expected_cost_exact,
-    expected_cost_explicit,
-    expected_cost_monte_carlo,
-    reach_probability,
-    success_probability,
-)
-from .transformations import (
-    PathPromotion,
-    SiblingSwap,
-    Transformation,
-    all_path_promotions,
-    all_sibling_swaps,
-    neighbours,
-)
-from .enumeration import (
-    all_legal_strategies,
-    all_path_structured_strategies,
-    count_path_structured,
-)
-from .adaptive import AdaptiveQueryProcessor, AttemptOutcome, classify_attempt
-from .engines import ENGINE_NAMES, BottomUpProofAdapter, make_engine
+from .._lazy import lazy_names
 
 __all__ = [
     "Strategy",
@@ -61,3 +37,21 @@ __all__ = [
     "BottomUpProofAdapter",
     "make_engine",
 ]
+
+__getattr__, __dir__ = lazy_names(__name__, {
+    ".strategy": ("Strategy",),
+    ".execution": ("ExecutionResult", "cost_of", "execute",
+                   "pessimistic_cost"),
+    ".expected_cost": ("attempt_probabilities", "expected_cost_exact",
+                       "expected_cost_explicit", "expected_cost_monte_carlo",
+                       "reach_probability", "success_probability"),
+    ".transformations": ("PathPromotion", "SiblingSwap", "Transformation",
+                         "all_path_promotions", "all_sibling_swaps",
+                         "neighbours"),
+    ".enumeration": ("all_legal_strategies",
+                     "all_path_structured_strategies",
+                     "count_path_structured"),
+    ".adaptive": ("AdaptiveQueryProcessor", "AttemptOutcome",
+                  "classify_attempt"),
+    ".engines": ("ENGINE_NAMES", "BottomUpProofAdapter", "make_engine"),
+})

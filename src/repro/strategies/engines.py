@@ -15,16 +15,17 @@ in :class:`BottomUpProofAdapter`, which bills one retrieval per query
 against the materialized model and returns the same
 :class:`~repro.datalog.engine.Answer` objects the other two engines
 produce.
+
+Only the top-down engine is imported with this module: the default
+session runs it, and the other two load when first constructed.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from ..datalog.bottomup import BottomUpEngine
 from ..datalog.database import Database
 from ..datalog.engine import Answer, CostModel, ProofTrace, TopDownEngine
-from ..datalog.qsqn import QSQNEngine
 from ..datalog.rules import RuleBase
 from ..datalog.terms import Atom, Substitution
 from ..errors import StrategyError
@@ -49,6 +50,8 @@ class BottomUpProofAdapter:
         rule_base: RuleBase,
         cost_model: Optional[CostModel] = None,
     ):
+        from ..datalog.bottomup import BottomUpEngine
+
         self.rule_base = rule_base
         self.cost_model = cost_model or CostModel()
         self._engine = BottomUpEngine(rule_base)
@@ -103,6 +106,8 @@ def make_engine(
     if name == "bottomup":
         return BottomUpProofAdapter(rule_base, cost_model=cost_model)
     if name == "qsqn":
+        from ..datalog.qsqn import QSQNEngine
+
         return QSQNEngine(rule_base, cost_model=cost_model)
     raise StrategyError(
         f"unknown engine {name!r}; expected one of {', '.join(ENGINE_NAMES)}"

@@ -30,17 +30,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from .datalog.database import Database
-from .experience.fingerprint import FormProfile, form_profile
-from .experience.store import ExperienceStore
-from .experience.warmstart import (
-    SIMILARITY_FLOOR,
-    WarmStart,
-    record_from_learner,
-    warm_start,
-)
 from .datalog.rules import QueryForm, RuleBase
 from .datalog.terms import Atom, Substitution
 from .errors import (
@@ -52,15 +44,21 @@ from .errors import (
 from .graphs.builder import build_inference_graph
 from .graphs.contexts import LazyDatalogContext, ReadPlan, compile_read_plan
 from .graphs.inference_graph import InferenceGraph
-from .learning.drift import DriftAwarePIB
 from .learning.pib import ClimbRecord, PIB
 from .observability.recorder import NULL_RECORDER, Recorder
-from .persistence import load_pib, save_pib
 from .serving.config import SessionConfig
 from .storage.interface import COMPLETE, Completeness
 from .strategies.engines import make_engine
 from .strategies.execution import execute
 from .strategies.strategy import Strategy
+
+# Checkpoints (``persistence``), drift-aware learners and the experience
+# store are imported where a session that uses them first needs them,
+# so a session with none of them never loads their modules.
+if TYPE_CHECKING:
+    from .experience.fingerprint import FormProfile
+    from .experience.store import ExperienceStore
+    from .experience.warmstart import WarmStart
 
 __all__ = ["SystemAnswer", "FormState", "SelfOptimizingQueryProcessor"]
 
@@ -206,6 +204,8 @@ class SelfOptimizingQueryProcessor:
         self.experience_store: Optional[ExperienceStore] = None
         self.experience_writes = 0
         if self.experience is not None:
+            from .experience.store import ExperienceStore
+
             self.experience_store = ExperienceStore.open(
                 self.experience.path
             )
@@ -284,6 +284,8 @@ class SelfOptimizingQueryProcessor:
         if path is not None and (
             os.path.exists(path) or os.path.exists(path + ".bak")
         ):
+            from .persistence import load_pib
+
             try:
                 state.learner = load_pib(state.graph, path, drift=self.drift)
                 state.learner.recorder = self.recorder
@@ -315,6 +317,8 @@ class SelfOptimizingQueryProcessor:
                     warm.exact,
                 )
         if self.drift is not None:
+            from .learning.drift import DriftAwarePIB
+
             state.learner = DriftAwarePIB(
                 state.graph, drift=self.drift, **kwargs
             )
@@ -323,6 +327,8 @@ class SelfOptimizingQueryProcessor:
 
     def _profile_for(self, state: FormState) -> FormProfile:
         if state.profile is None:
+            from .experience.fingerprint import form_profile
+
             state.profile = form_profile(state.graph, state.form)
         return state.profile
 
@@ -335,6 +341,8 @@ class SelfOptimizingQueryProcessor:
         """
         if self.experience_store is None:
             return None
+        from .experience.warmstart import SIMILARITY_FLOOR, warm_start
+
         return warm_start(
             self.experience_store,
             self._profile_for(state),
@@ -356,6 +364,8 @@ class SelfOptimizingQueryProcessor:
         """
         if self.experience_store is None:
             return 0
+        from .experience.warmstart import record_from_learner
+
         written = 0
         for state in self._states.values():
             regime = getattr(state.learner, "epoch", 0)
@@ -389,6 +399,8 @@ class SelfOptimizingQueryProcessor:
             return
         if not climbed and state.queries % self.checkpoint_every != 0:
             return
+        from .persistence import save_pib
+
         os.makedirs(os.path.dirname(state.checkpoint_path) or ".",
                     exist_ok=True)
         save_pib(state.learner, state.checkpoint_path)
@@ -398,6 +410,8 @@ class SelfOptimizingQueryProcessor:
 
     def checkpoint_now(self) -> int:
         """Force a checkpoint of every compiled form; returns how many."""
+        from .persistence import save_pib
+
         written = 0
         for state in self._states.values():
             if state.checkpoint_path is not None:
@@ -652,6 +666,8 @@ class SelfOptimizingQueryProcessor:
         policy-wide health counters live under the ``"resilience"``
         key.
         """
+        from .learning.drift import DriftAwarePIB
+
         summary: Dict[str, Dict[str, object]] = {}
         for form, state in self._states.items():
             entry: Dict[str, object] = {

@@ -36,33 +36,7 @@ brute-force oracles in :mod:`repro.optimal`:
   {engine,qsqn,pib,pao,serving,chaos,overload,federation}``.
 """
 
-from ..bench.stats import clopper_pearson
-from .invariants import (
-    ConservatismWatcher,
-    InvariantMonitor,
-    InvariantViolation,
-    check_cache_generation_coherence,
-    verify_invariants,
-)
-from .oracles import (
-    OracleFailure,
-    OracleReport,
-    check_answer_equivalence,
-    check_cost_oracle,
-    check_three_way_equivalence,
-    pao_contract,
-    pib_contract,
-)
-from .federation import (
-    check_federation_clean_answers,
-    check_federation_determinism,
-    check_federation_equivalence,
-    check_federation_partial,
-)
-from .overload import OverloadRun, simulate_overload
-from .runner import PROFILES, VerifyReport, replay_spec, run_verify
-from .simulator import SimulatedBatch, simulate
-from .worldgen import GraphWorld, KBWorld, WorldSpec, build_graph_world, build_kb_world, shrink
+from .._lazy import lazy_names
 
 __all__ = [
     "ConservatismWatcher",
@@ -97,3 +71,22 @@ __all__ = [
     "simulate_overload",
     "verify_invariants",
 ]
+
+__getattr__, __dir__ = lazy_names(__name__, {
+    "..bench.stats": ("clopper_pearson",),
+    ".invariants": ("ConservatismWatcher", "InvariantMonitor",
+                    "InvariantViolation", "check_cache_generation_coherence",
+                    "verify_invariants"),
+    ".oracles": ("OracleFailure", "OracleReport", "check_answer_equivalence",
+                 "check_cost_oracle", "check_three_way_equivalence",
+                 "pao_contract", "pib_contract"),
+    ".federation": ("check_federation_clean_answers",
+                    "check_federation_determinism",
+                    "check_federation_equivalence",
+                    "check_federation_partial"),
+    ".overload": ("OverloadRun", "simulate_overload"),
+    ".runner": ("PROFILES", "VerifyReport", "replay_spec", "run_verify"),
+    ".simulator": ("SimulatedBatch", "simulate"),
+    ".worldgen": ("GraphWorld", "KBWorld", "WorldSpec", "build_graph_world",
+                  "build_kb_world", "shrink"),
+})

@@ -214,6 +214,21 @@ class TestFactScan:
         # "7" stay distinct constants.
         assert first[1] == Constant(7) != second[0]
 
+    def test_scan_shares_one_row_per_one_argument_constant(self, monkeypatch):
+        monkeypatch.setattr(repro.datalog.terms, "_INTERN_LIMIT", 0)
+        rows = [args for _signature, args in repro.datalog.parser._scan_facts(
+            "leaf(zq_k1). other(zq_k1). leaf(zq_k2). pair(zq_k1, zq_k1).\n"
+            "pair(zq_k1, zq_k1). leaf( zq_k1 % note\n). leaf(zq_k2)."
+        )]
+        leaf, other, second, pair, pair_again, spaced, second_again = rows
+        # Every one-argument fact over a constant shares its one row,
+        # in any relation and however it is laid out.
+        assert leaf is other is spaced == (Constant("zq_k1"),)
+        assert second is second_again is not leaf
+        # A wider row is one per fact, over the shared constants.
+        assert pair == pair_again and pair is not pair_again
+        assert pair[0] is pair[1] is pair_again[0] is leaf[0]
+
     @pytest.mark.parametrize("text", [
         "p(X).", "p(a) :- q(a).", "P(a).", "p(a)", "p(a). 1.", 'p("a).',
         "p(a) & q(b).", "@ab.", "p(a).5", "p(1a).", "p(a b).", "p().",
@@ -227,6 +242,20 @@ class TestFactScan:
         # parser's first error wins, as it did before the scan.
         with pytest.raises(ParseError, match="unexpected character '&'"):
             Database.from_program("p(" + "1" * 5_000 + "). q(&).")
+
+    @pytest.mark.parametrize("read, text, where", [
+        (parse_program, "p(a).\nq(b, {}).", (2, 6)),
+        (parse_query, "q(b, {})?", (1, 6)),
+        (Database.from_program, "p(a).\nq(b, {}).", (2, 6)),
+    ], ids=["parse_program", "parse_query", "from_program"])
+    def test_over_long_integer_is_a_parse_error(self, read, text, where):
+        """An integer literal past ``int``'s digit limit is a
+        :class:`ParseError` at its token, as every other grammar error
+        is, never the conversion's bare ``ValueError``."""
+        with pytest.raises(ParseError) as raised:
+            read(text.format("1" * 5_000))
+        assert (raised.value.line, raised.value.column) == where
+        assert "integer literal too long" in str(raised.value)
 
     @pytest.mark.parametrize("shape", sorted(SLOW_SHAPES))
     def test_malformed_text_fails_fast_with_the_general_error(self, shape):

@@ -213,6 +213,47 @@ class TestAnswerCache:
             shared = cache._shared.get(entry)
             assert shared is None or shared is entry
 
+    def test_keys_hold_no_request_atom(self):
+        """After 64 ground queries and a few open ones, every key is a
+        flat tuple of the query's predicate, interned, and its terms:
+        no entry keeps a request's :class:`Atom` alive.  The keys still
+        tell ``n(1)`` from ``n("1")``, and ``p(X)`` from ``p(Y)``, whose
+        cached substitutions bind the query's own variable."""
+        from repro.datalog.terms import Atom, Substitution, Term
+        from repro.system import SystemAnswer
+
+        database = Database.from_program(
+            " ".join(f"prof(p{index})." for index in range(0, 64, 3))
+        )
+        processor = SelfOptimizingQueryProcessor(parse_program(RULES))
+        cache = AnswerCache(128)
+        for index in range(64):
+            query = parse_query(f"instructor(p{index})")
+            assert cache.store(query, database, processor.query(query, database))
+        for text in ("instructor(X)", "instructor(Y)", "senior(X)"):
+            query = parse_query(text)
+            assert cache.store(query, database, processor.query(query, database))
+        yes, no = (SystemAnswer(proved=proved, substitution=Substitution(),
+                                cost=1.0, learned=False)
+                   for proved in (True, False))
+        assert cache.store(parse_query("n(1)"), database, yes)
+        assert cache.store(parse_query('n("1")'), database, no)
+        # Coherent keys are (identity, version, predicate, *args), stale
+        # ones (identity, predicate, *args).
+        coherent, stale = list(cache._table._data), list(cache._stale)
+        assert len(coherent) == len(stale) == 64 + 3 + 2
+        for key, predicate in [(key, key[2]) for key in coherent] + [
+                (key, key[1]) for key in stale]:
+            assert predicate is sys.intern(predicate)
+            assert not any(isinstance(part, Atom) for part in key)
+            assert all(isinstance(part, (int, str, Term)) for part in key)
+        assert cache.lookup(parse_query("n(1)"), database).proved
+        assert not cache.lookup(parse_query('n("1")'), database).proved
+        for name in ("X", "Y"):
+            hit = cache.lookup(parse_query(f"instructor({name})"), database)
+            assert [variable.name for variable in hit.substitution] == [name]
+        assert cache.lookup(parse_query("instructor(Z)"), database) is None
+
     def test_an_answer_with_bindings_is_never_shared(self):
         processor = SelfOptimizingQueryProcessor(parse_program(RULES))
         query = parse_query("instructor(X)")

@@ -487,8 +487,8 @@ UNSTORABLE = [
 
 
 class TestLoading:
-    """A fresh store's facts: ``Database`` builds them in one pass, the
-    other backends add them one by one, and all check them alike."""
+    """A fresh store's facts: every backend builds them in one pass, and
+    all check them alike."""
 
     @pytest.mark.parametrize("fact, error, message", UNSTORABLE,
                              ids=["non-atom", "non-ground"])
@@ -613,13 +613,102 @@ class TestLoading:
             assert list(built.facts_matching(pattern)) == list(
                 added.facts_matching(pattern))
 
+    @settings(deadline=None)
+    @given(facts=st.lists(relation_atoms(CONSTANTS), max_size=16),
+           history=HISTORIES, patterns=PATTERNS_DRAWN, replicas=st.booleans())
+    @example(
+        facts=[parse_query(text) for text in (
+            "r(a, 1)", 'r(a, "1")', "u(b)", "r(a, 1)", "t", "u(b)", "r(1, a, a)")],
+        history=[("remove", parse_query("r(a, 1)")), ("add", parse_query("u(c)")),
+                 ("add", parse_query("r(a, 1)"))],
+        patterns=[parse_query(text) for text in ("r(a, X)", "u(X)", "r(X, Y, Y)")],
+        replicas=True,
+    )
+    def test_federated_one_pass_build_equals_one_add_per_fact(
+        self, facts, history, patterns, replicas
+    ):
+        """The federated store builds each shard's primary and replica
+        from the shard's rows in one pass, and records its catalog once:
+        the same store as one ``add`` per fact, whose probes route and
+        answer alike, before and after a write history."""
+
+        def state(store):
+            relations = sorted(store.signatures())
+            return (
+                list(store), len(store), set(relations), store.generation,
+                [store.count(*signature) for signature in relations],
+                [store.count(predicate) for predicate, _ in relations],
+                [store.relation(*signature) for signature in relations],
+                [(list(shard.primary),
+                  None if shard.replica is None else list(shard.replica))
+                 for shard in store.shards],
+            )
+
+        def probes(store):
+            return [
+                (list(store.retrieve(pattern)),
+                 list(store.facts_matching(pattern)),
+                 list(store._rows_matching(pattern)),
+                 store.succeeds(pattern), pattern in store)
+                for pattern in patterns
+            ]
+
+        kwargs = {"shards": 3, "seed": 5, "replicas": replicas}
+        built = FederatedStore(facts, **kwargs)
+        added = FederatedStore(**kwargs)
+        for fact in facts:
+            added.add(fact)
+        assert state(built) == state(added)
+        assert built.generation == len(set(facts))
+        assert built.version(store_keys(facts)) == built.generation
+        for shard in built.shards:
+            if shard.replica is not None:
+                assert all(
+                    primary is replica for primary, replica in zip(
+                        (args for rows in shard.primary._facts.values()
+                         for args in rows),
+                        (args for rows in shard.replica._facts.values()
+                         for args in rows),
+                    )
+                )
+        text = " ".join(render_fact(fact) for fact in facts)
+        assert state(FederatedStore.from_program(text, **kwargs)) == state(added)
+        assert probes(built) == probes(added)
+        for op, fact in history:
+            assert getattr(built, op)(fact) == getattr(added, op)(fact)
+        assert state(built) == state(added)
+        assert probes(built) == probes(added)
+        assert built.summary() == added.summary()
+
+    def test_one_argument_facts_hold_one_row_per_constant(self):
+        """Unary facts over K constants, spread over many relations,
+        hold exactly K row objects; wider facts keep one row each."""
+        rng = random.Random(3)
+        constants = [f"k{index}" for index in range(40)] + ["7", '"7"', "-2.5"]
+        unary = [f"leaf{relation}({constant})."
+                 for relation in range(30)
+                 for constant in rng.sample(constants, 20)]
+        used = {fact[fact.index("(") + 1:-2] for fact in unary}
+        pairs = [f"pair({rng.choice(constants)}, {rng.choice(constants)})."
+                 for _ in range(50)]
+        text = " ".join(unary + pairs + unary[:5])
+        database = Database.from_program(text)
+        assert database_state(database) == database_state(
+            Database([parse_query(fact) for fact in unary + pairs]))
+        rows = [args for relation in database._facts.values() for args in relation]
+        assert len(rows) == len(database) == len(unary) + len(set(pairs))
+        assert len({id(args) for args in rows if len(args) == 1}) == len(used)
+        assert len({id(args) for args in rows if len(args) == 2}) == len(set(pairs))
+
     def test_loading_holds_under_140_bytes_per_fact(self):
         """A learn-shaped text, 80 unary relations of 245 out of 2,000
-        constants, costs about 110 traced bytes per fact once loaded
-        from the text, and 87 from its atoms (whose constants already
-        exist): the rows, the relation dicts and the catalog.  An
-        :class:`Atom` kept per fact, as the store once did, made these
-        218 and 194."""
+        constants, costs about 74 traced bytes per fact once loaded
+        from the text (bound: 95), and 44 from its atoms, whose
+        constants and rows already exist (bound: 140): the relation
+        dicts, the catalog and, from the text, the constants and the
+        one row each unary fact over a constant shares.  A row per
+        fact made these 110 and 87, and an :class:`Atom` per fact, as
+        the store once kept, 218 and 194."""
         rng = random.Random(0)
         constants = [f"k{index}" for index in range(2000)]
         text = " ".join(
@@ -632,7 +721,7 @@ class TestLoading:
             atoms = list(Database.from_program(text))
             return Database(atoms)
 
-        for load in (Database.from_program, from_atoms):
+        for load, bound in ((Database.from_program, 95), (from_atoms, 140)):
             gc.collect()
             tracemalloc.start()
             try:
@@ -643,7 +732,7 @@ class TestLoading:
             finally:
                 tracemalloc.stop()
             assert len(database) == 80 * 245
-            assert held / len(database) <= 140, load
+            assert held / len(database) <= bound, load
             del database
 
 
