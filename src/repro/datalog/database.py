@@ -39,10 +39,12 @@ per-retrieval "is this relation extensional?" check — belongs to the
 :class:`~repro.storage.interface.FactStore` base, which every
 effective write reports to.
 
-The constructor builds its initial facts in one pass, from rows: the
-fact scan's rows as they are, or each given atom's after the one
-ground-fact check.  It fills the relation dicts and the argument
-buckets, then records the catalog once with the base
+The constructor builds its initial facts in one pass, a relation at a
+time, from rows grouped by relation: the fact scan's as they are, or
+the given atoms' after the one ground-fact check.  Each relation dict
+is built in one ``dict.fromkeys`` call, which keeps each row's first
+occurrence in order, and its argument buckets are filled from it; the
+catalog is then recorded once with the base
 (:meth:`~repro.storage.interface.FactStore._record_load`).
 
 For the serving caches it keeps one *stamp* per read key written since
@@ -113,18 +115,16 @@ class Database(FactStore):
         #: Read key -> generation of its last effective mutation.
         self._stamps: Dict[ReadKey, int] = {}
         relations, arg_index = self._facts, self._arg_index
-        for signature, args in _fact_rows(facts):
-            relation = relations[signature]
-            if args in relation:
-                continue
-            relation[args] = None
-            if len(args) > 1:
-                predicate, arity = signature
-                for position, arg in enumerate(args):
-                    arg_index[predicate, arity, position, arg][args] = None
-        self._record_load(
-            {signature: len(relation) for signature, relation in relations.items()}
-        )
+        counts = {}
+        for signature, rows in _fact_rows(facts).items():
+            relations[signature] = relation = dict.fromkeys(rows)
+            counts[signature] = len(relation)
+            predicate, arity = signature
+            if arity > 1:
+                for args in relation:
+                    for position, arg in enumerate(args):
+                        arg_index[predicate, arity, position, arg][args] = None
+        self._record_load(counts)
 
     def version(self, keys: Iterable[ReadKey]) -> int:
         """The newest stamp among ``keys`` (0 for keys not mutated since
@@ -138,11 +138,13 @@ class Database(FactStore):
         return newest
 
     def copy(self) -> "Database":
-        """An independent copy of the database, built from its rows."""
+        """An independent copy of the database, built from its relations.
+        An emptied relation is left out: the copy's ``signatures()``
+        equal the source's, while its catalog has no zero-count slot."""
         return Database(_FactRows(
-            (signature, args)
+            (signature, relation)
             for signature, relation in self._facts.items()
-            for args in relation
+            if relation
         ))
 
     # ------------------------------------------------------------------

@@ -21,11 +21,12 @@ the one-query-per-line stream format.
 
 Fact text has a second reader.  :meth:`FactStore.from_program
 <repro.storage.interface.FactStore.from_program>` takes its facts from
-:func:`_read_facts`, which first tries :func:`_scan_facts`: that
-matches one whole ground-fact clause per regex match and yields its
-``(signature, args)`` row directly, with no tokens, :class:`Rule`
-objects, :class:`RuleBase` or :class:`Atom` — a store keeps a fact as
-its argument tuple, so none is needed.  The scan is built from the same
+:func:`_read_facts`, which first tries :func:`_scan_facts`: that cuts
+the text's comments, matches one whole ground-fact clause per regex
+match, converts each distinct constant text once, and returns the
+rows grouped by relation, with no tokens, :class:`Rule` objects,
+:class:`RuleBase` or :class:`Atom` — a store keeps a fact as its
+argument tuple, so none is needed.  The scan is built from the same
 NAME, NUMBER, STRING and COMMENT patterns as the tokenizer and accepts
 only text that is certainly ground facts; anything else goes to
 :func:`parse_program` and the ``is_fact`` check, which stay the
@@ -82,13 +83,17 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_STRING_OR_COMMENT_RE = re.compile(rf"({_STRING})|{_COMMENT}")
+#: What cutting comments keeps: a string, or a quote that opens none
+#: together with the rest of the text.  The tokenizer stops at such a
+#: quote, so a reader of the cut text fails there as on the uncut one,
+#: and a comment cut after it cannot close the string.
+_UNCOMMENT_RE = re.compile(rf'({_STRING}|"[\s\S]*)|{_COMMENT}')
 
 
 def strip_comment(line: str) -> str:
     """``line`` without its ``%`` comment.  A ``%`` inside a string
     literal, as in ``q("50%")``, is part of the string and stays."""
-    return _STRING_OR_COMMENT_RE.sub(lambda found: found.group(1) or "", line)
+    return _UNCOMMENT_RE.sub(lambda found: found.group(1) or "", line)
 
 
 def tokenize(text: str) -> Iterator[Token]:
@@ -236,38 +241,37 @@ def _constant(text: str) -> Constant:
 
 # -- the fact scan ---------------------------------------------------
 #
-# Layout matches in exactly one way: a whitespace run, then comments
-# running to the end of the line, each followed by a whitespace run.
-# So a failed match backtracks in linear time, with no atomic groups
-# (Python 3.9 has none).
-_LAYOUT = rf"\s*(?:{_COMMENT}(?![^\n])\s*)*"
+# The scan cuts comments first, with strip_comment, so between two
+# tokens it sees only whitespace.  Every pattern below then matches a
+# text in exactly one way, and a failed match backtracks in linear time
+# with no atomic groups (Python 3.9 has none).
 _LOWER_NAME = rf"(?=[a-z]){_NAME}"
 _CONSTANT = rf"(?:{_LOWER_NAME}|{_NUMBER}|{_STRING})"
 
-#: One ground-fact clause and the layout before it.  The ``\b`` keeps a
-#: label whole: without it ``@ab.`` would read as label ``a``, fact ``b``.
-_FACT_RE = re.compile(
+#: One ground-fact clause and the whitespace before it: an optional
+#: ``@label``, the predicate, the argument text between parentheses
+#: (strings kept whole) and the dot.  The ``\b`` keeps a label whole:
+#: without it ``@ab.`` would read as label ``a``, fact ``b``.
+_CLAUSE_RE = re.compile(
     rf"""
-    {_LAYOUT}
-    (?:@{_LAYOUT}{_NAME}\b{_LAYOUT})?
-    (?P<predicate>{_LOWER_NAME}){_LAYOUT}
-    (?:\(
-        (?P<args>{_LAYOUT}{_CONSTANT}{_LAYOUT}
-            (?:,{_LAYOUT}{_CONSTANT}{_LAYOUT})*)
-    \){_LAYOUT})?
+    \s*(?:@\s*{_NAME}\b\s*)?
+    ({_LOWER_NAME})\s*
+    (?:\(([^()"]*(?:{_STRING}[^()"]*)*)\)\s*)?
     {_DOT}
     """,
     re.VERBOSE,
 )
-_LAYOUT_RE = re.compile(_LAYOUT)
-#: The constants of a matched argument list (comments give ``''``).
-_ARGS_RE = re.compile(rf"{_COMMENT}|({_STRING}|{_NUMBER}|{_NAME})")
+#: An argument text the scan takes: constants separated by commas.
+_ARGS_RE = re.compile(rf"\s*{_CONSTANT}\s*(?:,\s*{_CONSTANT}\s*)*")
+#: The constants of an argument text that :data:`_ARGS_RE` took.
+_TERMS_RE = re.compile(rf"{_STRING}|{_NUMBER}|{_NAME}")
+_SPACE_RE = re.compile(r"\s*")
 
 
 def _scan_facts(text: str) -> Optional[_FactRows]:
-    """The facts of ``text`` as ``(signature, args)`` rows, in order,
-    when it is certainly ground facts only; ``None`` sends
-    :func:`_read_facts` to :func:`parse_program`.
+    """The facts of ``text`` as rows grouped by relation, when it is
+    certainly ground facts only; ``None`` sends :func:`_read_facts` to
+    :func:`parse_program`.
 
     A fact has a lowercase predicate and lowercase-name, number or
     string arguments; its optional ``@label`` is dropped, as the
@@ -276,55 +280,63 @@ def _scan_facts(text: str) -> Optional[_FactRows]:
     does an integer past ``int``'s digit limit: the general parser
     reads the whole text first and reports its error.
 
-    The rows of one relation share one signature tuple, and with it
-    one predicate string.  The constant table maps each constant text
-    to its one-element row: the uses of one constant text share one
-    :class:`Constant`, and every one-argument fact over it, in any
-    relation, shares that row, so one-argument rows are bounded by the
-    distinct constants.  A wider row is built per fact, since a table
-    of those would grow with the text.
+    Relations come in first-fact order and each one's rows in text
+    order.  The constant table maps each constant text to its
+    one-element row: the uses of one constant text share one
+    :class:`Constant`, every one-argument fact over it, in any
+    relation and whatever its layout, shares that row, and a fact
+    whose whole argument text is a constant already read skips the
+    argument check.  A wider row is built per fact, since a table of
+    those would grow with the text.
     """
-    match, args_of = _FACT_RE.match, _ARGS_RE.findall
-    signatures: Dict[Tuple[str, int], Tuple[str, int]] = {}
+    if "%" in text:
+        text = strip_comment(text)
+    match = _CLAUSE_RE.match
+    groups = _FactRows()
     singles: Dict[str, Tuple[Constant]] = {}
-    rows = _FactRows()
+    predicate = arity = relation = None  # where the last fact went
     position = 0
     try:
         while True:
             found = match(text, position)
             if found is None:
                 break
-            predicate, args = found.group("predicate", "args")
-            if args is None:
-                row: tuple = ()
-            elif args in singles:  # one constant, already read
-                row = singles[args]
-            else:
-                texts = args_of(args)
-                if len(texts) > 1 and "" in texts:  # a comment reads ''
-                    texts = [arg for arg in texts if arg]
-                if len(texts) == 1:
-                    arg = texts[0]
-                    row = singles.get(arg)
-                    if row is None:
-                        row = singles[arg] = (_constant(arg),)
-                else:
-                    terms: List[Constant] = []
-                    for arg in texts:
-                        single = singles.get(arg)
-                        if single is None:
-                            single = singles[arg] = (_constant(arg),)
-                        terms.append(single[0])
-                    row = tuple(terms)
-            signature = (predicate, len(row))
-            signature = signatures.setdefault(signature, signature)
-            rows.append((signature, row))
+            name, args = found.groups()
+            row = () if args is None else singles.get(args)
+            if row is None:
+                row = _row(args, singles)
+                if row is None:
+                    return None
+            if name != predicate or len(row) != arity:
+                predicate, arity = name, len(row)
+                relation = groups.get((predicate, arity))
+                if relation is None:
+                    relation = groups[predicate, arity] = []
+            relation.append(row)
             position = found.end()
     except ValueError:
         return None
-    if _LAYOUT_RE.fullmatch(text, position) is None:
+    if _SPACE_RE.fullmatch(text, position) is None:
         return None
-    return rows
+    return groups
+
+
+def _row(args: str, singles: Dict[str, Tuple[Constant]]) -> Optional[tuple]:
+    """The row that the argument text ``args`` spells, or ``None`` when
+    it is not a list of constants: a new tuple when it holds several,
+    the shared one-element row of ``singles`` when it holds one."""
+    if _ARGS_RE.fullmatch(args) is None:
+        return None
+    texts = _TERMS_RE.findall(args)
+    terms = []
+    for arg in texts:
+        single = singles.get(arg)
+        if single is None:
+            single = singles[arg] = (_constant(arg),)
+        terms.append(single[0])
+    if len(texts) == 1:
+        return singles[texts[0]]
+    return tuple(terms)
 
 
 def parse_program(text: str) -> RuleBase:

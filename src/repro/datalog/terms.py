@@ -86,21 +86,26 @@ class Constant(Term):
 
     is_ground = True  # shadows Term.is_ground: constants are ground
 
-    _intern: Dict[tuple, "Constant"] = {}
+    #: Value type -> value -> its constant.  One table per type keeps
+    #: ``1``, ``1.0``, ``True`` and ``"1"`` apart with no key tuple per
+    #: constant; ``_INTERN_LIMIT`` bounds all of them together.
+    _intern: Dict[type, Dict[object, "Constant"]] = {}
 
     def __new__(cls, value):
+        table = cls._intern.get(value.__class__)
+        if table is not None:
+            cached = table.get(value)
+            if cached is not None:
+                return cached
         if isinstance(value, Term):
             raise TypeError("Constant value must be a plain value, not a Term")
-        key = (value.__class__, value)
-        table = cls._intern
-        cached = table.get(key)
-        if cached is not None:
-            return cached
         self = super().__new__(cls)
         self.value = value
         self._hash = hash((Constant, type(value).__name__, value))
-        if len(table) < _INTERN_LIMIT:
-            table[key] = self
+        if sum(map(len, cls._intern.values())) < _INTERN_LIMIT:
+            if table is None:
+                table = cls._intern[value.__class__] = {}
+            table[value] = self
         return self
 
     def substitute(self, subst: "Substitution") -> "Constant":

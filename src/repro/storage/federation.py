@@ -217,28 +217,23 @@ class FederatedStore(FactStore):
         self._load(facts)
 
     def _load(self, facts: Iterable) -> None:
-        """Build every shard in one pass: each shard's rows, in fact
-        order, go to ``Database(rows)`` for its primary and its replica,
-        which so share their row tuples, and the catalog is recorded
-        once.  No shard stamps a key: this store's :meth:`version` is
-        its generation, so nothing reads them."""
-        rows_of: Dict[Shard, _FactRows] = {}
-        #: Relation -> its shard, in first-insertion order.
-        relations: Dict[Tuple[str, int], Shard] = {}
-        for row in _fact_rows(facts):
-            signature = row[0]
-            shard = relations.get(signature)
-            if shard is None:
-                shard = relations[signature] = self.shard_for(signature)
-                rows_of.setdefault(shard, _FactRows())
-            rows_of[shard].append(row)
-        for shard, shard_rows in rows_of.items():
-            shard.primary = Database(shard_rows)
+        """Build every shard in one pass: each shard's relations, as
+        they come, go to ``Database(relations)`` for its primary and its
+        replica, which so share their row tuples, and the catalog is
+        recorded once.  No shard stamps a key: this store's
+        :meth:`version` is its generation, so nothing reads them."""
+        relations = _fact_rows(facts)
+        relations_of: Dict[Shard, _FactRows] = {}
+        for signature, rows in relations.items():
+            shard = self.shard_for(signature)
+            relations_of.setdefault(shard, _FactRows())[signature] = rows
+        for shard, shard_relations in relations_of.items():
+            shard.primary = Database(shard_relations)
             if shard.replica is not None:
-                shard.replica = Database(shard_rows)
+                shard.replica = Database(shard_relations)
         self._record_load({
-            signature: shard.primary.count(*signature)
-            for signature, shard in relations.items()
+            signature: self.shard_for(signature).primary.count(*signature)
+            for signature in relations
         })
 
     # ------------------------------------------------------------------

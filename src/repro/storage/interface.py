@@ -38,8 +38,10 @@ backend keeps an :class:`Atom` per fact.  The retrieval hook
 ``_candidates`` yields rows, and an :class:`Atom` is built — sharing
 one signature tuple for the call — only where an entry point must
 return one: ``facts_matching``, ``__iter__`` and ``relation``.
-Fact text reaches a constructor as rows too (:class:`_FactRows`, the
-fact scan's output), so loading builds no :class:`Atom` per fact.
+A constructor takes its facts as rows grouped by relation
+(:class:`_FactRows`): the fact scan returns them so, given atoms are
+grouped after the ground-fact check (:func:`_fact_rows`), and a
+backend stores a relation at a time, with no :class:`Atom` per fact.
 
 **What the base owns.**  :class:`FactStore` keeps everything the
 backends share: the store identity and :attr:`~FactStore.generation`,
@@ -116,28 +118,32 @@ def _check_fact(fact: Atom) -> None:
         raise DatalogError(f"facts must be ground, got {fact}")
 
 
-class _FactRows(list):
-    """Facts as ``(signature, args)`` rows that are already storable:
-    ``args`` is a tuple of constants and ``signature`` is
-    ``(predicate, len(args))``.  The fact scan returns one, and
-    :meth:`FactStore.from_program` hands it to the constructor, which
-    loads the rows as they are, with no :class:`Atom` per fact."""
+class _FactRows(dict):
+    """Facts grouped by relation, already storable: each signature
+    ``(predicate, arity)`` maps to a non-empty collection of its rows,
+    tuples of ``arity`` constants.  Relations come in first-insertion
+    order and each one's rows in fact order, duplicates included.  The
+    fact scan returns one, :meth:`FactStore.from_program` hands it to
+    the constructor, and the constructor loads a relation at a time,
+    with no :class:`Atom` per fact."""
 
     __slots__ = ()
 
 
-def _fact_rows(facts: Iterable) -> Iterable[Tuple[Tuple[str, int], tuple]]:
-    """A constructor's ``facts`` as rows: a :class:`_FactRows` as it
-    is, anything else fact by fact through :func:`_check_fact`."""
+def _fact_rows(facts: Iterable) -> _FactRows:
+    """A constructor's ``facts`` as rows grouped by relation: a
+    :class:`_FactRows` as it is, anything else fact by fact through
+    :func:`_check_fact`, every fact checked before any is stored."""
     if type(facts) is _FactRows:
         return facts
-    return _checked_rows(facts)
-
-
-def _checked_rows(facts: Iterable) -> Iterator[Tuple[Tuple[str, int], tuple]]:
+    groups = _FactRows()
     for fact in facts:
         _check_fact(fact)
-        yield fact.signature, fact.args
+        rows = groups.get(fact.signature)
+        if rows is None:
+            rows = groups[fact.signature] = []
+        rows.append(fact.args)
+    return groups
 
 
 def bucket_keys(fact: Atom) -> List[ReadKey]:
@@ -249,7 +255,8 @@ class FactStore(ABC):
     generation)`` or on :meth:`version`.  Its constructor may load its
     initial facts through ``add`` or build them in one pass and record
     them with :meth:`_record_load`.  It takes atoms, or the rows
-    :meth:`from_program` passes (:func:`_fact_rows` reads either).
+    grouped by relation that :meth:`from_program` passes
+    (:func:`_fact_rows` reads either as the latter).
     """
 
     #: Whether a probe bills or blocks on latency, as a remote round
@@ -487,8 +494,8 @@ class FactStore(ABC):
         """Build a store from Datalog source containing only facts:
         ``cls(facts, **kwargs)``.
 
-        Fact-only text is scanned straight to rows (a
-        :class:`_FactRows`); any other text goes through
+        Fact-only text is scanned straight to rows grouped by relation
+        (a :class:`_FactRows`); any other text goes through
         :func:`~repro.datalog.parser.parse_program`, which reports its
         errors, and reaches the constructor as atoms.  Either way the
         whole text is read before the store is constructed, so a

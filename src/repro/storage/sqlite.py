@@ -30,7 +30,8 @@ asking about constants never stored does not grow it.
 
 **Loading.**  The constructor stores its initial facts in one
 transaction, with one ``executemany`` per relation in first-insertion
-order, and records the catalog once
+order, straight from the rows grouped by relation that every
+constructor takes, and records the catalog once
 (:meth:`~repro.storage.interface.FactStore._record_load`).  The
 ``UNIQUE`` index skips duplicates, and each relation's count is the
 rows its ``executemany`` inserted, so :attr:`generation` ends at the
@@ -52,7 +53,7 @@ import sqlite3
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..datalog.terms import Atom, Constant, Variable
-from .interface import FactStore, _check_fact, _fact_rows
+from .interface import FactStore, _check_fact, _fact_rows, _FactRows
 
 __all__ = ["SQLiteFactStore"]
 
@@ -82,16 +83,10 @@ class SQLiteFactStore(FactStore):
         super().__init__()
         self._load(_fact_rows(facts))
 
-    def _load(self, rows: Iterable[Tuple[Tuple[str, int], tuple]]) -> None:
+    def _load(self, relations: _FactRows) -> None:
         """Store a fresh store's rows in one transaction (see the module
-        notes).  Every row is read, and so checked, before the first
-        table is made."""
-        relations: Dict[Tuple[str, int], List[tuple]] = {}
-        for signature, args in rows:
-            relation = relations.get(signature)
-            if relation is None:
-                relation = relations[signature] = []
-            relation.append(args)
+        notes).  Every fact was checked before the first table is
+        made."""
         counts: Dict[Tuple[str, int], int] = {}
         constants = self._constants
         conn = self._conn

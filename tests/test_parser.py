@@ -144,9 +144,29 @@ class TestParseQuery:
     ('q("50%")  % trailing comment', 'q("50%")'),
     (r'q("say \"50%\"") % note', r'q("say \"50%\"")'),
     ('p(a) % say "hi', "p(a)"),
+    # A quote that opens no string keeps the rest of the line, which
+    # fails at that quote whether cut or not.
+    ('q("50% off', 'q("50% off'),
 ])
 def test_strip_comment_spares_a_percent_inside_a_string(line, query):
     assert strip_comment(line).strip() == query
+
+
+def test_a_stray_quote_fails_at_the_quote_whether_its_comment_stays():
+    with pytest.raises(ParseError) as kept:
+        parse_query(strip_comment('q("50% off'))
+    with pytest.raises(ParseError) as cut:
+        parse_query('q("50')
+    assert str(kept.value) == str(cut.value)
+
+
+def grouped(facts):
+    """The ``(signature, rows)`` pairs the fact scan gives for
+    ``facts``: relations in first-fact order, rows in fact order."""
+    relations = {}
+    for fact in facts:
+        relations.setdefault(fact.signature, []).append(fact.args)
+    return list(relations.items())
 
 
 #: Malformed fact texts shaped to make a backtracking scan slow.
@@ -157,6 +177,7 @@ SLOW_SHAPES = {
     "quote-run": lambda: (
         "".join(f"p(c{index}).\n" for index in range(20_000)) + '"' * 5_000
     ),
+    "open-string-args": lambda: 'p("' + "a" * 200_000,
 }
 
 
@@ -194,19 +215,19 @@ class TestFactScan:
             "not. not(not).\n% r(a).\n@_x\n% c\ns ( b ) ."
         )
         expected = [rule.head for rule in parse_program(text)]
-        assert repro.datalog.parser._scan_facts(text) == [
-            (head.signature, head.args) for head in expected]
+        assert list(repro.datalog.parser._scan_facts(text).items()) == (
+            grouped(expected))
         assert expected[0].args[-1] == Constant(3)
 
     def test_scan_shares_predicates_and_constants(self, monkeypatch):
         # With interning off, only the scan's own tables can share.
         monkeypatch.setattr(repro.datalog.terms, "_INTERN_LIMIT", 0)
-        (edge, first), (edge_again, second), (_node, third) = (
+        (edge, (first, second)), (_node, (third,)) = (
             repro.datalog.parser._scan_facts(
                 'edge(zq_a, 7). edge("7", zq_a). node(zq_a).'
-            )
+            ).items()
         )
-        assert edge is edge_again == ("edge", 2)
+        assert edge == ("edge", 2)
         assert first[0] is second[1] is third[0]
         assert first[0] == Constant("zq_a")
         assert first[0] is not Constant("zq_a")
@@ -216,11 +237,14 @@ class TestFactScan:
 
     def test_scan_shares_one_row_per_one_argument_constant(self, monkeypatch):
         monkeypatch.setattr(repro.datalog.terms, "_INTERN_LIMIT", 0)
-        rows = [args for _signature, args in repro.datalog.parser._scan_facts(
+        relations = repro.datalog.parser._scan_facts(
             "leaf(zq_k1). other(zq_k1). leaf(zq_k2). pair(zq_k1, zq_k1).\n"
             "pair(zq_k1, zq_k1). leaf( zq_k1 % note\n). leaf(zq_k2)."
-        )]
-        leaf, other, second, pair, pair_again, spaced, second_again = rows
+        )
+        assert list(relations) == [("leaf", 1), ("other", 1), ("pair", 2)]
+        leaf, second, spaced, second_again = relations["leaf", 1]
+        (other,) = relations["other", 1]
+        pair, pair_again = relations["pair", 2]
         # Every one-argument fact over a constant shares its one row,
         # in any relation and however it is laid out.
         assert leaf is other is spaced == (Constant("zq_k1"),)
@@ -233,6 +257,9 @@ class TestFactScan:
         "p(X).", "p(a) :- q(a).", "P(a).", "p(a)", "p(a). 1.", 'p("a).',
         "p(a) & q(b).", "@ab.", "p(a).5", "p(1a).", "p(a b).", "p().",
         "p(-a).", "not p(a).", "p(_x).", "p(a).q(X).",
+        # The quote opens no string, as the backslash ends its line; a
+        # comment cut after it must not close it.
+        'p("a %c\\\n").',
     ])
     def test_scan_declines_what_is_not_certainly_facts(self, text):
         assert repro.datalog.parser._scan_facts(text) is None

@@ -10,6 +10,7 @@ and gate the learner.
 
 import gc
 import random
+import re
 import tracemalloc
 from unittest import mock
 
@@ -183,9 +184,15 @@ def outcome(load, *args, **kwargs):
 
 # -- mutation histories and patterns -------------------------------------
 
-#: Relations of arity 0 to 3; ``r`` at two arities must never mix.
-RELATIONS = [("t", 0), ("u", 1), ("r", 2), ("r", 3)]
+#: Relations of arity 0 to 3; ``r`` at two arities must never mix,
+#: and ``r`` and ``s`` can hold the same argument tuple.
+RELATIONS = [("t", 0), ("u", 1), ("r", 2), ("r", 3), ("s", 2)]
 CONSTANTS = st.sampled_from(["a", "b", "c", 1, "1"]).map(Constant)
+#: Constants for fact text, with strings holding what ends an argument
+#: list, a clause or a string, or starts a comment.
+LOADED = st.sampled_from(
+    ["a", "b", "c", 1, "1", "f(x, y).", 'say "50%",\\']
+).map(Constant)
 #: Few names, so patterns repeat variables, adjacent or not.
 VARIABLES = st.sampled_from(["X", "Y", "Z"]).map(Variable)
 
@@ -433,6 +440,19 @@ class TestBackendParity:
             clone.add(Atom("e1", ["z"]))
             assert Atom("e1", ["z"]) not in store, name
 
+    def test_copy_leaves_out_an_emptied_relation(self):
+        """A relation emptied by ``remove`` keeps its catalog slot in the
+        store, at count 0, but a copy has only relations with facts."""
+        for name, store in all_backends():
+            assert store.remove(Atom("flag", [])), name
+            clone = store.copy()
+            assert clone.signatures() == store.signatures(), name
+            assert ("flag", 0) not in clone._counts, name
+            assert 0 not in clone._counts.values(), name
+            assert list(clone) == list(store), name
+            assert clone.add(Atom("flag", [])), name
+            assert ("flag", 0) in clone.signatures() - store.signatures(), name
+
     def test_cache_keys_distinct_across_backends(self):
         keys = [store.cache_key for _, store in all_backends()]
         assert len(set(keys)) == len(keys)
@@ -446,17 +466,47 @@ class TestBackendParity:
             assert store.generation == generation + 1, name
 
 
-def render_fact(fact):
-    """``fact`` as fact text: a string constant that is not a lowercase
-    name is quoted, so ``1`` and ``"1"`` stay apart."""
+#: Ways to lay out an argument list, as (open, separator, close):
+#: tight, spaced, and broken by comments holding the characters a
+#: careless scan would trip on.
+ARGUMENT_LAYOUTS = [
+    ("(", ",", ")"),
+    ("( ", " , ", " )"),
+    ("(", ' % c, (d). "%\n, ', ' %)\n)'),
+]
+
+
+def render_fact(fact, layout=("(", ", ", ")")):
+    """``fact`` as fact text with its arguments laid out as ``layout``
+    says: a string constant that is not a lowercase name is quoted,
+    its quotes and backslashes escaped, so ``1`` and ``"1"`` stay
+    apart."""
     if not fact.args:
         return f"{fact.predicate}."
-    args = ", ".join(
-        f'"{arg.value}"' if isinstance(arg.value, str) and not arg.value[:1].islower()
-        else str(arg.value)
+    opening, separator, closing = layout
+    args = separator.join(
+        str(arg.value) if not isinstance(arg.value, str)
+        or re.fullmatch(r"[a-z][A-Za-z0-9_]*", arg.value)
+        else '"' + arg.value.replace("\\", "\\\\").replace('"', '\\"') + '"'
         for arg in fact.args
     )
-    return f"{fact.predicate}({args})."
+    return f"{fact.predicate}{opening}{args}{closing}."
+
+
+def fact_text(facts, layouts):
+    """``facts`` as one fact text, each laid out by the next of
+    ``layouts`` in turn, so one argument text recurs in several
+    layouts."""
+    return " ".join(
+        render_fact(fact, layouts[index % len(layouts)])
+        for index, fact in enumerate(facts)
+    )
+
+
+#: Facts to load, relations interleaved as drawn, and the layouts to
+#: write them in.
+LOADED_FACTS = st.lists(relation_atoms(LOADED), max_size=16)
+LAYOUTS_DRAWN = st.lists(st.sampled_from(ARGUMENT_LAYOUTS), min_size=1, max_size=4)
 
 
 def database_state(database):
@@ -472,6 +522,15 @@ def database_state(database):
         [database.relation(*signature) for signature in relations],
         {key: list(bucket) for key, bucket in database._arg_index.items()},
     )
+
+
+def grouped(facts):
+    """The ``(signature, rows)`` pairs the fact scan gives for
+    ``facts``: relations in first-fact order, rows in fact order."""
+    relations = {}
+    for fact in facts:
+        relations.setdefault(fact.signature, []).append(fact.args)
+    return list(relations.items())
 
 
 def store_keys(facts):
@@ -524,16 +583,23 @@ class TestLoading:
         assert flaky.succeeds(parse_query("leaf(c1)"))
 
     @settings(deadline=None)
-    @given(facts=st.lists(relation_atoms(CONSTANTS), max_size=16),
-           history=HISTORIES, patterns=PATTERNS_DRAWN)
+    @given(facts=LOADED_FACTS, layouts=LAYOUTS_DRAWN, history=HISTORIES,
+           patterns=PATTERNS_DRAWN)
     @example(
         facts=[parse_query(text) for text in (
-            "r(a, 1)", 'r(a, "1")', "u(b)", "r(a, 1)", "t", "r(1, a, a)", "u(b)")],
+            "r(a, 1)", 'r(a, "1")', "u(b)", "r(a, 1)", "t", "r(1, a, a)", "u(b)",
+            "s(a, 1)", "r(a, 1)", 'u("f(x, y).")', 'r("say \\"50%\\",\\\\", a)')],
+        layouts=ARGUMENT_LAYOUTS,
         history=[("remove", parse_query("r(a, 1)")), ("add", parse_query("u(c)")),
                  ("add", parse_query("r(a, 1)"))],
         patterns=[parse_query(text) for text in ("r(a, X)", "u(X)", "r(X, Y, Y)")],
     )
-    def test_one_pass_build_equals_one_add_per_fact(self, facts, history, patterns):
+    def test_one_pass_build_equals_one_add_per_fact(
+        self, facts, layouts, history, patterns
+    ):
+        """A store built in one pass, from atoms or from fact text in
+        any layout, is the store of one ``add`` per fact, and keeps its
+        probes and read versions alike through a write history."""
         built = Database(facts)
         added = Database()
         for fact in facts:
@@ -556,30 +622,39 @@ class TestLoading:
             assert (built.version([key]) != built_was) == (
                 added.version([key]) != added_was), key
         assert database_state(built) == database_state(added)
-        # The scan reads the same facts as rows, one signature per
-        # relation, and a row rebuilds its fact, hash and all.
-        text = " ".join(render_fact(fact) for fact in facts)
-        scanned = parser._scan_facts(text)
-        assert scanned == [(fact.signature, fact.args) for fact in facts]
-        assert [hash(Atom._ground(*row)) for row in scanned] == [
-            hash(fact) for fact in facts]
-        shared = {}
-        for signature, _args in scanned:
-            assert shared.setdefault(signature, signature) is signature
-        assert database_state(Database.from_program(text)) == reference
+        # The scan reads the same facts as rows, grouped by relation,
+        # and a row rebuilds its fact, hash and all.
+        text = fact_text(facts, layouts)
+        scanned = list(parser._scan_facts(text).items())
+        assert scanned == grouped(facts)
+        in_scan_order = [fact for signature, _rows in scanned
+                         for fact in facts if fact.signature == signature]
+        assert [hash(Atom._ground(signature, args))
+                for signature, rows in scanned for args in rows] == [
+            hash(fact) for fact in in_scan_order]
+        loaded = Database.from_program(text)
+        assert database_state(loaded) == reference
+        # One row per one-argument constant, one per fact otherwise.
+        rows = [args for relation in loaded._facts.values() for args in relation]
+        assert len({id(args) for args in rows if len(args) == 1}) == len(
+            {args for args in rows if len(args) == 1})
+        assert len({id(args) for args in rows if len(args) > 1}) == len(
+            [args for args in rows if len(args) > 1])
 
     @settings(deadline=None)
-    @given(facts=st.lists(relation_atoms(CONSTANTS), max_size=16),
-           history=HISTORIES, patterns=PATTERNS_DRAWN)
+    @given(facts=LOADED_FACTS, layouts=LAYOUTS_DRAWN, history=HISTORIES,
+           patterns=PATTERNS_DRAWN)
     @example(
         facts=[parse_query(text) for text in (
-            "r(a, 1)", 'r(a, "1")', "u(b)", "r(a, 1)", "t", "t", "r(1, a, a)")],
+            "r(a, 1)", 'r(a, "1")', "u(b)", "r(a, 1)", "t", "t", "r(1, a, a)",
+            "s(a, 1)", 'u("f(x, y).")')],
+        layouts=ARGUMENT_LAYOUTS,
         history=[("remove", parse_query("r(a, 1)")), ("add", parse_query("t")),
                  ("add", parse_query("r(a, 1)"))],
         patterns=[parse_query(text) for text in ("r(a, X)", "u(X)", "r(X, Y, Y)")],
     )
     def test_sqlite_one_pass_build_equals_one_add_per_fact(
-        self, facts, history, patterns
+        self, facts, layouts, history, patterns
     ):
         """SQLite loads in one transaction, one insert per relation: the
         same store as one ``add`` per fact, duplicates skipped and not
@@ -603,7 +678,7 @@ class TestLoading:
         assert built.generation == len(set(facts))
         assert set(built._constants.values()) == {
             arg for fact in facts for arg in fact.args}
-        text = " ".join(render_fact(fact) for fact in facts)
+        text = fact_text(facts, layouts)
         assert state(SQLiteFactStore.from_program(text)) == state(added)
         for op, fact in history:
             assert getattr(built, op)(fact) == getattr(added, op)(fact)
@@ -614,18 +689,20 @@ class TestLoading:
                 added.facts_matching(pattern))
 
     @settings(deadline=None)
-    @given(facts=st.lists(relation_atoms(CONSTANTS), max_size=16),
-           history=HISTORIES, patterns=PATTERNS_DRAWN, replicas=st.booleans())
+    @given(facts=LOADED_FACTS, layouts=LAYOUTS_DRAWN, history=HISTORIES,
+           patterns=PATTERNS_DRAWN, replicas=st.booleans())
     @example(
         facts=[parse_query(text) for text in (
-            "r(a, 1)", 'r(a, "1")', "u(b)", "r(a, 1)", "t", "u(b)", "r(1, a, a)")],
+            "r(a, 1)", 'r(a, "1")', "u(b)", "r(a, 1)", "t", "u(b)", "r(1, a, a)",
+            "s(a, 1)", 'u("f(x, y).")')],
+        layouts=ARGUMENT_LAYOUTS,
         history=[("remove", parse_query("r(a, 1)")), ("add", parse_query("u(c)")),
                  ("add", parse_query("r(a, 1)"))],
         patterns=[parse_query(text) for text in ("r(a, X)", "u(X)", "r(X, Y, Y)")],
         replicas=True,
     )
     def test_federated_one_pass_build_equals_one_add_per_fact(
-        self, facts, history, patterns, replicas
+        self, facts, layouts, history, patterns, replicas
     ):
         """The federated store builds each shard's primary and replica
         from the shard's rows in one pass, and records its catalog once:
@@ -671,7 +748,7 @@ class TestLoading:
                          for args in rows),
                     )
                 )
-        text = " ".join(render_fact(fact) for fact in facts)
+        text = fact_text(facts, layouts)
         assert state(FederatedStore.from_program(text, **kwargs)) == state(added)
         assert probes(built) == probes(added)
         for op, fact in history:
@@ -700,15 +777,19 @@ class TestLoading:
         assert len({id(args) for args in rows if len(args) == 1}) == len(used)
         assert len({id(args) for args in rows if len(args) == 2}) == len(set(pairs))
 
-    def test_loading_holds_under_140_bytes_per_fact(self):
+    def test_loading_holds_under_140_bytes_per_fact(self, monkeypatch):
         """A learn-shaped text, 80 unary relations of 245 out of 2,000
-        constants, costs about 74 traced bytes per fact once loaded
+        constants, costs about 67 traced bytes per fact once loaded
         from the text (bound: 95), and 44 from its atoms, whose
         constants and rows already exist (bound: 140): the relation
-        dicts, the catalog and, from the text, the constants and the
-        one row each unary fact over a constant shares.  A row per
-        fact made these 110 and 87, and an :class:`Atom` per fact, as
-        the store once kept, 218 and 194."""
+        dicts, the catalog and, from the text, the constants, their
+        intern table and the one row each unary fact over a constant
+        shares.  A row per fact made these 110 and 87, and an
+        :class:`Atom` per fact, as the store once kept, 218 and 194.
+
+        The intern table starts empty, so what earlier tests interned
+        cannot move a resize of it into the measured window."""
+        monkeypatch.setattr(Constant, "_intern", {})
         rng = random.Random(0)
         constants = [f"k{index}" for index in range(2000)]
         text = " ".join(

@@ -3,6 +3,7 @@ substitutions)."""
 
 import pytest
 
+from repro.datalog import terms
 from repro.datalog.terms import (
     Atom,
     Constant,
@@ -19,6 +20,24 @@ class TestConstant:
         assert Constant("a") != Constant("b")
         assert Constant(1) != Constant("1")
         assert Constant(1) != Constant(1.0)
+
+    def test_interned_per_value_type_under_one_cap(self, monkeypatch):
+        """Equal values of different types (``1``, ``1.0``, ``True``,
+        ``"1"``) intern as distinct constants, and the cap bounds the
+        constants of every type together."""
+        monkeypatch.setattr(Constant, "_intern", {})
+        values = [1, 1.0, True, "1"]
+        constants = [Constant(value) for value in values]
+        assert [type(constant.value) for constant in constants] == [
+            int, float, bool, str]
+        assert len(set(constants)) == len({id(c) for c in constants}) == 4
+        assert all(Constant(value) is constant
+                   for value, constant in zip(values, constants))
+        monkeypatch.setattr(terms, "_INTERN_LIMIT", 5)
+        assert Constant(2) is Constant(2)
+        assert Constant(2.0) is not Constant(2.0) == Constant(2.0)
+        assert Constant("2") is not Constant("2")
+        assert sum(map(len, Constant._intern.values())) == 5
 
     def test_is_ground(self):
         assert Constant("a").is_ground
