@@ -22,6 +22,10 @@ bound-position selectivity — most bound positions first, smaller
 relation on ties — which is deterministic and independent of hash
 seeds.  The join reads only a matched fact's arguments, so it probes
 through the store's row probe and builds no :class:`Atom` per match.
+
+The model is an in-memory :class:`Database` seeded from the store's
+rows (``FactStore._relations``), its control plane: building it never
+probes the store, so no fault or dark shard can drop a fact from it.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import EvaluationError
+from ..storage.interface import FactStore
 from .database import Database
 from .rules import LiteralPlan, Rule, RuleBase
 from .terms import Atom
@@ -177,13 +182,13 @@ def _strata_rules(rule_base: RuleBase) -> List[List[Rule]]:
     return grouped
 
 
-def naive_evaluate(rule_base: RuleBase, database: Database) -> Database:
+def naive_evaluate(rule_base: RuleBase, database: FactStore) -> Database:
     """Naive fixpoint: repeat all rules until nothing new derives.
 
     Returns a new database containing the EDB facts plus every
     derivable IDB fact, stratum by stratum.
     """
-    model = database.copy()
+    model = Database(database._relations())
     for rules in _strata_rules(rule_base):
         changed = True
         while changed:
@@ -195,9 +200,9 @@ def naive_evaluate(rule_base: RuleBase, database: Database) -> Database:
     return model
 
 
-def seminaive_evaluate(rule_base: RuleBase, database: Database) -> Database:
+def seminaive_evaluate(rule_base: RuleBase, database: FactStore) -> Database:
     """Semi-naive fixpoint: only re-derive through last round's deltas."""
-    model = database.copy()
+    model = Database(database._relations())
     for rules in _strata_rules(rule_base):
         # Seed round: full join within the stratum.
         delta = Database()
@@ -220,30 +225,24 @@ def seminaive_evaluate(rule_base: RuleBase, database: Database) -> Database:
 class BottomUpEngine:
     """Query interface over a materialized bottom-up model.
 
-    Evaluation is lazy and cached per database *state*: the first
-    query against a database pays for the fixpoint, later ones are
-    index lookups.  The cache is keyed on ``Database.cache_key`` —
-    ``(identity, generation)`` — exactly like the serving caches, so a
-    mutated database is re-evaluated on its next query instead of
-    returning a stale model, and recycled ``id()`` values can never
-    alias two distinct databases.
+    Evaluation is lazy and kept per store *state*: the first query
+    against a store pays for the fixpoint, later ones are index
+    lookups.  The model is the store's derived state for this engine
+    (``FactStore._derived_state``), built at one generation: a mutated
+    store is re-evaluated on its next query instead of returning a
+    stale model, and the model lives as long as the store.
     """
 
     def __init__(self, rule_base: RuleBase, seminaive: bool = True):
         self.rule_base = rule_base
         self.seminaive = seminaive
-        # identity component of cache_key -> (generation, model)
-        self._cache: Dict[int, Tuple[int, Database]] = {}
 
-    def model(self, database: Database) -> Database:
-        """The full model of the program over ``database`` (cached)."""
-        identity, generation = database.cache_key
-        cached = self._cache.get(identity)
-        if cached is None or cached[0] != generation:
-            evaluate = seminaive_evaluate if self.seminaive else naive_evaluate
-            cached = (generation, evaluate(self.rule_base, database))
-            self._cache[identity] = cached
-        return cached[1]
+    def model(self, database: FactStore) -> Database:
+        """The full model of the program over ``database`` (kept)."""
+        evaluate = seminaive_evaluate if self.seminaive else naive_evaluate
+        return database._derived_state(
+            self, lambda: evaluate(self.rule_base, database)
+        )
 
     def holds(self, query: Atom, database: Database) -> bool:
         """Whether any instance of ``query`` is in the model."""

@@ -19,10 +19,12 @@ no :class:`Atom` per fact: it has
   a membership test on the relation index).
 
 Membership, ``add`` and ``remove`` take atoms and look their rows up.
-The retrieval hook :meth:`Database._candidates` yields rows, which the
-:class:`~repro.storage.interface.FactStore` base matches; an
-:class:`Atom` is rebuilt, on one signature tuple per call, only where
-``__iter__``, ``relation`` or ``facts_matching`` must return one.
+The read hooks :meth:`Database._rows` (a relation dict) and
+:meth:`Database._candidates` (its tightest bucket) yield rows, which
+the :class:`~repro.storage.interface.FactStore` base matches and
+views; an :class:`Atom` is rebuilt, on one signature tuple per call,
+only where ``__iter__``, ``relation`` or ``facts_matching`` must
+return one.
 
 Both index levels are backed by **insertion-ordered** dicts: every
 enumeration a query can observe — full relation scans and per-argument
@@ -35,7 +37,8 @@ byte-identity guarantees forbid that.)
 The relation catalog — fact counts per relation, which the [Smi89]
 fact-distribution heuristic baseline (:mod:`repro.optimal.smith`)
 consumes, and the live signature set behind the engine's O(1)
-per-retrieval "is this relation extensional?" check — belongs to the
+per-retrieval "is this relation extensional?" check — and the read
+stamps behind ``version`` belong to the
 :class:`~repro.storage.interface.FactStore` base, which every
 effective write reports to.
 
@@ -46,30 +49,14 @@ is built in one ``dict.fromkeys`` call, which keeps each row's first
 occurrence in order, and its argument buckets are filled from it; the
 catalog is then recorded once with the base
 (:meth:`~repro.storage.interface.FactStore._record_load`).
-
-For the serving caches it keeps one *stamp* per read key written since
-construction (see :mod:`repro.storage.interface`): the generation of
-the last effective mutation under that relation or bucket key, for
-every arity (a unary fact's bucket key is stamped though it has no
-bucket).  A key with no stamp reads 0: the constructor writes none,
-since no reader can exist before it returns.  :meth:`Database.version`
-of a read set is the newest stamp in it, so a write changes the
-version of exactly the read sets that can observe it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
-from ..storage.interface import (
-    FactStore,
-    ReadKey,
-    _check_fact,
-    _fact_rows,
-    _FactRows,
-    bucket_keys,
-)
+from ..storage.interface import FactStore, _check_fact, _fact_rows, bucket_keys
 from .terms import Atom, Constant, Variable
 
 __all__ = ["Database"]
@@ -83,23 +70,15 @@ class Database(FactStore):
     per-argument indexes — which keeps retrieval enumeration
     deterministic.
 
-    ``facts`` (atoms, or the fact scan's rows) are stored in one pass,
-    duplicates skipped, with no stamps: construction is not a
-    mutation, and :attr:`generation` ends at the number of distinct
-    facts.  Every later mutation that actually changes the stored fact
-    set is recorded with the base, which bumps :attr:`generation`, and
-    then stamps the relation and index buckets it touched with the new
-    generation.  Stamps only grow
-    and are never deleted — a bucket that empties keeps its stamp — so
-    :meth:`version` over a read set changes exactly when a fact under
-    it is added or removed.
-
-    Stamps are written only once the relation and *every* index bucket
-    show the mutation: a probe may enumerate through any bound
-    position's bucket, so a reader that sees the new stamp on one key
-    must already see the new facts through all of them.  A reader that
-    reads the old stamp and then sees new facts merely caches a fresh
-    answer under a version no later reader will look up.
+    ``facts`` (atoms, or rows grouped by relation) are stored in one
+    pass, duplicates skipped: construction is not a mutation, and
+    :attr:`generation` ends at the number of distinct facts.  Every
+    later mutation that actually changes the stored fact set is
+    recorded with the base once the relation and *every* index bucket
+    show it, since the base then stamps the fact's read keys: a probe
+    may enumerate through any bound position's bucket, so a reader that
+    sees the new stamp on one key must already see the new facts
+    through all of them.
     """
 
     def __init__(self, facts: Iterable[Atom] = ()):
@@ -112,8 +91,6 @@ class Database(FactStore):
         self._arg_index: Dict[
             Tuple[str, int, int, Constant], Dict[tuple, None]
         ] = defaultdict(dict)
-        #: Read key -> generation of its last effective mutation.
-        self._stamps: Dict[ReadKey, int] = {}
         relations, arg_index = self._facts, self._arg_index
         counts = {}
         for signature, rows in _fact_rows(facts).items():
@@ -126,26 +103,11 @@ class Database(FactStore):
                         arg_index[predicate, arity, position, arg][args] = None
         self._record_load(counts)
 
-    def version(self, keys: Iterable[ReadKey]) -> int:
-        """The newest stamp among ``keys`` (0 for keys not mutated since
-        construction)."""
-        stamp_of = self._stamps.get
-        newest = 0
-        for key in keys:
-            stamp = stamp_of(key, 0)
-            if stamp > newest:
-                newest = stamp
-        return newest
-
     def copy(self) -> "Database":
         """An independent copy of the database, built from its relations.
         An emptied relation is left out: the copy's ``signatures()``
         equal the source's, while its catalog has no zero-count slot."""
-        return Database(_FactRows(
-            (signature, relation)
-            for signature, relation in self._facts.items()
-            if relation
-        ))
+        return Database(self._relations())
 
     # ------------------------------------------------------------------
     # Mutation
@@ -164,11 +126,7 @@ class Database(FactStore):
             arg_index = self._arg_index
             for key in keys:
                 arg_index[key][args] = None
-        generation = self._record_write(fact, 1)
-        stamps = self._stamps
-        stamps[signature] = generation
-        for key in keys:
-            stamps[key] = generation
+        self._record_write(fact, 1, keys)
         return True
 
     def remove(self, fact: Atom) -> bool:
@@ -185,11 +143,7 @@ class Database(FactStore):
                 bucket.pop(args, None)
                 if not bucket:
                     del self._arg_index[key]
-        generation = self._record_write(fact, -1)
-        stamps = self._stamps
-        stamps[signature] = generation
-        for key in keys:
-            stamps[key] = generation
+        self._record_write(fact, -1, keys)
         return True
 
     # ------------------------------------------------------------------
@@ -203,18 +157,9 @@ class Database(FactStore):
             return False
         return bool(relation) and fact.args in relation
 
-    def __iter__(self) -> Iterator[Atom]:
-        ground = Atom._ground
-        for signature, relation in self._facts.items():
-            for args in relation:
-                yield ground(signature, args)
-
-    def relation(self, predicate: str, arity: int) -> List[Atom]:
-        """All facts of one relation, in insertion order."""
-        signature = (predicate, arity)
-        ground = Atom._ground
-        return [ground(signature, args)
-                for args in self._facts.get(signature, ())]
+    def _rows(self, signature: Tuple[str, int]) -> Iterable[tuple]:
+        """One relation's rows: its insertion-ordered dict."""
+        return self._facts.get(signature, ())
 
     def _candidates(self, pattern: Atom) -> Iterable[tuple]:
         """Rows that could match ``pattern``, using the tightest index

@@ -45,10 +45,12 @@ billed probe counts are byte-identical across ``PYTHONHASHSEED``
 values.  Answer-relation probes are the net's own bookkeeping and are
 never billed.
 
-Like :class:`~repro.datalog.bottomup.BottomUpEngine`, net state is
-cached per database *state* (``Database.cache_key``): repeat queries
-against an unmutated database reuse the tabled answers, a mutation
-invalidates the whole net.
+Like the bottom-up model, net state is kept in the store, built at
+one generation (``FactStore._derived_state``): repeat queries against
+an unmutated store reuse the tabled answers, a mutation invalidates
+the whole net.  A drain whose probes saw a dark shard filled partial
+tables, so the net is dropped after it; its answer is already flagged
+partial by the query's probe window.
 """
 
 from __future__ import annotations
@@ -151,8 +153,6 @@ class QSQNEngine:
             for signature in signatures:
                 self._level[signature] = level
         self._top_level = max(self._level.values(), default=0)
-        # identity component of cache_key -> (generation, net state)
-        self._cache: Dict[int, Tuple[int, _NetState]] = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -185,16 +185,6 @@ class QSQNEngine:
     # Net evaluation
     # ------------------------------------------------------------------
 
-    def _state(self, database: Database) -> _NetState:
-        """The net state for this database *state* (cached, like the
-        bottom-up model cache: keyed on ``(identity, generation)``)."""
-        identity, generation = database.cache_key
-        cached = self._cache.get(identity)
-        if cached is None or cached[0] != generation:
-            cached = (generation, _NetState())
-            self._cache[identity] = cached
-        return cached[1]
-
     def _answer_rows(
         self, query: Atom, database: Database, trace: ProofTrace
     ) -> Iterator[tuple]:
@@ -202,10 +192,12 @@ class QSQNEngine:
         database facts first (for extensional and mixed predicates),
         then tabled answers, both in insertion order, deduplicated."""
         signature = query.signature
-        state = self._state(database)
+        state = database._derived_state(self, _NetState)
         if signature in self._idb:
             self._register(state, signature, query)
             self._drain(state, database, trace, self._top_level)
+            if database.probe_window_missing():
+                database._drop_derived(self)
         seen: Dict[tuple, None] = {}
         if signature not in self._net or signature in database.signatures():
             cost = self.cost_model.retrieval(query)

@@ -271,8 +271,8 @@ class FlakyDatabase(Database):
     same facts at the same generation.  Only the probing entry points
     draw from ``plan`` first — ``retrieve``, ``facts_matching``,
     ``succeeds`` and the row probe, all through the one match loop
-    :meth:`_matching`; mutation, iteration, the catalog and read
-    versions are the database's own.
+    :meth:`_matching`; mutation, iteration, the catalog, read versions
+    and :meth:`copy` never draw.
     """
 
     def __init__(self, facts: Iterable[Atom], plan: FaultPlan):
@@ -321,7 +321,7 @@ class FlakyDatabase(Database):
         return super()._matching(pattern, form)
 
     def copy(self) -> "FlakyDatabase":
-        return FlakyDatabase(self, self.plan)
+        return FlakyDatabase(self._relations(), self.plan)
 
     def __repr__(self) -> str:
         return f"FlakyDatabase({len(self)} facts)"

@@ -26,10 +26,11 @@ Coherence is by construction, not by invalidation walks: every key
 embeds the store's identity and a *version* —
 :meth:`~repro.storage.interface.FactStore.version` of the entry's read
 set (the query's read keys, or the probe's bucket), read once before
-the work.  A store's version only grows and changes as soon as a fact
-under the read set is added or removed, so an entry computed before a
-relevant write stops matching and ages out of the LRU bound, while
-entries that never read the written keys keep hitting.  A caller that
+the work.  A store's version, per key in every backend, only grows and
+changes as soon as a fact under the read set is added or removed, so
+an entry computed before a relevant write stops matching and ages out
+of the LRU bound, while entries that never read the written keys keep
+hitting.  A caller that
 passes no version gets the whole-store generation (the store's
 ``cache_key``), so any write invalidates every such entry.
 

@@ -192,8 +192,7 @@ class CacheConfig:
     entry read: a fact added or removed invalidates exactly the
     entries whose read set covers it, *implicitly* — their keys simply
     stop being looked up and age out of the LRU — while every other
-    entry keeps hitting.  Stores without per-key versions (SQLite,
-    federated) fall back to the whole-store generation.
+    entry keeps hitting, over every backend.
     """
 
     #: Answer cache entries, keyed by (query, version of the query's

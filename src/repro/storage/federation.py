@@ -38,13 +38,14 @@ the in-memory store's (relations in first-insertion order, facts in
 insertion order within each relation).
 
 Mutations and catalog reads (``signatures``/``count``/``relation``/
-``__iter__``/``__contains__``) are *administrative*: they model the
-control plane, which in this simulation is always reachable, and never
-draw from the fault streams.  Only the probing entry points
-(``retrieve``, ``facts_matching``, ``succeeds``, and the row probe the
-bottom-up join and QSQN use) touch the simulated network: they all run
-the base's one match loop, whose ``_matching`` this backend overrides
-to route the probe to a shard first.
+``__iter__``/``__contains__``, and the row hook ``_rows`` behind the
+views and ``copy``) are *administrative*: they model the control
+plane, which in this simulation is always reachable, and never draw
+from the fault streams.  Only the probing entry points (``retrieve``,
+``facts_matching``, ``succeeds``, and the row probe QSQN uses) touch
+the simulated network: they all run the base's one match loop, whose
+``_matching`` this backend overrides to route the probe to a shard
+first.  Read versions are the base's, stamped by this store's writes.
 """
 
 from __future__ import annotations
@@ -218,10 +219,9 @@ class FederatedStore(FactStore):
 
     def _load(self, facts: Iterable) -> None:
         """Build every shard in one pass: each shard's relations, as
-        they come, go to ``Database(relations)`` for its primary and its
-        replica, which so share their row tuples, and the catalog is
-        recorded once.  No shard stamps a key: this store's
-        :meth:`version` is its generation, so nothing reads them."""
+        they come, go to ``Database(relations)`` for its primary, its
+        replica is built from the primary's, so the two share their row
+        tuples, and the catalog is recorded once."""
         relations = _fact_rows(facts)
         relations_of: Dict[Shard, _FactRows] = {}
         for signature, rows in relations.items():
@@ -230,7 +230,7 @@ class FederatedStore(FactStore):
         for shard, shard_relations in relations_of.items():
             shard.primary = Database(shard_relations)
             if shard.replica is not None:
-                shard.replica = Database(shard_relations)
+                shard.replica = Database(shard.primary._relations())
         self._record_load({
             signature: self.shard_for(signature).primary.count(*signature)
             for signature in relations
@@ -369,10 +369,8 @@ class FederatedStore(FactStore):
             return False
         return fact in self.shard_for(fact.signature).primary
 
-    def relation(self, predicate: str, arity: int) -> List[Atom]:
-        return self.shard_for((predicate, arity)).primary.relation(
-            predicate, arity
-        )
+    def _rows(self, signature: Tuple[str, int]) -> Iterable[tuple]:
+        return self.shard_for(signature).primary._rows(signature)
 
     # ------------------------------------------------------------------
     # Whole-store operations
@@ -382,7 +380,7 @@ class FederatedStore(FactStore):
         """An equivalent store: same topology, same seed, *fresh* fault
         streams and breakers, same facts in the same insertion order."""
         return FederatedStore(
-            self,
+            self._relations(),
             shards=self.specs,
             seed=self.seed,
             retry_budget=self.retry_budget,

@@ -34,10 +34,10 @@ that bills nothing.
 
 **What a stored fact is.**  A fact is stored as its argument tuple,
 a *row*: the relation it belongs to is where it is stored, so no
-backend keeps an :class:`Atom` per fact.  The retrieval hook
-``_candidates`` yields rows, and an :class:`Atom` is built — sharing
-one signature tuple for the call — only where an entry point must
-return one: ``facts_matching``, ``__iter__`` and ``relation``.
+backend keeps an :class:`Atom` per fact.  The read hooks ``_rows``
+and ``_candidates`` yield rows, and an :class:`Atom` is built —
+sharing one signature tuple for the call — only where an entry point
+must return one: ``facts_matching``, ``__iter__`` and ``relation``.
 A constructor takes its facts as rows grouped by relation
 (:class:`_FactRows`): the fact scan returns them so, given atoms are
 grouped after the ground-fact check (:func:`_fact_rows`), and a
@@ -46,20 +46,24 @@ backend stores a relation at a time, with no :class:`Atom` per fact.
 **What the base owns.**  :class:`FactStore` keeps everything the
 backends share: the store identity and :attr:`~FactStore.generation`,
 the relation catalog (``signatures``, ``count``, ``__len__`` and the
-relations' first-insertion order), :meth:`~FactStore.from_program`,
+relations' first-insertion order), the read stamps behind
+:meth:`~FactStore.version`, the row views (``relation``, ``__iter__``
+and ``_relations``, which a copy is built from), the engines' derived
+state (:meth:`~FactStore._derived_state`), :meth:`~FactStore.from_program`,
 the one ground-fact check every stored fact passes, and the one loop
 that matches a pattern against rows, :meth:`~FactStore._matching`,
 behind ``retrieve``, ``facts_matching``, ``succeeds`` and the row
 probe ``_rows_matching`` that the bottom-up join and QSQN use.  A
-backend implements its physical storage — ``add``/``remove``,
-``relation``, ``__contains__`` (which answers ground probes), ``copy``
-and the retrieval hook ``_candidates``, which yields the rows of a
-relation in insertion order, pruned by the pattern's bound positions —
-and reports every *effective* insert or delete through one base call,
-:meth:`~FactStore._record_write`, so one method sees every write of
-every backend.  A store whose probes go elsewhere first (a fault
-draw, a shard route) overrides ``_matching`` alone, so every probe
-entry point takes that path.  Construction is not a write: a backend
+backend implements only its physical storage — ``add``/``remove``,
+``__contains__`` (which answers ground probes), ``copy`` and two read
+hooks: ``_rows``, which yields a relation's rows in insertion order,
+and ``_candidates``, which yields them pruned by a pattern's bound
+positions — and reports every *effective* insert or delete through
+one base call, :meth:`~FactStore._record_write`, so one method sees
+every write of every backend.  A store whose probes go elsewhere
+first (a fault draw, a shard route) overrides ``_matching`` alone, so
+every probe entry point takes that path; ``_rows`` is the control
+plane, which never faults.  Construction is not a write: a backend
 that builds its initial facts in one pass records them once, through
 :meth:`~FactStore._record_load`.
 
@@ -75,10 +79,12 @@ A probe's key is :func:`probe_key` of its pattern.  ``version(keys)``
 is a number that differs from every earlier reading as soon as a fact
 under any of ``keys`` has been added or removed since; a cache entry
 keyed on the version of everything its computation probed stays valid
-exactly as long as that version does.  Versions count writes, and the
-facts a store was constructed with are not writes: a key that no write
-has touched since construction reads as constructed, which no reader
-can have cached before the constructor returned.
+exactly as long as that version does.  In every backend it is the
+newest *stamp* among ``keys``: the generation of a key's last write.
+Versions count writes, and the facts a store was constructed with are
+not writes: a key that no write has touched since construction has no
+stamp and reads 0, "as constructed", which no reader can have cached
+before the constructor returned.
 """
 
 from __future__ import annotations
@@ -86,7 +92,7 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 # ``repro.datalog.terms`` imports nothing from the package, so this is
 # safe while ``repro.datalog.database`` is importing this module.
@@ -120,12 +126,12 @@ def _check_fact(fact: Atom) -> None:
 
 class _FactRows(dict):
     """Facts grouped by relation, already storable: each signature
-    ``(predicate, arity)`` maps to a non-empty collection of its rows,
-    tuples of ``arity`` constants.  Relations come in first-insertion
-    order and each one's rows in fact order, duplicates included.  The
-    fact scan returns one, :meth:`FactStore.from_program` hands it to
-    the constructor, and the constructor loads a relation at a time,
-    with no :class:`Atom` per fact."""
+    ``(predicate, arity)`` maps to a non-empty iterable of its rows,
+    tuples of ``arity`` constants, which a constructor reads once.
+    Relations come in first-insertion order and each one's rows in fact
+    order, duplicates included.  The fact scan returns one, and so does
+    :meth:`FactStore._relations`; the constructor loads a relation at a
+    time, with no :class:`Atom` per fact."""
 
     __slots__ = ()
 
@@ -252,10 +258,11 @@ class FactStore(ABC):
     the module-level contract — especially the enumeration-order
     guarantee — and calls :meth:`_record_write` once per *effective*
     mutation, since the serving caches key on ``cache_key = (identity,
-    generation)`` or on :meth:`version`.  Its constructor may load its
-    initial facts through ``add`` or build them in one pass and record
-    them with :meth:`_record_load`.  It takes atoms, or the rows
-    grouped by relation that :meth:`from_program` passes
+    generation)`` or on :meth:`version`, and derived state on the
+    generation.  Its constructor may load its initial facts through
+    ``add`` or build them in one pass and record them with
+    :meth:`_record_load`.  It takes atoms, or the rows grouped by
+    relation that :meth:`from_program` and :meth:`_relations` give
     (:func:`_fact_rows` reads either as the latter).
     """
 
@@ -276,6 +283,10 @@ class FactStore(ABC):
         #: The relations holding at least one fact.
         self._signatures: Set[Tuple[str, int]] = set()
         self._size = 0
+        #: Read key -> generation of its last effective write.
+        self._stamps: Dict[ReadKey, int] = {}
+        #: Owner -> (generation, the state it derived at it).
+        self._derived: Dict[object, Tuple[int, object]] = {}
 
     # -- identity & coherence ------------------------------------------
 
@@ -296,16 +307,31 @@ class FactStore(ABC):
         return (self._id, self._generation)
 
     def version(self, keys: Iterable[ReadKey]) -> int:
-        """A version of the facts under ``keys`` (see the module notes).
+        """The newest stamp among ``keys`` (see the module notes): a
+        write elsewhere leaves it unchanged, and a key no write has
+        touched since construction reads 0."""
+        stamp_of = self._stamps.get
+        newest = 0
+        for key in keys:
+            stamp = stamp_of(key, 0)
+            if stamp > newest:
+                newest = stamp
+        return newest
 
-        The default is the whole-store :attr:`generation`: coherent for
-        any backend, but every mutation anywhere changes it.  A backend
-        that tracks per-key stamps returns the newest stamp among
-        ``keys`` instead, so writes elsewhere leave it unchanged; a key
-        no write has touched since construction has no stamp and reads
-        0, "as constructed".
-        """
-        return self.generation
+    def _derived_state(self, owner: object, build: Callable[[], object]):
+        """The state ``owner`` (an engine) derives from this store: the
+        one built at the current generation, else a fresh ``build()``,
+        which replaces it.  Any write makes an entry stale; an entry
+        lives as long as the store."""
+        generation = self._generation
+        entry = self._derived.get(owner)
+        if entry is None or entry[0] != generation:
+            entry = self._derived[owner] = (generation, build())
+        return entry[1]
+
+    def _drop_derived(self, owner: object) -> None:
+        """Forget ``owner``'s state, so its next read builds afresh."""
+        self._derived.pop(owner, None)
 
     # -- mutation ------------------------------------------------------
 
@@ -335,14 +361,19 @@ class FactStore(ABC):
         self._signatures = set(counts)
         self._size = self._generation = sum(counts.values())
 
-    def _record_write(self, fact: Atom, delta: int) -> int:
+    def _record_write(self, fact: Atom, delta: int, keys: Optional[List] = None) -> None:
         """Record one effective physical insert (``delta=1``) or delete
         (``delta=-1``) of ``fact``: update the catalog, bump the
-        generation and return the new one.
+        generation, and stamp the relation key and each bucket key of
+        ``fact`` with the new generation.
 
         Every backend calls this exactly once per write that changed
         its stored fact set, after the write is visible to every probe
-        — every write after construction (see :meth:`_record_load`).
+        and through every index — every write after construction (see
+        :meth:`_record_load`) — so a reader that sees a new stamp sees
+        the write.  A backend that computed ``keys``, the fact's
+        :func:`bucket_keys`, for its own index passes them, so the
+        index and the stamps share one tuple per key.
         """
         signature = fact.signature
         counts = self._counts
@@ -354,7 +385,10 @@ class FactStore(ABC):
             self._signatures.discard(signature)
         self._size += delta
         self._generation = generation = self._generation + 1
-        return generation
+        stamps = self._stamps
+        stamps[signature] = generation
+        for key in bucket_keys(fact) if keys is None else keys:
+            stamps[key] = generation
 
     # -- retrieval -----------------------------------------------------
 
@@ -460,8 +494,15 @@ class FactStore(ABC):
         return self._signatures
 
     @abstractmethod
+    def _rows(self, signature: Tuple[str, int]) -> Iterable[tuple]:
+        """One relation's rows in insertion order, the hook behind the
+        row views; it reads the control plane, so it never faults."""
+
     def relation(self, predicate: str, arity: int) -> List[Atom]:
         """All facts of one relation, in insertion order."""
+        signature = (predicate, arity)
+        ground = Atom._ground
+        return [ground(signature, args) for args in self._rows(signature)]
 
     def count(self, predicate: str, arity: Optional[int] = None) -> int:
         """Number of facts for a relation.
@@ -483,9 +524,21 @@ class FactStore(ABC):
 
     def __iter__(self) -> Iterator[Atom]:
         """Every fact: relations in first-insertion order, facts in
-        insertion order within each."""
-        for predicate, arity in self._counts:
-            yield from self.relation(predicate, arity)
+        insertion order within each, each built as it is consumed."""
+        ground = Atom._ground
+        for signature in self._counts:
+            for args in self._rows(signature):
+                yield ground(signature, args)
+
+    def _relations(self) -> _FactRows:
+        """The non-empty relations as rows grouped by relation, which a
+        copy or the bottom-up model is built from, with no :class:`Atom`."""
+        rows = self._rows
+        return _FactRows(
+            (signature, rows(signature))
+            for signature, count in self._counts.items()
+            if count
+        )
 
     # -- whole-store operations ----------------------------------------
 
@@ -507,7 +560,8 @@ class FactStore(ABC):
 
     @abstractmethod
     def copy(self) -> "FactStore":
-        """An independent same-backend copy of the store."""
+        """An independent same-backend copy of the store, built from
+        :meth:`_relations`."""
 
     @abstractmethod
     def __contains__(self, fact: Atom) -> bool: ...

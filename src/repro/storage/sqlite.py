@@ -31,7 +31,8 @@ asking about constants never stored does not grow it.
 **Loading.**  The constructor stores its initial facts in one
 transaction, with one ``executemany`` per relation in first-insertion
 order, straight from the rows grouped by relation that every
-constructor takes, and records the catalog once
+constructor takes (read once: a copy streams its source's select),
+and records the catalog once
 (:meth:`~repro.storage.interface.FactStore._record_load`).  The
 ``UNIQUE`` index skips duplicates, and each relation's count is the
 rows its ``executemany`` inserted, so :attr:`generation` ends at the
@@ -39,12 +40,13 @@ number of distinct facts, as after one ``add`` per fact.  Rowids
 within a relation follow the facts' order, which is all the
 enumeration-order guarantee reads.
 
-Matching (bound positions, repeated variables) is the
-:class:`~repro.storage.interface.FactStore` base's one loop; this
-backend only supplies its candidate rows, decoded from a select whose
-``WHERE`` clauses on bound columns *prune* the scan, exactly like
-``Database._candidates`` picking the tightest index bucket.  No
-:class:`Atom` is built per row unless an entry point returns facts.
+Matching (bound positions, repeated variables), the row views and
+read versions are the :class:`~repro.storage.interface.FactStore`
+base's; this backend only supplies its rows, decoded from a select
+whose ``WHERE`` clauses on bound columns *prune* a probe's scan,
+exactly like ``Database._candidates`` picking the tightest index
+bucket.  No :class:`Atom` is built per row unless an entry point
+returns facts.
 """
 
 from __future__ import annotations
@@ -93,7 +95,12 @@ class SQLiteFactStore(FactStore):
         conn.execute("BEGIN")
         try:
             for signature, relation in relations.items():
-                encoded = [self._row_for(args) for args in relation]
+                encoded = []
+                for args in relation:
+                    row = self._row_for(args)
+                    encoded.append(row)
+                    for cell, arg in zip(row, args):
+                        constants.setdefault(cell, arg)
                 table = self._table_for(signature)
                 cursor = conn.executemany(
                     f"INSERT OR IGNORE INTO {table} VALUES "
@@ -101,9 +108,6 @@ class SQLiteFactStore(FactStore):
                     encoded,
                 )
                 counts[signature] = cursor.rowcount
-                for row, args in zip(encoded, relation):
-                    for cell, arg in zip(row, args):
-                        constants.setdefault(cell, arg)
             conn.execute("COMMIT")
         except BaseException:
             conn.execute("ROLLBACK")
@@ -112,7 +116,7 @@ class SQLiteFactStore(FactStore):
 
     def copy(self) -> "SQLiteFactStore":
         """An independent in-memory copy, preserving enumeration order."""
-        return SQLiteFactStore(self)
+        return SQLiteFactStore(self._relations())
 
     def close(self) -> None:
         self._conn.close()
@@ -234,10 +238,8 @@ class SQLiteFactStore(FactStore):
         for row in cursor:
             yield tuple(map(decode, row))
 
-    def relation(self, predicate: str, arity: int) -> List[Atom]:
-        signature = (predicate, arity)
-        ground = Atom._ground
-        return [ground(signature, args) for args in self._scan(signature)]
+    def _rows(self, signature: Tuple[str, int]) -> Iterator[tuple]:
+        return self._scan(signature)
 
     def _candidates(self, pattern: Atom) -> Iterator[tuple]:
         return self._scan(pattern.signature, pattern)

@@ -1,10 +1,10 @@
 """Read-set versions: per-key store stamps and the caches keyed on them.
 
 A write must invalidate exactly the cached answers and probes that
-could observe it.  Covers the :class:`Database` stamps behind
+could observe it.  Covers the `FactStore` stamps behind
 ``version(keys)``, the probe-key choice, the compiled and cone read
-plans, the other backends' whole-store fallback, server-level
-targeted invalidation, and the regressions for keys read after the
+plans, the same stamps in every backend, server-level targeted
+invalidation, and the regressions for keys read after the
 work and for query keys that printed alike.
 """
 
@@ -306,13 +306,17 @@ class TestTargetedInvalidation:
         lambda facts: SQLiteFactStore(facts),
         lambda facts: FederatedStore(facts, shards=2, seed=3),
     ], ids=["sqlite", "federated"])
-    def test_other_backends_miss_on_any_write(self, make):
+    def test_other_backends_version_read_sets(self, make):
         backend = make(list(store("leaf(c1). alt(c2). other(c1).")))
         with cached_session(FORMS, backend, memo=64) as session:
             served_cached(session, self.QUERIES)
             assert all(served_cached(session, self.QUERIES).values())
             backend.add(atom("unrelated(x)"))
-            assert not any(served_cached(session, self.QUERIES).values())
+            assert all(served_cached(session, self.QUERIES).values())
+            backend.remove(atom("leaf(c1)"))
+            assert served_cached(session, self.QUERIES) == {
+                "f(c1)": False, "f(c2)": True, "h(c1)": True,
+            }
 
     def test_flaky_database_versions_its_own_writes(self):
         loaded = store("leaf(c1). alt(c2).")

@@ -18,9 +18,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import SessionConfig, open_session
 from repro.datalog import parser
+from repro.datalog.bottomup import BottomUpEngine
 from repro.datalog.database import Database
-from repro.datalog.parser import parse_query
+from repro.datalog.parser import parse_program, parse_query
+from repro.datalog.qsqn import QSQNEngine
 from repro.datalog.rules import QueryForm
 from repro.datalog.terms import Atom, Constant, Variable
 from repro.datalog.unify import match
@@ -33,7 +36,7 @@ from repro.storage import (
     FederatedStore,
     SQLiteFactStore,
 )
-from repro.storage.interface import bucket_keys
+from repro.storage.interface import _FactRows, bucket_keys
 from repro.system import SelfOptimizingQueryProcessor
 from repro.workloads import db1, university_rule_base
 
@@ -299,10 +302,13 @@ class TestBackendParity:
         """Every probe of every backend is the facts of the history, in
         insertion order, that :func:`match` accepts; every fact a
         backend rebuilds from its rows equals, and hashes like, the
-        same fact parsed afresh."""
+        same fact parsed afresh; and after every step each backend
+        reads the in-memory store's version of every relation and
+        bucket key of the history's facts."""
         model = []
         relations = []  # relation first-insertion order
         stores = matcher_backends()
+        keys = store_keys(fact for _, fact in history)
         for op, fact in history:
             if op == "add":
                 effective = fact not in model
@@ -316,6 +322,10 @@ class TestBackendParity:
                     model.remove(fact)
             for store in stores:
                 assert getattr(store, op)(fact) == effective, (store, op, fact)
+            versions = {key: stores[0].version([key]) for key in keys}
+            for store in stores[1:]:
+                assert {key: store.version([key]) for key in keys} == versions, (
+                    store, op, fact)
         for pattern in patterns:
             matching = [fact for fact in model if match(pattern, fact) is not None]
             bindings = [match(pattern, fact) for fact in matching]
@@ -342,6 +352,24 @@ class TestBackendParity:
                 assert same_atoms(store.relation(*signature), parsed(
                     fact for fact in model if fact.signature == signature
                 )), (store, signature)
+
+    @pytest.mark.parametrize("kind", [Database, SQLiteFactStore, FederatedStore])
+    def test_iteration_builds_each_fact_as_it_is_consumed(self, kind, monkeypatch):
+        """Taking the first fact of a 100,000-fact relation builds one
+        :class:`Atom`, not the relation's: a view that built
+        ``relation()`` first peaked at about 10 MB here."""
+        monkeypatch.setattr(Constant, "_intern", {})
+        store = kind(_FactRows({("p", 1): [(Constant(i),) for i in range(100_000)]}))
+        facts = iter(store)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            first = next(facts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == Atom("p", [0])
+        assert peak < 32 * 1024, peak
 
     def test_removed_then_readded_enumerates_last(self):
         fact = Atom("e1", ["a"])
@@ -737,7 +765,6 @@ class TestLoading:
             added.add(fact)
         assert state(built) == state(added)
         assert built.generation == len(set(facts))
-        assert built.version(store_keys(facts)) == built.generation
         for shard in built.shards:
             if shard.replica is not None:
                 assert all(
@@ -751,8 +778,14 @@ class TestLoading:
         text = fact_text(facts, layouts)
         assert state(FederatedStore.from_program(text, **kwargs)) == state(added)
         assert probes(built) == probes(added)
+        # Writes move the same keys in both stores.
+        keys = store_keys(facts + [fact for _, fact in history])
+        before = [(built.version([key]), added.version([key])) for key in keys]
         for op, fact in history:
             assert getattr(built, op)(fact) == getattr(added, op)(fact)
+        for key, (built_was, added_was) in zip(keys, before):
+            assert (built.version([key]) != built_was) == (
+                added.version([key]) != added_was), key
         assert state(built) == state(added)
         assert probes(built) == probes(added)
         assert built.summary() == added.summary()
@@ -1037,3 +1070,91 @@ class TestSystemCompleteness:
         assert not complete.proved
         answer = processor.query(parse_query("instructor(fred)"), store)
         assert not answer.proved
+
+
+#: A ten-edge chain under transitive closure, which no form compiles
+#: to an inference graph, so the configured engine answers every goal.
+CHAIN_RULES = "tc(X, Y) :- e(X, Y).\ntc(X, Y) :- e(X, Z), tc(Z, Y).\n"
+CHAIN_FACTS = " ".join(f"e(n{index}, n{index + 1})." for index in range(10))
+
+
+class TestDerivedState:
+    """What an engine derives from a whole store — the bottom-up model,
+    QSQN's net — is the store's, one entry per engine, built at one
+    generation."""
+
+    def test_state_is_kept_per_store_and_engine_until_a_write(self):
+        rules = parse_program(CHAIN_RULES)
+        store = Database.from_program(CHAIN_FACTS)
+        engine, other = BottomUpEngine(rules), BottomUpEngine(rules)
+        model = engine.model(store)
+        assert engine.model(store) is model
+        assert other.model(store) is not model
+        assert engine.model(Database.from_program(CHAIN_FACTS)) is not model
+        assert set(store._derived) == {engine, other}
+        store.add(parse_query("e(n10, n11)"))
+        rebuilt = engine.model(store)
+        assert rebuilt is not model
+        assert parse_query("tc(n0, n11)") in rebuilt
+        assert parse_query("tc(n0, n11)") not in model
+
+    @pytest.mark.parametrize("make", [
+        lambda: FederatedStore.from_program(
+            CHAIN_FACTS, shards=2, seed=0, fault=FaultSpec(fault_rate=1.0)),
+        lambda: FlakyDatabase.from_program(
+            CHAIN_FACTS, plan=FaultPlan(default=FaultSpec(fault_rate=1.0))),
+        lambda: SQLiteFactStore.from_program(CHAIN_FACTS),
+    ], ids=["dark-federated", "faulting-flaky", "sqlite"])
+    def test_model_is_built_in_memory_from_the_rows(self, make):
+        """The model reads the store's rows, never its probes: no
+        fault draw and no dark shard can drop a fact from it."""
+        store = make()
+        model = BottomUpEngine(parse_program(CHAIN_RULES)).model(store)
+        assert type(model) is Database
+        assert parse_query("tc(n0, n10)") in model
+        assert len(model) == 10 + 55
+        if isinstance(store, FederatedStore):
+            assert store.probes == 0
+        if isinstance(store, FlakyDatabase):
+            assert store.plan.summary()["faults"] == 0
+
+    def test_qsqn_drops_a_net_drained_while_a_shard_was_dark(self):
+        engine = QSQNEngine(parse_program(CHAIN_RULES))
+        store = FederatedStore.from_program(
+            CHAIN_FACTS, shards=2, seed=0, fault=FaultSpec(fault_rate=1.0))
+        store.begin_probe_window()
+        assert not engine.prove(parse_query("tc(n0, n3)"), store).proved
+        assert store.end_probe_window().completeness.partial
+        assert engine not in store._derived
+        healthy = FederatedStore.from_program(CHAIN_FACTS, shards=2, seed=0)
+        healthy.begin_probe_window()
+        assert engine.prove(parse_query("tc(n0, n3)"), healthy).proved
+        assert healthy.end_probe_window().completeness is COMPLETE
+        assert engine in healthy._derived
+
+    @pytest.mark.parametrize("engine", ["bottomup", "qsqn"])
+    def test_no_wrong_answer_is_served_clean_over_faulty_shards(self, engine):
+        """Twenty faulty two-shard stores, four closure goals asked three
+        rounds each: every answer served as clean is the model's.  With
+        an engine cache of its own, bottom-up served 180 of the 240
+        answers wrong and clean (its copy of the store probed fresh
+        fault streams outside the query's window), and QSQN 60 (a net
+        drained while a shard was dark served the next query)."""
+        rules = parse_program(CHAIN_RULES)
+        model = BottomUpEngine(rules).model(Database.from_program(CHAIN_FACTS))
+        queries = [parse_query(text) for text in (
+            "tc(n0, n10)", "tc(n0, n5)", "tc(n3, n9)", "tc(n5, n2)")]
+        wrong = []
+        for seed in range(20):
+            store = FederatedStore.from_program(
+                CHAIN_FACTS, shards=2, seed=seed,
+                fault=FaultSpec(fault_rate=0.3), retry_budget=0,
+            )
+            config = SessionConfig(engine=engine)
+            with open_session(rules, store, config=config) as session:
+                for _ in range(3):
+                    for query in queries:
+                        answer = session.query(query)
+                        if answer.clean and answer.proved != model.succeeds(query):
+                            wrong.append((seed, str(query)))
+        assert wrong == []

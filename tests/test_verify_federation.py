@@ -1,6 +1,7 @@
 """The federation verify profile: oracles pass, and catch seeded bugs."""
 
 from repro.storage.federation import FederatedStore, ProbeWindow
+from repro.storage.interface import _FactRows
 from repro.storage.sqlite import SQLiteFactStore
 from repro.verify.federation import (
     check_federation_clean_answers,
@@ -83,5 +84,19 @@ class TestFederationOraclesCatchBugs:
         ]
         assert any(
             message is not None and "clean answer" in message
+            for message in messages
+        )
+
+    def test_model_missing_facts_detected_on_the_engine_leg(self, monkeypatch):
+        # A bottom-up model that loses the federated store's facts, as
+        # one built by probing a copy of the store through dark shards
+        # did, serves a clean "no" to an uncompilable form.
+        monkeypatch.setattr(FederatedStore, "_relations", lambda self: _FactRows())
+        messages = [
+            check_federation_clean_answers(spec)
+            for spec in specs_for("federation", 10)
+        ]
+        assert any(
+            message is not None and "bottomup" in message
             for message in messages
         )

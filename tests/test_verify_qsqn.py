@@ -4,6 +4,7 @@ import io
 
 from repro.cli import main
 from repro.datalog.qsqn import QSQNEngine
+from repro.storage.interface import FactStore
 from repro.verify.oracles import check_three_way_equivalence
 from repro.verify.runner import (
     PROFILE_CHECKS,
@@ -68,19 +69,18 @@ class TestOracleCatchesBrokenEngines:
         )
 
     def test_stale_cache_detected_by_mutation_storms(self, monkeypatch):
-        # An engine that never invalidates: pin every lookup to the
-        # first generation it saw by ignoring the generation half of
-        # the cache key.
-        real = QSQNEngine._state
+        # A registry that never invalidates QSQN's net: pin every
+        # lookup to the first state it built by ignoring the
+        # generation the entry was built at.
+        real = FactStore._derived_state
 
-        def sticky(self, database):
-            identity, _ = database.cache_key
-            cached = self._cache.get(identity)
-            if cached is not None:
-                return cached[1]
-            return real(self, database)
+        def sticky(self, owner, build):
+            entry = self._derived.get(owner)
+            if entry is not None and isinstance(owner, QSQNEngine):
+                return entry[1]
+            return real(self, owner, build)
 
-        monkeypatch.setattr(QSQNEngine, "_state", sticky)
+        monkeypatch.setattr(FactStore, "_derived_state", sticky)
         stormy = [
             spec for spec in specs_for("qsqn", 8) if spec.mutation_steps
         ]
