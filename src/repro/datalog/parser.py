@@ -19,24 +19,35 @@ Entry points: :func:`parse_program`, :func:`parse_rule`,
 :func:`parse_atom`, :func:`parse_query`, and :func:`strip_comment` for
 the one-query-per-line stream format.
 
+Rules and queries are parsed from tokens taken as plain strings from
+one ``findall`` of the token grammar (:data:`_LEX_RE`), with no
+:class:`Token`, line or column; the parser only declines what it does
+not accept.  Text it declines is read again by the positional
+:func:`tokenize`, which stays the only error reporter: every
+:class:`ParseError` carries the message, line and column it always had.
+
 Fact text has a second reader.  :meth:`FactStore.from_program
 <repro.storage.interface.FactStore.from_program>` takes its facts from
 :func:`_read_facts`, which first tries :func:`_scan_facts`: that cuts
-the text's comments, matches one whole ground-fact clause per regex
-match, converts each distinct constant text once, and returns the
-rows grouped by relation, with no tokens, :class:`Rule` objects,
-:class:`RuleBase` or :class:`Atom` — a store keeps a fact as its
-argument tuple, so none is needed.  The scan is built from the same
-NAME, NUMBER, STRING and COMMENT patterns as the tokenizer and accepts
-only text that is certainly ground facts; anything else goes to
-:func:`parse_program` and the ``is_fact`` check, which stay the
-reference reading and the only error reporter.
+the text's comments, matches ground-fact clauses with a regex, one
+clause per match until two facts in a row go to one relation and then
+a run of that predicate's clauses per match, converts each distinct
+constant text once, and returns the rows grouped by relation, with no
+tokens, :class:`Rule` objects, :class:`RuleBase` or :class:`Atom` — a
+store keeps a fact as its argument tuple, so none is needed.  The scan
+is built from the same NAME, NUMBER, STRING and COMMENT patterns as
+the tokenizer and accepts only text that is certainly ground facts;
+anything else goes to :func:`parse_program` and the ``is_fact`` check,
+which stay the reference reading and the only error reporter.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, NamedTuple, NoReturn, Optional, Tuple, TypeVar,
+)
 
 from ..errors import DatalogError, ParseError
 from ..storage.interface import _FactRows
@@ -47,6 +58,8 @@ __all__ = [
     "parse_program", "parse_rule", "parse_atom", "parse_query", "strip_comment",
     "tokenize",
 ]
+
+_T = TypeVar("_T")
 
 
 class Token(NamedTuple):
@@ -79,6 +92,7 @@ _TOKEN_RE = re.compile(
   | (?P<NUMBER>{_NUMBER})
   | (?P<STRING>{_STRING})
   | (?P<NAME>{_NAME})
+  | (?P<BAD>.)
     """,
     re.VERBOSE,
 )
@@ -98,134 +112,231 @@ def strip_comment(line: str) -> str:
 
 def tokenize(text: str) -> Iterator[Token]:
     """Yield tokens; raises :class:`ParseError` on unknown characters."""
-    line = 1
-    line_start = 0
-    position = 0
-    while position < len(text):
-        matched = _TOKEN_RE.match(text, position)
-        if matched is None:
-            raise ParseError(
-                f"unexpected character {text[position]!r}",
-                line=line,
-                column=position - line_start + 1,
-            )
+    return _tokens(text, 0, 1, 0)
+
+
+def _tokens(text: str, position: int, line: int, line_start: int) -> Iterator[Token]:
+    """:func:`tokenize` from ``position``, which is on ``line``, a line
+    that starts at ``line_start``."""
+    for matched in _TOKEN_RE.finditer(text, position):
         kind = matched.lastgroup
+        if kind == "COMMENT":
+            continue
+        start = matched.start()
+        if kind == "BAD":
+            raise ParseError(
+                f"unexpected character {text[start]!r}",
+                line=line,
+                column=start - line_start + 1,
+            )
         token_text = matched.group()
-        if kind not in ("WS", "COMMENT"):
-            yield Token(kind, token_text, line, matched.start() - line_start + 1)
-        newlines = token_text.count("\n")
-        if newlines:
-            line += newlines
-            line_start = matched.start() + token_text.rfind("\n") + 1
-        position = matched.end()
-    yield Token("EOF", "", line, position - line_start + 1)
+        if kind != "WS":
+            yield Token(kind, token_text, line, start - line_start + 1)
+        if kind == "WS" or kind == "STRING":
+            newline = token_text.rfind("\n")
+            if newline >= 0:
+                line += token_text.count("\n")
+                line_start = start + newline + 1
+    yield Token("EOF", "", line, len(text) - line_start + 1)
+
+
+#: Whitespace and comments after a token.
+_LAYOUT = rf"\s*(?:{_COMMENT}\s*)*"
+#: The lexical grammar again, as one pattern for ``findall``: one
+#: match per token, its text and the layout after it, and one for the
+#: layout that starts the text, whose text is empty.  The token
+#: patterns start with disjoint characters, so this splits a text
+#: exactly as :func:`tokenize` does.  Where no token starts, the
+#: catch-all takes the rest of the text as one last token, which no
+#: production accepts: it is never a lowercase name, ``)`` or ``.``,
+#: the only tokens that end a clause or an atom.
+_LEX_RE = re.compile(
+    rf"""
+    \A(?=[\s%]){_LAYOUT}
+  | ( {_NAME} | [(),] | :- | {_DOT} | {_NUMBER} | {_STRING} | \\\+ | @
+    | [\s\S]+ ) {_LAYOUT}
+    """,
+    re.VERBOSE,
+)
+
+#: The first characters of a NAME token.
+_NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+#: The tokens that are not terms; ``""`` is the end of the text.
+_NOT_A_TERM = frozenset(["(", ")", ",", ".", ":-", "\\+", "@", ""])
+#: The kind :func:`tokenize` gives the tokens :meth:`_Parser._expect` takes.
+_KIND = {".": "DOT", ")": "RPAREN", "": "EOF"}
+
+
+class _Declined(Exception):
+    """Where the findall reading stopped: the index of the token it does
+    not accept, and what it expected there or why its text converts to
+    no constant."""
+
+    def __init__(self, index: int, expected: str, error: Optional[ValueError]):
+        super().__init__(index, expected, error)
+        self.index, self.expected, self.error = index, expected, error
+
+    def at(self, token: Token) -> ParseError:
+        """The error at ``token``, the same token as :func:`tokenize`
+        reads it, with its line and column."""
+        if self.error is not None:
+            message = f"integer literal too long: {self.error}"
+        elif self.expected == "NAME" and token.kind == "NAME":
+            message = f"predicate names must start lowercase, got {token.text!r}"
+        else:
+            message = f"expected {self.expected}, found {token.kind} ({token.text!r})"
+        return ParseError(message, line=token.line, column=token.column)
 
 
 class _Parser:
-    """Recursive-descent parser over the token stream."""
+    """Recursive descent over a list of token texts that ends with
+    ``""``, the end of the text.
 
-    def __init__(self, text: str):
-        self._tokens: List[Token] = list(tokenize(text))
+    The tokens come from one :data:`_LEX_RE` ``findall`` and carry no
+    line or column, so the parser only declines what it does not
+    accept; :func:`_parse` then reads the text again with
+    :func:`tokenize` for the error.  A token's kind is told from its
+    text: an exact match for the punctuation, else its first character.
+    """
+
+    __slots__ = ("_tokens", "_index")
+
+    def __init__(self, tokens: List[str]):
+        self._tokens = tokens
         self._index = 0
 
-    @property
-    def _current(self) -> Token:
-        return self._tokens[self._index]
+    def _fail(self, expected: str, error: Optional[ValueError] = None) -> NoReturn:
+        """Stop at the current token: it is not ``expected``, or its
+        integer is past ``int``'s digit limit (``error``)."""
+        raise _Declined(self._index, expected, error)
 
-    def _advance(self) -> Token:
-        token = self._current
-        if token.kind != "EOF":
-            self._index += 1
-        return token
-
-    def _expect(self, kind: str) -> Token:
-        token = self._current
-        if token.kind != kind:
-            raise ParseError(
-                f"expected {kind}, found {token.kind} ({token.text!r})",
-                line=token.line,
-                column=token.column,
-            )
-        return self._advance()
-
-    def _at(self, kind: str) -> bool:
-        return self._current.kind == kind
+    def _expect(self, token: str) -> None:
+        if self._tokens[self._index] != token:
+            self._fail(_KIND[token])
+        self._index += 1
 
     # -- grammar productions -----------------------------------------
 
     def program(self) -> List[Rule]:
+        tokens = self._tokens
         clauses: List[Rule] = []
-        while not self._at("EOF"):
+        while tokens[self._index]:
             clauses.append(self.clause())
         return clauses
 
+    def rule(self) -> Rule:
+        """One clause and the end of the text."""
+        rule = self.clause()
+        self._expect("")
+        return rule
+
+    def lone_atom(self) -> Atom:
+        """One atom and the end of the text."""
+        atom = self.atom()
+        self._expect("")
+        return atom
+
     def clause(self) -> Rule:
+        tokens = self._tokens
         name: Optional[str] = None
-        if self._at("AT"):
-            self._advance()
-            name = self._expect("NAME").text
+        if tokens[self._index] == "@":
+            self._index += 1
+            name = tokens[self._index]
+            if name[:1] not in _NAME_START:
+                self._fail("NAME")
+            self._index += 1
         head = self.atom()
         body: List[Literal] = []
-        if self._at("IMPLIES"):
-            self._advance()
+        if tokens[self._index] == ":-":
+            self._index += 1
             body.append(self.literal())
-            while self._at("COMMA"):
-                self._advance()
+            while tokens[self._index] == ",":
+                self._index += 1
                 body.append(self.literal())
-        self._expect("DOT")
+        self._expect(".")
         return Rule(head, body, name=name)
 
     def literal(self) -> Literal:
-        positive = True
-        if self._at("NAF"):
-            self._advance()
-            positive = False
-        elif self._at("NAME") and self._current.text == "not":
-            # 'not' is a keyword only in literal position followed by an atom.
-            lookahead = self._tokens[self._index + 1]
-            if lookahead.kind == "NAME":
-                self._advance()
-                positive = False
-        return Literal(self.atom(), positive=positive)
+        tokens = self._tokens
+        token = tokens[self._index]
+        # 'not' is a keyword only in literal position followed by an atom.
+        if token == "\\+" or (
+            token == "not" and tokens[self._index + 1][:1] in _NAME_START
+        ):
+            self._index += 1
+            return Literal(self.atom(), positive=False)
+        return Literal(self.atom())
 
     def atom(self) -> Atom:
-        name_token = self._expect("NAME")
-        if name_token.text[0].isupper() or name_token.text[0] == "_":
-            raise ParseError(
-                f"predicate names must start lowercase, got {name_token.text!r}",
-                line=name_token.line,
-                column=name_token.column,
-            )
+        tokens = self._tokens
+        index = self._index
+        predicate = tokens[index]
+        if not "a" <= predicate[:1] <= "z":
+            self._fail("NAME")
+        index += 1
+        if tokens[index] != "(":
+            self._index = index
+            return Atom._ground((predicate, 0), ())
         args: List[Term] = []
-        if self._at("LPAREN"):
-            self._advance()
-            args.append(self.term())
-            while self._at("COMMA"):
-                self._advance()
-                args.append(self.term())
-            self._expect("RPAREN")
-        return Atom(name_token.text, args)
+        ground = True
+        while True:
+            index += 1
+            text = tokens[index]
+            if text in _NOT_A_TERM:
+                self._index = index
+                self._fail("a term")
+            first = text[0]
+            if first.isupper() or first == "_":
+                args.append(Variable(text))
+                ground = False
+            else:
+                try:
+                    args.append(_constant(text))
+                except ValueError as error:
+                    self._index = index
+                    self._fail("a term", error)
+            index += 1
+            if tokens[index] != ",":
+                break
+        self._index = index
+        self._expect(")")
+        if ground:
+            return Atom._ground((predicate, len(args)), tuple(args))
+        return Atom._make(predicate, tuple(args))
 
-    def term(self) -> Term:
-        token = self._current
-        if token.kind not in ("NAME", "NUMBER", "STRING"):
-            raise ParseError(
-                f"expected a term, found {token.kind} ({token.text!r})",
-                line=token.line,
-                column=token.column,
-            )
-        self._advance()
-        text = token.text
-        if token.kind == "NAME" and (text[0].isupper() or text[0] == "_"):
-            return Variable(text)
-        try:
-            return _constant(text)
-        except ValueError as error:  # an integer past int's digit limit
-            raise ParseError(
-                f"integer literal too long: {error}",
-                line=token.line,
-                column=token.column,
-            ) from None
+
+def _parse(text: str, production: Callable[[_Parser], _T]) -> _T:
+    """``production`` over the tokens of one ``findall``.
+
+    Text it declines is read again by :func:`tokenize`, from the
+    declined token on, which the same lexer finds with no Python step
+    per token.  Both lexers split the text alike up to the first unknown
+    character, which ends the findall tokens as the catch-all, and
+    :func:`tokenize` raises at it before any grammar error: so the
+    reading starts at the catch-all when that comes first, and the
+    error has the same message, line and column as a reading from the
+    start would give."""
+    tokens = list(filter(None, _LEX_RE.findall(text)))
+    tokens.append("")
+    try:
+        return production(_Parser(tokens))
+    except _Declined as declined:
+        first = max(0, min(declined.index, len(tokens) - 2))
+        position = _token_start(text, first)
+        line = text.count("\n", 0, position) + 1
+        line_start = text.rfind("\n", 0, position) + 1
+        positions = list(_tokens(text, position, line, line_start))
+        raise declined.at(positions[declined.index - first]) from None
+
+
+def _token_start(text: str, index: int) -> int:
+    """Where the findall token ``index`` starts in ``text``, or its end
+    for the end token."""
+    matches = _LEX_RE.finditer(text)
+    if text[:1].isspace() or text[:1] == "%":
+        index += 1  # the match of the layout that starts the text
+    found = next(itertools.islice(matches, index, None), None)
+    return len(text) if found is None else found.start(1)
 
 
 def _constant(text: str) -> Constant:
@@ -248,21 +359,37 @@ def _constant(text: str) -> Constant:
 _LOWER_NAME = rf"(?=[a-z]){_NAME}"
 _CONSTANT = rf"(?:{_LOWER_NAME}|{_NUMBER}|{_STRING})"
 
+#: An argument text: anything but parentheses and quotes, with strings
+#: kept whole.
+_ARGS_TEXT = rf'[^()"]*(?:{_STRING}[^()"]*)*'
 #: One ground-fact clause and the whitespace before it: an optional
 #: ``@label``, the predicate, the argument text between parentheses
-#: (strings kept whole) and the dot.  The ``\b`` keeps a label whole:
-#: without it ``@ab.`` would read as label ``a``, fact ``b``.
-_CLAUSE_RE = re.compile(
-    rf"""
+#: and the dot.  The ``\b`` keeps a label whole: without it ``@ab.``
+#: would read as label ``a``, fact ``b``.
+_CLAUSE = rf"""
     \s*(?:@\s*{_NAME}\b\s*)?
     ({_LOWER_NAME})\s*
-    (?:\(([^()"]*(?:{_STRING}[^()"]*)*)\)\s*)?
+    (?:\(({_ARGS_TEXT})\)\s*)?
     {_DOT}
+"""
+_CLAUSE_RE = re.compile(_CLAUSE, re.VERBOSE)
+#: The most clauses one run match takes after its first.
+_RUN_LIMIT = 256
+#: A run: one clause, then (group 3) up to :data:`_RUN_LIMIT` clauses
+#: of its predicate (``\1``) with no label and no string.  A
+#: parenthesis must follow ``\1``, so the name cannot go on past it.
+_RUN_RE = re.compile(
+    rf"""{_CLAUSE}
+    ((?:\s*\1\s*\([^()"]*\)\s*{_DOT}){{0,{_RUN_LIMIT}}})
     """,
     re.VERBOSE,
 )
+#: The argument texts of a run's group 3, one per clause.
+_RUN_ARGS_RE = re.compile(r"\(([^)]*)\)")
 #: An argument text the scan takes: constants separated by commas.
 _ARGS_RE = re.compile(rf"\s*{_CONSTANT}\s*(?:,\s*{_CONSTANT}\s*)*")
+#: An argument text that is one constant, with no space around it.
+_BARE_RE = re.compile(_CONSTANT)
 #: The constants of an argument text that :data:`_ARGS_RE` took.
 _TERMS_RE = re.compile(rf"{_STRING}|{_NUMBER}|{_NAME}")
 _SPACE_RE = re.compile(r"\s*")
@@ -288,12 +415,24 @@ def _scan_facts(text: str) -> Optional[_FactRows]:
     whose whole argument text is a constant already read skips the
     argument check.  A wider row is built per fact, since a table of
     those would grow with the text.
+
+    The scan reads one clause per match until two facts in a row go to
+    one relation.  Then each match is a run (:data:`_RUN_RE`): the next
+    clause and up to :data:`_RUN_LIMIT` clauses of its predicate after
+    it, whose argument texts one ``findall`` lists and one ``map`` over
+    the constant table turns into rows when each is a constant already
+    read.  A run that takes no clause after its first goes back to one
+    clause per match: text without runs pays one run match per two
+    facts in a row of one relation, and the bound keeps the list each
+    match makes short.
     """
     if "%" in text:
         text = strip_comment(text)
-    match = _CLAUSE_RE.match
+    match, match_run = _CLAUSE_RE.match, _RUN_RE.match
+    run_args = _RUN_ARGS_RE.findall
     groups = _FactRows()
     singles: Dict[str, Tuple[Constant]] = {}
+    single = singles.__getitem__
     predicate = arity = relation = None  # where the last fact went
     position = 0
     try:
@@ -307,13 +446,45 @@ def _scan_facts(text: str) -> Optional[_FactRows]:
                 row = _row(args, singles)
                 if row is None:
                     return None
+            position = found.end()
             if name != predicate or len(row) != arity:
                 predicate, arity = name, len(row)
                 relation = groups.get((predicate, arity))
                 if relation is None:
                     relation = groups[predicate, arity] = []
+                relation.append(row)
+                continue
             relation.append(row)
-            position = found.end()
+            while True:
+                found = match_run(text, position)
+                if found is None:
+                    break
+                name, args = found.group(1, 2)
+                row = _row(args, singles)
+                if row is None:
+                    return None
+                if name != predicate or len(row) != arity:
+                    predicate, arity = name, len(row)
+                    relation = groups.setdefault((predicate, arity), [])
+                relation.append(row)
+                start, position = found.span(3)
+                if start == position:
+                    break
+                texts = run_args(text, start, position)
+                if arity == 1:
+                    try:
+                        relation.extend(list(map(single, texts)))
+                        continue
+                    except KeyError:  # a constant read first in this run
+                        pass
+                for args in texts:
+                    row = _row(args, singles)
+                    if row is None:
+                        return None
+                    if len(row) != arity:
+                        arity = len(row)
+                        relation = groups.setdefault((predicate, arity), [])
+                    relation.append(row)
     except ValueError:
         return None
     if _SPACE_RE.fullmatch(text, position) is None:
@@ -321,10 +492,19 @@ def _scan_facts(text: str) -> Optional[_FactRows]:
     return groups
 
 
-def _row(args: str, singles: Dict[str, Tuple[Constant]]) -> Optional[tuple]:
+def _row(args: Optional[str], singles: Dict[str, Tuple[Constant]]) -> Optional[tuple]:
     """The row that the argument text ``args`` spells, or ``None`` when
-    it is not a list of constants: a new tuple when it holds several,
-    the shared one-element row of ``singles`` when it holds one."""
+    it is not a list of constants: ``()`` for no argument text, a new
+    tuple when it holds several constants, the shared one-element row
+    of ``singles`` when it holds one."""
+    if args is None:
+        return ()
+    row = singles.get(args)
+    if row is not None:
+        return row
+    if "," not in args and _BARE_RE.fullmatch(args) is not None:
+        row = singles[args] = (_constant(args),)
+        return row
     if _ARGS_RE.fullmatch(args) is None:
         return None
     texts = _TERMS_RE.findall(args)
@@ -349,7 +529,7 @@ def parse_program(text: str) -> RuleBase:
     scans it straight to rows and calls this only for text the scan
     does not accept.
     """
-    return RuleBase(_Parser(text).program())
+    return RuleBase(_parse(text, _Parser.program))
 
 
 def _read_facts(text: str) -> List:
@@ -374,18 +554,12 @@ def _read_facts(text: str) -> List:
 
 def parse_rule(text: str) -> Rule:
     """Parse exactly one clause (rule or fact)."""
-    parser = _Parser(text)
-    rule = parser.clause()
-    parser._expect("EOF")
-    return rule
+    return _parse(text, _Parser.rule)
 
 
 def parse_atom(text: str) -> Atom:
     """Parse a single atom, without a trailing dot."""
-    parser = _Parser(text)
-    atom = parser.atom()
-    parser._expect("EOF")
-    return atom
+    return _parse(text, _Parser.lone_atom)
 
 
 def parse_query(text: str) -> Atom:

@@ -49,8 +49,9 @@ Like the bottom-up model, net state is kept in the store, built at
 one generation (``FactStore._derived_state``): repeat queries against
 an unmutated store reuse the tabled answers, a mutation invalidates
 the whole net.  A drain whose probes saw a dark shard filled partial
-tables, so the net is dropped after it; its answer is already flagged
-partial by the query's probe window.
+tables, so the net is dropped after it, whether or not a probe window
+was open: the store's count of dark probes moved during the drain.
+Inside a window the answer is already flagged partial by the window.
 """
 
 from __future__ import annotations
@@ -195,8 +196,10 @@ class QSQNEngine:
         state = database._derived_state(self, _NetState)
         if signature in self._idb:
             self._register(state, signature, query)
+            # A store with no shard to go dark counts no dark probe.
+            dark = getattr(database, "dark_probes", 0)
             self._drain(state, database, trace, self._top_level)
-            if database.probe_window_missing():
+            if getattr(database, "dark_probes", 0) != dark:
                 database._drop_derived(self)
         seen: Dict[tuple, None] = {}
         if signature not in self._net or signature in database.signatures():

@@ -45,7 +45,9 @@ from the fault streams.  Only the probing entry points (``retrieve``,
 ``facts_matching``, ``succeeds``, and the row probe QSQN uses) touch
 the simulated network: they all run the base's one match loop, whose
 ``_matching`` this backend overrides to route the probe to a shard
-first.  Read versions are the base's, stamped by this store's writes.
+first.  Read versions are the base's, stamped by this store's writes;
+a shard's copies keep their catalog but stamp nothing, since no
+reader versions a copy.
 """
 
 from __future__ import annotations
@@ -108,6 +110,16 @@ class ShardSpec:
         return self.latency * 1.5
 
 
+class _ShardCopy(Database):
+    """A shard's primary or replica.  Readers take their versions from
+    the federated store, which stamps every write it routes, and never
+    from a copy: a copy's write keeps its catalog and stamps no read
+    key."""
+
+    def _record_write(self, fact: Atom, delta: int, keys=None) -> None:
+        self._count_write(fact.signature, delta)
+
+
 class Shard:
     """One live shard: spec + primary/replica stores + breaker."""
 
@@ -119,8 +131,8 @@ class Shard:
     ):
         self.spec = spec
         self.name = spec.name
-        self.primary = Database()
-        self.replica: Optional[Database] = Database() if spec.replica else None
+        self.primary = _ShardCopy()
+        self.replica: Optional[Database] = _ShardCopy() if spec.replica else None
         self.breaker = CircuitBreaker(
             failure_threshold=failure_threshold,
             cooldown=cooldown,
@@ -219,7 +231,7 @@ class FederatedStore(FactStore):
 
     def _load(self, facts: Iterable) -> None:
         """Build every shard in one pass: each shard's relations, as
-        they come, go to ``Database(relations)`` for its primary, its
+        they come, go to ``_ShardCopy(relations)`` for its primary, its
         replica is built from the primary's, so the two share their row
         tuples, and the catalog is recorded once."""
         relations = _fact_rows(facts)
@@ -228,9 +240,9 @@ class FederatedStore(FactStore):
             shard = self.shard_for(signature)
             relations_of.setdefault(shard, _FactRows())[signature] = rows
         for shard, shard_relations in relations_of.items():
-            shard.primary = Database(shard_relations)
+            shard.primary = _ShardCopy(shard_relations)
             if shard.replica is not None:
-                shard.replica = Database(shard.primary._relations())
+                shard.replica = _ShardCopy(shard.primary._relations())
         self._record_load({
             signature: self.shard_for(signature).primary.count(*signature)
             for signature in relations

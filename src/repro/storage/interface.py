@@ -376,6 +376,16 @@ class FactStore(ABC):
         index and the stamps share one tuple per key.
         """
         signature = fact.signature
+        generation = self._count_write(signature, delta)
+        stamps = self._stamps
+        stamps[signature] = generation
+        for key in bucket_keys(fact) if keys is None else keys:
+            stamps[key] = generation
+
+    def _count_write(self, signature: Tuple[str, int], delta: int) -> int:
+        """The catalog half of :meth:`_record_write`: the relation's
+        count, the live signatures and the size move by ``delta``, and
+        the generation is bumped and returned."""
         counts = self._counts
         count = counts.get(signature, 0) + delta
         counts[signature] = count
@@ -385,10 +395,7 @@ class FactStore(ABC):
             self._signatures.discard(signature)
         self._size += delta
         self._generation = generation = self._generation + 1
-        stamps = self._stamps
-        stamps[signature] = generation
-        for key in bucket_keys(fact) if keys is None else keys:
-            stamps[key] = generation
+        return generation
 
     # -- retrieval -----------------------------------------------------
 

@@ -1,8 +1,11 @@
 """Unit tests for the Datalog parser and tokenizer."""
 
 import time
+from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given
 
 import repro.datalog.parser
 from repro.bench.experiments import _serving_workload
@@ -15,6 +18,7 @@ from repro.datalog.parser import (
     strip_comment,
     tokenize,
 )
+from repro.datalog.rules import Rule
 from repro.datalog.terms import Atom, Constant, Variable
 from repro.errors import ParseError
 from repro.verify.worldgen import WorldSpec, build_kb_world
@@ -178,6 +182,15 @@ SLOW_SHAPES = {
         "".join(f"p(c{index}).\n" for index in range(20_000)) + '"' * 5_000
     ),
     "open-string-args": lambda: 'p("' + "a" * 200_000,
+    # One relation's run, read a bounded run per match, and two
+    # predicates in turn, which never make a run.
+    "run-200k": lambda: (
+        "".join(f"p(c{index % 1000}).\n" for index in range(200_000)) + "p(c0"
+    ),
+    "alternating-100k": lambda: (
+        "".join(f"{'pq'[index % 2]}(c{index % 1000}).\n"
+                for index in range(100_000)) + "q(c0"
+    ),
 }
 
 
@@ -296,3 +309,114 @@ class TestFactScan:
         assert (str(raised.value), raised.value.line, raised.value.column) == (
             str(general.value), general.value.line, general.value.column
         )
+
+
+# -- the findall reading against the positional reference ---------------
+
+def positional(text, production):
+    """The positional reference for ``_parse``: the productions over
+    every token :func:`tokenize` reads from the start, with the error
+    at the positional token where they stop."""
+    positions = list(tokenize(text))
+    try:
+        return production(repro.datalog.parser._Parser(
+            [token.text for token in positions]))
+    except repro.datalog.parser._Declined as declined:
+        raise declined.at(positions[declined.index]) from None
+
+
+def outcome(read, text):
+    """What ``read(text)`` gives: its result, rules with their labels,
+    or the error with its message, line and column."""
+    try:
+        result = read(text)
+    except ParseError as error:
+        return ("raised", str(error), error.line, error.column)
+    except Exception as error:  # an unsafe rule, from the RuleBase
+        return ("raised", type(error), str(error))
+    if isinstance(result, Atom):
+        return ("read", result)
+    if isinstance(result, Rule):
+        return ("read", [(result, result.name)])
+    return ("read", [(rule, rule.name) for rule in result])
+
+
+#: Argument texts: names, numbers and strings holding what ends an
+#: argument, a clause, a string or a line, and starts a comment.
+ARGUMENTS = st.sampled_from([
+    "a", "b1", "c_c", "0", "-7", "4.5", "\u0663", '"s"', '"a, b)."',
+    '"50% (off)"', '"q\\"r"', '"two\nlines"',
+])
+#: What goes between two clauses.
+BETWEEN = st.sampled_from(["\n", "", " ", "\t\n", "\r\n", " % note p(a).\n"])
+#: What one random edit puts in: grammar, stray and non-ASCII characters.
+EDITS = st.sampled_from([
+    "", "(", ")", ",", ".", ":-", " :- q(X)", "X", "_", '"', "%", "&", "@",
+    "-", "1", "\n", "\\+", "not ", "p", "\u00e9", "\u00b2", "\u0663", "?",
+])
+
+
+def edited(draw, text):
+    """``text``, or ``text`` with one drawn edit: a piece of
+    :data:`EDITS` put in at a drawn place over up to two characters."""
+    if not draw(st.booleans()):
+        return text
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(EDITS) + text[at + draw(st.integers(0, 2)):]
+
+
+@st.composite
+def fact_runs(draw):
+    """Fact text in runs of one predicate: mixed arities, zero-arity
+    facts, a label or a string inside a run, comments between clauses,
+    and sometimes one random edit."""
+    clauses = []
+    for _ in range(draw(st.integers(1, 4))):
+        predicate = draw(st.sampled_from(["p", "p2", "q", "not", "leaf_0"]))
+        for _ in range(draw(st.integers(1, 8))):
+            label = draw(st.sampled_from(["", "", "", "@L ", "@_x\n"]))
+            arity = draw(st.sampled_from([0, 1, 1, 1, 2, 3]))
+            arguments = ", ".join(draw(ARGUMENTS) for _ in range(arity))
+            spelled = f"({arguments})" if arguments else ""
+            clauses.append(f"{label}{predicate}{spelled}.{draw(BETWEEN)}")
+    return edited(draw, "".join(clauses))
+
+
+@st.composite
+def query_texts(draw):
+    """A query line: an atom over names, variables, numbers and
+    strings, an optional ``?`` or ``.``, and sometimes one random
+    edit."""
+    terms = [draw(st.one_of(ARGUMENTS, st.sampled_from(["X", "_y", "Ab"])))
+             for _ in range(draw(st.integers(0, 3)))]
+    predicate = draw(st.sampled_from(["f3", "tc", "not", "q_1"]))
+    spelled = f"({', '.join(terms)})" if terms else ""
+    end = draw(st.sampled_from(["", "?", ".", " ?  "]))
+    return edited(draw, f"{predicate}{spelled}{end}")
+
+
+class TestFindallReading:
+    """Rules and queries are read from one ``findall``'s tokens and,
+    when that reading declines, again by ``tokenize`` from the declined
+    token; fact text first goes to the scan, a run per match."""
+
+    @given(text=fact_runs())
+    @example(text="p(a). p(b). q. q(c, d). q(e). @L q(f). q(\"g\"). q(h).")
+    def test_the_scan_gives_none_or_the_heads_parse_program_reads(self, text):
+        rows = repro.datalog.parser._scan_facts(text)
+        if rows is not None:
+            rules = parse_program(text)
+            assert all(rule.is_fact for rule in rules)
+            assert list(rows.items()) == grouped(rule.head for rule in rules)
+
+    @given(text=st.one_of(fact_runs(), query_texts()))
+    @example(text="p(a) q(b). &")
+    @example(text="p(a). P(b). %\n q(\"é")
+    @example(text="tc(X, \u00e9)")
+    @example(text="\u00e9t\u00e9(a)")
+    def test_every_reader_gives_the_positional_reference_reading(self, text):
+        readers = (parse_program, parse_rule, parse_atom, parse_query)
+        got = [outcome(read, text) for read in readers]
+        with mock.patch.object(repro.datalog.parser, "_parse", positional):
+            expected = [outcome(read, text) for read in readers]
+        assert got == expected

@@ -28,6 +28,7 @@ from repro.datalog.rules import QueryForm
 from repro.datalog.terms import Atom, Constant, Variable
 from repro.datalog.unify import match
 from repro.errors import DatalogError, RetrievalFaultError
+from repro.resilience.circuit import CircuitBreaker
 from repro.resilience.faults import FaultPlan, FaultSpec, FlakyDatabase
 from repro.storage import (
     COMPLETE,
@@ -352,6 +353,28 @@ class TestBackendParity:
                 assert same_atoms(store.relation(*signature), parsed(
                     fact for fact in model if fact.signature == signature
                 )), (store, signature)
+
+    @given(history=HISTORIES)
+    @example(history=[("add", Atom("r", [f"k{index}", "b"])) for index in range(200)])
+    def test_shard_copies_keep_their_catalog_and_no_read_stamps(self, history):
+        """No reader versions a shard's primary or replica, so through
+        any history of adds and removes they stamp no read key; the
+        federated store still reads the in-memory store's version of
+        every key, and each copy still counts its shard's facts."""
+        reference = Database()
+        store = FederatedStore(shards=3, seed=5, replicas=True)
+        for op, fact in history:
+            assert getattr(store, op)(fact) == getattr(reference, op)(fact)
+        keys = store_keys(fact for _, fact in history)
+        assert {key: store.version([key]) for key in keys} == {
+            key: reference.version([key]) for key in keys}
+        for shard in store.shards:
+            owned = {signature for signature in reference.signatures()
+                     if store.shard_for(signature) is shard}
+            for copy in (shard.primary, shard.replica):
+                assert copy._stamps == {}
+                assert copy.signatures() == owned
+                assert len(copy) == sum(reference.count(*s) for s in owned)
 
     @pytest.mark.parametrize("kind", [Database, SQLiteFactStore, FederatedStore])
     def test_iteration_builds_each_fact_as_it_is_consumed(self, kind, monkeypatch):
@@ -1131,6 +1154,28 @@ class TestDerivedState:
         assert engine.prove(parse_query("tc(n0, n3)"), healthy).proved
         assert healthy.end_probe_window().completeness is COMPLETE
         assert engine in healthy._derived
+
+    def test_qsqn_drops_a_dark_net_drained_outside_a_window(self):
+        """A net drained with no probe window open saw its dark shard
+        all the same; once the shards heal, the processor that owns the
+        engine must not serve that net's "no" as clean."""
+        store = FederatedStore.from_program(
+            CHAIN_FACTS, shards=2, seed=0, fault=FaultSpec(fault_rate=1.0),
+            retry_budget=0,
+        )
+        processor = SelfOptimizingQueryProcessor(
+            parse_program(CHAIN_RULES), config=SessionConfig(engine="qsqn"))
+        goal = parse_query("tc(n0, n3)")
+        assert not processor._fallback.prove(goal, store).proved
+        assert processor._fallback not in store._derived
+        store.plan.per_arc.clear()
+        for shard in store.shards:
+            shard.breaker = CircuitBreaker(
+                failure_threshold=store.failure_threshold,
+                cooldown=store.cooldown,
+            )
+        answer = processor.query(goal, store)
+        assert answer.proved and answer.clean
 
     @pytest.mark.parametrize("engine", ["bottomup", "qsqn"])
     def test_no_wrong_answer_is_served_clean_over_faulty_shards(self, engine):
