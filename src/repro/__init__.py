@@ -73,83 +73,12 @@ def _resolve_version() -> str:
         return _FALLBACK_VERSION
 
 
-__all__ = [
-    "SelfOptimizingQueryProcessor",
-    "SystemAnswer",
-    "AdmissionConfig",
-    "CacheConfig",
-    "ExperienceConfig",
-    "ExperienceRecord",
-    "ExperienceStore",
-    "FormProfile",
-    "WarmStart",
-    "experience",
-    "form_fingerprint",
-    "form_profile",
-    "warm_start",
-    "QueryServer",
-    "QuerySession",
-    "Request",
-    "RequestOutcome",
-    "ServerHealth",
-    "ServingConfig",
-    "SessionConfig",
-    "StreamReport",
-    "open_session",
-    "serving",
-    "MetricsRegistry",
-    "NULL_RECORDER",
-    "Recorder",
-    "Tracer",
-    "observability",
-    "load_pib",
-    "pib_from_dict",
-    "pib_to_dict",
-    "save_pib",
-    "datalog",
-    "graphs",
-    "strategies",
-    "optimal",
-    "learning",
-    "resilience",
-    "workloads",
-    "storage",
-    "COMPLETE",
-    "Completeness",
-    "FactStore",
-    "FederatedStore",
-    "ShardSpec",
-    "SQLiteFactStore",
-    "FaultPlan",
-    "FaultSpec",
-    "FlakyContext",
-    "FlakyDatabase",
-    "ResiliencePolicy",
-    "RetryPolicy",
-    "CheckpointError",
-    "DatalogError",
-    "DistributionError",
-    "EvaluationError",
-    "GraphError",
-    "IllegalStrategyError",
-    "LearningError",
-    "ParseError",
-    "QueryDeadlineExceeded",
-    "RecursionLimitError",
-    "ReproError",
-    "ResilienceError",
-    "RetrievalFaultError",
-    "SampleBudgetExceeded",
-    "StrategyError",
-    "StratificationError",
-    "__version__",
-]
-
-#: Every name, the subpackages among them, resolves on first use
-#: (:mod:`repro._lazy`), so ``import repro`` runs no module a caller
-#: does not use; ``__version__`` resolves lazily too, so that it loads
-#: ``importlib.metadata`` only when asked for.
-_getattr, __dir__ = lazy_names(__name__, {
+#: Every name resolves on first use (:mod:`repro._lazy`), so ``import
+#: repro`` runs no module a caller does not use: the table's names from
+#: their modules, the subpackages as submodules, and ``__version__``
+#: through ``__getattr__`` below, so that it loads ``importlib.metadata``
+#: only when asked for.
+_getattr, __dir__, __all__ = lazy_names(__name__, {
     ".system": ("SelfOptimizingQueryProcessor", "SystemAnswer"),
     ".experience": ("ExperienceRecord", "ExperienceStore", "FormProfile",
                     "WarmStart", "form_fingerprint", "form_profile",
@@ -172,6 +101,9 @@ _getattr, __dir__ = lazy_names(__name__, {
                 "RetrievalFaultError", "SampleBudgetExceeded",
                 "StrategyError", "StratificationError"),
 })
+__all__ += ["datalog", "experience", "graphs", "learning", "observability",
+            "optimal", "resilience", "serving", "storage", "strategies",
+            "workloads", "__version__"]
 
 
 def __getattr__(name):

@@ -1,9 +1,9 @@
 """Package names resolved on first use (PEP 562).
 
 A package ``__init__`` lists where each of its exported names lives and
-imports none of it::
+imports none of it; the same table is its ``__all__``::
 
-    __getattr__, __dir__ = lazy_names(__name__, {
+    __getattr__, __dir__, __all__ = lazy_names(__name__, {
         ".terms": ("Atom", "Constant"),
         ".parser": ("parse_program",),
     })
@@ -12,7 +12,8 @@ The first lookup of a name imports its module and binds the name in
 the package, so later lookups are plain attribute reads.  A name the
 table does not list resolves to the package's submodule of that name
 when there is one, as it would after an eager import
-(``repro.datalog.database``, ``repro.serving``).  ``dir()`` lists
+(``repro.datalog.database``, ``repro.serving``); the top-level package
+adds its subpackages to ``__all__`` that way.  ``dir()`` lists
 ``__all__`` before any name is resolved.
 
 A name that is also its own module's name (``repro.learning.pao``, the
@@ -22,8 +23,8 @@ the module instead.
 
 So ``import repro`` runs no module a caller does not use: a served
 query loads the parser, the store, the engines it runs and the serving
-layer, never the optimizers, workload generators, experience store or
-checkpoint code.
+layer, never the optimizers, workload generators, experience store,
+drift detectors or checkpoint code.
 """
 
 import sys
@@ -33,10 +34,10 @@ from typing import Callable, Dict, Iterable, List, Tuple
 
 def lazy_names(
     package: str, modules: Dict[str, Iterable[str]]
-) -> Tuple[Callable[[str], object], Callable[[], List[str]]]:
-    """The ``__getattr__`` and ``__dir__`` of ``package``, whose
-    exported names live in ``modules`` (relative module name -> the
-    names it defines)."""
+) -> Tuple[Callable[[str], object], Callable[[], List[str]], List[str]]:
+    """The ``__getattr__``, ``__dir__`` and ``__all__`` of ``package``,
+    whose exported names live in ``modules`` (relative module name ->
+    the names it defines), in the table's order."""
     namespace = sys.modules[package].__dict__
     table = {name: module for module, names in modules.items()
              for name in names}
@@ -68,4 +69,4 @@ def lazy_names(
     def __dir__() -> List[str]:
         return sorted(set(namespace) | set(namespace.get("__all__", ())))
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, list(table)

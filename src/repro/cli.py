@@ -33,11 +33,9 @@ Seven subcommands::
 * ``optimal`` compiles a query form's inference graph and prints
   ``Υ_AOT``'s optimal strategy for a given probability vector;
 * ``verify`` runs the deterministic-simulation / differential-oracle
-  battery (:mod:`repro.verify`) over seeded random worlds, per
-  profile (``engine``, ``qsqn``, ``pib``, ``pao``, ``serving``,
-  ``chaos``, ``overload``, ``federation``, ``experience`` or ``all``);
-  ``--replay world.json``
-  re-checks one saved
+  battery (:mod:`repro.verify`) over seeded random worlds, per profile
+  of :data:`repro.verify.runner.PROFILES` or ``all``;
+  ``--replay world.json`` re-checks one saved
   :class:`~repro.verify.worldgen.WorldSpec`, ``--artifacts DIR``
   saves failing specs for replay, and ``--coverage`` runs the test
   suite under ``coverage`` with the repo's fail-under floor.
@@ -65,6 +63,7 @@ from .cliflags import (
     EXPERIENCE_FLAGS,
     SESSION_FLAGS,
     STORE_FLAGS,
+    _LazyChoices,
 )
 from .datalog.database import Database
 from .datalog.parser import parse_program, parse_query, strip_comment
@@ -542,12 +541,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worlds per profile (seeds 0..N-1)")
     verify.add_argument("--base-seed", type=int, default=0,
                         help="first seed of the family")
-    verify.add_argument("--profile", action="append",
-                        choices=("engine", "qsqn", "pib", "pao", "serving",
-                                 "chaos", "overload", "federation",
-                                 "experience", "all"),
+    verify.add_argument("--profile", action="append", metavar="PROFILE",
+                        choices=_LazyChoices("repro.verify.runner",
+                                             "PROFILES", "all"),
                         default=None,
-                        help="profile to run (repeatable; default all)")
+                        help="profile to run: %(choices)s (repeatable; "
+                             "default all)")
     EXPERIENCE_FLAGS.install(verify)
     verify.add_argument("--artifacts", default=None, metavar="DIR",
                         help="write failing WorldSpecs as JSON here "

@@ -18,7 +18,8 @@ dataclasses' ``__post_init__``.
 from __future__ import annotations
 
 import argparse
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from importlib import import_module
+from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 from .serving.config import (
     SHED_POLICIES,
@@ -85,6 +86,28 @@ class FlagAdapter:
     def build(self, args: argparse.Namespace) -> Any:
         """Fold the namespace into the family's typed config."""
         return self._build(self, args)
+
+
+class _LazyChoices:
+    """An argparse ``choices`` read from the keys of ``module``'s table
+    ``name``, plus ``extra``, when they are read: when a given value is
+    checked, when an error names them and when ``--help`` lists them.
+    Declaring the flag imports nothing, provided it has a ``metavar``:
+    without one argparse formats the choices as the flag is declared."""
+
+    def __init__(self, module: str, name: str, *extra: str) -> None:
+        self._table = (module, name)
+        self._extra = extra
+
+    def _choices(self) -> Tuple[str, ...]:
+        module, name = self._table
+        return (*getattr(import_module(module), name), *self._extra)
+
+    def __contains__(self, value: object) -> bool:
+        return value in self._choices()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._choices())
 
 
 # ----------------------------------------------------------------------
@@ -194,8 +217,9 @@ SESSION_FLAGS = FlagAdapter(
             help="detector false-alarm budget",
         )),
         ("--drift-detector", dict(
-            default="window", choices=("window", "page-hinkley"),
-            help="change detector (adaptive window or Page-Hinkley)",
+            default="window", metavar="KIND",
+            choices=_LazyChoices("repro.learning.drift", "_DETECTORS"),
+            help="change detector: %(choices)s (default: %(default)s)",
         )),
     ],
     _build_session,

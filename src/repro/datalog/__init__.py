@@ -9,37 +9,7 @@ query-subquery-net engine.
 
 from .._lazy import lazy_names
 
-__all__ = [
-    "Atom",
-    "Constant",
-    "Substitution",
-    "Term",
-    "Variable",
-    "variables_of",
-    "match",
-    "rename_apart",
-    "unify",
-    "Literal",
-    "QueryForm",
-    "Rule",
-    "RuleBase",
-    "parse_atom",
-    "parse_program",
-    "parse_query",
-    "parse_rule",
-    "Database",
-    "Answer",
-    "CostModel",
-    "ProofTrace",
-    "RetrievalEvent",
-    "TopDownEngine",
-    "BottomUpEngine",
-    "QSQNEngine",
-    "naive_evaluate",
-    "seminaive_evaluate",
-]
-
-__getattr__, __dir__ = lazy_names(__name__, {
+__getattr__, __dir__, __all__ = lazy_names(__name__, {
     ".terms": ("Atom", "Constant", "Substitution", "Term", "Variable",
                "variables_of"),
     ".unify": ("match", "rename_apart", "unify"),

@@ -50,7 +50,7 @@ from typing import (
 )
 
 from ..errors import DatalogError, ParseError
-from ..storage.interface import _FactRows
+from ..storage.interface import _FactRows, _fact_rows
 from .rules import Literal, Rule, RuleBase
 from .terms import Atom, Constant, Term, Variable
 
@@ -397,15 +397,24 @@ _SPACE_RE = re.compile(r"\s*")
 
 def _scan_facts(text: str) -> Optional[_FactRows]:
     """The facts of ``text`` as rows grouped by relation, when it is
-    certainly ground facts only; ``None`` sends :func:`_read_facts` to
-    :func:`parse_program`.
+    certainly ground facts only (:func:`_scan` reads all of it), else
+    ``None``."""
+    rows, stop = _scan(text)
+    return rows if stop == len(text) else None
+
+
+def _scan(text: str) -> Tuple[_FactRows, int]:
+    """The ground facts that start ``text``, as rows grouped by
+    relation, and where in ``text`` the reading stopped: ``len(text)``
+    when it read all of it, else the end of the last clause it took,
+    where :func:`_read_facts` hands the rest to :func:`parse_program`.
 
     A fact has a lowercase predicate and lowercase-name, number or
     string arguments; its optional ``@label`` is dropped, as the
     general path drops it.  Every other clause (a variable, a body, an
-    uppercase predicate, a stray character) returns ``None``, and so
+    uppercase predicate, a stray character) stops the reading, and so
     does an integer past ``int``'s digit limit: the general parser
-    reads the whole text first and reports its error.
+    reads the rest of the text first and reports its error.
 
     Relations come in first-fact order and each one's rows in text
     order.  The constant table maps each constant text to its
@@ -424,10 +433,18 @@ def _scan_facts(text: str) -> Optional[_FactRows]:
     read.  A run that takes no clause after its first goes back to one
     clause per match: text without runs pays one run match per two
     facts in a row of one relation, and the bound keeps the list each
-    match makes short.
+    match makes short.  The scan reads ``text`` with its comments cut,
+    and maps where it stopped back to ``text``.
     """
-    if "%" in text:
-        text = strip_comment(text)
+    cut = strip_comment(text) if "%" in text else text
+    rows, stop = _scan_cut(cut)
+    if stop == len(cut):
+        return rows, len(text)
+    return rows, stop if cut is text else _uncut(text, stop)
+
+
+def _scan_cut(text: str) -> Tuple[_FactRows, int]:
+    """:func:`_scan` over a text with no comments."""
     match, match_run = _CLAUSE_RE.match, _RUN_RE.match
     run_args = _RUN_ARGS_RE.findall
     groups = _FactRows()
@@ -445,7 +462,7 @@ def _scan_facts(text: str) -> Optional[_FactRows]:
             if row is None:
                 row = _row(args, singles)
                 if row is None:
-                    return None
+                    return groups, position
             position = found.end()
             if name != predicate or len(row) != arity:
                 predicate, arity = name, len(row)
@@ -462,34 +479,63 @@ def _scan_facts(text: str) -> Optional[_FactRows]:
                 name, args = found.group(1, 2)
                 row = _row(args, singles)
                 if row is None:
-                    return None
+                    return groups, position
                 if name != predicate or len(row) != arity:
                     predicate, arity = name, len(row)
                     relation = groups.setdefault((predicate, arity), [])
                 relation.append(row)
-                start, position = found.span(3)
-                if start == position:
+                position, end = found.span(3)
+                if position == end:
                     break
-                texts = run_args(text, start, position)
+                texts = run_args(text, position, end)
                 if arity == 1:
                     try:
                         relation.extend(list(map(single, texts)))
+                        position = end
                         continue
                     except KeyError:  # a constant read first in this run
                         pass
                 for args in texts:
-                    row = _row(args, singles)
+                    try:
+                        row = _row(args, singles)
+                    except ValueError:
+                        row = None
                     if row is None:
-                        return None
+                        return groups, _run_clause_end(
+                            text, position, texts.index(args))
                     if len(row) != arity:
                         arity = len(row)
                         relation = groups.setdefault((predicate, arity), [])
                     relation.append(row)
+                position = end
     except ValueError:
-        return None
+        return groups, position
     if _SPACE_RE.fullmatch(text, position) is None:
-        return None
-    return groups
+        return groups, position
+    return groups, len(text)
+
+
+def _run_clause_end(text: str, start: int, index: int) -> int:
+    """Where the clause before argument text ``index`` of the run from
+    ``start`` ends: after its dot, or at ``start`` for the first text.
+    The same text always gives the same row, so the first clause that
+    gives none is at its text's first index."""
+    if index == 0:
+        return start
+    previous = next(itertools.islice(
+        _RUN_ARGS_RE.finditer(text, start), index - 1, None))
+    return text.index(".", previous.end()) + 1
+
+
+def _uncut(text: str, position: int) -> int:
+    """Where ``position`` of ``strip_comment(text)`` lies in ``text``:
+    past every comment cut before it."""
+    for found in _UNCOMMENT_RE.finditer(text):
+        if found.start() >= position:
+            break
+        if found.group(1) is None:
+            position += found.end() - found.start()
+    return position
 
 
 def _row(args: Optional[str], singles: Dict[str, Tuple[Constant]]) -> Optional[tuple]:
@@ -532,24 +578,32 @@ def parse_program(text: str) -> RuleBase:
     return RuleBase(_parse(text, _Parser.program))
 
 
-def _read_facts(text: str) -> List:
-    """The facts of ``text``, in order, all read before any is stored.
+def _read_facts(text: str) -> _FactRows:
+    """The facts of ``text`` as rows grouped by relation, all read
+    before any is stored.
 
-    The scan's rows when it accepts ``text``; otherwise the heads of
-    :func:`parse_program`'s rules, which raises on malformed text, with
-    :class:`DatalogError` for the first clause that is not a fact.
+    The scan's rows, and where it stops, the heads of
+    :func:`parse_program`'s rules for the rest of the text: that raises
+    on malformed text, then :class:`DatalogError` for the first clause
+    that is not a fact and for the first fact that is not ground.  The
+    rest is read after layout that puts each of its tokens on its own
+    line and column, so every error points where it would in ``text``.
     ``parse_program`` is looked up when called, so a wrapper installed
     on this module sees the fallback.
     """
-    rows = _scan_facts(text)
-    if rows is not None:
+    rows, stop = _scan(text)
+    if stop == len(text):
         return rows
+    line_start = text.rfind("\n", 0, stop) + 1
+    layout = "\n" * text.count("\n", 0, stop) + " " * (stop - line_start)
     heads = []
-    for rule in parse_program(text):
+    for rule in parse_program(layout + text[stop:]):
         if not rule.is_fact:
             raise DatalogError(f"not a fact: {rule}")
         heads.append(rule.head)
-    return heads
+    for signature, tail in _fact_rows(heads).items():
+        rows.setdefault(signature, []).extend(tail)
+    return rows
 
 
 def parse_rule(text: str) -> Rule:

@@ -5,23 +5,7 @@ touched)."""
 
 from .._lazy import lazy_names
 
-__all__ = [
-    "EXPERIENCE_FORMAT",
-    "EXPERIENCE_VERSION",
-    "ExperienceRecord",
-    "ExperienceStore",
-    "FormProfile",
-    "Neighbour",
-    "WarmStart",
-    "form_fingerprint",
-    "form_profile",
-    "migrate_experience_payload",
-    "record_from_learner",
-    "similarity",
-    "warm_start",
-]
-
-__getattr__, __dir__ = lazy_names(__name__, {
+__getattr__, __dir__, __all__ = lazy_names(__name__, {
     ".fingerprint": ("FormProfile", "form_fingerprint", "form_profile",
                      "similarity"),
     ".store": ("EXPERIENCE_FORMAT", "EXPERIENCE_VERSION", "ExperienceRecord",

@@ -2,30 +2,7 @@
 
 from .._lazy import lazy_names
 
-__all__ = [
-    "Arc",
-    "ArcKind",
-    "GraphBuilder",
-    "InferenceGraph",
-    "Node",
-    "Context",
-    "LazyDatalogContext",
-    "context_from_datalog",
-    "build_inference_graph",
-    "random_instance",
-    "random_probabilities",
-    "random_tree_graph",
-    "AndOrGraph",
-    "EvalResult",
-    "HyperArc",
-    "HyperContext",
-    "Policy",
-    "build_and_or_graph",
-    "evaluate",
-    "sibling_orderings",
-]
-
-__getattr__, __dir__ = lazy_names(__name__, {
+__getattr__, __dir__, __all__ = lazy_names(__name__, {
     ".inference_graph": ("Arc", "ArcKind", "GraphBuilder", "InferenceGraph",
                          "Node"),
     ".contexts": ("Context", "LazyDatalogContext", "context_from_datalog"),

@@ -184,13 +184,21 @@ class LazyDatalogContext(Context):
         return cached
 
     def _resolve(self, arc: Arc) -> bool:
-        probe = self._graph.probe(arc, self.query)
+        graph, query = self._graph, self.query
+        heads = graph.probe_template(arc)[2]
+        if heads is not None:
+            unifier = unify(heads, query)
+            if unifier is None:
+                return False  # a rule head on the arc's path rejects it
         if arc.kind is not ArcKind.RETRIEVAL:
             if arc.rule is None:
                 raise GraphError(
                     f"blockable reduction arc {arc.name!r} needs a rule"
                 )
-            return unify(arc.rule.head, probe) is not None
+            return True
+        probe = graph.probe(arc, query)
+        if heads is not None:
+            probe = probe.substitute(unifier)
         database = self.database
         memo = self._memo
         if memo is None:
@@ -254,7 +262,7 @@ def compile_read_plan(graph: InferenceGraph, form: QueryForm) -> ReadPlan:
     static = []
     templates = []
     for arc in graph.retrieval_arcs():
-        predicate, specs = graph.probe_template(arc)
+        predicate, specs, _heads = graph.probe_template(arc)
         arity = len(specs)
         for position, spec in enumerate(specs):
             if type(spec) is int:
@@ -277,11 +285,15 @@ def context_from_datalog(
     Every blockable arc must carry a ``goal`` pattern: a retrieval arc
     is unblocked iff the instantiated pattern matches at least one fact
     of ``database``; a blockable reduction arc is unblocked iff its
-    rule head unifies with the instantiated goal of its *source* node's
-    pattern — exactly the ``grad(fred) :- admitted(fred, X)`` situation
-    of Section 4.1, where the arc is traversable only for the query
-    constant ``fred``.  The statuses are those a
-    :class:`LazyDatalogContext` resolves, probed in experiment order.
+    rule head, renamed apart, unifies with the instantiated goal of its
+    *source* node's pattern — exactly the ``grad(fred) :- admitted(fred,
+    X)`` situation of Section 4.1, where the arc is traversable only for
+    the query constant ``fred``.  Below such an arc the head's bindings
+    instantiate the pattern too, and an arc a head on its path rejects
+    is blocked (see
+    :data:`~repro.graphs.inference_graph.ProbeTemplate`).  The statuses
+    are those a :class:`LazyDatalogContext` resolves, probed in
+    experiment order.
     """
     lazy = LazyDatalogContext(graph, query, database)
     statuses = {arc.name: lazy.traversable(arc) for arc in graph.experiments()}

@@ -27,14 +27,20 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import GraphError
 from ..datalog.rules import Rule
-from ..datalog.terms import Atom, Variable
+from ..datalog.terms import Atom, Substitution, Variable
+from ..datalog.unify import fresh_variable_factory, unify
 
 __all__ = ["ArcKind", "Node", "Arc", "InferenceGraph", "GraphBuilder"]
 
-#: A blockable arc's test compiled over the query: the predicate, and
-#: per argument either the ``int`` position of the query argument it
-#: stands for or a term kept as it is.
-ProbeTemplate = Tuple[str, Tuple[object, ...]]
+#: A blockable arc's test compiled over the query: the predicate; per
+#: argument either the ``int`` position of the query argument it stands
+#: for or a term kept as it is; and the arc's head test, or ``None`` on
+#: a path with no blockable reduction.  The head test is the root goal
+#: as the rule heads of the path's blockable reductions (the arc's own
+#: included) bind it, renamed apart from any query: a query reaches the
+#: arc only if it unifies with it, and the unifier carries those heads'
+#: bindings into the arc's probe and the answer.
+ProbeTemplate = Tuple[str, Tuple[object, ...], Optional[Atom]]
 
 
 class ArcKind(enum.Enum):
@@ -213,21 +219,57 @@ class InferenceGraph:
         position keeps the query's variables apart from the root
         goal's even where their names coincide, which unifying the
         root goal with the query would not.
+
+        A blockable reduction's rule head, renamed apart, specializes
+        its source goal: it binds a goal variable to a constant, or two
+        of them to one.  Walking down from the root, each such head's
+        unifier with its source goal is applied to the root goal, and
+        the result, with the root goal's variables renamed apart, is
+        the head test of every blockable arc at or below it.  Fresh
+        variables come from one factory and skip every variable of the
+        graph's goals; no parsed text names them.
         """
+        root_goal = self.root.goal
         positions: Dict[Variable, int] = {}
-        if self.root.goal is not None:
-            for index, arg in enumerate(self.root.goal.args):
+        if root_goal is not None:
+            for index, arg in enumerate(root_goal.args):
                 if type(arg) is Variable:
                     positions.setdefault(arg, index)
+        taken = {var for item in (*self._nodes.values(), *self._arcs.values())
+                 if item.goal is not None for var in item.goal.variables()}
+        factory = fresh_variable_factory()
+
+        def apart(atom: Atom, variables) -> Atom:
+            renaming = {}
+            for var in variables:
+                fresh = factory(var.name)
+                while fresh in taken:
+                    fresh = factory(var.name)
+                renaming[var] = fresh
+            return atom.substitute(Substitution(renaming))
+
         probes: Dict[str, ProbeTemplate] = {}
-        for arc in self._arcs.values():
-            if not arc.blockable:
-                continue
-            goal = arc.goal if arc.kind is ArcKind.RETRIEVAL else arc.source.goal
-            if goal is not None:
-                probes[arc.name] = (goal.predicate, tuple(
-                    positions.get(arg, arg) for arg in goal.args
-                ))
+        stack: List[Tuple[Node, Optional[Atom]]] = [(self.root, None)]
+        while stack:
+            node, heads = stack.pop()
+            for arc in self._children[node.name]:
+                goal = arc.goal if arc.kind is ArcKind.RETRIEVAL else node.goal
+                below = heads
+                if (arc.blockable and arc.rule is not None
+                        and goal is not None and root_goal is not None):
+                    head = arc.rule.head
+                    unifier = unify(apart(head, head.variables()), goal)
+                    if unifier is None:
+                        raise GraphError(
+                            f"rule head of arc {arc.name!r} does not unify "
+                            f"with its source goal {goal}"
+                        )
+                    below = (heads or root_goal).substitute(unifier)
+                if arc.blockable and goal is not None:
+                    probes[arc.name] = (goal.predicate, tuple(
+                        positions.get(arg, arg) for arg in goal.args
+                    ), None if below is None else apart(below, positions))
+                stack.append((arc.target, below))
         return probes
 
     def _validate(self) -> None:
@@ -310,8 +352,10 @@ class InferenceGraph:
     def probe(self, arc: Arc, query: Atom) -> Atom:
         """The atom blockable ``arc`` tests for a concrete ``query``: a
         retrieval's goal, or a blockable reduction's source goal, with
-        the query's arguments in place of the root goal's variables."""
-        predicate, specs = self.probe_template(arc)
+        the query's arguments in place of the root goal's variables.
+        Under a blockable reduction the template's head test binds it
+        further (see :data:`ProbeTemplate`)."""
+        predicate, specs, _heads = self.probe_template(arc)
         args = query.args
         return Atom._make(predicate, tuple([
             args[spec] if type(spec) is int else spec for spec in specs

@@ -7,42 +7,7 @@ Section 5.1, and Lemma 1's sensitivity analysis.
 
 from .._lazy import lazy_names
 
-__all__ = [
-    "aiming_sample_size",
-    "chernoff_tail",
-    "confidence_radius",
-    "pao_sample_size",
-    "pib_sequential_threshold",
-    "pib_sum_threshold",
-    "samples_for_radius",
-    "sequential_confidence",
-    "DeltaAccumulator",
-    "RetrievalStatistics",
-    "WindowedRetrievalStatistics",
-    "delta_tilde",
-    "PIB1",
-    "PIB",
-    "ClimbRecord",
-    "AdaptiveWindowDetector",
-    "DriftAlarm",
-    "DriftAwarePIB",
-    "DriftConfig",
-    "PageHinkleyDetector",
-    "RollbackTransformation",
-    "make_detector",
-    "PALO",
-    "PAOResult",
-    "pao",
-    "sample_requirements",
-    "PolicyPIB",
-    "PolicySwap",
-    "all_policy_swaps",
-    "excess_cost",
-    "lemma1_bound",
-    "sensitivity_report",
-]
-
-__getattr__, __dir__ = lazy_names(__name__, {
+__getattr__, __dir__, __all__ = lazy_names(__name__, {
     ".chernoff": ("aiming_sample_size", "chernoff_tail", "confidence_radius",
                   "pao_sample_size", "pib_sequential_threshold",
                   "pib_sum_threshold", "samples_for_radius",

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import LearningError
 from ..graphs.inference_graph import InferenceGraph
@@ -270,17 +270,29 @@ class PageHinkleyDetector:
         self._min_down = 0.0
 
 
+#: Each detector kind's constructor, from the value range it watches
+#: and the :class:`DriftConfig` that tunes it.  :func:`make_detector`,
+#: :class:`DriftConfig`'s check and the CLI's ``--drift-detector``
+#: choices read it.
+_DETECTORS: Dict[str, Callable[[float, "DriftConfig"], object]] = {
+    "window": lambda value_range, config: AdaptiveWindowDetector(
+        value_range, delta=config.delta
+    ),
+    "page-hinkley": lambda value_range, config: PageHinkleyDetector(
+        value_range, delta=config.delta, min_samples=PH_MIN_SAMPLES
+    ),
+}
+
+
 def make_detector(kind: str, value_range: float, config: "DriftConfig"):
     """Build one detector of ``config``'s flavour for a given range."""
-    if kind == "window":
-        return AdaptiveWindowDetector(value_range, delta=config.delta)
-    if kind == "page-hinkley":
-        return PageHinkleyDetector(
-            value_range, delta=config.delta, min_samples=PH_MIN_SAMPLES
+    build = _DETECTORS.get(kind)
+    if build is None:
+        raise LearningError(
+            f"unknown detector kind {kind!r} "
+            f"(use {' or '.join(map(repr, _DETECTORS))})"
         )
-    raise LearningError(
-        f"unknown detector kind {kind!r} (use 'window' or 'page-hinkley')"
-    )
+    return build(value_range, config)
 
 
 # ----------------------------------------------------------------------
@@ -314,7 +326,7 @@ class DriftConfig:
             raise LearningError(
                 f"drift delta must be in (0, 1), got {self.delta}"
             )
-        if self.detector not in ("window", "page-hinkley"):
+        if self.detector not in _DETECTORS:
             raise LearningError(
                 f"unknown detector kind {self.detector!r}"
             )

@@ -24,20 +24,7 @@ Quickstart::
 
 from .._lazy import lazy_names
 
-__all__ = [
-    "Counter",
-    "Histogram",
-    "LATENCY_BUCKETS",
-    "MetricsRegistry",
-    "NULL_RECORDER",
-    "Recorder",
-    "Tracer",
-    "read_trace",
-    "summarize_trace",
-    "write_trace",
-]
-
-__getattr__, __dir__ = lazy_names(__name__, {
+__getattr__, __dir__, __all__ = lazy_names(__name__, {
     ".metrics": ("Counter", "Histogram", "LATENCY_BUCKETS", "MetricsRegistry"),
     ".recorder": ("NULL_RECORDER", "Recorder"),
     ".sink": ("read_trace", "summarize_trace", "write_trace"),

@@ -8,21 +8,7 @@ the fact-distribution heuristic baseline of [Smi89].
 
 from .._lazy import lazy_names
 
-__all__ = [
-    "Block",
-    "block_statistics",
-    "upsilon_aot",
-    "upsilon_ot",
-    "optimal_strategy_brute_force",
-    "optimal_strategy_explicit",
-    "path_structured_suffices",
-    "path_ratio",
-    "upsilon_greedy",
-    "smith_estimates",
-    "smith_strategy",
-]
-
-__getattr__, __dir__ = lazy_names(__name__, {
+__getattr__, __dir__, __all__ = lazy_names(__name__, {
     ".ratio": ("Block", "block_statistics"),
     ".upsilon": ("upsilon_aot", "upsilon_ot"),
     ".brute_force": ("optimal_strategy_brute_force",

@@ -27,21 +27,7 @@ blocked/unblocked distribution, never the fault noise.
 
 from .._lazy import lazy_names
 
-__all__ = [
-    "CircuitBreaker",
-    "CircuitBreakerBoard",
-    "CircuitState",
-    "CostDeadline",
-    "FaultPlan",
-    "FaultSpec",
-    "FlakyContext",
-    "FlakyDatabase",
-    "Injection",
-    "ResiliencePolicy",
-    "RetryPolicy",
-]
-
-__getattr__, __dir__ = lazy_names(__name__, {
+__getattr__, __dir__, __all__ = lazy_names(__name__, {
     ".circuit": ("CircuitBreaker", "CircuitBreakerBoard", "CircuitState"),
     ".deadline": ("CostDeadline",),
     ".faults": ("FaultPlan", "FaultSpec", "FlakyContext", "FlakyDatabase",

@@ -26,25 +26,7 @@ the import graph acyclic: ``server``/``session`` import
 
 from .._lazy import lazy_names
 
-__all__ = [
-    "AdmissionConfig",
-    "AnswerCache",
-    "CacheConfig",
-    "CacheStats",
-    "ExperienceConfig",
-    "QueryServer",
-    "QuerySession",
-    "Request",
-    "RequestOutcome",
-    "ServerHealth",
-    "ServingConfig",
-    "SessionConfig",
-    "StreamReport",
-    "SubgoalMemo",
-    "open_session",
-]
-
-__getattr__, __dir__ = lazy_names(__name__, {
+__getattr__, __dir__, __all__ = lazy_names(__name__, {
     ".admission": ("Request", "RequestOutcome", "ServerHealth"),
     ".cache": ("AnswerCache", "CacheStats", "SubgoalMemo"),
     ".config": ("AdmissionConfig", "CacheConfig", "ExperienceConfig",

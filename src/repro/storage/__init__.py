@@ -9,20 +9,7 @@ never opens SQLite never imports ``sqlite3``.
 
 from .._lazy import lazy_names
 
-__all__ = [
-    "COMPLETE",
-    "Completeness",
-    "FactStore",
-    "next_store_id",
-    "SQLiteFactStore",
-    "FederatedStore",
-    "ShardSpec",
-    "ProbeWindow",
-    "StoreConfig",
-    "STORE_BACKENDS",
-]
-
-__getattr__, __dir__ = lazy_names(__name__, {
+__getattr__, __dir__, __all__ = lazy_names(__name__, {
     ".config": ("STORE_BACKENDS", "StoreConfig"),
     ".interface": ("COMPLETE", "Completeness", "FactStore", "ProbeWindow",
                    "next_store_id"),

@@ -9,36 +9,7 @@ truth, and the adaptive query processor ``QP^A`` of Section 4.1.
 
 from .._lazy import lazy_names
 
-__all__ = [
-    "Strategy",
-    "ExecutionResult",
-    "cost_of",
-    "execute",
-    "pessimistic_cost",
-    "attempt_probabilities",
-    "expected_cost_exact",
-    "expected_cost_explicit",
-    "expected_cost_monte_carlo",
-    "reach_probability",
-    "success_probability",
-    "PathPromotion",
-    "SiblingSwap",
-    "Transformation",
-    "all_path_promotions",
-    "all_sibling_swaps",
-    "neighbours",
-    "all_legal_strategies",
-    "all_path_structured_strategies",
-    "count_path_structured",
-    "AdaptiveQueryProcessor",
-    "AttemptOutcome",
-    "classify_attempt",
-    "ENGINE_NAMES",
-    "BottomUpProofAdapter",
-    "make_engine",
-]
-
-__getattr__, __dir__ = lazy_names(__name__, {
+__getattr__, __dir__, __all__ = lazy_names(__name__, {
     ".strategy": ("Strategy",),
     ".execution": ("ExecutionResult", "cost_of", "execute",
                    "pessimistic_cost"),

@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from .datalog.database import Database
 from .datalog.rules import QueryForm, RuleBase
 from .datalog.terms import Atom, Substitution
+from .datalog.unify import unify
 from .errors import (
     CheckpointError,
     GraphError,
@@ -393,12 +394,8 @@ class SelfOptimizingQueryProcessor:
         if self.recorder.enabled:
             self.recorder.incident(description)
 
-    def _maybe_checkpoint(self, state: FormState, climbed: bool) -> None:
-        """Periodic + on-climb crash-safe checkpointing of PIB state."""
-        if state.checkpoint_path is None:
-            return
-        if not climbed and state.queries % self.checkpoint_every != 0:
-            return
+    def _checkpoint(self, state: FormState) -> None:
+        """Write the form's crash-safe PIB checkpoint."""
         from .persistence import save_pib
 
         os.makedirs(os.path.dirname(state.checkpoint_path) or ".",
@@ -408,22 +405,20 @@ class SelfOptimizingQueryProcessor:
         if self.recorder.enabled:
             self.recorder.checkpoint_saved(state.checkpoint_path)
 
+    def _maybe_checkpoint(self, state: FormState, climbed: bool) -> None:
+        """Periodic + on-climb crash-safe checkpointing of PIB state."""
+        if state.checkpoint_path is None:
+            return
+        if climbed or state.queries % self.checkpoint_every == 0:
+            self._checkpoint(state)
+
     def checkpoint_now(self) -> int:
         """Force a checkpoint of every compiled form; returns how many."""
-        from .persistence import save_pib
-
         written = 0
         for state in self._states.values():
             if state.checkpoint_path is not None:
-                os.makedirs(
-                    os.path.dirname(state.checkpoint_path) or ".",
-                    exist_ok=True,
-                )
-                save_pib(state.learner, state.checkpoint_path)
-                state.checkpoints_written += 1
+                self._checkpoint(state)
                 written += 1
-                if self.recorder.enabled:
-                    self.recorder.checkpoint_saved(state.checkpoint_path)
         return written
 
     def ensure_compiled(self, form: QueryForm) -> bool:
@@ -647,9 +642,14 @@ class SelfOptimizingQueryProcessor:
     def _binding_for(
         graph: InferenceGraph, success_arc, query: Atom, database: Database
     ) -> Substitution:
-        """Recover the query-variable bindings behind a winning retrieval."""
-        for binding in database.retrieve(graph.probe(success_arc, query)):
-            return binding.restrict(set(query.variables()))
+        """Recover the query-variable bindings behind a winning retrieval:
+        the rule heads' on its path (the probe template's head test)
+        composed with the retrieval's."""
+        probe = graph.probe(success_arc, query)
+        heads = graph.probe_template(success_arc)[2]
+        unifier = Substitution() if heads is None else unify(heads, query)
+        for binding in database.retrieve(probe.substitute(unifier)):
+            return unifier.compose(binding).restrict(set(query.variables()))
         return Substitution()
 
     # ------------------------------------------------------------------

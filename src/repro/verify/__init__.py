@@ -31,48 +31,17 @@ brute-force oracles in :mod:`repro.optimal`:
   (memory vs SQLite vs healthy-federated), partial-answer soundness
   under shard faults, faulty-replay byte-determinism, and clean
   cached answers over a faulty store;
+* :mod:`repro.verify.experience` — the warm-start priors-only
+  contract and corrupt-store recovery of the experience store;
 * :mod:`repro.verify.runner` — the profile runner behind
-  ``repro verify --seeds N --profile
-  {engine,qsqn,pib,pao,serving,chaos,overload,federation}``.
+  ``repro verify --seeds N --profile P``: its profile table names each
+  profile's world family and checks, and every list of the profiles
+  is read from it.
 """
 
 from .._lazy import lazy_names
 
-__all__ = [
-    "ConservatismWatcher",
-    "GraphWorld",
-    "InvariantMonitor",
-    "InvariantViolation",
-    "KBWorld",
-    "OracleFailure",
-    "OracleReport",
-    "OverloadRun",
-    "PROFILES",
-    "SimulatedBatch",
-    "VerifyReport",
-    "WorldSpec",
-    "build_graph_world",
-    "build_kb_world",
-    "check_answer_equivalence",
-    "check_cache_generation_coherence",
-    "check_cost_oracle",
-    "check_federation_clean_answers",
-    "check_federation_determinism",
-    "check_federation_equivalence",
-    "check_federation_partial",
-    "check_three_way_equivalence",
-    "clopper_pearson",
-    "pao_contract",
-    "pib_contract",
-    "replay_spec",
-    "run_verify",
-    "shrink",
-    "simulate",
-    "simulate_overload",
-    "verify_invariants",
-]
-
-__getattr__, __dir__ = lazy_names(__name__, {
+__getattr__, __dir__, __all__ = lazy_names(__name__, {
     "..bench.stats": ("clopper_pearson",),
     ".invariants": ("ConservatismWatcher", "InvariantMonitor",
                     "InvariantViolation", "check_cache_generation_coherence",

@@ -1,51 +1,12 @@
 """The verify runner: profiles, chaos checks, artifacts, replay.
 
 ``repro verify --seeds N --profile P`` funnels here.  A *profile* is a
-named family of seeded worlds plus the oracles that judge them:
-
-=========  ==========================================================
-profile    what is checked
-=========  ==========================================================
-engine     top-down vs. bottom-up answer-set equivalence on random
-           stratified knowledge bases (with negation)
-qsqn       three-way answer-set equivalence (top-down vs. bottom-up
-           vs. QSQN nets) over the hostile world zoo: layered,
-           deep-recursion, same-generation, and negation-mix shapes,
-           with hot-key-skewed query streams and cache-busting
-           mutation storms on alternating seeds
-pib        the Υ/brute-force cost oracle per world, then Theorem 1 as
-           a Clopper–Pearson contract (plus Δ̃ conservatism and
-           Equation 6 monotonicity invariants on every run)
-pao        Theorems 2/3 as a Clopper–Pearson contract against the
-           brute-force optimum (plain and aiming worlds alternate)
-serving    the virtual-clock simulator: trace byte-determinism,
-           sequential parity, cache transparency, generation coherence,
-           and cache transparency under a mutation storm with two-sided
-           read-set checks (odd seeds are negation-mix worlds)
-chaos      fault-plan worlds through the resilient executor: settled
-           observations match ground truth, billed ≥ settled cost,
-           byte-deterministic reruns, breaker state legality; every
-           fourth seed is a combined drift+faults+burst world (the
-           distribution shifts mid-run and contexts repeat in bursts)
-overload   seeded burst worlds through admission control: outcome and
-           trace byte-determinism, worker-count parity, typed-outcome
-           conservation, learner isolation (shed requests feed no PIB
-           sample), no-starvation and quota ceilings under
-           reject-over-quota, and answers served through admission
-           with an answer cache checked against the bottom-up model
-           across a mutation storm
-federation cross-backend answer equivalence (memory vs SQLite vs
-           healthy-federated, same answers in the same order), partial
-           answers under shard faults are sound subsets with
-           correctly-attributed missing shards, faulty federated
-           replays are byte-deterministic, and a session with both
-           cache tiers on serves no wrong answer as clean
-experience the warm-start priors-only contract: identical answers and
-           Equation 6 test schedule with/without warm-start, exact
-           self-matches, insertion-order/hash-seed-independent
-           nearest-neighbour rankings, and corrupt-store recovery
-           through the ``.bak`` ladder
-=========  ==========================================================
+named family of seeded worlds plus the oracles that judge them, one
+entry of :data:`_PROFILE_TABLE`: its world family, whether its worlds
+are knowledge-base worlds, and its checks in run order.  Every reader
+of the profiles — :data:`PROFILES`, :data:`PROFILE_CHECKS`,
+:func:`specs_for`, :func:`run_profile`, ``WorldSpec``'s profile check,
+the shrinker and the CLI's ``--profile`` check — reads that table.
 
 Deterministic failures are shrunk (``worldgen.shrink``) before being
 reported, and every reported failure carries a `WorldSpec`; with
@@ -57,7 +18,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..resilience.faults import FlakyContext
 from ..resilience.policy import ResiliencePolicy
@@ -112,11 +74,6 @@ from .worldgen import (
 __all__ = ["PROFILES", "VerifyReport", "specs_for", "run_profile",
            "run_verify", "replay_spec"]
 
-PROFILES = (
-    "engine", "qsqn", "pib", "pao", "serving", "chaos", "overload",
-    "federation", "experience",
-)
-
 #: Coverage floor (percent) enforced by ``make coverage`` and CI's
 #: coverage job.  Calibrated against the 88.0% line coverage measured
 #: by ``tools/approx_coverage.py`` at the floor's introduction, minus
@@ -151,143 +108,6 @@ class VerifyReport:
         for path in self.artifacts:
             lines.append(f"  wrote {path}")
         return lines
-
-
-# ----------------------------------------------------------------------
-# Seeded spec families
-# ----------------------------------------------------------------------
-
-
-def specs_for(
-    profile: str, seeds: int, base_seed: int = 0
-) -> List[WorldSpec]:
-    """The profile's world family for seeds ``base_seed … base_seed+N-1``."""
-    specs: List[WorldSpec] = []
-    for offset in range(seeds):
-        seed = base_seed + offset
-        if profile == "engine":
-            specs.append(
-                WorldSpec(
-                    seed=seed,
-                    profile="engine",
-                    negation_rate=0.15 if seed % 2 else 0.0,
-                )
-            )
-        elif profile == "qsqn":
-            # Cycle the hostile shapes; alternate seeds add cache-
-            # busting storms, and the layered worlds get skewed query
-            # streams plus rule-level negation.
-            shape = ("layered", "deep-recursion", "same-generation",
-                     "negation-mix")[seed % 4]
-            specs.append(
-                WorldSpec(
-                    seed=seed,
-                    profile="qsqn",
-                    kb_shape=shape,
-                    negation_rate=0.2 if shape == "layered" else 0.0,
-                    hot_key_skew=0.75 if shape == "layered" else 0.0,
-                    mutation_steps=6 if seed % 2 else 0,
-                )
-            )
-        elif profile == "pib":
-            specs.append(
-                WorldSpec(
-                    seed=seed,
-                    profile="pib",
-                    blockable_reduction_rate=0.3 if seed % 3 == 2 else 0.0,
-                )
-            )
-        elif profile == "pao":
-            specs.append(
-                WorldSpec(
-                    seed=seed,
-                    profile="pao",
-                    n_internal=2,
-                    n_retrievals=3,
-                    prob_low=0.3,
-                    prob_high=0.9,
-                    blockable_reduction_rate=0.5 if seed % 2 else 0.0,
-                )
-            )
-        elif profile == "serving":
-            # Odd seeds are negation-mix worlds: compiled base-relation
-            # forms next to uncompilable forms over negation.
-            specs.append(
-                WorldSpec(
-                    seed=seed,
-                    profile="serving",
-                    kb_shape="negation-mix" if seed % 2 else "layered",
-                    workers=2 + seed % 3,
-                    answer_cache=32,
-                    subgoal_memo=128,
-                    repeats=2,
-                    mutation_steps=6,
-                )
-            )
-        elif profile == "chaos":
-            # Every fourth seed is the combined drift+faults+burst
-            # world: the blocking distribution shifts at the midpoint
-            # and each sampled context arrives as a burst.
-            combined = seed % 4 == 3
-            specs.append(
-                WorldSpec(
-                    seed=seed,
-                    profile="chaos",
-                    contexts=40,
-                    fault_rate=0.15,
-                    timeout_rate=0.05,
-                    retries=3,
-                    drift_shift=0.6 if combined else 0.0,
-                    burst_factor=3 if combined else 1,
-                )
-            )
-        elif profile == "overload":
-            specs.append(
-                WorldSpec(
-                    seed=seed,
-                    profile="overload",
-                    n_queries=10,
-                    burst_factor=4,
-                    tenants=2 + seed % 3,
-                    queue_capacity=4 + seed % 5,
-                    tenant_rate=0.5 if seed % 2 else 0.0,
-                    shed_policy=(
-                        "degrade-to-cached" if seed % 3 == 2
-                        else "reject-over-quota" if seed % 3 == 1
-                        else "reject-newest"
-                    ),
-                    request_deadline=40.0 if seed % 5 == 4 else None,
-                    answer_cache=32 if seed % 3 == 2 else 0,
-                )
-            )
-        elif profile == "federation":
-            specs.append(
-                WorldSpec(
-                    seed=seed,
-                    profile="federation",
-                    n_queries=10,
-                    n_shards=2 + seed % 3,
-                    shard_replicas=bool(seed % 2),
-                    fault_rate=0.2,
-                    timeout_rate=0.05,
-                    retries=2,
-                )
-            )
-        elif profile == "experience":
-            # PIB-style worlds with varied skeletons so the structural
-            # fingerprints genuinely differ across the family.
-            specs.append(
-                WorldSpec(
-                    seed=seed,
-                    profile="experience",
-                    n_internal=2 + seed % 2,
-                    n_retrievals=3 + seed % 3,
-                    blockable_reduction_rate=0.3 if seed % 3 == 2 else 0.0,
-                )
-            )
-        else:
-            raise ValueError(f"unknown profile {profile!r}")
-    return specs
 
 
 # ----------------------------------------------------------------------
@@ -380,6 +200,220 @@ def check_chaos(spec: WorldSpec) -> Optional[str]:
 
 
 # ----------------------------------------------------------------------
+# The profile table
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Profile:
+    """One verify profile: its seeded world family, whether its worlds
+    are knowledge-base worlds, and its checks in run order."""
+
+    #: The fields of the family's world for one seed, beyond its
+    #: ``seed`` and ``profile``.
+    world: Callable[[int], Dict[str, object]]
+    #: Knowledge-base worlds: the shrinker freezes their rules, facts
+    #: and queries into text and cuts the lines; a graph world's sizes
+    #: are halved instead.
+    kb: bool
+    #: ``(name, check, scope)`` per check.  A ``"world"`` check judges
+    #: one world (``check(spec)`` -> failure message or ``None``; a
+    #: failing world is shrunk), an ``"experience"`` check does so with
+    #: the CLI's experience config (``check(spec, config=...)``), and a
+    #: ``"family"`` check is a contract over the whole family
+    #: (``check(specs)`` -> report).
+    checks: Tuple[Tuple[str, Callable, str], ...]
+
+
+_PROFILE_TABLE: Dict[str, _Profile] = {
+    # Top-down vs. bottom-up answer-set equivalence on random stratified
+    # knowledge bases, with negation on odd seeds.
+    "engine": _Profile(
+        lambda seed: dict(negation_rate=0.15 if seed % 2 else 0.0),
+        kb=True,
+        checks=(("engine-equivalence", check_answer_equivalence, "world"),),
+    ),
+    # Three-way answer-set equivalence (top-down vs. bottom-up vs. QSQN
+    # nets) over the hostile world zoo, one shape per seed in turn:
+    # layered worlds get skewed query streams and rule-level negation,
+    # and odd seeds add cache-busting mutation storms.
+    "qsqn": _Profile(
+        lambda seed: dict(
+            kb_shape=("layered", "deep-recursion", "same-generation",
+                      "negation-mix")[seed % 4],
+            negation_rate=0.2 if seed % 4 == 0 else 0.0,
+            hot_key_skew=0.75 if seed % 4 == 0 else 0.0,
+            mutation_steps=6 if seed % 2 else 0,
+        ),
+        kb=True,
+        checks=(("qsqn-three-way-equivalence", check_three_way_equivalence,
+                 "world"),),
+    ),
+    # The Υ/brute-force cost oracle per world, then Theorem 1 as a
+    # Clopper–Pearson contract (plus Δ̃ conservatism and Equation 6
+    # monotonicity invariants on every run).
+    "pib": _Profile(
+        lambda seed: dict(
+            blockable_reduction_rate=0.3 if seed % 3 == 2 else 0.0),
+        kb=False,
+        checks=(("cost-oracle", check_cost_oracle, "world"),
+                ("pib-contract", pib_contract, "family")),
+    ),
+    # Theorems 2/3 as a Clopper–Pearson contract against the brute-force
+    # optimum; plain and aiming worlds alternate.
+    "pao": _Profile(
+        lambda seed: dict(
+            n_internal=2, n_retrievals=3, prob_low=0.3, prob_high=0.9,
+            blockable_reduction_rate=0.5 if seed % 2 else 0.0,
+        ),
+        kb=False,
+        checks=(("cost-oracle", check_cost_oracle, "world"),
+                ("pao-contract", pao_contract, "family")),
+    ),
+    # The virtual-clock simulator: trace byte-determinism, sequential
+    # parity, cache transparency, generation coherence, and cache
+    # transparency under a mutation storm with two-sided read-set
+    # checks.  Odd seeds are negation-mix worlds: compiled
+    # base-relation forms next to uncompilable forms over negation.
+    "serving": _Profile(
+        lambda seed: dict(
+            kb_shape="negation-mix" if seed % 2 else "layered",
+            workers=2 + seed % 3, answer_cache=32, subgoal_memo=128,
+            repeats=2, mutation_steps=6,
+        ),
+        kb=True,
+        checks=(
+            ("serving-byte-determinism", check_byte_determinism, "world"),
+            ("serving-sequential-parity", check_sequential_parity, "world"),
+            ("serving-cache-transparency", check_cache_effects, "world"),
+            ("serving-generation-coherence", check_generation_coherence,
+             "world"),
+            ("serving-mutation-transparency", check_mutation_transparency,
+             "world"),
+        ),
+    ),
+    # Fault-plan worlds through the resilient executor: settled
+    # observations match ground truth, billed ≥ settled cost,
+    # byte-deterministic reruns, breaker state legality.  Every fourth
+    # seed is the combined drift+faults+burst world: the blocking
+    # distribution shifts at the midpoint and each sampled context
+    # arrives as a burst.
+    "chaos": _Profile(
+        lambda seed: dict(
+            contexts=40, fault_rate=0.15, timeout_rate=0.05, retries=3,
+            drift_shift=0.6 if seed % 4 == 3 else 0.0,
+            burst_factor=3 if seed % 4 == 3 else 1,
+        ),
+        kb=False,
+        checks=(("chaos-resilience", check_chaos, "world"),),
+    ),
+    # Seeded burst worlds through admission control: outcome and trace
+    # byte-determinism, worker-count parity, typed-outcome conservation,
+    # learner isolation (shed requests feed no PIB sample),
+    # no-starvation and quota ceilings under reject-over-quota, and
+    # answers served through admission with an answer cache checked
+    # against the bottom-up model across a mutation storm.
+    "overload": _Profile(
+        lambda seed: dict(
+            n_queries=10, burst_factor=4, tenants=2 + seed % 3,
+            queue_capacity=4 + seed % 5,
+            tenant_rate=0.5 if seed % 2 else 0.0,
+            shed_policy=("reject-newest", "reject-over-quota",
+                         "degrade-to-cached")[seed % 3],
+            request_deadline=40.0 if seed % 5 == 4 else None,
+            answer_cache=32 if seed % 3 == 2 else 0,
+        ),
+        kb=True,
+        checks=(
+            ("overload-byte-determinism", check_overload_determinism,
+             "world"),
+            ("overload-worker-parity", check_overload_worker_parity, "world"),
+            ("overload-conservation", check_overload_conservation, "world"),
+            ("overload-learner-isolation", check_overload_isolation, "world"),
+            ("overload-fairness", check_overload_fairness, "world"),
+            ("overload-cache-coherence", check_overload_cache_coherence,
+             "world"),
+        ),
+    ),
+    # Cross-backend answer equivalence (memory vs SQLite vs
+    # healthy-federated, same answers in the same order); partial
+    # answers under shard faults are sound subsets with
+    # correctly-attributed missing shards; faulty federated replays are
+    # byte-deterministic; and a session with both cache tiers on serves
+    # no wrong answer as clean.
+    "federation": _Profile(
+        lambda seed: dict(
+            n_queries=10, n_shards=2 + seed % 3,
+            shard_replicas=bool(seed % 2), fault_rate=0.2,
+            timeout_rate=0.05, retries=2,
+        ),
+        kb=True,
+        checks=(
+            ("federation-backend-equivalence", check_federation_equivalence,
+             "world"),
+            ("federation-partial-soundness", check_federation_partial,
+             "world"),
+            ("federation-byte-determinism", check_federation_determinism,
+             "world"),
+            ("federation-clean-answers", check_federation_clean_answers,
+             "world"),
+        ),
+    ),
+    # The warm-start priors-only contract: identical answers and
+    # Equation 6 test schedule with/without warm-start, exact
+    # self-matches, insertion-order/hash-seed-independent
+    # nearest-neighbour rankings, and corrupt-store recovery through the
+    # ``.bak`` ladder.  PIB-style worlds with varied skeletons, so the
+    # structural fingerprints differ across the family.
+    "experience": _Profile(
+        lambda seed: dict(
+            n_internal=2 + seed % 2, n_retrievals=3 + seed % 3,
+            blockable_reduction_rate=0.3 if seed % 3 == 2 else 0.0,
+        ),
+        kb=False,
+        checks=(
+            ("experience-priors-only", check_experience_priors,
+             "experience"),
+            ("experience-nn-determinism", check_experience_determinism,
+             "experience"),
+            ("experience-store-recovery", check_experience_recovery,
+             "experience"),
+        ),
+    ),
+}
+
+#: The profile names, in the table's order.
+PROFILES = tuple(_PROFILE_TABLE)
+
+#: Check names per profile, in run order.
+PROFILE_CHECKS: Dict[str, List[str]] = {
+    profile: [name for name, _check, _scope in entry.checks]
+    for profile, entry in _PROFILE_TABLE.items()
+}
+
+
+def _profile(name: str) -> _Profile:
+    """The table's entry for profile ``name``."""
+    entry = _PROFILE_TABLE.get(name)
+    if entry is None:
+        raise ValueError(
+            f"unknown profile {name!r}; expected one of {PROFILES}"
+        )
+    return entry
+
+
+def specs_for(
+    profile: str, seeds: int, base_seed: int = 0
+) -> List[WorldSpec]:
+    """The profile's world family for seeds ``base_seed … base_seed+N-1``."""
+    world = _profile(profile).world
+    return [
+        WorldSpec(seed=seed, profile=profile, **world(seed))
+        for seed in range(base_seed, base_seed + seeds)
+    ]
+
+
+# ----------------------------------------------------------------------
 # Profile execution
 # ----------------------------------------------------------------------
 
@@ -420,96 +454,23 @@ def run_profile(
     """Run one profile's full oracle battery.
 
     ``experience`` carries the CLI's ``--experience-*`` knobs into the
-    experience profile's checks; other profiles ignore it.
+    checks that take them (the experience profile's); other profiles
+    ignore it.
     """
-    if profile not in PROFILES:
-        raise ValueError(
-            f"unknown profile {profile!r}; expected one of {PROFILES}"
-        )
+    entry = _profile(profile)
     family = list(specs) if specs is not None else specs_for(
         profile, seeds, base_seed
     )
     verify = VerifyReport(profile)
-    if profile == "engine":
+    for name, check, scope in entry.checks:
+        if scope == "family":
+            verify.reports.append(check(family))
+            continue
+        if scope == "experience":
+            check = partial(check, config=experience)
         verify.reports.append(
-            _run_deterministic(
-                "engine-equivalence", family, check_answer_equivalence,
-                shrink_failures,
-            )
+            _run_deterministic(name, family, check, shrink_failures)
         )
-    elif profile == "qsqn":
-        verify.reports.append(
-            _run_deterministic(
-                "qsqn-three-way-equivalence", family,
-                check_three_way_equivalence, shrink_failures,
-            )
-        )
-    elif profile == "pib":
-        verify.reports.append(
-            _run_deterministic(
-                "cost-oracle", family, check_cost_oracle, shrink_failures
-            )
-        )
-        verify.reports.append(pib_contract(family))
-    elif profile == "pao":
-        verify.reports.append(
-            _run_deterministic(
-                "cost-oracle", family, check_cost_oracle, shrink_failures
-            )
-        )
-        verify.reports.append(pao_contract(family))
-    elif profile == "serving":
-        for name, check in (
-            ("serving-byte-determinism", check_byte_determinism),
-            ("serving-sequential-parity", check_sequential_parity),
-            ("serving-cache-transparency", check_cache_effects),
-            ("serving-generation-coherence", check_generation_coherence),
-            ("serving-mutation-transparency", check_mutation_transparency),
-        ):
-            verify.reports.append(
-                _run_deterministic(name, family, check, shrink_failures)
-            )
-    elif profile == "chaos":
-        verify.reports.append(
-            _run_deterministic("chaos-resilience", family, check_chaos,
-                               shrink_failures)
-        )
-    elif profile == "overload":
-        for name, check in (
-            ("overload-byte-determinism", check_overload_determinism),
-            ("overload-worker-parity", check_overload_worker_parity),
-            ("overload-conservation", check_overload_conservation),
-            ("overload-learner-isolation", check_overload_isolation),
-            ("overload-fairness", check_overload_fairness),
-            ("overload-cache-coherence", check_overload_cache_coherence),
-        ):
-            verify.reports.append(
-                _run_deterministic(name, family, check, shrink_failures)
-            )
-    elif profile == "federation":
-        for name, check in (
-            ("federation-backend-equivalence", check_federation_equivalence),
-            ("federation-partial-soundness", check_federation_partial),
-            ("federation-byte-determinism", check_federation_determinism),
-            ("federation-clean-answers", check_federation_clean_answers),
-        ):
-            verify.reports.append(
-                _run_deterministic(name, family, check, shrink_failures)
-            )
-    elif profile == "experience":
-        for name, check in (
-            ("experience-priors-only", check_experience_priors),
-            ("experience-nn-determinism", check_experience_determinism),
-            ("experience-store-recovery", check_experience_recovery),
-        ):
-            verify.reports.append(
-                _run_deterministic(
-                    name,
-                    family,
-                    lambda s, _check=check: _check(s, experience),
-                    shrink_failures,
-                )
-            )
     return verify
 
 
@@ -567,38 +528,3 @@ def replay_spec(
             print(line, file=out)
     return 0 if verify.ok else 1
 
-
-#: Check names per profile, for documentation and the CLI help text.
-PROFILE_CHECKS: Dict[str, List[str]] = {
-    "engine": ["engine-equivalence"],
-    "qsqn": ["qsqn-three-way-equivalence"],
-    "pib": ["cost-oracle", "pib-contract"],
-    "pao": ["cost-oracle", "pao-contract"],
-    "serving": [
-        "serving-byte-determinism",
-        "serving-sequential-parity",
-        "serving-cache-transparency",
-        "serving-generation-coherence",
-        "serving-mutation-transparency",
-    ],
-    "chaos": ["chaos-resilience"],
-    "overload": [
-        "overload-byte-determinism",
-        "overload-worker-parity",
-        "overload-conservation",
-        "overload-learner-isolation",
-        "overload-fairness",
-        "overload-cache-coherence",
-    ],
-    "federation": [
-        "federation-backend-equivalence",
-        "federation-partial-soundness",
-        "federation-byte-determinism",
-        "federation-clean-answers",
-    ],
-    "experience": [
-        "experience-priors-only",
-        "experience-nn-determinism",
-        "experience-store-recovery",
-    ],
-}

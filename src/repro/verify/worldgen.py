@@ -54,12 +54,6 @@ __all__ = [
     "shrink",
 ]
 
-#: The verification profiles a spec can target.
-PROFILE_NAMES = (
-    "engine", "qsqn", "pib", "pao", "serving", "chaos", "overload",
-    "federation", "experience",
-)
-
 
 @dataclass(frozen=True)
 class WorldSpec:
@@ -138,10 +132,13 @@ class WorldSpec:
     kb_queries: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.profile not in PROFILE_NAMES:
+        # The runner's profile table; the runner imports this module.
+        from .runner import PROFILES
+
+        if self.profile not in PROFILES:
             raise ReproError(
                 f"unknown profile {self.profile!r}; "
-                f"expected one of {', '.join(PROFILE_NAMES)}"
+                f"expected one of {', '.join(PROFILES)}"
             )
         if self.kb_shape not in KB_SHAPES:
             raise ReproError(
@@ -514,10 +511,10 @@ def shrink(
     if not checked_fails(spec):
         raise ReproError("shrink() called with a spec that does not fail")
 
-    spec = (materialize(spec)
-            if spec.profile in ("engine", "qsqn", "serving", "overload",
-                                "federation")
-            else spec)
+    from .runner import _PROFILE_TABLE  # the runner imports this module
+
+    if _PROFILE_TABLE[spec.profile].kb:
+        spec = materialize(spec)
     if spec.kb_rules is not None:
         for field in ("kb_facts", "kb_queries", "kb_rules"):
             value = getattr(spec, field) or ()

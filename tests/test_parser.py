@@ -20,7 +20,7 @@ from repro.datalog.parser import (
 )
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Atom, Constant, Variable
-from repro.errors import ParseError
+from repro.errors import DatalogError, ParseError
 from repro.verify.worldgen import WorldSpec, build_kb_world
 from repro.workloads import db1
 from repro.workloads.hostile import KB_SHAPES
@@ -341,6 +341,28 @@ def outcome(read, text):
     return ("read", [(rule, rule.name) for rule in result])
 
 
+def facts_by_rules(text):
+    """The heads of ``parse_program``'s rules, which must all be facts:
+    the general parser's reading of a whole fact text."""
+    heads = []
+    for rule in parse_program(text):
+        if not rule.is_fact:
+            raise DatalogError(f"not a fact: {rule}")
+        heads.append(rule.head)
+    return heads
+
+
+def loaded(load, text):
+    """What ``load(text)`` gives: the facts of the store it built, in
+    order, or its error's type, message, line and column."""
+    try:
+        store = load(text)
+    except Exception as error:
+        return ("raised", type(error), str(error),
+                getattr(error, "line", None), getattr(error, "column", None))
+    return ("built", list(store))
+
+
 #: Argument texts: names, numbers and strings holding what ends an
 #: argument, a clause, a string or a line, and starts a comment.
 ARGUMENTS = st.sampled_from([
@@ -408,6 +430,22 @@ class TestFindallReading:
             rules = parse_program(text)
             assert all(rule.is_fact for rule in rules)
             assert list(rows.items()) == grouped(rule.head for rule in rules)
+
+    @given(text=fact_runs())
+    @example(text="p(a). p(b). p(c). p(X). p(d).")
+    @example(text="% a\np(a). p(b). p(c). % b\n p(d). p(e f).\n% c\nq(&).")
+    @example(text="p(a).\np(b).\np(c, " + "1" * 5_000 + ").\nq(\n&).")
+    @example(text="p(a). p(b).\n  q(c) :- r(c). s(X).")
+    def test_from_program_reads_what_the_general_parser_reads(self, text):
+        """Where the scan stops, the rest of the text is parsed alone:
+        the store holds ``parse_program``'s facts, or the load raises
+        its error with the same message, line and column."""
+        reference = loaded(lambda text: Database(facts_by_rules(text)), text)
+        assert loaded(Database.from_program, text) == reference
+        if reference[0] == "built":
+            # The rows read, duplicates and all, are the heads' rows.
+            assert list(repro.datalog.parser._read_facts(text).items()) == (
+                grouped(facts_by_rules(text)))
 
     @given(text=st.one_of(fact_runs(), query_texts()))
     @example(text="p(a) q(b). &")

@@ -15,6 +15,7 @@ from repro.datalog.database import Database
 from repro.datalog.engine import TopDownEngine
 from repro.datalog.parser import parse_program
 from repro.datalog.terms import Atom, Constant, Variable
+from repro.datalog.unify import match
 from repro.system import SelfOptimizingQueryProcessor
 
 NODES = [Constant(f"n{i}") for i in range(6)]
@@ -41,6 +42,19 @@ SWAPPED_RULES = """
 QUERY_TERMS = NODES[:4] + [
     Variable(name) for name in ("X", "Y", "B0", "B1", "F0", "F1")
 ]
+
+#: Rule heads that specialize the goal, so their reductions are
+#: blockable: constants (``s(F1, n0)``, ``t(n2, Y)``) and a repeated
+#: variable (``s(X, X)``), one under another through ``t``.  The rule
+#: variables are named like the queries' (``X``, ``Y``) and like the
+#: root prototype's (``F1``, ``B0``).
+SPECIALIZING_RULES = """
+    s(F1, n0) :- edge(F1, B0).
+    s(X, X) :- back(X, n1).
+    s(X, Y) :- edge(Y, X).
+    t(n2, Y) :- s(Y, Y).
+    t(X, Y) :- back(Y, X).
+"""
 
 LAYERED_RULES = """
     top(X) :- mid(X).
@@ -134,6 +148,44 @@ class TestLearnedPathAgreement:
             assert answer.proved == engine.prove(query, database).proved
             if answer.proved:
                 assert query.substitute(answer.substitution) in model
+
+
+class TestLearnedPathSpecializingHeads:
+    @settings(deadline=None)
+    @given(
+        edges,
+        edges,
+        st.lists(
+            st.tuples(
+                st.sampled_from(["s", "t"]),
+                st.sampled_from(QUERY_TERMS),
+                st.sampled_from(QUERY_TERMS),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_learned_answers_are_model_facts(self, forward, backward, queries):
+        base = parse_program(SPECIALIZING_RULES)
+        database = Database()
+        for src, dst in forward:
+            database.add(Atom("edge", [src, dst]))
+        for src, dst in backward:
+            database.add(Atom("back", [src, dst]))
+        model = seminaive_evaluate(base, database)
+        processor = SelfOptimizingQueryProcessor(base)
+        for predicate, *args in queries:
+            query = Atom(predicate, args)
+            answer = processor.query(query, database)
+            assert answer.learned
+            if answer.proved:
+                fact = query.substitute(answer.substitution)
+                assert fact.is_ground and fact in model, (query, fact)
+            else:
+                assert not any(
+                    match(query, fact) is not None
+                    for fact in model.relation(predicate, 2)
+                ), query
 
 
 class TestLayeredAgreement:

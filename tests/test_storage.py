@@ -163,10 +163,11 @@ def fact_programs(draw):
 
 
 def load_by_rules(kind, text, **kwargs):
-    """``kind.from_program`` with the scan turned off: a fresh store fed
-    the heads of ``parse_program``'s rules, after the ``is_fact``
-    check."""
-    with mock.patch.object(parser, "_scan_facts", return_value=None):
+    """``kind.from_program`` with the scan turned off (it reads no
+    fact): a fresh store fed the heads of ``parse_program``'s rules,
+    after the ``is_fact`` check."""
+    with mock.patch.object(parser, "_scan",
+                           side_effect=lambda text: (_FactRows(), 0)):
         return kind.from_program(text, **kwargs)
 
 

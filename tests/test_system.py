@@ -108,6 +108,43 @@ class TestQueriesReusingPrototypeNames:
         assert dict(again.substitution) == bindings
 
 
+class TestSpecializingRuleHeads:
+    """A rule head with a constant or a repeated variable specializes
+    the goal, so its reduction is blockable: the learned path tests the
+    head renamed apart from the query, and answers with the head's
+    bindings as well as the retrieval's, as the top-down engine does."""
+
+    RULES = (
+        "g(X, a) :- e(X).\ng(X, Y) :- f(X, Y).\n"
+        "h(X, X) :- m(X).\nh(X, Y) :- n(X, Y)."
+    )
+
+    @pytest.mark.parametrize("text, expected", [
+        # The head's X is not the query's X.
+        ("g(b, X)", {"X": "a"}),
+        # The head binds the second argument to a; the retrieval e(b)
+        # binds only the first.
+        ("g(X, Y)", {"X": "b", "Y": "a"}),
+        ("g(b, Z)", {"Z": "a"}),
+        # h(X, X) makes both arguments one: h(b, Y) needs m(b).
+        ("h(b, Y)", None),
+        ("h(X, Y)", {"X": "d", "Y": "d"}),
+    ])
+    def test_learned_answers_match_the_top_down_engine(self, text, expected):
+        rules = parse_program(self.RULES)
+        database = Database.from_program("e(b). f(c, d). m(d). n(c, e).")
+        query = parse_query(text)
+        answer = SelfOptimizingQueryProcessor(rules).query(query, database)
+        reference = TopDownEngine(rules).prove(query, database)
+        assert answer.learned
+        assert answer.proved == reference.proved == (expected is not None)
+        if expected is not None:
+            bindings = {Variable(name): Constant(value)
+                        for name, value in expected.items()}
+            assert dict(answer.substitution) == bindings
+            assert dict(reference.substitution) == bindings
+
+
 class TestLearningThroughTheSystem:
     def test_strategy_improves_with_a_skewed_stream(self):
         qp = SelfOptimizingQueryProcessor(

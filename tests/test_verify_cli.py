@@ -2,10 +2,18 @@
 
 import io
 import json
+import os
+import re
+
+import pytest
 
 from repro.cli import main
 from repro.learning import pib as pib_module
+from repro.verify.runner import PROFILES
 from repro.verify.worldgen import WorldSpec
+
+NIGHTLY = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), ".github", "workflows", "nightly.yml")
 
 
 def run_cli(*argv):
@@ -47,6 +55,12 @@ class TestVerifyCommand:
         assert "federation-backend-equivalence" in output
         assert "federation-partial-soundness" in output
         assert "federation-byte-determinism" in output
+
+    def test_unknown_profile_exits_before_any_world(self):
+        with pytest.raises(SystemExit) as exited:
+            main(["verify", "--profile", "engine", "--profile", "nope"],
+                 out=io.StringIO())
+        assert exited.value.code == 2
 
     def test_base_seed_shifts_the_family(self):
         code, output = run_cli(
@@ -100,3 +114,17 @@ class TestVerifyCommand:
         code, output = run_cli("verify", "--coverage")
         assert code == 2
         assert "coverage" in output and "not installed" in output
+
+
+class TestNightlyMatrix:
+    def test_nightly_runs_every_profile_in_order(self):
+        """The nightly workflow lists the profiles by hand, since YAML
+        cannot read the profile table: its ``profile:`` matrix is
+        ``PROFILES``, in order."""
+        with open(NIGHTLY, encoding="utf-8") as handle:
+            text = handle.read()
+        found = re.search(r"^\s*profile:\s*\[([^\]]*)\]", text, re.M)
+        assert found is not None, "no profile matrix in nightly.yml"
+        assert [name.strip() for name in found.group(1).split(",")] == (
+            list(PROFILES))
+
