@@ -126,6 +126,9 @@ def cmd_query(args: argparse.Namespace, out) -> int:
         for variable in sorted(answer.substitution, key=lambda v: v.name):
             print(f"  {variable} = {answer.substitution[variable]}", file=out)
     print(f"cost: {answer.trace.cost:g}", file=out)
+    if answer.trace.truncations:
+        print(f"truncated: the depth bound cut {answer.trace.truncations} "
+              f"branches, so the answer may be incomplete", file=out)
     if args.trace:
         for event in answer.trace.retrievals:
             status = "hit" if event.succeeded else "miss"
@@ -568,6 +571,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
     try:
+        for adapter in (SESSION_FLAGS, EXPERIENCE_FLAGS):
+            adapter.check(args)
         return args.handler(args, out)
     except (OSError, ValueError, ReproError) as error:
         print(f"error: {error}", file=out)

@@ -12,7 +12,10 @@ An adapter's builder returns the family's config dataclass (or
 ``None`` when the family's flags are all at their "off" defaults, for
 families whose absence means a byte-identical legacy path).  Builders
 contain no policy of their own — validation lives in the config
-dataclasses' ``__post_init__``.
+dataclasses' ``__post_init__``.  The one rule an adapter keeps is
+which switch a sub-flag needs: ``--drift-delta`` means nothing without
+``--drift``, so :meth:`FlagAdapter.check` refuses it rather than drop
+it without a word.
 """
 
 from __future__ import annotations
@@ -49,7 +52,9 @@ class FlagAdapter:
     the family's typed config.  Missing attributes (an adapter whose
     flags were never installed on this subcommand) read as each flag's
     declared ``default``, so a builder can be shared across
-    subcommands that install different subsets.
+    subcommands that install different subsets.  ``requires`` maps a
+    sub-flag to the switches that turn its family on; given without
+    any of them, the sub-flag is an error (:meth:`check`).
     """
 
     def __init__(
@@ -57,10 +62,12 @@ class FlagAdapter:
         name: str,
         flags: Sequence[Tuple[str, Dict[str, Any]]],
         build: Callable[["FlagAdapter", argparse.Namespace], Any],
+        requires: Optional[Dict[str, Tuple[str, ...]]] = None,
     ) -> None:
         self.name = name
         self.flags = tuple((flag, dict(kwargs)) for flag, kwargs in flags)
         self._build = build
+        self.requires = dict(requires or {})
         self._defaults = {
             self.dest(flag): kwargs.get(
                 "default", False if kwargs.get("action") else None
@@ -76,7 +83,20 @@ class FlagAdapter:
     def install(self, parser: argparse.ArgumentParser) -> None:
         """Declare every flag of the family on ``parser``."""
         for flag, kwargs in self.flags:
+            if flag in self.requires:
+                kwargs = dict(kwargs, action=_NoteGiven)
             parser.add_argument(flag, **kwargs)
+
+    def check(self, args: argparse.Namespace) -> None:
+        """Refuse a sub-flag given without any switch of its family,
+        before anything runs (the CLI reports the ``ValueError`` and
+        exits 2)."""
+        given = getattr(args, _GIVEN, ())
+        for flag, switches in self.requires.items():
+            if self.dest(flag) in given and not any(
+                self.get(args, switch) for switch in switches
+            ):
+                raise ValueError(f"{flag} needs {' or '.join(switches)}")
 
     def get(self, args: argparse.Namespace, flag: str) -> Any:
         """The parsed value of one flag (its default when the flag was
@@ -86,6 +106,20 @@ class FlagAdapter:
     def build(self, args: argparse.Namespace) -> Any:
         """Fold the namespace into the family's typed config."""
         return self._build(self, args)
+
+
+#: The namespace attribute that collects the sub-flags given.
+_GIVEN = "_given_sub_flags"
+
+
+class _NoteGiven(argparse.Action):
+    """argparse's ``store``, noting the flag as given: its value alone
+    cannot tell a given default from an omitted flag."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        setattr(namespace, _GIVEN,
+                getattr(namespace, _GIVEN, frozenset()) | {self.dest})
 
 
 class _LazyChoices:
@@ -142,10 +176,13 @@ EXPERIENCE_FLAGS = FlagAdapter(
         )),
         ("--experience-neighbours", dict(
             type=int, default=3,
-            help="structural neighbours considered per form",
+            help="structural neighbours considered per form "
+                 "(needs --experience or --experience-path)",
         )),
     ],
     _build_experience,
+    requires={"--experience-neighbours": ("--experience",
+                                          "--experience-path")},
 )
 
 
@@ -205,7 +242,8 @@ SESSION_FLAGS = FlagAdapter(
         )),
         ("--checkpoint-every", dict(
             type=int, default=25,
-            help="checkpoint each form every N queries",
+            help="checkpoint each form every N queries "
+                 "(needs --checkpoint-dir)",
         )),
         ("--drift", dict(
             action="store_true",
@@ -214,15 +252,19 @@ SESSION_FLAGS = FlagAdapter(
         )),
         ("--drift-delta", dict(
             type=float, default=0.05,
-            help="detector false-alarm budget",
+            help="detector false-alarm budget (needs --drift)",
         )),
         ("--drift-detector", dict(
             default="window", metavar="KIND",
             choices=_LazyChoices("repro.learning.drift", "_DETECTORS"),
-            help="change detector: %(choices)s (default: %(default)s)",
+            help="change detector: %(choices)s (default: %(default)s; "
+                 "needs --drift)",
         )),
     ],
     _build_session,
+    requires={"--checkpoint-every": ("--checkpoint-dir",),
+              "--drift-delta": ("--drift",),
+              "--drift-detector": ("--drift",)},
 )
 
 

@@ -6,8 +6,10 @@ database of facts".  This module implements that reduction:
 
 * :class:`TopDownEngine` performs SLD resolution with the leftmost
   literal selection rule, negation-as-failure for ground negated
-  subgoals, a depth bound, and a pluggable *rule-ordering policy* (the
-  ordering is exactly the strategic choice PIB and PAO learn);
+  subgoals, a depth bound (whose cuts the trace counts, so a truncated
+  search is never mistaken for a refutation), and a pluggable
+  *rule-ordering policy* (the ordering is exactly the strategic choice
+  PIB and PAO learn);
 * :class:`CostModel` charges each rule reduction and each attempted
   retrieval, reproducing the paper's unit-cost accounting
   ("assume that each reduction … and each atomic retrieval costs 1
@@ -96,12 +98,16 @@ class ProofTrace:
     """Everything observed while processing one query.
 
     ``cost`` is the total charged cost; ``retrievals`` lists each
-    attempted retrieval in order; ``reductions`` counts rule uses.
+    attempted retrieval in order; ``reductions`` counts rule uses;
+    ``truncations`` counts the branches the engine's depth bound cut.
+    A search with any truncation is *truncated*: its "no" (and any
+    answer set it enumerated) may miss what a deeper search finds.
     """
 
     cost: float = 0.0
     retrievals: List[RetrievalEvent] = field(default_factory=list)
     reductions: int = 0
+    truncations: int = 0
 
     def record_retrieval(self, goal: Atom, succeeded: bool, cost: float) -> None:
         self.retrievals.append(RetrievalEvent(goal, succeeded, cost))
@@ -327,6 +333,9 @@ class TopDownEngine:
             yield bindings
             return
         if depth <= 0:
+            # The bound cuts this branch: say so on the trace, so the
+            # caller can tell a truncated "no" from a refutation.
+            trace.truncations += 1
             return
 
         pending, positive, ancestry = goals[0]
@@ -389,11 +398,16 @@ class TopDownEngine:
         check guarantees they are local to the literal), so
         ``not owns(x, Y)`` succeeds iff ``x`` owns nothing.  The inner
         satisficing search is itself the pattern Section 5.2
-        highlights — one owned item suffices to refute pauperhood.
+        highlights — one owned item suffices to refute pauperhood.  An
+        inner search the depth bound cut proves nothing either way, so
+        the negation fails then too: it never succeeds on a truncated
+        refutation.
         """
+        cut = trace.truncations
         for _ in self._solve(
             [(atom, True, frozenset())],
             EMPTY_SUBSTITUTION, database, trace, depth - 1,
         ):
             return  # a proof exists, so the negation fails
-        yield from self._solve(rest, bindings, database, trace, depth)
+        if trace.truncations == cut:
+            yield from self._solve(rest, bindings, database, trace, depth)

@@ -36,6 +36,7 @@ from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from ..datalog.database import Database
 from ..datalog.terms import Atom
+from ..storage.interface import _WindowedProbes
 from ..errors import DistributionError, RetrievalFaultError
 from ..graphs.contexts import Context
 from ..graphs.inference_graph import Arc, ArcKind
@@ -259,7 +260,7 @@ class FlakyContext(Context):
         return f"Flaky({self._inner!r})"
 
 
-class FlakyDatabase(Database):
+class FlakyDatabase(_WindowedProbes, Database):
     """A database whose probes transiently fault, keyed by predicate.
 
     Meant for use behind :class:`~repro.graphs.contexts.LazyDatalogContext`:
@@ -273,16 +274,18 @@ class FlakyDatabase(Database):
     ``succeeds`` and the row probe, all through the one match loop
     :meth:`_matching`; mutation, iteration, the catalog, read versions
     and :meth:`copy` never draw.
+
+    A latency spike on a probe that does not fault is billed through
+    the store's probe window, as the federated store bills its
+    latency: the caller bills the probe's unit cost, and the window
+    the spike's excess over it, which the processor adds to the
+    answer.  A faulted probe's whole multiplier is billed by the
+    executor from the raised error, so nothing is counted twice.
     """
 
     def __init__(self, facts: Iterable[Atom], plan: FaultPlan):
         super().__init__(facts)
         self.plan = plan
-        #: Cost multipliers billed by non-faulting probes (latency
-        #: spikes charge their factor, clean probes charge 1.0); the
-        #: executor bills *faulted* probes itself from the raised
-        #: error's multiplier, so the two channels never double-count.
-        self.billed_probe_cost = 0.0
         #: Optional injection log for parity assertions: when set to a
         #: list, every probe appends ``(predicate, faulted, timeout,
         #: cost_multiplier)``.  ``None`` (default) keeps the hot path
@@ -307,14 +310,13 @@ class FlakyDatabase(Database):
                     injection.cost_multiplier,
                 )
             )
-        if injection.faulted:
-            injection.raise_if_faulted(predicate)
-        else:
-            # Latency spikes on successful probes are billed here; the
-            # executor cannot see them (no exception carries the
-            # multiplier), and before this channel existed they were
-            # counted in ``plan.injected_spikes`` but billed nowhere.
-            self.billed_probe_cost += injection.cost_multiplier
+        # The window bills a spike's excess over the probe's unit cost,
+        # which the caller bills; a faulted probe's whole multiplier is
+        # billed by the executor from the raised error.
+        self._bill_probe(
+            0.0 if injection.faulted else injection.cost_multiplier - 1.0
+        )
+        injection.raise_if_faulted(predicate)
 
     def _matching(self, pattern, form: int) -> Iterator:
         self._inject(pattern)

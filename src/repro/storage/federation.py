@@ -24,7 +24,8 @@ probe *degrades to a partial answer*: retrieval yields nothing for
 that relation, and the shard's name is recorded in the current *probe
 window*.  The query processor brackets each query with
 ``begin_probe_window()`` / ``end_probe_window()`` (part of every
-:class:`~repro.storage.interface.FactStore`; this backend overrides the
+:class:`~repro.storage.interface.FactStore`; this backend keeps the
+windows it shares with the flaky test store in place of the
 always-complete defaults) and threads the resulting
 :class:`~repro.storage.interface.Completeness` verdict — and the billed
 remote latency — into the answer.  Partial answers are
@@ -52,7 +53,6 @@ reader versions a copy.
 
 from __future__ import annotations
 
-import threading
 import zlib
 from dataclasses import dataclass, field
 from typing import (
@@ -63,7 +63,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -73,12 +72,12 @@ from ..datalog.terms import Atom
 from ..resilience.circuit import CircuitBreaker
 from ..resilience.faults import FaultPlan, FaultSpec
 from .interface import (
-    Completeness,
     FactStore,
     ProbeWindow,
     _check_fact,
     _fact_rows,
     _FactRows,
+    _WindowedProbes,
 )
 
 __all__ = ["ShardSpec", "Shard", "ProbeWindow", "FederatedStore"]
@@ -140,7 +139,7 @@ class Shard:
         )
 
 
-class FederatedStore(FactStore):
+class FederatedStore(_WindowedProbes, FactStore):
     """Relations partitioned over simulated faulty shards.
 
     ``shards`` is either a count (shards named ``shard0`` …, all using
@@ -226,7 +225,6 @@ class FederatedStore(FactStore):
         self.probes = 0
         self.dark_probes = 0
         self.hedged_reads = 0
-        self._window = threading.local()
         self._load(facts)
 
     def _load(self, facts: Iterable) -> None:
@@ -263,38 +261,6 @@ class FederatedStore(FactStore):
         return tuple(shard.name for shard in self.shards)
 
     # ------------------------------------------------------------------
-    # Probe windows
-    # ------------------------------------------------------------------
-
-    def begin_probe_window(self) -> None:
-        """Start collecting missing shards / billed latency for one
-        query (thread-local; the serving pool gives each worker its
-        own window)."""
-        window = self._window
-        window.active = True
-        window.missing: Set[str] = set()
-        window.billed = 0.0
-        window.probes = 0
-
-    def probe_window_missing(self) -> frozenset:
-        """The shards seen dark so far in the current window (peek)."""
-        if not getattr(self._window, "active", False):
-            return frozenset()
-        return frozenset(self._window.missing)
-
-    def end_probe_window(self) -> ProbeWindow:
-        """Close the current window and return its collected verdict."""
-        window = self._window
-        if not getattr(window, "active", False):
-            return ProbeWindow()
-        window.active = False
-        return ProbeWindow(
-            completeness=Completeness.missing(window.missing),
-            billed_cost=window.billed,
-            probes=window.probes,
-        )
-
-    # ------------------------------------------------------------------
     # The probe path (faultable — never raises)
     # ------------------------------------------------------------------
 
@@ -329,14 +295,11 @@ class FederatedStore(FactStore):
                 source = shard.replica
         self.billed_cost += billed
         self.probes += 1
-        window = getattr(self._window, "active", False)
-        if window:
-            self._window.billed += billed
-            self._window.probes += 1
         if source is None:
             self.dark_probes += 1
-            if window:
-                self._window.missing.add(shard.name)
+            self._bill_probe(billed, shard.name)
+        else:
+            self._bill_probe(billed)
         return source
 
     def _matching(self, pattern: Atom, form: int) -> Iterator:

@@ -245,6 +245,56 @@ class ProbeWindow:
 #: and the processor closes one window per query).
 _EMPTY_WINDOW = ProbeWindow()
 
+
+class _WindowedProbes:
+    """Probe windows that collect something: the billed latency of a
+    store whose probes bill it, and the sources a store could not reach.
+
+    Mixed in ahead of :class:`FactStore` by the federated store and the
+    flaky test store; every other store keeps the base's no-op windows.
+    Each thread has its own window, as each serving worker answers its
+    own query.  A probe reports itself through :meth:`_bill_probe`.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        import threading  # only stores that keep windows need it
+
+        super().__init__(*args, **kwargs)
+        self._window = threading.local()
+
+    def begin_probe_window(self) -> None:
+        window = self._window
+        window.active = True
+        window.missing = set()
+        window.billed = 0.0
+        window.probes = 0
+
+    def probe_window_missing(self) -> frozenset:
+        if not getattr(self._window, "active", False):
+            return frozenset()
+        return frozenset(self._window.missing)
+
+    def end_probe_window(self) -> ProbeWindow:
+        window = self._window
+        if not getattr(window, "active", False):
+            return _EMPTY_WINDOW
+        window.active = False
+        return ProbeWindow(
+            completeness=Completeness.missing(window.missing),
+            billed_cost=window.billed,
+            probes=window.probes,
+        )
+
+    def _bill_probe(self, billed: float, dark: Optional[str] = None) -> None:
+        """Count one probe in the open window, if any: charge it
+        ``billed``, and note ``dark``, the source it could not reach."""
+        window = self._window
+        if getattr(window, "active", False):
+            window.billed += billed
+            window.probes += 1
+            if dark is not None:
+                window.missing.add(dark)
+
 #: What :meth:`FactStore._matching` yields per match: the bindings
 #: (``retrieve``), the fact (``facts_matching``) or its row
 #: (``_rows_matching``).

@@ -612,11 +612,19 @@ class SelfOptimizingQueryProcessor:
         degraded.  Without one the form is uncompilable and the
         fallback is its normal path.  A fallback whose every attempt
         faulted is logged as an incident too, and answers a degraded
-        "no".
+        "no".  So is a search the depth bound truncated: its answer
+        stands, but with the incident on it, it is not clean.
         """
         if incident is not None:
             self._note_incident(form, incident)
         answer, fallback_incident = self._prove_fallback(query, database)
+        if answer is not None and answer.trace.truncations:
+            truncated = (f"depth bound {self._fallback.max_depth} "
+                         f"truncated the search "
+                         f"({answer.trace.truncations}x)")
+            self._note_incident(form, truncated)
+            incident = (truncated if incident is None
+                        else f"{incident}; {truncated}")
         if answer is None:
             self._note_incident(form, fallback_incident)
             if incident is not None:

@@ -46,9 +46,9 @@ __getattr__, __dir__, __all__ = lazy_names(__name__, {
     ".invariants": ("ConservatismWatcher", "InvariantMonitor",
                     "InvariantViolation", "check_cache_generation_coherence",
                     "verify_invariants"),
-    ".oracles": ("OracleFailure", "OracleReport", "check_answer_equivalence",
-                 "check_cost_oracle", "check_three_way_equivalence",
-                 "pao_contract", "pib_contract"),
+    ".oracles": ("OracleFailure", "OracleReport", "check_cost_oracle",
+                 "check_three_way_equivalence", "pao_contract",
+                 "pib_contract"),
     ".federation": ("check_federation_clean_answers",
                     "check_federation_determinism",
                     "check_federation_equivalence",

@@ -27,7 +27,8 @@ warm-start code paths and fail on any observable deviation:
 
 Each check accepts the optional :class:`~repro.serving.config.ExperienceConfig`
 the CLI's ``--experience-*`` flags build, so ``repro verify --profile
-experience --experience-neighbours 5`` exercises non-default knobs.
+experience --experience --experience-neighbours 5`` exercises
+non-default knobs.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from ..experience.warmstart import (
 )
 from ..learning.pib import PIB
 from ..serving.config import ExperienceConfig
+from .oracles import first_divergence
 from .worldgen import WorldSpec, build_graph_world, context_rng
 
 __all__ = [
@@ -144,17 +146,10 @@ def check_experience_priors(
     _, warm_pib, warm_proved, warm_schedule = _run_pib(
         spec, initial_strategy=warm.strategy
     )
-    if warm_proved != cold_proved:
-        for number, (left, right) in enumerate(
-            zip(cold_proved, warm_proved)
-        ):
-            if left != right:
-                return (
-                    f"context #{number}: cold proved={left} but the "
-                    "warm-started run disagreed — warm start changed "
-                    "an answer"
-                )
-        return "warm run produced a different number of answers"
+    changed = first_divergence("warm-started proved", cold_proved,
+                               warm_proved)
+    if changed is not None:
+        return f"warm start changed an answer: {changed}"
     if warm_schedule != cold_schedule:
         return (
             "warm start changed the Equation 6 test schedule "

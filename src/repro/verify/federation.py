@@ -21,12 +21,11 @@ refactor (DESIGN §13):
   (same spec, fresh store) reproduces the same answers, verdicts,
   billed latencies, probe counts, and final breaker states.
 * **Clean cached answers** — a session with both cache tiers on serves
-  the faulty world's queries twice, once per fallback engine; every
-  answer it marks ``clean``, fresh or replayed, must agree with the
-  same configuration's healthy in-memory answer: the same ``proved``,
-  and a binding that instantiates the query to a fact of the
-  program's model.  A dark shard's "no" must never come back as
-  clean, whichever engine answers an uncompilable form.
+  the faulty world's queries twice, once per fallback engine, and
+  every answer, fresh or replayed, is judged against the program's
+  bottom-up model (:func:`~repro.verify.oracles.judge_served`).  A
+  dark shard's "no" must never come back as clean, whichever engine
+  answers an uncompilable form.
 
 Federation worlds keep ``negation_rate`` at 0: under
 negation-as-failure a hidden fact could *flip a negated subgoal to
@@ -42,12 +41,9 @@ from typing import List, Optional, Tuple
 from ..datalog.bottomup import BottomUpEngine
 from ..datalog.engine import TopDownEngine
 from ..resilience.faults import FaultSpec
-from ..serving.config import CacheConfig, SessionConfig
-from ..serving.session import QuerySession
 from ..storage.federation import FederatedStore
 from ..storage.sqlite import SQLiteFactStore
-from ..strategies.engines import ENGINE_NAMES
-from ..system import SelfOptimizingQueryProcessor
+from .oracles import engine_sessions, first_divergence, serve_judged
 from .worldgen import KBWorld, WorldSpec, build_kb_world
 
 __all__ = [
@@ -211,53 +207,16 @@ def check_federation_determinism(spec: WorldSpec) -> Optional[str]:
         second = _federation_fingerprint(spec)
     except Exception as error:
         return f"federated replay raised: {error!r}"
-    if first != second:
-        for number, (left, right) in enumerate(zip(first, second)):
-            if left != right:
-                return (
-                    f"federated replay diverged at row #{number}: "
-                    f"{left} != {right}"
-                )
-        return "federated replay produced different row counts"
-    return None
+    return first_divergence("federated replay", first, second)
 
 
 def check_federation_clean_answers(spec: WorldSpec) -> Optional[str]:
     """Both cache tiers over shard faults, through every fallback
     engine: every clean answer is true."""
     world = build_kb_world(spec)
-    model = BottomUpEngine(world.rules).model(world.database)
-    for engine in ENGINE_NAMES:
-        config = SessionConfig(delta=spec.delta, engine=engine)
-        healthy = SelfOptimizingQueryProcessor(world.rules, config=config)
-        expected = [
-            healthy.query(query, world.database).proved
-            for query in world.queries
-        ]
-        session = QuerySession(
-            world.rules,
-            _faulty_store(spec, world),
-            config=config,
-            cache=CacheConfig(
-                answer_capacity=spec.answer_cache or 64,
-                subgoal_capacity=spec.subgoal_memo or 256,
-            ),
-        )
-        for serve in (1, 2):
-            for query, proved in zip(world.queries, expected):
-                answer = session.query(query)
-                if not answer.clean:
-                    continue
-                source = f"{engine} {'cached' if answer.cached else 'fresh'}"
-                if answer.proved != proved:
-                    return (
-                        f"serve {serve}: {source} clean answer to {query} is "
-                        f"proved={answer.proved}, the healthy store's is "
-                        f"proved={proved}"
-                    )
-                if proved and query.substitute(answer.substitution) not in model:
-                    return (
-                        f"serve {serve}: {source} clean answer to {query} binds "
-                        f"{answer.substitution}, which is no model fact"
-                    )
-    return None
+    return serve_judged(
+        engine_sessions(spec, world.rules, lambda: _faulty_store(spec, world)),
+        world.queries,
+        BottomUpEngine(world.rules).model(world.database),
+        passes=2,
+    )

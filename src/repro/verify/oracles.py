@@ -1,14 +1,19 @@
 """Differential oracles: brute force, engine equivalence, contracts.
 
-Three families of checks, all driven by :class:`~repro.verify.worldgen.WorldSpec`:
+Four families of checks, all driven by :class:`~repro.verify.worldgen.WorldSpec`:
 
 * **Exhaustive cost oracle** — on small graphs the optimal strategy is
   computable by enumeration (:mod:`repro.optimal.brute_force`); the
   oracle cross-checks ``Υ_AOT`` against it exactly.
-* **Answer-set equivalence** — the top-down SLD engine and the
-  semi-naive bottom-up engine implement the same semantics by two
-  unrelated algorithms; on every generated knowledge base and query
-  their answer sets must coincide.
+* **Answer-set equivalence** — the top-down SLD, semi-naive bottom-up
+  and QSQN engines implement the same semantics by three unrelated
+  algorithms; on every generated knowledge base and query their
+  answer sets must coincide.
+* **The served-answer oracle** — :func:`judge_served` is the one test
+  of whether an answer a session served is true: a clean proved
+  answer binds the query to a fact of the store's bottom-up model,
+  and a clean "no" leaves no model fact that matches the query.
+  Every knowledge-base profile calls it on every answer it serves.
 * **Statistical contracts** — Theorem 1 (every PIB climb is a true
   improvement w.p. ≥ 1−δ) and Theorems 2/3 (PAO lands within ε of the
   optimum w.p. ≥ 1−δ) are probabilistic: a single bad run proves
@@ -22,22 +27,27 @@ Three families of checks, all driven by :class:`~repro.verify.worldgen.WorldSpec
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..bench.stats import clopper_pearson
 from ..datalog.bottomup import BottomUpEngine
 from ..datalog.engine import TopDownEngine
 from ..datalog.parser import parse_atom
 from ..datalog.qsqn import QSQNEngine
+from ..datalog.terms import Atom
 from ..errors import SampleBudgetExceeded
 from ..learning import pib as pib_module
 from ..learning.pao import pao, sample_requirements
 from ..optimal.brute_force import optimal_strategy_brute_force
 from ..optimal.upsilon import upsilon_aot
-from ..strategies.engines import BottomUpProofAdapter
+from ..serving.config import CacheConfig, SessionConfig
+from ..serving.session import QuerySession
+from ..storage.interface import FactStore
+from ..strategies.engines import ENGINE_NAMES, BottomUpProofAdapter
 from ..strategies.execution import execute
 from ..strategies.expected_cost import expected_cost_exact
 from ..strategies.strategy import Strategy
+from ..system import SystemAnswer
 from ..workloads.hostile import mutation_storm
 from .invariants import ConservatismWatcher, InvariantMonitor, InvariantViolation
 from .worldgen import WorldSpec, build_graph_world, build_kb_world, context_rng
@@ -46,11 +56,14 @@ __all__ = [
     "OracleFailure",
     "OracleReport",
     "check_cost_oracle",
-    "check_answer_equivalence",
     "check_three_way_equivalence",
+    "engine_sessions",
+    "first_divergence",
+    "judge_served",
     "pib_run_world",
     "pib_contract",
     "pao_contract",
+    "serve_judged",
 ]
 
 #: Cost-equality slack for exact expected-cost comparisons.
@@ -115,42 +128,79 @@ def check_cost_oracle(spec: WorldSpec) -> Optional[str]:
 
 
 # ----------------------------------------------------------------------
-# Top-down vs. bottom-up answer-set equivalence
+# The served-answer oracle
 # ----------------------------------------------------------------------
 
 
-def check_answer_equivalence(spec: WorldSpec) -> Optional[str]:
-    """The SLD engine against semi-naive bottom-up evaluation.
+def judge_served(
+    query: Atom, answer: SystemAnswer, model: FactStore
+) -> Optional[str]:
+    """How a served answer contradicts ``model``, the bottom-up model of
+    the store it was served from at that moment, or ``None``.
 
-    For every query in the world both engines must agree on provability
-    *and* produce the same set of ground answer instances.
+    A clean proved answer must bind ``query`` to a model fact; a clean
+    "no" must leave no model fact that matches ``query``.  An answer
+    that is not clean (an incident or a partial view of the store)
+    claims neither, and is not judged.
     """
-    world = build_kb_world(spec)
-    top_down = TopDownEngine(world.rules)
-    bottom_up = BottomUpEngine(world.rules)
-    for query in world.queries:
-        td_instances = {
-            query.substitute(answer.substitution)
-            for answer in top_down.answers(query, world.database)
-        }
-        bu_instances = {
-            query.substitute(substitution)
-            for substitution in bottom_up.answers(query, world.database)
-        }
-        if td_instances != bu_instances:
-            only_td = sorted(str(a) for a in td_instances - bu_instances)
-            only_bu = sorted(str(a) for a in bu_instances - td_instances)
-            return (
-                f"answer sets differ on {query}: "
-                f"top-down-only={only_td} bottom-up-only={only_bu}"
-            )
-        proved = top_down.prove(query, world.database).proved
-        holds = bottom_up.holds(query, world.database)
-        if proved != holds or proved != bool(td_instances):
-            return (
-                f"provability disagrees on {query}: "
-                f"prove={proved} holds={holds} answers={len(td_instances)}"
-            )
+    if not answer.clean:
+        return None
+    source = "cached" if answer.cached else "fresh"
+    if answer.proved:
+        if query.substitute(answer.substitution) not in model:
+            return (f"{source} clean answer to {query} binds "
+                    f"{answer.substitution}, which is no model fact")
+    elif model.succeeds(query):
+        return (f"{source} clean answer to {query} is no, but a model "
+                f"fact matches it")
+    return None
+
+
+def engine_sessions(
+    spec: WorldSpec, rules, store: Callable[[], FactStore]
+) -> List[Tuple[str, QuerySession]]:
+    """One session per fallback engine, both cache tiers on, each over
+    the store ``store()`` returns."""
+    cache = CacheConfig(answer_capacity=spec.answer_cache or 64,
+                        subgoal_capacity=spec.subgoal_memo or 256)
+    return [
+        (engine, QuerySession(
+            rules, store(),
+            config=SessionConfig(delta=spec.delta, engine=engine),
+            cache=cache,
+        ))
+        for engine in ENGINE_NAMES
+    ]
+
+
+def serve_judged(
+    sessions: Sequence[Tuple[str, QuerySession]],
+    queries: Sequence[Atom],
+    model: FactStore,
+    passes: int = 1,
+) -> Optional[str]:
+    """Serve ``queries`` ``passes`` times through each session and judge
+    every answer against ``model``; the first contradiction, or
+    ``None``."""
+    for engine, session in sessions:
+        for _ in range(passes):
+            for query in queries:
+                problem = judge_served(query, session.query(query), model)
+                if problem is not None:
+                    return f"{engine} {problem}"
+    return None
+
+
+def first_divergence(
+    what: str, left: Sequence, right: Sequence
+) -> Optional[str]:
+    """Where two runs that must match row for row first differ, or
+    ``None`` when they match."""
+    for number, (one, other) in enumerate(zip(left, right)):
+        if one != other:
+            return f"{what} diverged at row #{number}: {one} != {other}"
+    if len(left) != len(right):
+        return f"{what} produced {len(left)} rows, then {len(right)}"
     return None
 
 
@@ -191,17 +241,21 @@ def _answer_sets_agree(engines, queries, database) -> Optional[str]:
 
 
 def check_three_way_equivalence(spec: WorldSpec) -> Optional[str]:
-    """SLD vs. semi-naive bottom-up vs. QSQN on one world.
+    """SLD vs. semi-naive bottom-up vs. QSQN on one world, and what a
+    session serves through each of them.
 
     The three engines implement the same stratified semantics by three
     unrelated algorithms (tuple-at-a-time resolution, blind saturation,
     goal-directed set-at-a-time nets); any pairwise disagreement on
     ground answer instances or provability is a bug in at least one of
-    them.  With ``mutation_steps > 0`` the world's database is then
-    mutated one seeded storm step at a time and the full comparison
-    re-run after every step against the *same* engine objects — so
-    state cached across a generation bump fails loudly rather than
-    silently serving stale answers.
+    them.  A cache-fronted session per fallback engine then serves the
+    query stream twice, and :func:`judge_served` holds every answer,
+    learned or fallback, fresh or replayed, to the bottom-up model.
+    With ``mutation_steps > 0`` the world's database is then mutated
+    one seeded storm step at a time and both comparisons re-run after
+    every step against the *same* engine and session objects — so
+    state cached across a write fails loudly rather than silently
+    serving stale answers.
     """
     world = build_kb_world(spec)
     engines = (
@@ -209,21 +263,24 @@ def check_three_way_equivalence(spec: WorldSpec) -> Optional[str]:
         ("bottom-up", BottomUpProofAdapter(world.rules)),
         ("qsqn", QSQNEngine(world.rules)),
     )
-    message = _answer_sets_agree(engines, world.queries, world.database)
+    truth = BottomUpEngine(world.rules)
+    sessions = engine_sessions(spec, world.rules, lambda: world.database)
+
+    def judge(passes: int) -> Optional[str]:
+        return _answer_sets_agree(
+            engines, world.queries, world.database
+        ) or serve_judged(sessions, world.queries,
+                          truth.model(world.database), passes)
+
+    message = judge(passes=2)
     if message is not None:
         return message
-    if spec.mutation_steps > 0:
-        ops = mutation_storm(spec.seed, world.fact_text, spec.mutation_steps)
-        for number, (op, text) in enumerate(ops):
-            fact = parse_atom(text)
-            if op == "add":
-                world.database.add(fact)
-            else:
-                world.database.remove(fact)
-            message = _answer_sets_agree(engines, world.queries,
-                                         world.database)
-            if message is not None:
-                return f"after storm step #{number} ({op} {text}): {message}"
+    ops = mutation_storm(spec.seed, world.fact_text, spec.mutation_steps)
+    for number, (op, text) in enumerate(ops):
+        getattr(world.database, op)(parse_atom(text))
+        message = judge(passes=1)
+        if message is not None:
+            return f"after storm step #{number} ({op} {text}): {message}"
     return None
 
 

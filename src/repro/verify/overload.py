@@ -24,10 +24,11 @@ and these oracles hold it to that:
 * :func:`check_overload_fairness` — under the ``reject-over-quota``
   policy no demanding tenant starves, and with a rate quota no tenant
   exceeds its token-bucket ceiling;
-* :func:`check_overload_cache_coherence` — with an answer cache, the
-  burst is served again after each step of a mutation storm, and
-  every clean answer, including those answered at admission, agrees
-  with the bottom-up model of the store at that moment.
+* :func:`check_overload_cache_coherence` — with an answer cache, under
+  each fallback engine, the burst is served again after each step of
+  a mutation storm, and every answer, including those answered at
+  admission, is judged against the bottom-up model of the store at
+  that moment (:func:`~repro.verify.oracles.judge_served`).
 """
 
 from __future__ import annotations
@@ -44,8 +45,10 @@ from ..serving.admission import TENANT_BURST, Request, RequestOutcome
 from ..serving.config import AdmissionConfig, CacheConfig, ServingConfig, \
     SessionConfig
 from ..serving.server import QueryServer
+from ..strategies.engines import ENGINE_NAMES
 from ..system import SelfOptimizingQueryProcessor
 from ..workloads.hostile import mutation_storm
+from .oracles import first_divergence, judge_served
 from .worldgen import KBWorld, WorldSpec, build_kb_world
 
 __all__ = [
@@ -112,10 +115,12 @@ def _overload_server(
     world: KBWorld,
     tracer: Optional[Tracer] = None,
     workers: int = 1,
+    engine: str = "topdown",
 ) -> QueryServer:
     """A fresh admission-controlled server for the spec's world."""
     processor = SelfOptimizingQueryProcessor(
-        world.rules, config=SessionConfig(delta=spec.delta), recorder=tracer
+        world.rules, config=SessionConfig(delta=spec.delta, engine=engine),
+        recorder=tracer,
     )
     admission = AdmissionConfig(
         queue_capacity=spec.queue_capacity,
@@ -155,16 +160,11 @@ def check_overload_determinism(spec: WorldSpec) -> Optional[str]:
     """Two fresh runs must match byte-for-byte: outcomes and trace."""
     first = simulate_overload(spec)
     second = simulate_overload(spec)
-    if first.fingerprint() != second.fingerprint():
-        first_lines = first.fingerprint().splitlines()
-        second_lines = second.fingerprint().splitlines()
-        for number, (left, right) in enumerate(
-            zip(first_lines, second_lines)
-        ):
-            if left != right:
-                return (f"overload replay diverged at outcome #{number}: "
-                        f"{left!r} != {right!r}")
-        return "overload replay produced different outcome counts"
+    problem = first_divergence("overload replay",
+                               first.fingerprint().splitlines(),
+                               second.fingerprint().splitlines())
+    if problem is not None:
+        return problem
     if first.trace_bytes() != second.trace_bytes():
         return "overload replay produced a different event trace"
     return None
@@ -177,19 +177,11 @@ def check_overload_worker_parity(spec: WorldSpec) -> Optional[str]:
     virtual clocks, so threading the form queues over a pool must not
     change a single status, reason, or latency.
     """
-    serial = simulate_overload(spec, workers=1)
-    parallel = simulate_overload(spec, workers=3)
-    if serial.fingerprint() != parallel.fingerprint():
-        serial_lines = serial.fingerprint().splitlines()
-        parallel_lines = parallel.fingerprint().splitlines()
-        for number, (left, right) in enumerate(
-            zip(serial_lines, parallel_lines)
-        ):
-            if left != right:
-                return (f"worker parity broken at outcome #{number}: "
-                        f"workers=1 {left!r} vs workers=3 {right!r}")
-        return "worker parity broken: different outcome counts"
-    return None
+    return first_divergence(
+        "workers=3 against workers=1",
+        simulate_overload(spec, workers=1).fingerprint().splitlines(),
+        simulate_overload(spec, workers=3).fingerprint().splitlines(),
+    )
 
 
 def check_overload_conservation(spec: WorldSpec) -> Optional[str]:
@@ -318,56 +310,51 @@ def check_overload_cache_coherence(spec: WorldSpec) -> Optional[str]:
     """Answers served through admission stay true while the store
     mutates.
 
-    The burst is served through an admission server with an answer
-    cache, then the world's mutation storm is applied one step at a
-    time, with the burst served again after each step.  Every clean
-    served answer must agree with the bottom-up model of the store at
-    that moment: the same ``proved``, and for a proved answer a binding
-    that instantiates the query to a model fact.  A cached answer is
+    Under each fallback engine, the burst is served through an
+    admission server with an answer cache, then the world's mutation
+    storm is applied one step at a time, with the burst served again
+    after each step.  Every served answer is judged against the
+    bottom-up model of the store at that moment.  A cached answer is
     served at admission at latency 1.0, unless an earlier request of
     the same burst asked the same query: that repeat hits at dispatch,
     after its wait.
     """
     cached_spec = spec.replace(answer_cache=spec.answer_cache or 32)
-    world = build_kb_world(cached_spec)
-    server = _overload_server(cached_spec, world)
-    database = world.database
-    requests = _burst_requests(cached_spec, world)
-    engine = BottomUpEngine(world.rules)
+    for engine in ENGINE_NAMES:
+        world = build_kb_world(cached_spec)
+        server = _overload_server(cached_spec, world, engine=engine)
+        database = world.database
+        requests = _burst_requests(cached_spec, world)
+        truth = BottomUpEngine(world.rules)
 
-    def serve(label: str) -> Optional[str]:
-        asked = set()
-        outcomes = server.run_requests(requests, database)
-        for request, outcome in zip(requests, outcomes):
-            query = request.query
-            repeat = query in asked
-            asked.add(query)
-            answer = outcome.answer
-            if not outcome.served or not answer.clean:
-                continue
-            if answer.cached and outcome.latency != 1.0 and not repeat:
-                return (f"{label}: the cached answer to {query} waited "
-                        f"until {outcome.latency:g} though no earlier "
-                        f"request of the burst asked it")
-            proved = engine.holds(query, database)
-            if answer.proved != proved:
-                return (f"{label}: {'cached' if answer.cached else 'fresh'}"
-                        f" answer to {query} is proved={answer.proved}, "
-                        f"the model's is proved={proved}")
-            if proved and (query.substitute(answer.substitution)
-                           not in engine.model(database)):
-                return (f"{label}: the answer to {query} binds "
-                        f"{answer.substitution}, which is no model fact")
-        return None
+        def serve(label: str) -> Optional[str]:
+            model = truth.model(database)
+            asked = set()
+            outcomes = server.run_requests(requests, database)
+            for request, outcome in zip(requests, outcomes):
+                query, answer = request.query, outcome.answer
+                repeat = query in asked
+                asked.add(query)
+                if answer is None:
+                    continue
+                if (answer.cached and outcome.served
+                        and outcome.latency != 1.0 and not repeat):
+                    return (f"{label}: the cached answer to {query} "
+                            f"waited until {outcome.latency:g} though no "
+                            f"earlier request of the burst asked it")
+                problem = judge_served(query, answer, model)
+                if problem is not None:
+                    return f"{label}: {engine} {problem}"
+            return None
 
-    problem = serve("first burst")
-    if problem is not None:
-        return problem
-    ops = mutation_storm(spec.seed, world.fact_text,
-                         spec.mutation_steps or STORM_STEPS)
-    for number, (op, text) in enumerate(ops):
-        getattr(database, op)(parse_atom(text))
-        problem = serve(f"after storm step #{number} ({op} {text})")
+        problem = serve("first burst")
         if problem is not None:
             return problem
+        ops = mutation_storm(spec.seed, world.fact_text,
+                             spec.mutation_steps or STORM_STEPS)
+        for number, (op, text) in enumerate(ops):
+            getattr(database, op)(parse_atom(text))
+            problem = serve(f"after storm step #{number} ({op} {text})")
+            if problem is not None:
+                return problem
     return None

@@ -42,9 +42,9 @@ from .invariants import InvariantMonitor
 from .oracles import (
     OracleFailure,
     OracleReport,
-    check_answer_equivalence,
     check_cost_oracle,
     check_three_way_equivalence,
+    first_divergence,
     pao_contract,
     pib_contract,
 )
@@ -188,15 +188,7 @@ def check_chaos(spec: WorldSpec) -> Optional[str]:
         rerun_monitor.check()
     except AssertionError as error:
         return str(error)
-    if first != second:
-        for number, (left, right) in enumerate(zip(first, second)):
-            if left != right:
-                return (
-                    f"chaos replay diverged at context #{number}: "
-                    f"{left} != {right}"
-                )
-        return "chaos replay produced different context counts"
-    return None
+    return first_divergence("chaos replay", first, second)
 
 
 # ----------------------------------------------------------------------
@@ -226,17 +218,19 @@ class _Profile:
 
 
 _PROFILE_TABLE: Dict[str, _Profile] = {
-    # Top-down vs. bottom-up answer-set equivalence on random stratified
-    # knowledge bases, with negation on odd seeds.
+    # Three-way answer-set equivalence on random stratified knowledge
+    # bases, with negation on odd seeds, and every answer a session
+    # serves through each engine held to the bottom-up model.
     "engine": _Profile(
         lambda seed: dict(negation_rate=0.15 if seed % 2 else 0.0),
         kb=True,
-        checks=(("engine-equivalence", check_answer_equivalence, "world"),),
+        checks=(("engine-equivalence", check_three_way_equivalence,
+                 "world"),),
     ),
-    # Three-way answer-set equivalence (top-down vs. bottom-up vs. QSQN
-    # nets) over the hostile world zoo, one shape per seed in turn:
-    # layered worlds get skewed query streams and rule-level negation,
-    # and odd seeds add cache-busting mutation storms.
+    # The same check (top-down vs. bottom-up vs. QSQN nets, and the
+    # served answers) over the hostile world zoo, one shape per seed in
+    # turn: layered worlds get skewed query streams and rule-level
+    # negation, and odd seeds add cache-busting mutation storms.
     "qsqn": _Profile(
         lambda seed: dict(
             kb_shape=("layered", "deep-recursion", "same-generation",
@@ -274,10 +268,12 @@ _PROFILE_TABLE: Dict[str, _Profile] = {
     # parity, cache transparency, generation coherence, and cache
     # transparency under a mutation storm with two-sided read-set
     # checks.  Odd seeds are negation-mix worlds: compiled
-    # base-relation forms next to uncompilable forms over negation.
+    # base-relation forms next to uncompilable forms over negation;
+    # seeds 2 mod 4 are specializing-heads worlds.
     "serving": _Profile(
         lambda seed: dict(
-            kb_shape="negation-mix" if seed % 2 else "layered",
+            kb_shape=("layered", "negation-mix", "specializing-heads",
+                      "negation-mix")[seed % 4],
             workers=2 + seed % 3, answer_cache=32, subgoal_memo=128,
             repeats=2, mutation_steps=6,
         ),
@@ -312,9 +308,11 @@ _PROFILE_TABLE: Dict[str, _Profile] = {
     # learner isolation (shed requests feed no PIB sample),
     # no-starvation and quota ceilings under reject-over-quota, and
     # answers served through admission with an answer cache checked
-    # against the bottom-up model across a mutation storm.
+    # against the bottom-up model across a mutation storm.  Seeds
+    # 1 mod 4 are specializing-heads worlds.
     "overload": _Profile(
         lambda seed: dict(
+            kb_shape="specializing-heads" if seed % 4 == 1 else "layered",
             n_queries=10, burst_factor=4, tenants=2 + seed % 3,
             queue_capacity=4 + seed % 5,
             tenant_rate=0.5 if seed % 2 else 0.0,

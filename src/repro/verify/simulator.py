@@ -25,8 +25,11 @@ checked by :func:`check_byte_determinism` / :func:`check_sequential_parity`;
 ever change cost accounting, never answers,
 :func:`check_generation_coherence` asserts mutation invalidates, and
 :func:`check_mutation_transparency` replays a mutation storm between
-passes and holds every served answer, and the answer cache's read
-sets, to an uncached processor on the same store state.
+passes, under each fallback engine, and holds every served answer to
+the bottom-up model of the store at that moment
+(:func:`~repro.verify.oracles.judge_served`) and the answer cache to
+each query's read set.  A model, unlike a second processor, shares no
+code with the server, so a bug both would make is still caught.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..bench.experiments import LatencyDatabase
+from ..datalog.bottomup import BottomUpEngine
 from ..datalog.parser import parse_atom
 from ..datalog.rules import QueryForm
 from ..datalog.terms import Atom
@@ -44,9 +48,11 @@ from ..serving.cache import AnswerCache
 from ..serving.config import CacheConfig, ServingConfig, SessionConfig
 from ..serving.server import QueryServer
 from ..storage.interface import bucket_keys
+from ..strategies.engines import ENGINE_NAMES
 from ..system import SelfOptimizingQueryProcessor, SystemAnswer
 from ..workloads.hostile import mutation_storm
 from .invariants import InvariantViolation, check_cache_generation_coherence
+from .oracles import first_divergence, judge_served
 from .worldgen import KBWorld, WorldSpec, build_kb_world
 
 __all__ = [
@@ -70,19 +76,12 @@ class SimulatedBatch:
     virtual_time: float
     report: Dict[str, Dict[str, object]]
 
-    def answer_keys(self) -> List[Tuple[bool, str, float]]:
-        """The comparison view of each answer: proved, bindings, cost."""
-        return [
-            (answer.proved, repr(answer.substitution), round(answer.cost, 9))
-            for answer in self.answers
-        ]
-
 
 def _build_server(
-    spec: WorldSpec, world: KBWorld, caches: bool
+    spec: WorldSpec, world: KBWorld, caches: bool, engine: str = "topdown"
 ) -> QueryServer:
     processor = SelfOptimizingQueryProcessor(
-        world.rules, config=SessionConfig(delta=spec.delta)
+        world.rules, config=SessionConfig(delta=spec.delta, engine=engine)
     )
     cache = (
         CacheConfig(
@@ -208,23 +207,9 @@ def check_byte_determinism(spec: WorldSpec) -> Optional[str]:
     onto the simulator: everything — scheduling, caching, learning —
     must derive from the spec alone.
     """
-    first = simulate(spec)
-    second = simulate(spec)
-    if first.trace != second.trace:
-        first_lines = first.trace.splitlines()
-        second_lines = second.trace.splitlines()
-        for number, (left, right) in enumerate(
-            zip(first_lines, second_lines)
-        ):
-            if left != right:
-                return (
-                    f"traces diverge at line {number}: {left!r} != {right!r}"
-                )
-        return (
-            f"traces differ in length: {len(first_lines)} vs "
-            f"{len(second_lines)} events"
-        )
-    return None
+    return first_divergence("simulated trace",
+                            simulate(spec).trace.splitlines(),
+                            simulate(spec).trace.splitlines())
 
 
 def check_sequential_parity(spec: WorldSpec) -> Optional[str]:
@@ -244,28 +229,13 @@ def check_sequential_parity(spec: WorldSpec) -> Optional[str]:
     reference = [
         processor.query(query, world.database) for query in world.queries
     ]
-    if len(reference) != len(simulated.answers):
-        return (
-            f"answer counts differ: sequential {len(reference)} vs "
-            f"simulated {len(simulated.answers)}"
-        )
-    for index, (seq, sim) in enumerate(zip(reference, simulated.answers)):
-        if (seq.proved, repr(seq.substitution)) != (
-            sim.proved,
-            repr(sim.substitution),
-        ):
-            return (
-                f"answer #{index} differs: sequential "
-                f"({seq.proved}, {seq.substitution}) vs simulated "
-                f"({sim.proved}, {sim.substitution})"
-            )
-        if abs(seq.cost - sim.cost) > 1e-9:
-            return (
-                f"answer #{index} billed differently: sequential "
-                f"{seq.cost} vs simulated {sim.cost}"
-            )
-    sequential_report = processor.report()
-    for form, info in sequential_report.items():
+    problem = first_divergence(
+        "simulated answers against a plain loop",
+        *([(a.proved, repr(a.substitution), round(a.cost, 9)) for a in run]
+          for run in (reference, simulated.answers)))
+    if problem is not None:
+        return problem
+    for form, info in processor.report().items():
         simulated_info = simulated.report.get(form)
         if simulated_info is None:
             return f"form {form} missing from the simulated report"
@@ -337,90 +307,65 @@ def check_generation_coherence(spec: WorldSpec) -> Optional[str]:
     return None
 
 
-def _disagreement(
-    served: SystemAnswer,
-    query: Atom,
-    reference: SelfOptimizingQueryProcessor,
-    database,
-) -> Optional[str]:
-    """How ``served`` contradicts an uncached processor on the current
-    store, or ``None``.
-
-    Provability must match exactly.  Bindings must match too, except
-    that a learned form may reach a different, equally valid first
-    binding under a strategy its learner has since left: such a binding
-    must instantiate the query to something the reference proves.
-    """
-    expected = reference.query(query, database)
-    if served.proved != expected.proved:
-        return (f"{query} served proved={served.proved}, uncached "
-                f"proved={expected.proved}")
-    if repr(served.substitution) == repr(expected.substitution):
-        return None
-    instance = query.substitute(served.substitution)
-    if served.learned and reference.query(instance, database).proved:
-        return None
-    return (f"{query} served binding {served.substitution}, uncached "
-            f"{expected.substitution}")
-
-
 def check_mutation_transparency(
     spec: WorldSpec, tally: Optional[Counter] = None
 ) -> Optional[str]:
     """Caches stay transparent while the store mutates.
 
-    The batch is served twice to warm both tiers, then the spec's
-    mutation storm is applied one step at a time with the batch served
-    again after each step.  Every served answer must agree with an
-    uncached processor on the same store state, and the answer cache
-    must honour each query's read set in both directions: after a
-    write to a key in the read set the query's first lookup misses;
-    after a write elsewhere it may hit, and the hit must agree too.
-    ``tally``, when given, counts those first serves as
-    ``inside-miss``, ``outside-hit`` and ``outside-miss``.
+    Under each fallback engine, the batch is served twice to warm both
+    tiers, then the spec's mutation storm is applied one step at a
+    time with the batch served again after each step.  Every served
+    answer must hold in the bottom-up model of the store at that
+    moment, and the answer cache must honour each query's read set in
+    both directions: after a write to a key in the read set the
+    query's first lookup misses; after a write elsewhere it may hit,
+    and the hit is judged too.  ``tally``, when given, counts those
+    first serves as ``inside-miss``, ``outside-hit`` and
+    ``outside-miss``.
     """
     if tally is None:
         tally = Counter()
-    world = build_kb_world(spec)
     cached_spec = spec.replace(answer_cache=spec.answer_cache or 64,
                                subgoal_memo=spec.subgoal_memo or 256)
-    server = _build_server(cached_spec, world, caches=True)
-    processor, database = server.processor, _store_for(cached_spec, world)
-    config = SessionConfig(delta=spec.delta)
+    for engine in ENGINE_NAMES:
+        world = build_kb_world(spec)
+        server = _build_server(cached_spec, world, True, engine)
+        processor, database = server.processor, _store_for(cached_spec, world)
+        truth = BottomUpEngine(world.rules)
 
-    def serve(label: str, inside: Dict[Atom, bool]) -> Optional[str]:
-        reference = SelfOptimizingQueryProcessor(world.rules, config=config)
-        first = set()
-        for query in world.queries:
-            served = server.submit(query, database)
-            if inside and query not in first:
-                first.add(query)
-                side = "inside" if inside[query] else "outside"
-                if served.cached and side == "inside":
-                    return (f"{label}: {query} hit the answer cache after "
-                            f"a write inside its read set")
-                tally[f"{side}-{'hit' if served.cached else 'miss'}"] += 1
-            problem = _disagreement(served, query, reference, database)
+        def serve(label: str, inside: Dict[Atom, bool]) -> Optional[str]:
+            model = truth.model(database)
+            first = set()
+            for query in world.queries:
+                served = server.submit(query, database)
+                if inside and query not in first:
+                    first.add(query)
+                    side = "inside" if inside[query] else "outside"
+                    if served.cached and side == "inside":
+                        return (f"{label}: {query} hit the answer cache "
+                                f"after a write inside its read set")
+                    tally[f"{side}-{'hit' if served.cached else 'miss'}"] += 1
+                problem = judge_served(query, served, model)
+                if problem is not None:
+                    return f"{label}: {engine} {problem}"
+            return None
+
+        for warm in ("cold pass", "warm pass"):
+            problem = serve(warm, {})
             if problem is not None:
-                return f"{label}: {problem}"
-        return None
-
-    for warm in ("cold pass", "warm pass"):
-        problem = serve(warm, {})
-        if problem is not None:
-            return problem
-    ops = mutation_storm(spec.seed, world.fact_text, spec.mutation_steps)
-    for number, (op, text) in enumerate(ops):
-        fact = parse_atom(text)
-        touched = {fact.signature, *bucket_keys(fact)}
-        inside = {
-            query: not touched.isdisjoint(
-                processor.read_plan(QueryForm.of(query)).keys(query))
-            for query in world.queries
-        }
-        getattr(database, op)(fact)
-        problem = serve(f"after storm step #{number} ({op} {text})", inside)
-        if problem is not None:
-            return problem
+                return problem
+        ops = mutation_storm(spec.seed, world.fact_text, spec.mutation_steps)
+        for number, (op, text) in enumerate(ops):
+            fact = parse_atom(text)
+            touched = {fact.signature, *bucket_keys(fact)}
+            inside = {
+                query: not touched.isdisjoint(
+                    processor.read_plan(QueryForm.of(query)).keys(query))
+                for query in world.queries
+            }
+            getattr(database, op)(fact)
+            problem = serve(f"after storm step #{number} ({op} {text})",
+                            inside)
+            if problem is not None:
+                return problem
     return None
-

@@ -41,6 +41,7 @@ from ..workloads.hostile import (
     hot_key_stream,
     negation_mix_program,
     same_generation_program,
+    specializing_heads_program,
 )
 
 __all__ = [
@@ -90,7 +91,8 @@ class WorldSpec:
     n_queries: int = 12
     #: Knowledge-base shape: "layered" is the acyclic generator below;
     #: the hostile shapes ("deep-recursion", "same-generation",
-    #: "negation-mix") come from :mod:`repro.workloads.hostile`.
+    #: "negation-mix", "specializing-heads") come from
+    #: :mod:`repro.workloads.hostile`.
     kb_shape: str = "layered"
     #: Cache-busting storm length: checks that understand it apply this
     #: many seeded add/remove mutations, re-judging after each one.
@@ -314,6 +316,10 @@ def _generate_kb_text(
         return same_generation_program(spec.seed, n_queries=spec.n_queries)
     if spec.kb_shape == "negation-mix":
         return negation_mix_program(
+            spec.seed, universe=spec.universe, n_queries=spec.n_queries
+        )
+    if spec.kb_shape == "specializing-heads":
+        return specializing_heads_program(
             spec.seed, universe=spec.universe, n_queries=spec.n_queries
         )
     rng = random.Random((spec.seed << 8) ^ 0xDA7A)

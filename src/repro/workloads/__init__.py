@@ -24,5 +24,5 @@ __getattr__, __dir__, __all__ = lazy_names(__name__, {
                     "query_stream", "random_database"),
     ".hostile": ("KB_SHAPES", "deep_recursion_program", "hot_key_stream",
                  "mutation_storm", "negation_mix_program",
-                 "same_generation_program"),
+                 "same_generation_program", "specializing_heads_program"),
 })

@@ -21,7 +21,12 @@ they actually differ:
   quadratically many derivable pairs from linearly many facts;
 * **negation mix** — stratified programs with a negated literal in
   (almost) every rule, hammering the negation boundary of all three
-  engines.
+  engines;
+* **specializing heads** — rule heads with constants and repeated
+  variables, whose reductions only some queries may take, asked with
+  variables named like the rules' and like the graph's prototype
+  goal: the shape where a learned path can serve an answer the
+  program does not entail.
 
 Every generator is a pure function of its seed: equal arguments yield
 byte-identical programs, which is what lets ``verify --replay`` and
@@ -43,11 +48,13 @@ __all__ = [
     "mutation_storm",
     "negation_mix_program",
     "same_generation_program",
+    "specializing_heads_program",
 ]
 
 #: Knowledge-base shapes a :class:`~repro.verify.worldgen.WorldSpec`
 #: can request ("layered" is worldgen's own generator).
-KB_SHAPES = ("layered", "deep-recursion", "same-generation", "negation-mix")
+KB_SHAPES = ("layered", "deep-recursion", "same-generation", "negation-mix",
+             "specializing-heads")
 
 _Program = Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]
 
@@ -281,3 +288,43 @@ def negation_mix_program(
         else:
             queries.append(f"{pred}(X)?")
     return tuple(rules), tuple(facts), tuple(queries)
+
+
+def specializing_heads_program(
+    seed: int, universe: int = 8, n_queries: int = 12
+) -> _Program:
+    """Rule heads that specialize the goal, over seeded ``edge`` and
+    ``back`` facts.
+
+    ``s`` has a head with a constant (``s(F1, c) :- edge(F1, B0).``), a
+    repeated head variable (``s(X, X) :- back(X, c).``) and a plain
+    head; ``t`` has a head with a constant defined through ``s``
+    (``t(c, Y) :- s(Y, Y).``) and a plain one.  Rule and query
+    variables are named ``X``/``Y`` and, like the root prototype's,
+    ``B<i>``/``F<i>``.  The program is not recursive, so every query
+    form compiles to an inference graph and the learned path answers
+    it; the constants, the rule order and the facts are seeded.
+    """
+    universe = max(3, universe)
+    rng = random.Random((seed << 8) ^ 0x5BEC)
+    nodes = [f"n{index}" for index in range(universe)]
+    facts = tuple(
+        f"{name}({left}, {right})."
+        for name in ("edge", "back")
+        for left in nodes
+        for right in nodes
+        if rng.random() < 1.5 / universe
+    )
+    first, second, third = rng.sample(nodes, 3)
+    s_rules = [f"s(F1, {first}) :- edge(F1, B0).",
+               f"s(X, X) :- back(X, {second}).",
+               "s(X, Y) :- edge(Y, X)."]
+    t_rules = [f"t({third}, Y) :- s(Y, Y).", "t(X, Y) :- back(Y, X)."]
+    rng.shuffle(s_rules)
+    rng.shuffle(t_rules)
+    terms = nodes + ["X", "Y", "B0", "B1", "F0", "F1"]
+    queries = tuple(
+        f"{rng.choice('st')}({rng.choice(terms)}, {rng.choice(terms)})?"
+        for _ in range(n_queries)
+    )
+    return tuple(s_rules + t_rules), facts, queries

@@ -24,6 +24,36 @@ settings.register_profile("nightly", max_examples=5000)
 
 
 @pytest.fixture
+def dropped_head_test(monkeypatch):
+    """A planted bug: a rule head on an arc's path that rejects the
+    query is taken as accepting it, with no bindings, both where the
+    learned path probes (``LazyDatalogContext._resolve``) and where it
+    recovers bindings (``SelfOptimizingQueryProcessor._binding_for``)."""
+    import repro.graphs.contexts as contexts
+    import repro.system as system
+    from repro.datalog.terms import Substitution
+
+    unify = contexts.unify
+
+    def lenient(heads, query):
+        return unify(heads, query) or Substitution()
+
+    monkeypatch.setattr(contexts, "unify", lenient)
+    monkeypatch.setattr(system, "unify", lenient)
+
+
+@pytest.fixture
+def dropped_head_bindings(monkeypatch):
+    """A planted bug: ``SelfOptimizingQueryProcessor._binding_for``
+    drops the head unifier, so a winning retrieval's bindings are not
+    composed with the rule heads' on its path."""
+    import repro.system as system
+    from repro.datalog.terms import Substitution
+
+    monkeypatch.setattr(system, "unify", lambda heads, query: Substitution())
+
+
+@pytest.fixture
 def rng():
     """A deterministically seeded generator; never share across tests."""
     return random.Random(0xC0FFEE)

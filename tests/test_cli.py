@@ -77,6 +77,21 @@ class TestQueryCommand:
         assert "error:" in output
 
 
+class TestQueryDepthBound:
+    def test_truncated_search_says_so(self, tmp_path):
+        rules = tmp_path / "kb.dl"
+        rules.write_text("tc(X, Y) :- e(X, Y).\n"
+                         "tc(X, Y) :- e(X, Z), tc(Z, Y).\n")
+        facts = tmp_path / "db.dl"
+        facts.write_text(" ".join(f"e(n{i}, n{i + 1})." for i in range(70)))
+        argv = ["query", "--rules", str(rules), "--facts", str(facts)]
+        code, output = run_cli(argv + ["tc(n0, n70)?"])
+        assert code == 1
+        assert output.startswith("no") and "truncated:" in output
+        code, output = run_cli(argv + ["tc(n0, n7)?"])
+        assert code == 0 and "truncated" not in output
+
+
 class TestLearnCommand:
     def test_learning_run(self, kb_files, tmp_path):
         rules, facts = kb_files
@@ -127,6 +142,58 @@ class TestLearnCommand:
                 "--queries", str(stream), "--drift",
                 "--drift-detector", "mystery",
             ])
+
+
+class TestSubFlagsNeedTheirSwitch:
+    """A sub-flag given without the switch that turns its family on is
+    an error, raised before any file is read or query runs (the rule
+    and fact paths below do not exist)."""
+
+    SUB_FLAGS = [
+        ("--drift-detector", "page-hinkley", "--drift"),
+        ("--drift-delta", "0.2", "--drift"),
+        ("--experience-neighbours", "5", "--experience or --experience-path"),
+        ("--checkpoint-every", "1", "--checkpoint-dir"),
+    ]
+
+    @pytest.mark.parametrize("command", ["learn", "trace", "serve"])
+    @pytest.mark.parametrize("flag, value, switch", SUB_FLAGS)
+    def test_refused_without_its_switch(self, command, flag, value, switch,
+                                        tmp_path):
+        missing = str(tmp_path / "missing.dl")
+        argv = [command, "--rules", missing, "--facts", missing,
+                "--queries", missing, flag, value]
+        if command == "trace":
+            argv += ["--out", str(tmp_path / "trace.jsonl")]
+        code, output = run_cli(argv)
+        assert code == 2
+        assert output == f"error: {flag} needs {switch}\n"
+
+    def test_verify_refuses_neighbours_without_experience(self):
+        code, output = run_cli([
+            "verify", "--seeds", "1", "--profile", "experience",
+            "--experience-neighbours", "5",
+        ])
+        assert code == 2
+        assert "profile" not in output
+        assert "--experience-neighbours needs --experience" in output
+
+    def test_each_flag_works_with_its_switch(self, kb_files, tmp_path):
+        rules, facts = kb_files
+        stream = tmp_path / "stream.txt"
+        stream.write_text("instructor(manolis)\n" * 3)
+        checkpoints = tmp_path / "checkpoints"
+        code, output = run_cli([
+            "learn", "--rules", rules, "--facts", facts,
+            "--queries", str(stream), "--quiet",
+            "--drift", "--drift-delta", "0.2",
+            "--drift-detector", "page-hinkley",
+            "--experience", "--experience-neighbours", "5",
+            "--checkpoint-dir", str(checkpoints), "--checkpoint-every", "1",
+        ])
+        assert code == 0
+        assert "drift:" in output and "experience:" in output
+        assert list(checkpoints.glob("*.json"))
 
 
 class TestTraceCommand:

@@ -238,6 +238,11 @@ CHAIN_RULES = """
     tc(X, Y) :- e(X, Z), tc(Z, Y).
 """
 
+#: A negation whose refutation needs a search past the default bound.
+DEEP_NEGATION_RULE = """
+    unreach(X) :- node(X), not tc(X, n70).
+"""
+
 
 def chain_db(edges):
     return Database.from_program(
@@ -277,12 +282,28 @@ class TestDepthBound:
         model = BottomUpEngine(parse_program(CHAIN_RULES)).model(chain_db(96))
         assert model.succeeds(parse_query("tc(n0, n96)"))
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "SLD prunes silently at its depth bound: the default max_depth=64 "
-        "(datalog/engine.py:177) and the bare `if depth <= 0: return` in "
-        "_solve (datalog/engine.py:329) report the 96-edge chain goal as "
-        "not proved instead of truncated"
-    ))
-    def test_deep_chain_goal_is_proved_top_down(self):
+    def test_deep_chain_goal_is_truncated_top_down(self):
+        # The default bound of 64 cannot reach n96: the search says it
+        # was cut instead of passing its "no" off as a refutation.
         engine = make_engine(CHAIN_RULES)
-        assert engine.prove(parse_query("tc(n0, n96)"), chain_db(96)).proved
+        answer = engine.prove(parse_query("tc(n0, n96)"), chain_db(96))
+        assert not answer.proved
+        assert answer.trace.truncations > 0
+
+    def test_shallow_goal_is_not_truncated(self):
+        engine = make_engine(CHAIN_RULES)
+        for text in ("tc(n0, n24)", "tc(n24, n0)"):
+            answer = engine.prove(parse_query(text), chain_db(24))
+            assert answer.trace.truncations == 0, text
+
+    def test_negation_over_a_truncated_search_fails(self):
+        # not tc(n0, n70) must not succeed because the bound hid the
+        # 70-hop proof.
+        engine = make_engine(CHAIN_RULES + DEEP_NEGATION_RULE)
+        database = chain_db(70)
+        database.add(parse_query("node(n0)"))
+        for text in ("unreach(n0)", "unreach(X)"):
+            answer = engine.prove(parse_query(text), database)
+            assert not answer.proved, text
+            assert answer.trace.truncations > 0, text
+        assert list(engine.answers(parse_query("unreach(X)"), database)) == []

@@ -5,8 +5,9 @@ Two contracts, both load-bearing for the chaos profile's determinism:
 * **Entry-point parity** — ``retrieve``, ``facts_matching`` and
   ``succeeds`` draw from the same predicate-keyed injection stream and
   bill identically: replaying the same pattern sequence through any of
-  them produces the same injection sequence and the same billed
-  non-fault cost.  (Before the shared ``_inject`` seam,
+  them produces the same injection sequence and the same cost billed
+  through the probe window, the excess of each latency spike that
+  did not fault.  (Before the shared ``_inject`` seam,
   ``facts_matching`` neither injected nor billed.)
 * **Transparency with an empty plan** — a :class:`FlakyDatabase` with
   no configured faults is byte-identical to the plain
@@ -19,10 +20,13 @@ import random
 import pytest
 
 from repro.datalog.database import Database
-from repro.datalog.parser import parse_query
+from repro.datalog.parser import parse_program, parse_query
 from repro.datalog.terms import Atom
 from repro.errors import RetrievalFaultError
 from repro.resilience.faults import FaultPlan, FaultSpec, FlakyDatabase
+from repro.resilience.policy import ResiliencePolicy
+from repro.serving.config import SessionConfig
+from repro.system import SelfOptimizingQueryProcessor
 
 
 def seeded_db(seed=0, size=12):
@@ -57,9 +61,11 @@ def flaky(seed=3):
 
 
 def drive(database, entry_point, patterns):
-    """Push a pattern sequence through one probing entry point,
-    swallowing (but counting) injected faults."""
+    """Push a pattern sequence through one probing entry point in one
+    probe window, swallowing (but counting) injected faults; returns
+    the fault count and the window's billed cost."""
     faults = 0
+    database.begin_probe_window()
     for pattern in patterns:
         try:
             if entry_point == "retrieve":
@@ -70,7 +76,9 @@ def drive(database, entry_point, patterns):
                 database.succeeds(pattern)
         except RetrievalFaultError:
             faults += 1
-    return faults
+    window = database.end_probe_window()
+    assert window.probes == len(patterns)
+    return faults, window.billed_cost
 
 
 class TestEntryPointParity:
@@ -81,21 +89,19 @@ class TestEntryPointParity:
         patterns = pattern_stream()
         left = flaky()
         right = flaky()
-        faults_left = drive(left, "retrieve", patterns)
-        faults_right = drive(right, other, patterns)
+        assert drive(left, "retrieve", patterns) == drive(
+            right, other, patterns)
         assert left.probe_log == right.probe_log
-        assert left.billed_probe_cost == right.billed_probe_cost
-        assert faults_left == faults_right
 
     def test_billed_cost_covers_spikes_not_faults(self):
         database = flaky()
-        drive(database, "retrieve", pattern_stream())
-        billed = sum(
-            multiplier
+        _, billed = drive(database, "retrieve", pattern_stream())
+        excess = sum(
+            multiplier - 1.0
             for _, faulted, _, multiplier in database.probe_log
             if not faulted
         )
-        assert database.billed_probe_cost == billed
+        assert billed == excess
         assert billed > 0
 
     def test_log_records_every_probe(self):
@@ -125,11 +131,9 @@ class TestEmptyPlanTransparency:
 
     def test_no_cost_billed_without_spikes(self):
         wrapped = FlakyDatabase(seeded_db(), FaultPlan(seed=0))
-        patterns = pattern_stream()
-        drive(wrapped, "retrieve", patterns)
-        # Clean probes bill exactly 1.0 each — the executor's unit cost
-        # accounting is unchanged by the wrapper.
-        assert wrapped.billed_probe_cost == float(len(patterns))
+        # Clean probes bill nothing through the window: the caller's
+        # unit cost accounting is unchanged by the wrapper.
+        assert drive(wrapped, "retrieve", pattern_stream()) == (0, 0.0)
 
     def test_iteration_and_catalog_pass_through(self):
         plain = seeded_db()
@@ -137,3 +141,43 @@ class TestEmptyPlanTransparency:
         assert list(wrapped) == list(plain)
         assert wrapped.signatures() == plain.signatures()
         assert len(wrapped) == len(plain)
+
+
+class TestSpikesAreBilled:
+    """A latency spike on a probe that did not fault raises the bill
+    of the answer it served, on the learned path and the fallback."""
+
+    RULES = """
+        instructor(X) :- prof(X).
+        instructor(X) :- grad(X).
+        senior(X) :- prof(X), tenured(X).
+    """
+    QUERIES = ["instructor(russ)", "instructor(X)", "senior(manolis)"]
+
+    def serve(self, spec, resilient):
+        database = FlakyDatabase(
+            Database.from_program("prof(manolis). grad(russ). "
+                                  "tenured(manolis)."),
+            FaultPlan(seed=1, default=spec),
+        )
+        processor = SelfOptimizingQueryProcessor(
+            parse_program(self.RULES),
+            config=SessionConfig(
+                resilience=ResiliencePolicy(seed=0) if resilient else None),
+        )
+        answers = [processor.query(parse_query(text), database)
+                   for text in self.QUERIES]
+        return answers, database.plan.injected_spikes
+
+    @pytest.mark.parametrize("resilient", [False, True])
+    def test_each_spike_bills_its_excess(self, resilient):
+        calm, _ = self.serve(FaultSpec(), resilient)
+        spiked, spikes = self.serve(
+            FaultSpec(latency_rate=1.0, latency_factor=5.0), resilient)
+        assert [a.learned for a in spiked] == [True, True, False]
+        for before, after in zip(calm, spiked):
+            assert (after.proved, after.clean) == (before.proved, True)
+            assert after.cost > before.cost
+        # Every probe spiked, and each bills 4.0 beyond its unit cost.
+        assert sum(a.cost for a in spiked) == (
+            sum(a.cost for a in calm) + 4.0 * spikes)

@@ -204,6 +204,37 @@ class TestFallback:
         answer = qp.query(parse_query("path(a, c)"), database)
         assert answer.proved and not answer.learned
 
+    @pytest.mark.parametrize("engine", ["topdown", "bottomup", "qsqn"])
+    def test_depth_bound_answers_are_never_clean(self, engine):
+        # A 70-edge chain: SLD's default bound of 64 truncates both
+        # searches.  The truncated answers carry an incident, so they
+        # are not clean and the answer cache refuses them; bottom-up
+        # and QSQN need no bound and answer both correctly and clean.
+        rules = parse_program("""
+            tc(X, Y) :- e(X, Y).
+            tc(X, Y) :- e(X, Z), tc(Z, Y).
+            unreach(X) :- node(X), not tc(X, n70).
+        """)
+        facts = " ".join(f"e(n{i}, n{i + 1})." for i in range(70))
+        session = open_session(
+            rules, Database.from_program(facts + " node(n0)."),
+            config=SessionConfig(engine=engine),
+            cache=CacheConfig(answer_capacity=8),
+        )
+        for _ in range(2):
+            unreach = session.query("unreach(n0)")
+            reach = session.query("tc(n0, n70)")
+            if engine == "topdown":
+                for answer in (unreach, reach):
+                    assert not answer.clean and not answer.cached
+                    assert "depth bound" in answer.incident
+                assert not unreach.proved
+            else:
+                assert unreach.clean and not unreach.proved
+                assert reach.clean and reach.proved
+        assert ("depth bound" in str(session.processor.report()["unreach^(b)"])
+                ) == (engine == "topdown")
+
     def test_mixed_workload(self):
         rules = parse_program("""
             @Rp instructor(X) :- prof(X).

@@ -14,6 +14,8 @@ from repro.verify.worldgen import WorldSpec
 
 NIGHTLY = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), ".github", "workflows", "nightly.yml")
+DEEP_CHAIN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "fixtures", "worldspec-deep-chain.json")
 
 
 def run_cli(*argv):
@@ -114,6 +116,19 @@ class TestVerifyCommand:
         code, output = run_cli("verify", "--coverage")
         assert code == 2
         assert "coverage" in output and "not installed" in output
+
+
+class TestDeepChainReplay:
+    """The committed world CI replays: ``unreach(X) :- node(X), not
+    tc(X, n70).`` over a 70-edge chain, past SLD's depth bound of 64."""
+
+    def test_replay_passes(self):
+        from repro.verify.runner import replay_spec
+
+        spec = WorldSpec.load(DEEP_CHAIN)
+        assert spec.profile == "engine"
+        assert spec.kb_queries == ("unreach(n0)?", "unreach(X)?")
+        assert replay_spec(spec) == 0
 
 
 class TestNightlyMatrix:

@@ -2,7 +2,8 @@
 
 Includes the subsystem's own acceptance checks:
 
-* top-down vs. bottom-up equivalence over 100 seeded random KBs;
+* three-way engine equivalence, and the served-answer oracle, over
+  100 seeded random KBs;
 * the PIB contract passes on healthy code at ``--seeds 50`` scale;
 * an intentionally injected bad-climb bug — Equation 6's inequality
   flipped via ``repro.learning.pib.FLIP_EQ6_FOR_TESTING`` — is caught
@@ -15,8 +16,8 @@ import pytest
 
 from repro.learning import pib as pib_module
 from repro.verify.oracles import (
-    check_answer_equivalence,
     check_cost_oracle,
+    check_three_way_equivalence,
     clopper_pearson,
     pao_contract,
     pib_contract,
@@ -75,7 +76,7 @@ class TestAnswerEquivalence:
         failures = [
             (spec.seed, message)
             for spec in specs_for("engine", 100)
-            for message in [check_answer_equivalence(spec)]
+            for message in [check_three_way_equivalence(spec)]
             if message is not None
         ]
         assert not failures, failures

@@ -1,6 +1,8 @@
 """The overload verify profile's cache-coherence check: it passes, and
 it catches an admission path that serves stale or queued hits."""
 
+import pytest
+
 from repro.serving.server import QueryServer
 from repro.verify.overload import check_overload_cache_coherence
 from repro.verify.runner import PROFILE_CHECKS, run_profile, specs_for
@@ -52,3 +54,13 @@ class TestOverloadCacheCoherence:
 
         monkeypatch.setattr(QueryServer, "_cached", queued)
         assert any("waited" in message for message in failures())
+
+    @pytest.mark.parametrize("bug", ["dropped_head_test",
+                                     "dropped_head_bindings"])
+    def test_learned_path_bugs_are_caught(self, bug, request):
+        # Seed 1 is a specializing-heads world: its rule heads reject
+        # or bind the queries the bugs answer wrongly.
+        request.getfixturevalue(bug)
+        messages = failures(family=4)
+        assert messages
+        assert all("model" in message for message in messages)

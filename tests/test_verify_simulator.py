@@ -20,7 +20,7 @@ from repro.verify.invariants import (
     InvariantViolation,
     verify_invariants,
 )
-from repro.verify.runner import check_chaos, specs_for
+from repro.verify.runner import check_chaos, run_profile, specs_for
 from repro.verify.simulator import (
     check_byte_determinism,
     check_cache_effects,
@@ -122,6 +122,21 @@ class TestMutationTransparency:
         failures = [check_mutation_transparency(spec)
                     for spec in specs_for("serving", 4)]
         assert any(failure is not None for failure in failures)
+
+
+    @pytest.mark.parametrize("bug", ["dropped_head_test",
+                                     "dropped_head_bindings"])
+    def test_learned_path_bugs_are_caught(self, bug, request):
+        # Specializing-heads worlds (seed 2) ask queries that a rule
+        # head rejects or binds; either bug serves them a clean answer
+        # the program does not entail.
+        request.getfixturevalue(bug)
+        family = specs_for("serving", 4)
+        assert "specializing-heads" in {spec.kb_shape for spec in family}
+        failures = [check_mutation_transparency(spec) for spec in family]
+        assert any(failure is not None and "model" in failure
+                   for failure in failures)
+        assert not run_profile("serving", seeds=4, shrink_failures=False).ok
 
 
 class TestChaosProfile:

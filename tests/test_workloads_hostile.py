@@ -15,6 +15,7 @@ from repro.workloads.hostile import (
     mutation_storm,
     negation_mix_program,
     same_generation_program,
+    specializing_heads_program,
 )
 
 ITEMS = [f"q{index}(X)?" for index in range(5)]
@@ -88,6 +89,7 @@ class TestProgramGenerators:
         deep_recursion_program,
         same_generation_program,
         negation_mix_program,
+        specializing_heads_program,
     ])
     def test_deterministic_and_parseable(self, generator):
         first = generator(5)
@@ -130,6 +132,25 @@ class TestProgramGenerators:
         derived = [line for line in rules if line.startswith("p")]
         assert derived
         assert all("not " in line for line in derived)
+
+
+    def test_specializing_heads_compile_and_specialize(self):
+        from repro.datalog.rules import QueryForm
+        from repro.system import SelfOptimizingQueryProcessor
+
+        for seed in range(6):
+            rules, _, queries = specializing_heads_program(seed)
+            base = parse_program("\n".join(rules))
+            heads = [rule.head for rule in base]
+            assert any(any(arg.is_ground for arg in head.args)
+                       for head in heads)
+            assert any(len(set(head.args)) < len(head.args)
+                       for head in heads)
+            assert any(literal.atom.predicate == "s" for rule in base
+                       if rule.head.predicate == "t" for literal in rule.body)
+            processor = SelfOptimizingQueryProcessor(base)
+            assert all(processor.ensure_compiled(QueryForm.of(parse_query(q)))
+                       for q in queries)
 
 
 class TestWorldgenIntegration:
