@@ -27,8 +27,9 @@ lint:
 	ruff check src tests benchmarks examples tools
 
 ## Re-run the pinned perf suite and refresh this PR's BENCH_<n>.json
-## (see tools/bench_trajectory.py for the trajectory story).
-BENCH_LABEL ?= 10
+## (see tools/bench_trajectory.py for the trajectory story).  The label
+## defaults to the newest committed snapshot, as in the CI job.
+BENCH_LABEL ?= $(shell ls BENCH_*.json | sed 's/[^0-9]//g' | sort -n | tail -1)
 bench-trajectory:
 	$(PYTHON) tools/bench_trajectory.py --label $(BENCH_LABEL)
 

@@ -130,9 +130,9 @@ def degraded_processor() -> None:
         print(f"report[{form}]:")
         for key, value in info.items():
             if key == "incidents":
-                print(f"  incidents: {len(value)} "
-                      f"(first: {value[0]!r})")
-            else:
+                print(f"  incidents: {info['incident_total']} "
+                      f"(first kept: {value[0]!r})")
+            elif key != "incident_total":
                 print(f"  {key}: {value}")
 
 

@@ -10,8 +10,8 @@ from .._lazy import lazy_names
 __getattr__, __dir__, __all__ = lazy_names(__name__, {
     ".chernoff": ("aiming_sample_size", "chernoff_tail", "confidence_radius",
                   "pao_sample_size", "pib_sequential_threshold",
-                  "pib_sum_threshold", "samples_for_radius",
-                  "sequential_confidence"),
+                  "pib_sequential_thresholds", "pib_sum_threshold",
+                  "samples_for_radius", "sequential_confidence"),
     ".statistics": ("DeltaAccumulator", "RetrievalStatistics",
                     "WindowedRetrievalStatistics", "delta_tilde"),
     ".pib1": ("PIB1",),
@@ -20,7 +20,8 @@ __getattr__, __dir__, __all__ = lazy_names(__name__, {
                "DriftConfig", "PageHinkleyDetector",
                "RollbackTransformation", "make_detector"),
     ".palo": ("PALO",),
-    ".pao": ("PAOResult", "pao", "sample_requirements"),
+    ".pao": ("PAOResult", "SEED_SAMPLES", "pao", "sample_requirements",
+             "seed_sampler"),
     ".policy": ("PolicyPIB", "PolicySwap", "all_policy_swaps"),
     ".sensitivity": ("excess_cost", "lemma1_bound", "sensitivity_report"),
 })

@@ -13,6 +13,7 @@ paper derives from it.
 from __future__ import annotations
 
 import math
+from typing import Callable, Dict
 
 __all__ = [
     "chernoff_tail",
@@ -21,6 +22,7 @@ __all__ = [
     "pib_sum_threshold",
     "sequential_confidence",
     "pib_sequential_threshold",
+    "pib_sequential_thresholds",
     "pao_sample_size",
     "aiming_sample_size",
 ]
@@ -89,6 +91,34 @@ def pib_sequential_threshold(
                     value_range=value_range)
     inner = math.log(total_tests ** 2 * math.pi ** 2 / (6.0 * delta))
     return value_range * math.sqrt(n / 2.0 * max(inner, 0.0))
+
+
+def pib_sequential_thresholds(
+    total_tests: int, delta: float
+) -> Callable[[int, float], float]:
+    """Equation 6's thresholds for one test at index ``i``.
+
+    Returns ``threshold(n, value_range)``, equal bit for bit to
+    ``pib_sequential_threshold(n, total_tests, delta, value_range)``.
+    The log term is taken once, and the root once per distinct ``n``:
+    a test weighs every neighbour at the same ``i``, and most of them
+    at the same sample count.
+    """
+    _check_positive(total_tests=total_tests, delta=delta)
+    inner = max(math.log(total_tests ** 2 * math.pi ** 2 / (6.0 * delta)),
+                0.0)
+    roots: Dict[int, float] = {}
+
+    def threshold(n: int, value_range: float) -> float:
+        root = roots.get(n)
+        if root is None:
+            _check_positive(n=n)
+            root = roots[n] = math.sqrt(n / 2.0 * inner)
+        if value_range <= 0:
+            _check_positive(value_range=value_range)
+        return value_range * root
+
+    return threshold
 
 
 def pao_sample_size(

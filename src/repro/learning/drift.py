@@ -404,6 +404,7 @@ class DriftAwarePIB(PIB):
         test_every: int = 1,
         recorder: Recorder = NULL_RECORDER,
         drift: Optional[DriftConfig] = None,
+        seeded: bool = False,
     ):
         self.drift_config = drift if drift is not None else DriftConfig()
         super().__init__(
@@ -413,6 +414,7 @@ class DriftAwarePIB(PIB):
             transformations=transformations,
             test_every=test_every,
             recorder=recorder,
+            seeded=seeded,
         )
         config = self.drift_config
         self.retrieval_statistics = WindowedRetrievalStatistics(graph)
@@ -433,7 +435,12 @@ class DriftAwarePIB(PIB):
     # -- monitoring ----------------------------------------------------
 
     def record(self, result: ExecutionResult) -> None:
+        # The seed's runs follow QP^A, not the learner's strategy: no
+        # detector sees them.
+        seeding = self.seeding
         super().record(result)
+        if seeding:
+            return
         sources = self._detect(result)
         if sources:
             self._begin_epoch(sources)

@@ -28,16 +28,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from ..errors import LearningError, SampleBudgetExceeded
 from ..graphs.contexts import Context
 from ..graphs.inference_graph import InferenceGraph
 from ..observability.recorder import NULL_RECORDER, Recorder
+from ..strategies.execution import execute
 from ..strategies.strategy import Strategy
 from .chernoff import aiming_sample_size, pao_sample_size
 
-__all__ = ["PAOResult", "sample_requirements", "pao"]
+if TYPE_CHECKING:
+    from ..strategies.adaptive import AdaptiveQueryProcessor
+
+__all__ = ["SEED_SAMPLES", "PAOResult", "sample_requirements", "seed_sampler",
+           "pao"]
+
+#: Samples per experiment that seed a newly compiled form's learner
+#: (:func:`seed_sampler`): 32 reaches, or 32 attempts-to-reach where
+#: reductions can block.
+SEED_SAMPLES = 32
 
 
 @dataclass
@@ -83,6 +93,43 @@ def sample_requirements(
     return budgets
 
 
+def _adaptive(
+    graph: InferenceGraph, requirements: Dict[str, int], aiming: bool
+) -> "AdaptiveQueryProcessor":
+    """``QP^A`` counting attempts-to-reach when ``aiming`` (Theorem 3),
+    else reaches (Theorem 2)."""
+    # Late: every session imports this module with PIB, and only PAO
+    # and a seeding learner run QP^A.
+    from ..strategies.adaptive import AdaptiveQueryProcessor
+
+    return AdaptiveQueryProcessor(
+        graph, requirements, count="attempts" if aiming else "reached"
+    )
+
+
+def seed_sampler(graph: InferenceGraph) -> "AdaptiveQueryProcessor":
+    """``QP^A`` wanting :data:`SEED_SAMPLES` of every experiment: the
+    sampling phase that seeds a PIB learner.
+
+    Feed it runs of :meth:`~AdaptiveQueryProcessor.next_strategy` until
+    it is :meth:`~AdaptiveQueryProcessor.done`; then
+    ``upsilon_aot(graph, sampler.frequency_estimates())`` is the
+    learner's ``Θ₀``.  On a simple disjunctive graph every aimed run
+    reaches its target, so the counters count reaches; where
+    reductions can block they count Theorem 3's attempts-to-reach.
+
+    The seed is a heuristic: Theorems 2–3 bound ``Θ₀``'s cost only at
+    the Equation 7/8 budgets, which are orders of magnitude above
+    ``SEED_SAMPLES``.  Theorem 1 holds for the climbs PIB takes from
+    any ``Θ₀``.
+    """
+    return _adaptive(
+        graph,
+        {arc.name: SEED_SAMPLES for arc in graph.experiments()},
+        aiming=not graph.is_simple_disjunctive(),
+    )
+
+
 def pao(
     graph: InferenceGraph,
     epsilon: float,
@@ -115,18 +162,12 @@ def pao(
         )
     if upsilon is None:
         from ..optimal.upsilon import upsilon_aot as upsilon  # late: avoid cycle
-    # Late too: ``repro.learning`` binds :func:`pao` when it is imported
-    # (see :mod:`repro._lazy`), and a session never runs PAO.
-    from ..strategies.adaptive import AdaptiveQueryProcessor
-
     requirements = sample_requirements(
         graph, epsilon, delta, aiming=aiming, sample_scale=sample_scale
     )
     if recorder.enabled:
         recorder.pao_budget(requirements)
-    processor = AdaptiveQueryProcessor(
-        graph, requirements, count="attempts" if aiming else "reached"
-    )
+    processor = _adaptive(graph, requirements, aiming)
     while not processor.done():
         if max_contexts is not None and processor.contexts_processed >= max_contexts:
             outstanding = {
@@ -138,7 +179,8 @@ def pao(
                 f"PAO sampling exceeded {max_contexts} contexts with "
                 f"counters outstanding: {outstanding}"
             )
-        processor.process(oracle())
+        result = execute(processor.next_strategy(), oracle())
+        processor.record(result)
 
     estimates = processor.frequency_estimates(fallback=0.5)
     if recorder.enabled:

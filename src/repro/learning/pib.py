@@ -24,7 +24,7 @@ needs to stop, and the longer it runs the better (with probability
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import LearningError
 from ..graphs.contexts import Context
@@ -37,7 +37,8 @@ from ..strategies.transformations import (
     all_sibling_swaps,
     neighbours,
 )
-from .chernoff import pib_sequential_threshold
+from .chernoff import pib_sequential_thresholds
+from .pao import seed_sampler
 from .statistics import DeltaAccumulator, RetrievalStatistics
 
 __all__ = ["ClimbRecord", "PIB"]
@@ -77,6 +78,15 @@ class PIB:
         *ever* climbing to a worse strategy by ``delta``.
     initial_strategy:
         Starting point ``Θ₀`` (default: depth-first left-to-right).
+    seeded:
+        Take ``Θ₀`` from a PAO seed instead: the first runs are the
+        adaptive processor ``QP^A``'s (:attr:`strategy` is its aimed
+        strategy, and :meth:`record` counts its samples), until every
+        experiment has :data:`~repro.learning.pao.SEED_SAMPLES`
+        samples; then ``Θ₀ = Υ_AOT(G, p̂)``, and PIB starts with cold
+        Δ̃ accumulators and a fresh δ-schedule.  A heuristic seed (see
+        :func:`~repro.learning.pao.seed_sampler`); Theorem 1 covers
+        the climbs from any ``Θ₀``.
     transformations:
         The operator set ``T`` (default: every sibling swap).
     test_every:
@@ -87,7 +97,9 @@ class PIB:
         Observability hook (null by default): receives one
         ``learner_sample`` event per monitored run (with the Δ̃ each
         neighbour accumulated), one ``margin`` event per Equation 6
-        evaluation, and one ``climb`` event per strategy switch.
+        evaluation, and one ``climb`` event per strategy switch; a
+        seeded learner's ``pao_budget`` and ``pao_complete`` events
+        bracket its seed, whose runs emit no ``learner_sample``.
         Recording never feeds back into decisions.
     """
 
@@ -99,16 +111,18 @@ class PIB:
         transformations: Optional[Sequence[Transformation]] = None,
         test_every: int = 1,
         recorder: Recorder = NULL_RECORDER,
+        seeded: bool = False,
     ):
         if not 0.0 < delta < 1.0:
             raise LearningError(f"delta must be in (0, 1), got {delta}")
         if test_every < 1:
             raise LearningError("test_every must be at least 1")
+        if seeded and initial_strategy is not None:
+            raise LearningError("a seeded learner takes its Θ₀ from the seed")
         self.graph = graph
         self.delta = delta
         self.test_every = test_every
         self.recorder = recorder
-        self.strategy = initial_strategy or Strategy.depth_first(graph)
         self.transformations: List[Transformation] = list(
             transformations if transformations is not None
             else all_sibling_swaps(graph)
@@ -123,7 +137,19 @@ class PIB:
         self.retrieval_statistics = RetrievalStatistics(graph)
         self._accumulators: List[DeltaAccumulator] = []
         self._since_last_test = 0
-        self._rebuild_neighbourhood()
+        #: ``QP^A`` while the seed samples (``None`` otherwise).
+        self.sampler = None
+        #: The finished seed's ``p̂`` and the runs it took.
+        self.seed_estimates: Optional[Dict[str, float]] = None
+        self.seed_contexts = 0
+        if seeded:
+            self.sampler = seed_sampler(graph)
+            self.strategy = self.sampler.next_strategy()
+            if recorder.enabled:
+                recorder.pao_budget(self.sampler.counters())
+        else:
+            self.strategy = initial_strategy or Strategy.depth_first(graph)
+            self._rebuild_neighbourhood()
 
     def _rebuild_neighbourhood(self) -> None:
         """Figure 3's ``L1``: fresh sample set for the current strategy."""
@@ -154,6 +180,11 @@ class PIB:
         self.record(result)
         return result
 
+    @property
+    def seeding(self) -> bool:
+        """Whether the runs are still the seed's (``QP^A``'s)."""
+        return self.sampler is not None
+
     def record(self, result: ExecutionResult) -> None:
         """Learn from an externally executed run of the current strategy.
 
@@ -163,7 +194,11 @@ class PIB:
         *settled* :class:`ExecutionResult`, so the Δ̃ accumulators only
         ever see the stationary context distribution.  The result must
         come from a run of ``self.strategy``; feeding a stale result
-        recorded before a climb would corrupt the accumulators.
+        recorded before a climb would corrupt the accumulators.  While
+        the learner is :attr:`seeding`, the run counts toward the seed
+        only, and only if it is not
+        :attr:`~repro.strategies.execution.ExecutionResult.degraded`:
+        an arc that never settled is no sample of its experiment.
         """
         if result.strategy is not self.strategy and tuple(
             result.strategy.arc_names()
@@ -171,6 +206,10 @@ class PIB:
             raise LearningError(
                 "recorded result was not produced by the current strategy"
             )
+        if self.sampler is not None:
+            if not result.degraded:
+                self._sample(result)
+            return
         self.contexts_processed += 1
         self.retrieval_statistics.record(result)
         if self.recorder.enabled:
@@ -190,6 +229,24 @@ class PIB:
             self._since_last_test = 0
             self._maybe_climb()
 
+    def _sample(self, result: ExecutionResult) -> None:
+        """Count one run toward the seed; once every experiment has its
+        samples, start PIB at ``Θ₀ = Υ_AOT(G, p̂)``."""
+        sampler = self.sampler
+        sampler.record(result)
+        if not sampler.done():
+            self.strategy = sampler.next_strategy()
+            return
+        from ..optimal.upsilon import upsilon_aot  # late: seeded learners only
+
+        self.sampler = None
+        self.seed_contexts = sampler.contexts_processed
+        self.seed_estimates = sampler.frequency_estimates()
+        self.strategy = upsilon_aot(self.graph, self.seed_estimates)
+        self._rebuild_neighbourhood()
+        if self.recorder.enabled:
+            self.recorder.pao_complete(self.seed_contexts, self.seed_estimates)
+
     def run(
         self,
         oracle: Callable[[], Context],
@@ -208,12 +265,10 @@ class PIB:
         best: Optional[DeltaAccumulator] = None
         best_margin = 0.0
         best_threshold = 0.0
+        threshold_for = pib_sequential_thresholds(self.total_tests, self.delta)
         for accumulator in self._accumulators:
-            threshold = pib_sequential_threshold(
-                accumulator.samples,
-                self.total_tests,
-                self.delta,
-                accumulator.value_range,
+            threshold = threshold_for(
+                accumulator.samples, accumulator.value_range
             )
             margin = accumulator.total - threshold
             if self.recorder.enabled:
@@ -258,17 +313,30 @@ class PIB:
         """How many hill-climbing steps have been taken."""
         return len(self.history)
 
+    def seed_report(self) -> Optional[Dict[str, object]]:
+        """The seed, JSON-ready: the runs it took and ``p̂``, or while
+        :attr:`seeding` the sample counts still outstanding; ``None``
+        for a learner that was not seeded."""
+        if self.sampler is not None:
+            return {"outstanding": {
+                name: count
+                for name, count in self.sampler.counters().items()
+                if count > 0
+            }}
+        if self.seed_estimates is None:
+            return None
+        return {"contexts_used": self.seed_contexts,
+                "estimates": dict(self.seed_estimates)}
+
     def neighbourhood_report(self) -> List[dict]:
         """Current ``Δ̃`` totals and thresholds, one row per neighbour."""
         rows = []
+        threshold_for = pib_sequential_thresholds(
+            max(self.total_tests, 1), self.delta
+        )
         for accumulator in self._accumulators:
             threshold = (
-                pib_sequential_threshold(
-                    accumulator.samples,
-                    max(self.total_tests, 1),
-                    self.delta,
-                    accumulator.value_range,
-                )
+                threshold_for(accumulator.samples, accumulator.value_range)
                 if accumulator.samples
                 else float("inf")
             )

@@ -25,7 +25,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..errors import LearningError
 from ..graphs.hypergraph import AndOrGraph, HyperContext, Policy, evaluate
-from .chernoff import pib_sequential_threshold
+from .chernoff import pib_sequential_thresholds
 
 __all__ = ["PolicySwap", "all_policy_swaps", "PolicyPIB"]
 
@@ -142,13 +142,9 @@ class PolicyPIB:
     def _maybe_climb(self) -> None:
         best: Optional[_PolicyAccumulator] = None
         best_margin = 0.0
+        threshold_for = pib_sequential_thresholds(self.total_tests, self.delta)
         for accumulator in self._accumulators:
-            threshold = pib_sequential_threshold(
-                accumulator.samples,
-                self.total_tests,
-                self.delta,
-                self.value_range,
-            )
+            threshold = threshold_for(accumulator.samples, self.value_range)
             margin = accumulator.total - threshold
             if margin >= 0.0 and (best is None or margin > best_margin):
                 best = accumulator

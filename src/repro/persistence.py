@@ -134,6 +134,10 @@ def _drift_to_dict(pib: PIB) -> Optional[Dict[str, object]]:
 
 def pib_to_dict(pib: PIB) -> Dict[str, object]:
     """Serialize a PIB learner's full resumable state."""
+    if pib.seeding:
+        raise CheckpointError(
+            "a learner still sampling its seed has no PIB state to save"
+        )
     return {
         "version": _FORMAT_VERSION,
         "drift": _drift_to_dict(pib),

@@ -91,6 +91,7 @@ class SessionConfig:
     #: Retries/breakers/deadlines for the learned path (``None``: off).
     resilience: Optional[ResiliencePolicy] = None
     #: Directory for crash-safe per-form PIB checkpoints (``None``: off).
+    #: A checkpointed form starts at depth-first, not at a PAO seed.
     checkpoint_dir: Optional[str] = None
     #: Checkpoint each form every N queries (and after every climb).
     checkpoint_every: int = 25

@@ -62,9 +62,10 @@ class AdaptiveQueryProcessor:
 
     ``requirements`` maps experiment arc names to the number of
     attempts still wanted (Theorem 2's ``m(d_i)`` or Theorem 3's
-    ``m'(e_i)``).  Each call to :meth:`process` answers one context
-    with a strategy aimed at the neediest experiment, updates the
-    counters from the trace, and returns the execution result.
+    ``m'(e_i)``).  :meth:`next_strategy` is the strategy aimed at the
+    neediest experiment, and :meth:`record` updates the counters from
+    a run's trace; :meth:`process` does both around one
+    :func:`~repro.strategies.execution.execute` call.
 
     The processor records, per experiment, the counts Theorem 3 names:
     ``k(e)`` (times reached) and ``n(e)`` (times found unblocked), plus
@@ -160,10 +161,17 @@ class AdaptiveQueryProcessor:
     # Processing
     # ------------------------------------------------------------------
 
-    def process(self, context: Context) -> ExecutionResult:
-        """Answer one context with an aimed strategy; update all counters."""
-        strategy = self.strategy_for_target(self._target())
-        result = execute(strategy, context)
+    def next_strategy(self) -> Strategy:
+        """The strategy for the next context: aimed at the neediest
+        experiment.  Asking moves no counter."""
+        return self.strategy_for_target(self._target())
+
+    def record(self, result: ExecutionResult) -> None:
+        """Update every counter from one run.
+
+        Any run counts, aimed by :meth:`next_strategy` or not: every
+        experiment it attempted to reach (Definition 1) is a sample.
+        """
         self.contexts_processed += 1
         for experiment in self.graph.experiments():
             outcome = classify_attempt(result, experiment)
@@ -179,6 +187,11 @@ class AdaptiveQueryProcessor:
                     self._counters[name] -= 1
                 if result.observations[name]:
                     self.unblocked[name] += 1
+
+    def process(self, context: Context) -> ExecutionResult:
+        """Answer one context with an aimed strategy; update all counters."""
+        result = execute(self.next_strategy(), context)
+        self.record(result)
         return result
 
     # ------------------------------------------------------------------

@@ -101,7 +101,8 @@ class ExecutionResult:
 
     def settled_result(self) -> "ExecutionResult":
         """The fault-free-equivalent view PIB learns from: the run
-        itself without a policy, else a copy billed at ``settled_cost``."""
+        itself without a policy, else a copy billed at ``settled_cost``
+        that still names the arcs that never settled."""
         if self.settled_cost is None:
             return self
         return ExecutionResult(
@@ -112,6 +113,8 @@ class ExecutionResult:
             self.success_arc,
             list(self.attempted),
             dict(self.observations),
+            skipped_open=list(self.skipped_open),
+            unsettled=list(self.unsettled),
         )
 
 

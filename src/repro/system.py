@@ -29,8 +29,9 @@ every relation in an uncompilable form's rule-dependency cone.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Optional
+from collections import deque
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
 from .datalog.database import Database
 from .datalog.rules import QueryForm, RuleBase
@@ -62,6 +63,9 @@ if TYPE_CHECKING:
     from .experience.warmstart import WarmStart
 
 __all__ = ["SystemAnswer", "FormState", "SelfOptimizingQueryProcessor"]
+
+#: Incident strings each form's log keeps; older ones are only counted.
+INCIDENT_LOG_KEEP = 64
 
 
 @dataclass(frozen=True)
@@ -126,6 +130,20 @@ class FormState:
     profile: Optional[FormProfile] = None
     #: The prior this form's learner was started from, if any.
     warmstart: Optional[WarmStart] = None
+
+
+@dataclass
+class IncidentLog:
+    """One form's incidents: how many, and the last few descriptions."""
+
+    total: int = 0
+    recent: Deque[str] = field(
+        default_factory=lambda: deque(maxlen=INCIDENT_LOG_KEEP)
+    )
+
+    def add(self, description: str) -> None:
+        self.total += 1
+        self.recent.append(description)
 
 
 class SelfOptimizingQueryProcessor:
@@ -231,8 +249,8 @@ class SelfOptimizingQueryProcessor:
         self.subgoal_memo = None
         self._states: Dict[QueryForm, FormState] = {}
         self._uncompilable: Dict[QueryForm, str] = {}
-        #: Per form, compiled or not: every incident noted against it.
-        self._incidents: Dict[QueryForm, List[str]] = {}
+        #: Per form, compiled or not: the incidents noted against it.
+        self._incidents: Dict[QueryForm, IncidentLog] = {}
         #: Per form, compiled or not: the read keys behind its answers.
         self._read_plans: Dict[QueryForm, ReadPlan] = {}
         #: The configured fallback engine (``config.engine``): answers
@@ -280,7 +298,16 @@ class SelfOptimizingQueryProcessor:
 
     def _recover_or_init(self, state: FormState) -> None:
         """Restore the form's learner from its checkpoint, else start
-        fresh (recording why recovery failed, if it was attempted)."""
+        fresh (recording why recovery failed, if it was attempted).
+
+        ``Θ₀`` is taken in this order: the form's checkpoint, an
+        experience warm start, the PAO seed, depth-first.  A fresh
+        learner without a warm start is ``seeded``: QP^A answers the
+        form's first misses, then PIB starts at ``Υ_AOT(G, p̂)``.  A
+        form that checkpoints starts at depth-first instead: its
+        checkpoints hold PIB state only, and one written mid-seed
+        would restore a learner that never started.
+        """
         path = state.checkpoint_path
         if path is not None and (
             os.path.exists(path) or os.path.exists(path + ".bak")
@@ -317,6 +344,8 @@ class SelfOptimizingQueryProcessor:
                     warm.distance,
                     warm.exact,
                 )
+        else:
+            kwargs["seeded"] = path is None
         if self.drift is not None:
             from .learning.drift import DriftAwarePIB
 
@@ -390,7 +419,10 @@ class SelfOptimizingQueryProcessor:
 
     def _note_incident(self, form: QueryForm, description: str) -> None:
         """Log an incident on the form's log and the recorder."""
-        self._incidents.setdefault(form, []).append(description)
+        log = self._incidents.get(form)
+        if log is None:
+            log = self._incidents[form] = IncidentLog()
+        log.add(description)
         if self.recorder.enabled:
             self.recorder.incident(description)
 
@@ -448,7 +480,8 @@ class SelfOptimizingQueryProcessor:
         return plan
 
     def strategy_for(self, form: QueryForm) -> Optional[Strategy]:
-        """The current strategy for a form (``None`` if never compiled)."""
+        """The strategy the form's next miss runs (``None`` if never
+        compiled): QP^A's aimed one while the form seeds."""
         state = self._states.get(form)
         return state.learner.strategy if state else None
 
@@ -534,7 +567,8 @@ class SelfOptimizingQueryProcessor:
 
         completeness = Completeness.missing(database.probe_window_missing())
         if completeness.complete:
-            # Settled *and* complete: the only outcomes PIB trains on.
+            # Settled *and* complete: the only outcomes the learner
+            # trains on, its seed included.
             state.learner.record(result.settled_result())
         else:
             self._note_incident(
@@ -652,12 +686,16 @@ class SelfOptimizingQueryProcessor:
     ) -> Substitution:
         """Recover the query-variable bindings behind a winning retrieval:
         the rule heads' on its path (the probe template's head test)
-        composed with the retrieval's."""
+        composed with the retrieval's.  A ground query's is empty, and
+        costs no probe."""
+        variables = set(query.variables())
+        if not variables:
+            return Substitution()
         probe = graph.probe(success_arc, query)
         heads = graph.probe_template(success_arc)[2]
         unifier = Substitution() if heads is None else unify(heads, query)
         for binding in database.retrieve(probe.substitute(unifier)):
-            return unifier.compose(binding).restrict(set(query.variables()))
+            return unifier.compose(binding).restrict(variables)
         return Substitution()
 
     # ------------------------------------------------------------------
@@ -668,11 +706,14 @@ class SelfOptimizingQueryProcessor:
         """Per-form learning status, keyed by the printed form.
 
         Every form with incidents — compiled or uncompilable — lists
-        them under ``"incidents"`` (degradations, partial executions,
-        faulted fallbacks, checkpoint-recovery failures); compiled
-        forms also report their checkpoint activity, and the
-        policy-wide health counters live under the ``"resilience"``
-        key.
+        the last :data:`INCIDENT_LOG_KEEP` of them under
+        ``"incidents"`` (degradations, partial executions, faulted
+        fallbacks, checkpoint-recovery failures) and counts them all
+        under ``"incident_total"``; compiled forms also report their
+        checkpoint activity and their seed (the runs it counted and
+        ``p̂``, or while sampling the counters still outstanding), and
+        the policy-wide health counters live under the
+        ``"resilience"`` key.
         """
         from .learning.drift import DriftAwarePIB
 
@@ -687,8 +728,10 @@ class SelfOptimizingQueryProcessor:
             }
             if isinstance(state.learner, DriftAwarePIB):
                 entry["drift"] = state.learner.drift_report()
-            if form in self._incidents:
-                entry["incidents"] = list(self._incidents[form])
+            seed = state.learner.seed_report()
+            if seed is not None:
+                entry["seed"] = seed
+            self._report_incidents(form, entry)
             if state.checkpoint_path is not None:
                 entry["checkpoint"] = {
                     "path": state.checkpoint_path,
@@ -704,8 +747,7 @@ class SelfOptimizingQueryProcessor:
             summary[str(form)] = entry
         for form, reason in self._uncompilable.items():
             summary[str(form)] = {"fallback": reason}
-            if form in self._incidents:
-                summary[str(form)]["incidents"] = list(self._incidents[form])
+            self._report_incidents(form, summary[str(form)])
         if self.resilience is not None:
             summary["resilience"] = self.resilience.snapshot()
         if self.experience_store is not None:
@@ -723,3 +765,11 @@ class SelfOptimizingQueryProcessor:
         if self.recorder.metrics is not None:
             summary["metrics"] = self.recorder.metrics.snapshot()
         return summary
+
+    def _report_incidents(
+        self, form: QueryForm, entry: Dict[str, object]
+    ) -> None:
+        log = self._incidents.get(form)
+        if log is not None:
+            entry["incidents"] = list(log.recent)
+            entry["incident_total"] = log.total

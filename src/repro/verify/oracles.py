@@ -291,66 +291,99 @@ def check_three_way_equivalence(spec: WorldSpec) -> Optional[str]:
 
 @dataclass
 class PIBWorldResult:
-    """One seeded PIB run, judged against exact expected costs."""
+    """One seeded PIB world, judged against exact expected costs: the
+    learner from depth-first, and the learner seeded by PAO, over the
+    same context stream."""
 
     spec: WorldSpec
     climbs: int
     bad_climbs: int
     detail: Optional[str] = None
     invariant_error: Optional[str] = None
+    seeded_climbs: int = 0
+    seeded_bad_climbs: int = 0
+    seeded_detail: Optional[str] = None
+    #: True expected cost of each learner's strategy after the stream.
+    final_cost: float = 0.0
+    seeded_final_cost: float = 0.0
 
 
-def pib_run_world(
-    spec: WorldSpec, check_invariants: bool = True
-) -> PIBWorldResult:
-    """Run PIB on one world and judge every climb it takes.
+def _judged_run(world, spec: WorldSpec, seeded: bool,
+                check_invariants: bool) -> Tuple[int, int, Optional[str], float]:
+    """One learner over the world's context stream: ``(climbs, bad
+    climbs, first bad climb, final true expected cost)``.
 
-    The world's distribution is independent, so the true expected cost
-    of any strategy is exact (:func:`expected_cost_exact`) — a climb
-    from ``Θ`` to ``Θ'`` is *bad* iff ``C[Θ'] > C[Θ]``.  When
-    ``check_invariants`` is on, the run also asserts Δ̃ conservatism
-    per sample and Equation 6 schedule monotonicity per neighbour.
+    A seeded learner's switch from QP^A to ``Θ₀`` is not a climb; every
+    climb after it is judged.  Raises :class:`InvariantViolation`.
     """
-    world = build_graph_world(spec)
     monitor = InvariantMonitor() if check_invariants else None
     learner = pib_module.PIB(
         world.graph,
         delta=spec.delta,
         recorder=monitor if monitor is not None else pib_module.NULL_RECORDER,
+        seeded=seeded,
     )
     watcher = ConservatismWatcher() if check_invariants else None
     sampler = world.distribution.sampler(context_rng(spec))
     climbs = 0
     bad = 0
     detail: Optional[str] = None
-    invariant_error: Optional[str] = None
+    for _ in range(spec.contexts):
+        context = sampler()
+        before = learner.strategy
+        seeding = learner.seeding
+        result = execute(before, context)
+        if watcher is not None and not seeding:
+            watcher.observe(learner, result)
+        learner.record(result)
+        if seeding or learner.strategy is before:
+            continue
+        climbs += 1
+        gain = expected_cost_exact(
+            before, world.probs
+        ) - expected_cost_exact(learner.strategy, world.probs)
+        if gain < -TOLERANCE:
+            bad += 1
+            if detail is None:
+                detail = (
+                    f"climb #{climbs} worsened expected cost by "
+                    f"{-gain:.6g} "
+                    f"({' '.join(before.arc_names())} -> "
+                    f"{' '.join(learner.strategy.arc_names())})"
+                )
+    if monitor is not None:
+        monitor.check()
+    return climbs, bad, detail, expected_cost_exact(
+        learner.strategy, world.probs
+    )
+
+
+def pib_run_world(
+    spec: WorldSpec, check_invariants: bool = True
+) -> PIBWorldResult:
+    """Run PIB on one world, unseeded and seeded, and judge every climb.
+
+    The world's distribution is independent, so the true expected cost
+    of any strategy is exact (:func:`expected_cost_exact`) — a climb
+    from ``Θ`` to ``Θ'`` is *bad* iff ``C[Θ'] > C[Θ]``.  The seeded
+    learner runs the lifecycle a session's new form runs: QP^A, then
+    ``Υ_AOT(p̂)``, then PIB.  When ``check_invariants`` is on, each run
+    also asserts Δ̃ conservatism per PIB sample and Equation 6 schedule
+    monotonicity per neighbour.
+    """
+    world = build_graph_world(spec)
     try:
-        for _ in range(spec.contexts):
-            context = sampler()
-            before = learner.strategy
-            result = execute(before, context)
-            if watcher is not None:
-                watcher.observe(learner, result)
-            learner.record(result)
-            if learner.strategy is not before:
-                climbs += 1
-                gain = expected_cost_exact(
-                    before, world.probs
-                ) - expected_cost_exact(learner.strategy, world.probs)
-                if gain < -TOLERANCE:
-                    bad += 1
-                    if detail is None:
-                        detail = (
-                            f"climb #{climbs} worsened expected cost by "
-                            f"{-gain:.6g} "
-                            f"({' '.join(before.arc_names())} -> "
-                            f"{' '.join(learner.strategy.arc_names())})"
-                        )
-        if monitor is not None:
-            monitor.check()
+        climbs, bad, detail, final = _judged_run(
+            world, spec, False, check_invariants)
+        seeded = _judged_run(world, spec, True, check_invariants)
     except InvariantViolation as violation:
-        invariant_error = str(violation)
-    return PIBWorldResult(spec, climbs, bad, detail, invariant_error)
+        return PIBWorldResult(spec, 0, 0, invariant_error=str(violation))
+    return PIBWorldResult(
+        spec, climbs, bad, detail,
+        seeded_climbs=seeded[0], seeded_bad_climbs=seeded[1],
+        seeded_detail=seeded[2], final_cost=final,
+        seeded_final_cost=seeded[3],
+    )
 
 
 def pib_contract(
@@ -360,49 +393,61 @@ def pib_contract(
 ) -> OracleReport:
     """Theorem 1 as a falsifiable contract over many seeded worlds.
 
-    A world is *bad* when any of its climbs worsened the true expected
+    A run is *bad* when any of its climbs worsened the true expected
     cost.  Theorem 1 bounds the per-run probability of that event by
-    the run's δ, so the contract rejects only when the Clopper–Pearson
-    lower bound on the bad-run rate exceeds δ.  Invariant violations
-    (Δ̃ conservatism, Equation 6 monotonicity) are deterministic bugs
-    and fail immediately.
+    the run's δ from any ``Θ₀``, so the contract rejects when the
+    Clopper–Pearson lower bound on the bad-run rate of either
+    lifecycle (from depth-first, or seeded) exceeds δ.  Invariant
+    violations (Δ̃ conservatism, Equation 6 monotonicity) are
+    deterministic bugs and fail immediately.  ``seeded_worse`` counts
+    the worlds whose seeded learner ends at a higher true expected
+    cost than the unseeded one.
     """
     report = OracleReport("pib-contract")
     if not specs:
         return report
     delta = specs[0].delta
-    bad_runs = 0
-    total_climbs = 0
-    first_bad: Optional[PIBWorldResult] = None
+    outcomes: List[PIBWorldResult] = []
     for spec in specs:
         outcome = pib_run_world(spec, check_invariants=check_invariants)
         report.worlds += 1
-        total_climbs += outcome.climbs
         if outcome.invariant_error is not None:
             report.failures.append(
                 OracleFailure(spec, f"invariant: {outcome.invariant_error}")
             )
             continue
-        if outcome.bad_climbs:
-            bad_runs += 1
-            if first_bad is None:
-                first_bad = outcome
-    lower, upper = clopper_pearson(bad_runs, max(report.worlds, 1), confidence)
+        outcomes.append(outcome)
     report.stats.update(
-        climbs=total_climbs,
-        bad_runs=bad_runs,
+        climbs=sum(outcome.climbs for outcome in outcomes),
+        seeded_climbs=sum(outcome.seeded_climbs for outcome in outcomes),
+        seeded_worse=sum(
+            outcome.seeded_final_cost > outcome.final_cost + TOLERANCE
+            for outcome in outcomes
+        ),
         delta=delta,
-        bad_rate_interval=(round(lower, 4), round(upper, 4)),
     )
-    if lower > delta and first_bad is not None:
-        report.failures.append(
-            OracleFailure(
-                first_bad.spec,
-                f"bad-climb rate {bad_runs}/{report.worlds} "
-                f"(CP lower bound {lower:.4f}) exceeds delta={delta}; "
-                f"first bad world: {first_bad.detail}",
-            )
+    for name, bad_of, detail_of in (
+        ("", lambda o: o.bad_climbs, lambda o: o.detail),
+        ("seeded_", lambda o: o.seeded_bad_climbs,
+         lambda o: o.seeded_detail),
+    ):
+        bad = [outcome for outcome in outcomes if bad_of(outcome)]
+        lower, upper = clopper_pearson(
+            len(bad), max(report.worlds, 1), confidence
         )
+        report.stats[f"{name}bad_runs"] = len(bad)
+        report.stats[f"{name}bad_rate_interval"] = (
+            round(lower, 4), round(upper, 4))
+        if lower > delta and bad:
+            report.failures.append(
+                OracleFailure(
+                    bad[0].spec,
+                    f"{name.replace('_', ' ')}bad-climb rate "
+                    f"{len(bad)}/{report.worlds} "
+                    f"(CP lower bound {lower:.4f}) exceeds delta={delta}; "
+                    f"first bad world: {detail_of(bad[0])}",
+                )
+            )
     return report
 
 

@@ -2,7 +2,9 @@
 
 import math
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from repro.learning.chernoff import (
     aiming_sample_size,
@@ -10,6 +12,7 @@ from repro.learning.chernoff import (
     confidence_radius,
     pao_sample_size,
     pib_sequential_threshold,
+    pib_sequential_thresholds,
     pib_sum_threshold,
     samples_for_radius,
     sequential_confidence,
@@ -121,3 +124,32 @@ class TestSampleSizes:
             pao_sample_size(4, -1.0, 1.0, 0.1)
         with pytest.raises(ValueError):
             aiming_sample_size(4, 2.0, 0.0, 0.1)
+
+
+class TestSequentialThresholds:
+    """One test's shared log term and per-count roots reproduce
+    Equation 6's threshold bit for bit."""
+
+    @given(
+        st.integers(min_value=1, max_value=10 ** 6),
+        st.integers(min_value=1, max_value=10 ** 9),
+        st.floats(min_value=1e-9, max_value=0.999999),
+        st.floats(min_value=1e-6, max_value=1e6),
+    )
+    def test_bit_identical_to_the_closed_form(self, n, i, delta, value_range):
+        threshold = pib_sequential_thresholds(i, delta)
+        expected = pib_sequential_threshold(n, i, delta, value_range)
+        assert threshold(n, value_range) == expected
+        # A cached root gives the same bits again, under another Λ too.
+        assert threshold(n, value_range) == expected
+        assert threshold(n, 2.0 * value_range) == \
+            pib_sequential_threshold(n, i, delta, 2.0 * value_range)
+
+    def test_rejects_what_the_closed_form_rejects(self):
+        with pytest.raises(ValueError):
+            pib_sequential_thresholds(0, 0.1)
+        threshold = pib_sequential_thresholds(3, 0.1)
+        with pytest.raises(ValueError):
+            threshold(0, 1.0)
+        with pytest.raises(ValueError):
+            threshold(2, 0.0)

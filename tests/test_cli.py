@@ -206,14 +206,26 @@ class TestTraceCommand:
         stream.write_text("\n".join(lines))
         return str(stream)
 
-    def test_trace_exports_jsonl(self, kb_files, stream_file, tmp_path):
+    @pytest.fixture
+    def climbing_stream_file(self, tmp_path):
+        # The seed's first 33 runs see profs only, so Θ₀ asks profs
+        # first; the grads after them make PIB climb once.
+        stream = tmp_path / "climbing.txt"
+        lines = ["% profs while the seed samples, then grads"]
+        lines += ["instructor(russ)"] * 40
+        lines += ["instructor(manolis)"] * 250
+        stream.write_text("\n".join(lines))
+        return str(stream)
+
+    def test_trace_exports_jsonl(self, kb_files, climbing_stream_file,
+                                 tmp_path):
         import json
 
         rules, facts = kb_files
         out = tmp_path / "trace.jsonl"
         code, output = run_cli([
             "trace", "--rules", rules, "--facts", facts,
-            "--queries", stream_file, "--quiet", "--out", str(out),
+            "--queries", climbing_stream_file, "--quiet", "--out", str(out),
         ])
         assert code == 0
         assert "wrote" in output
@@ -222,18 +234,19 @@ class TestTraceCommand:
         events = [json.loads(line) for line in
                   out.read_text().splitlines()]
         types = {e["type"] for e in events}
-        assert {"query_begin", "query_end", "attempt",
-                "learner_sample", "margin", "climb"} <= types
+        assert {"query_begin", "query_end", "attempt", "pao_budget",
+                "pao_complete", "learner_sample", "margin",
+                "climb"} <= types
 
-    def test_no_margins_drops_margin_events(self, kb_files, stream_file,
-                                            tmp_path):
+    def test_no_margins_drops_margin_events(self, kb_files,
+                                            climbing_stream_file, tmp_path):
         import json
 
         rules, facts = kb_files
         out = tmp_path / "trace.jsonl"
         code, _ = run_cli([
             "trace", "--rules", rules, "--facts", facts,
-            "--queries", stream_file, "--quiet", "--out", str(out),
+            "--queries", climbing_stream_file, "--quiet", "--out", str(out),
             "--no-margins",
         ])
         assert code == 0
@@ -242,12 +255,13 @@ class TestTraceCommand:
         assert "margin" not in types
         assert "climb" in types
 
-    def test_stats_summarizes_trace(self, kb_files, stream_file, tmp_path):
+    def test_stats_summarizes_trace(self, kb_files, climbing_stream_file,
+                                    tmp_path):
         rules, facts = kb_files
         out = tmp_path / "trace.jsonl"
         run_cli([
             "trace", "--rules", rules, "--facts", facts,
-            "--queries", stream_file, "--quiet", "--out", str(out),
+            "--queries", climbing_stream_file, "--quiet", "--out", str(out),
         ])
         code, output = run_cli(["stats", str(out)])
         assert code == 0

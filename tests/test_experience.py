@@ -404,8 +404,13 @@ class TestSessionLifecycle:
         rules, facts = kb
         config = self._config(tmp_path)
         with repro.open_session(rules, facts, config=config) as session:
-            for _ in range(3):
+            # A form still sampling its seed contributes no record.
+            session.query("instructor(X)?")
+            assert session.processor.contribute_experience() == 0
+            for _ in range(80):
                 session.query("instructor(X)?")
+            assert "outstanding" not in \
+                session.processor.report()["instructor^(f)"]["seed"]
         store = ExperienceStore.open(str(tmp_path / "exp.json"))
         assert len(store) == 1
 
@@ -415,6 +420,7 @@ class TestSessionLifecycle:
         entry = report["instructor^(f)"]
         assert entry["warmstart"]["exact"] is True
         assert entry["warmstart"]["similarity"] == 1.0
+        assert "seed" not in entry  # a warm start outranks the seed
         assert report["experience"]["records"] == 1
 
     def test_disabled_reports_no_experience(self, kb):

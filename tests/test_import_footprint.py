@@ -24,9 +24,12 @@ DEFERRED = ("hashlib", "importlib.metadata", "sqlite3", "concurrent.futures")
 
 #: The package's own modules that a served query never runs: the other
 #: two engines, checkpoints, the experience store, drift-aware
-#: learning, resilience policies, tracing, the optimizers, the workload
-#: generators, and the other learners' machinery.  A package stands
-#: for every module under it.
+#: learning, resilience policies, tracing, the workload generators,
+#: and the other learners' machinery.  A package stands for every
+#: module under it.  A new form's PAO seed runs ``QP^A`` and then
+#: ``Υ_AOT``, so ``repro.strategies.adaptive`` and ``repro.optimal``
+#: load with the first served query; ``import repro`` alone loads
+#: neither (CI's bare-install job checks that).
 DEFERRED_REPRO = (
     "repro.datalog.bottomup",
     "repro.datalog.qsqn",
@@ -41,11 +44,9 @@ DEFERRED_REPRO = (
     "repro.observability.metrics",
     "repro.observability.sink",
     "repro.observability.tracer",
-    "repro.optimal",
     "repro.persistence",
     "repro.resilience",
     "repro.storage.config",
-    "repro.strategies.adaptive",
     "repro.strategies.enumeration",
     "repro.strategies.expected_cost",
     "repro.workloads",

@@ -171,3 +171,44 @@ class TestAimingPAO:
             aiming=True, sample_scale=0.3,
         )
         assert outcome.attempts["D_rare"] >= outcome.reached["D_rare"]
+
+
+class TestAdaptiveSplit:
+    """``pao()`` drives QP^A through ``next_strategy``/``record``; its
+    results are the ones the single ``process`` call produced."""
+
+    # (seed, Θ_pao, p̂, contexts used, reached) from the unsplit run.
+    PINNED = [
+        (0, ["R1", "D1", "D2", "D0"],
+         {"D0": 0.2916666666666667, "D1": 0.15306122448979592,
+          "D2": 0.2753623188405797}, 98, {"D0": 72, "D1": 98, "D2": 69}),
+        (1, ["D1", "R1", "D2", "D0"],
+         {"D0": 0.275, "D1": 0.5414012738853503, "D2": 0.835820895522388},
+         161, {"D0": 40, "D1": 157, "D2": 67}),
+        (4, ["R1", "D0", "D2", "D1"],
+         {"D0": 0.96875, "D1": 0.19607843137254902, "D2": 0.5},
+         51, {"D0": 32, "D1": 51, "D2": 18}),
+        (5, ["R1", "D1", "D2", "D0"],
+         {"D0": 0.24489795918367346, "D1": 0.4936708860759494,
+          "D2": 0.5686274509803921}, 112, {"D0": 98, "D1": 79, "D2": 51}),
+    ]
+
+    @pytest.mark.parametrize("seed, arcs, estimates, used, reached", PINNED)
+    def test_results_are_unchanged(self, seed, arcs, estimates, used,
+                                   reached):
+        from repro.graphs.random_graphs import random_instance
+
+        graph, probs = random_instance(
+            random.Random(seed), n_internal=2, n_retrievals=3,
+            blockable_reduction_rate=0.5 if seed % 2 else 0.0,
+        )
+        result = pao(
+            graph, 1.0, 0.2,
+            IndependentDistribution(graph, probs).sampler(
+                random.Random(100 + seed)),
+            aiming=bool(seed % 2), sample_scale=0.05,
+        )
+        assert list(result.strategy.arc_names()) == arcs
+        assert result.estimates == estimates
+        assert result.contexts_used == used
+        assert result.reached == reached

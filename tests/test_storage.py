@@ -1063,7 +1063,8 @@ class TestSystemCompleteness:
         assert answer.completeness is COMPLETE
         # Remote latency is billed on top of the strategy cost.
         assert answer.cost > plain_cost
-        assert self.learner_of(processor).total_tests > 0
+        # The form's first run is its seed's: QP^A counted it.
+        assert self.learner_of(processor).sampler.contexts_processed == 1
 
     def test_dark_shard_yields_partial_and_no_learner_sample(self):
         probe = FederatedStore(db1(), shards=2, seed=0)
@@ -1076,7 +1077,9 @@ class TestSystemCompleteness:
         answer = processor.query(parse_query("instructor(manolis)"), store)
         assert answer.completeness.partial
         assert owner in answer.completeness.missing_shards
-        assert self.learner_of(processor).total_tests == 0
+        learner = self.learner_of(processor)
+        assert learner.total_tests == 0
+        assert learner.sampler.contexts_processed == 0
 
     def test_partial_answers_never_invent_bindings(self):
         probe = FederatedStore(db1(), shards=2, seed=0)

@@ -4,13 +4,16 @@ import random
 
 import pytest
 
+import repro.system
 from repro import CacheConfig, open_session
 from repro.bench.experiments import LatencyDatabase
 from repro.datalog.database import Database
 from repro.datalog.engine import TopDownEngine
 from repro.datalog.parser import parse_program, parse_query
+from repro.datalog.rules import QueryForm
 from repro.datalog.terms import Constant, Variable
 from repro.graphs.contexts import LazyDatalogContext
+from repro.graphs.inference_graph import ArcKind
 from repro.serving import SessionConfig
 from repro.system import SelfOptimizingQueryProcessor
 from repro.workloads import db1, university_rule_base
@@ -145,6 +148,62 @@ class TestSpecializingRuleHeads:
             assert dict(reference.substitution) == bindings
 
 
+class TestGroundBindingProbe:
+    """Binding recovery re-probes the winning retrieval only for a query
+    with variables: a ground query's substitution is empty."""
+
+    def probes(self, monkeypatch, text):
+        database = db1()
+        counted = []
+        matching = database._matching
+
+        def counting(pattern, form):
+            counted.append(pattern)
+            return matching(pattern, form)
+
+        monkeypatch.setattr(database, "_matching", counting)
+        runs = []
+        execute = repro.system.execute
+
+        def capturing(*args, **kwargs):
+            runs.append(execute(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(repro.system, "execute", capturing)
+        answer = SelfOptimizingQueryProcessor(university_rule_base()).query(
+            parse_query(text), database)
+        retrievals = sum(1 for arc in runs[0].attempted
+                         if arc.kind is ArcKind.RETRIEVAL)
+        return answer, len(counted), retrievals
+
+    def test_proved_ground_query_probes_only_its_attempts(self, monkeypatch):
+        answer, probes, retrievals = self.probes(
+            monkeypatch, "instructor(manolis)")
+        assert answer.proved and answer.learned
+        assert dict(answer.substitution) == {}
+        assert probes == retrievals
+
+    def test_open_query_still_recovers_its_binding(self, monkeypatch):
+        answer, probes, retrievals = self.probes(monkeypatch, "instructor(X)")
+        assert answer.proved
+        assert dict(answer.substitution) == {
+            Variable("X"): Constant("russ")}
+        assert probes == retrievals + 1
+
+
+class TestIncidentLog:
+    def test_keeps_a_total_and_the_last_64(self):
+        qp = SelfOptimizingQueryProcessor(university_rule_base())
+        form = QueryForm("instructor", "b")
+        qp.ensure_compiled(form)
+        for number in range(10_000):
+            qp._note_incident(form, f"incident #{number}")
+        entry = qp.report()["instructor^(b)"]
+        assert entry["incident_total"] == 10_000
+        assert entry["incidents"] == [
+            f"incident #{number}" for number in range(10_000 - 64, 10_000)]
+
+
 class TestLearningThroughTheSystem:
     def test_strategy_improves_with_a_skewed_stream(self):
         qp = SelfOptimizingQueryProcessor(
@@ -158,13 +217,14 @@ class TestLearningThroughTheSystem:
             name = rng.choice(names)
             answer = qp.query(parse_query(f"instructor({name})"), database)
             climbed = climbed or answer.climbed
-        from repro.datalog.rules import QueryForm
-
         strategy = qp.strategy_for(QueryForm("instructor", "b"))
-        assert climbed
         assert strategy.arc_names()[0] == "Rg"  # grads first
-        history = qp.climb_history(QueryForm("instructor", "b"))
-        assert len(history) == 1
+        # The PAO seed already put grads first, so PIB never had to
+        # climb from depth-first's profs-first order.
+        seed = qp.report()["instructor^(b)"]["seed"]
+        assert seed["estimates"]["D_grad"] > seed["estimates"]["D_prof"]
+        assert not climbed
+        assert qp.climb_history(QueryForm("instructor", "b")) == []
 
     def test_costs_drop_after_the_climb(self):
         qp = SelfOptimizingQueryProcessor(

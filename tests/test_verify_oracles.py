@@ -99,6 +99,15 @@ class TestPIBContract:
         replayed = pib_run_world(spec, check_invariants=False)
         assert replayed.bad_climbs > 0
 
+    def test_flipped_eq6_is_caught_after_the_seed(self, flipped_eq6):
+        report = pib_contract(specs_for("pib", 20), check_invariants=False)
+        assert report.stats["seeded_bad_runs"] > 0
+        seeded = [failure for failure in report.failures
+                  if failure.message.startswith("seeded bad-climb rate")]
+        assert seeded
+        replayed = pib_run_world(seeded[0].spec, check_invariants=False)
+        assert replayed.seeded_bad_climbs > 0
+
     def test_flipped_eq6_caught_through_runner(self, flipped_eq6, tmp_path):
         from repro.verify.runner import run_verify
 
